@@ -38,6 +38,23 @@ type result = {
 val candidate_targets : Instance.t -> int -> int list
 (** Targets [v <> u] with [cost(u,v) <= budget(u)], increasing. *)
 
+(** {2 Row merges}
+
+    The one-link step of every enumeration: [u]'s distance row [src]
+    gains the link [(u,v)] of length [luv], and [rv] is [v]'s row in
+    [G_{-u}].  The merged row is [min(src.(x), luv + rv.(x))]. *)
+
+val merge_into : src:int array -> dst:int array -> int array -> int -> unit
+(** [merge_into ~src ~dst rv luv] writes the merged row into [dst]
+    ([src == dst] merges in place). *)
+
+val merged_cost :
+  objective:Objective.t -> Instance.t -> int -> src:int array -> int array -> int -> int
+(** [merged_cost ~objective instance u ~src rv luv] is node [u]'s cost
+    of the merged row, in one pass without materializing it —
+    bit-identical to {!merge_into} followed by
+    {!Eval.cost_of_distances}. *)
+
 val exact :
   ?objective:Objective.t ->
   ?ctx:Incr.ctx ->

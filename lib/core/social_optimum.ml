@@ -19,24 +19,32 @@ let analyze ?objective ?candidates ?(max_profiles = 2_000_000) instance =
     let optimum = ref max_int and optimal_profile = ref None in
     let best_ne = ref None and worst_ne = ref None in
     let equilibria = ref 0 and profiles = ref 0 in
-    let profile = Array.make n [] in
+    (* Strategies are validated once, so each profile is a view of one
+       reusable buffer; only recorded profiles are copied out of it. *)
+    let candidates =
+      Array.mapi (fun u l -> List.map (Config.validated_strategy n u) l) candidates
+    in
+    let profile = Array.make n [||] in
+    let config = Config.unsafe_of_arrays profile in
     let rec assign u =
       if u = n then begin
         incr profiles;
-        let config = Config.of_lists n (Array.copy profile) in
         let cost = Eval.social_cost ?objective instance config in
         if cost < !optimum then begin
           optimum := cost;
-          optimal_profile := Some config
+          optimal_profile := Some (Config.snapshot config)
         end;
-        if Stability.is_stable ?objective instance config then begin
+        (* Every profile is a fresh, unrelated configuration: an Incr
+           context would be built and discarded per profile, which costs
+           more than the from-scratch check it replaces. *)
+        if Stability.is_stable ?objective ~incremental:false instance config then begin
           incr equilibria;
           (match !best_ne with
           | Some (c, _) when c <= cost -> ()
-          | _ -> best_ne := Some (cost, config));
+          | _ -> best_ne := Some (cost, Config.snapshot config));
           match !worst_ne with
           | Some (c, _) when c >= cost -> ()
-          | _ -> worst_ne := Some (cost, config)
+          | _ -> worst_ne := Some (cost, Config.snapshot config)
         end
       end
       else
@@ -70,8 +78,143 @@ let price_of_stability summary = ratio_of summary.best_equilibrium summary
 
 let price_of_anarchy summary = ratio_of summary.worst_equilibrium summary
 
-let local_search ?objective ?(restarts = 3) ?(max_sweeps = 50) rng instance =
+(* Local-search scoring.  Fix a node u and let D be the all-pairs
+   distances of G_{-u}, the sweep's profile with u's links removed.  If
+   u plays S, its own row is
+
+     m_S(x) = min(D[u][x], min over t in S of l(u,t) + D[t][x])
+
+   and every other distance is
+
+     d_S(w,x) = min(D[w][x], D[w][u] + m_S(x))
+
+   because a shortest path visits u at most once and leaves it along a
+   link of S.  One batched G_{-u} sweep therefore scores every strategy
+   of u exactly: no per-candidate snapshot and no per-candidate sweep.
+   Sum separates over the targets x and is tabulated once per u; Max
+   does not separate and folds each source's merged row. *)
+
+module Csr = Bbc_graph.Csr
+module Workspace = Bbc_graph.Workspace
+
+let obs_moves = Bbc_obs.counter "social_optimum.moves_scored"
+
+(* Sum.  The social cost is the sum over targets x of f_x(m_S(x)), with
+
+     f_x(m) = sum over w <> x of weight(w,x) * pen(min(D[w][x], D[w][u] + m)).
+
+   Source w gains exactly when m < b_w = D[w][x] - D[w][u] (max_int when
+   x is unreachable from w), so with x's breakpoints sorted ascending
+   the gaining sources form a suffix, and
+
+     f_x(m) = f_x(inf) + gain(i) + m * weight(i),   i = first b_w > m,
+
+   with gain/weight the suffix sums of weight(w,x) * (D[w][u] -
+   pen(D[w][x])) and of weight(w,x).  f_x is non-decreasing (pen is
+   monotone on real distances, since M > n * max length), so
+   f_x(min over t of a_t) = min over t of f_x(a_t): tabulating
+   [f.(t * n + x)] = f_x(l(u,t) + D[t][x]) for every candidate target t
+   turns a strategy's cost into a min-and-sum over its rows of [f].
+   Returns the empty strategy's cost, the sum of f_x(inf). *)
+let fill_link_costs f instance (d : int array array) u ~targets =
   let n = Instance.n instance in
+  let pen = Instance.penalty instance in
+  (* The sources that can reach u, kept sorted by breakpoint (insertion:
+     x has at most n - 1 of them), then suffix-summed in place. *)
+  let bp = Array.make n 0 and gain = Array.make (n + 1) 0 and wsum = Array.make (n + 1) 0 in
+  let empty = ref 0 in
+  for x = 0 to n - 1 do
+    let k = ref 0 and base = ref 0 in
+    for w = 0 to n - 1 do
+      let om = if w = x then 0 else Instance.weight instance w x in
+      if om > 0 then begin
+        let dwx = d.(w).(x) and dwu = d.(w).(u) in
+        let p = if dwx = Csr.unreachable then pen else dwx in
+        base := !base + (om * p);
+        if dwu <> Csr.unreachable then begin
+          let b = if dwx = Csr.unreachable then max_int else dwx - dwu in
+          let i = ref !k in
+          while !i > 0 && bp.(!i - 1) > b do
+            bp.(!i) <- bp.(!i - 1);
+            gain.(!i) <- gain.(!i - 1);
+            wsum.(!i) <- wsum.(!i - 1);
+            decr i
+          done;
+          bp.(!i) <- b;
+          gain.(!i) <- om * (dwu - p);
+          wsum.(!i) <- om;
+          incr k
+        end
+      end
+    done;
+    let k = !k in
+    gain.(k) <- 0;
+    wsum.(k) <- 0;
+    for i = k - 1 downto 0 do
+      gain.(i) <- gain.(i) + gain.(i + 1);
+      wsum.(i) <- wsum.(i) + wsum.(i + 1)
+    done;
+    empty := !empty + !base;
+    Array.iter
+      (fun t ->
+        let dtx = d.(t).(x) in
+        f.((t * n) + x) <-
+          (if dtx = Csr.unreachable then !base
+           else begin
+             let m = Instance.length instance u t + dtx in
+             let lo = ref 0 and hi = ref k in
+             while !lo < !hi do
+               let mid = (!lo + !hi) lsr 1 in
+               if bp.(mid) > m then hi := mid else lo := mid + 1
+             done;
+             !base + gain.(!lo) + (m * wsum.(!lo))
+           end))
+      targets
+  done;
+  !empty
+
+(* min over the targets [ts] of their [f] entries for x, from [v]. *)
+let rec min_link_cost f n x v = function
+  | [] -> v
+  | t :: ts ->
+      let c = f.((t * n) + x) in
+      min_link_cost f n x (if c < v then c else v) ts
+
+(* Sum cost of strategy [s], or any value >= [bound] once the partial
+   sum (every term is non-negative) reaches it. *)
+let sum_score f n ~empty s ~bound =
+  match s with
+  | [] -> empty
+  | t :: ts ->
+      let acc = ref 0 and x = ref 0 in
+      while !x < n && !acc < bound do
+        acc := !acc + min_link_cost f n !x f.((t * n) + !x) ts;
+        incr x
+      done;
+      !acc
+
+(* Max cost of u's row [m]: sources that cannot reach u keep their
+   G_{-u} cost [fixed]; every other source folds its merged row.  Stops
+   like [sum_score]. *)
+let max_score instance (d : int array array) u ~fixed m ~bound =
+  let n = Array.length m in
+  let acc = ref fixed and w = ref 0 in
+  while !w < n && !acc < bound do
+    let dwu = d.(!w).(u) in
+    if dwu <> Csr.unreachable then
+      acc :=
+        !acc
+        + Best_response.merged_cost ~objective:Objective.Max instance !w ~src:d.(!w) m dwu;
+    incr w
+  done;
+  !acc
+
+let local_search ?(objective = Objective.Sum) ?(restarts = 3) ?(max_sweeps = 50) rng
+    instance =
+  let n = Instance.n instance in
+  Bbc_obs.with_span "social_optimum.local_search"
+    ~attrs:[ ("n", Bbc_obs.Int n); ("restarts", Bbc_obs.Int restarts) ]
+  @@ fun () ->
   let random_start () =
     let strategies =
       Array.init n (fun u ->
@@ -81,22 +224,57 @@ let local_search ?objective ?(restarts = 3) ?(max_sweeps = 50) rng instance =
     in
     Config.of_lists n strategies
   in
+  let srcs = Array.init n Fun.id in
+  let f = Array.make (n * n) 0 in
+  (* Best single-node replacement by social cost: across u ascending,
+     then [Exhaustive.all_strategies] order, the first strictly best
+     move below [cost] wins. *)
   let improve_once config cost =
-    (* Best single-node replacement by social cost. *)
-    let best = ref None in
+    let ws = Workspace.get () in
+    let scratch = Workspace.scratch ws in
+    let csr = Config.to_csr instance config in
+    let d = Workspace.acquire_many ws n n in
+    let m = Workspace.acquire ws n in
+    let best = ref None and scored = ref 0 in
     for u = 0 to n - 1 do
+      Csr.sssp_batch ~ban:u csr scratch ~srcs ~rows:d;
+      let score =
+        match objective with
+        | Objective.Sum ->
+            let targets = Array.of_list (Best_response.candidate_targets instance u) in
+            let empty = fill_link_costs f instance d u ~targets in
+            sum_score f n ~empty
+        | Objective.Max ->
+            let fixed = ref 0 in
+            for w = 0 to n - 1 do
+              if d.(w).(u) = Csr.unreachable then
+                fixed := !fixed + Eval.cost_of_distances ~objective instance w d.(w)
+            done;
+            fun s ~bound ->
+              Array.fill m 0 n Csr.unreachable;
+              m.(u) <- 0;
+              List.iter
+                (fun t ->
+                  Best_response.merge_into ~src:m ~dst:m d.(t) (Instance.length instance u t))
+                s;
+              max_score instance d u ~fixed:!fixed m ~bound
+      in
+      let current = Config.targets config u in
       List.iter
         (fun s ->
-          if s <> Config.targets config u then begin
-            let config' = Config.with_strategy config u s in
-            let c = Eval.social_cost ?objective instance config' in
-            match !best with
-            | Some (_, c') when c' <= c -> ()
-            | _ -> if c < cost then best := Some (config', c)
+          if s <> current then begin
+            incr scored;
+            let bound = match !best with Some (_, _, c) -> c | None -> cost in
+            let c = score s ~bound in
+            if c < bound then best := Some (u, s, c)
           end)
-        (Exhaustive.all_strategies instance u)
+        (Exhaustive.all_strategies instance u);
+      Csr.reset_rows scratch ~rows:d
     done;
-    !best
+    Workspace.release ws m;
+    Workspace.release_clean_many ws d;
+    Bbc_obs.add obs_moves !scored;
+    Option.map (fun (u, s, c) -> (Config.with_strategy config u s, c)) !best
   in
   let run_from config =
     let rec go config cost sweeps =
@@ -106,7 +284,7 @@ let local_search ?objective ?(restarts = 3) ?(max_sweeps = 50) rng instance =
         | Some (config', cost') -> go config' cost' (sweeps + 1)
         | None -> (cost, config)
     in
-    go config (Eval.social_cost ?objective instance config) 0
+    go config (Eval.social_cost ~objective instance config) 0
   in
   let best = ref (run_from (random_start ())) in
   for _ = 2 to max 1 restarts do

@@ -24,7 +24,10 @@ val analyze :
   summary option
 (** Exhaustive analysis of the profile space (default: all feasible
     strategies of every node; [max_profiles] defaults to [2_000_000]).
-    [None] if the space is larger than [max_profiles].
+    [None] if the space is larger than [max_profiles].  Each profile
+    costs one [Eval.social_cost] and one from-scratch
+    [Stability.is_stable] (a fresh profile gives an [Incr] context
+    nothing to reuse).
 
     Note: with a restricted candidate space, [optimum] is exact for that
     space and every reported equilibrium is a true NE (full-deviation
@@ -48,4 +51,19 @@ val local_search :
     node's strategy with its socially-best alternative), restarted from
     [restarts] (default 3) random maximal-strategy profiles; returns the
     best (cost, profile) found.  An upper bound on the true optimum —
-    useful as the denominator of a conservative PoA estimate. *)
+    useful as the denominator of a conservative PoA estimate.
+
+    A sweep (at most [max_sweeps], default 50, per restart) tries every
+    feasible strategy of every node and takes the strictly best move:
+    nodes ascending, then {!Exhaustive.all_strategies} order, first
+    strict best wins.
+
+    {b Cost model.}  One CSR snapshot per sweep, and per node [u] one
+    batched [~ban:u] sweep from all n sources — the [G_{-u}] distance
+    matrix D.  Every strategy of [u] is then scored exactly from D, with
+    no further snapshot or sweep: [Sum] in O(|S| n) from a per-node table
+    of per-link costs, [Max] in O(n{^2}) by folding each source's merged
+    row (see DESIGN.md §17).  Candidates stop early once their partial
+    cost reaches the best found so far.  The [social_optimum.local_search]
+    span times the call and [social_optimum.moves_scored] counts the
+    candidate moves, added once per sweep. *)

@@ -481,6 +481,24 @@ let prop_improving_iff (inst, cfg) =
           else ok)
     (nodes inst)
 
+(* Local search scores moves from one G_{-u} matrix per node; the
+   reference realizes and re-evaluates every candidate.  Same seed, same
+   RNG consumption, so both must end on the same (cost, profile). *)
+let instance_seed = Gen.pair (Domain_gen.instance ~max_n:6 ()) (Gen.int_bound 0xFFFF)
+
+let prop_local_search_vs_reference (inst, seed) =
+  check_all
+    (fun objective ->
+      let rng () = Bbc_prng.Splitmix.create seed in
+      let cost, cfg = Bbc.Social_optimum.local_search ~objective ~restarts:2 (rng ()) inst in
+      let ref_cost, ref_cfg = Reference.local_search ~objective ~restarts:2 (rng ()) inst in
+      if cost = ref_cost && C.equal cfg ref_cfg then ok
+      else
+        failf "%s: local_search ends at cost %d, reference at %d%s"
+          (Bbc.Objective.to_string objective) cost ref_cost
+          (if cost = ref_cost then " (different profiles)" else ""))
+    [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+
 let br_suite =
   let render (inst, cfg) = (inst, Some cfg, "") in
   [
@@ -489,6 +507,13 @@ let br_suite =
     Packed { name = "br_variants"; gen = ic_tiny; prop = prop_br_variants; render };
     Packed
       { name = "improving_iff"; gen = ic_tiny; prop = prop_improving_iff; render };
+    Packed
+      {
+        name = "local_search_vs_reference";
+        gen = instance_seed;
+        prop = prop_local_search_vs_reference;
+        render = (fun (inst, seed) -> (inst, None, Printf.sprintf "seed %d" seed));
+      };
   ]
 
 (* ---------------------------------------------------------------- *)

@@ -17,7 +17,9 @@
       move sequences, with [with_masked] exact-undo round-trips and
       incremental-vs-parallel [Stability];
     - [br] — [Best_response.exact] (and its [?csr]/[?ctx] variants)
-      vs exhaustive strategy enumeration on tiny instances;
+      vs exhaustive strategy enumeration on tiny instances, and
+      [Social_optimum.local_search] vs {!Reference.local_search} (same
+      seed, Sum and Max: identical cost and profile);
     - [server] — in-process [Bbc_server.Engine] request streams vs
       direct scratch-engine calls on a mirrored session;
     - [campaign] — {!Bbc_campaign.Spec} / {!Bbc.Trial} JSON codecs

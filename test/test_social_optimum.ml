@@ -97,9 +97,62 @@ let test_local_search_finds_exact_on_small () =
   | Some s -> Alcotest.(check int) "optimum reached" s.optimum cost
   | None -> Alcotest.fail "space should fit"
 
+(* E12's heuristic row: willows k=2 h=2 (n=30, tail 2), one Splitmix
+   12012 stream, two restarts.  Cost and profile hash are pinned to
+   what the per-candidate reference (Bbc_fuzz.Reference) returns; it
+   takes seconds here, so the pin stands in for a live comparison. *)
+let e12_willows () =
+  let k = 2 and h = 2 in
+  let l = max 0 (min 2 (Bbc.Willows.max_tail_for ~k ~h)) in
+  fst (Bbc.Willows.build Bbc.Willows.{ k; h; l })
+
+let test_local_search_e12_pin ?objective ~cost ~hash () =
+  let rng = Bbc_prng.Splitmix.create 12012 in
+  let c, config = SO.local_search ?objective ~restarts:2 rng (e12_willows ()) in
+  Alcotest.(check int) "cost" cost c;
+  Alcotest.(check int) "profile hash" hash (C.hash config)
+
+(* Non-unit lengths, non-uniform (partly zero) weights, and a start
+   that cannot be connected: nobody can afford a link to node 5 and
+   node 6 has no budget, so the penalty is charged throughout. *)
+let disconnected_weighted () =
+  let n = 7 in
+  let weight =
+    Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else ((u * 3) + (v * 5)) mod 4))
+  in
+  let cost = Array.init n (fun u -> Array.init n (fun v -> if v = 5 then 9 else 1 + ((u + v) mod 2))) in
+  let length = Array.init n (fun u -> Array.init n (fun v -> 1 + (((u * v) + u) mod 3))) in
+  I.general ~weight ~cost ~length ~budget:[| 3; 2; 3; 2; 2; 1; 0 |] ()
+
+let test_local_search_weighted_vs_reference () =
+  let inst = disconnected_weighted () in
+  List.iter
+    (fun (objective, expected) ->
+      let rng () = Bbc_prng.Splitmix.create 77 in
+      let cost, config = SO.local_search ~objective ~restarts:3 (rng ()) inst in
+      let ref_cost, ref_config =
+        Bbc_fuzz.Reference.local_search ~objective ~restarts:3 (rng ()) inst
+      in
+      let name = Bbc.Objective.to_string objective in
+      Alcotest.(check int) (name ^ " cost = reference") ref_cost cost;
+      Alcotest.(check bool) (name ^ " profile = reference") true (C.equal ref_config config);
+      Alcotest.(check int) (name ^ " pinned cost") expected cost;
+      Alcotest.(check int) (name ^ " realized") cost
+        (Bbc.Eval.social_cost ~objective inst config);
+      Alcotest.(check bool) (name ^ " penalty charged") true
+        (cost >= I.penalty inst))
+    [ (Bbc.Objective.Sum, 937); (Bbc.Objective.Max, 454) ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "local search upper-bounds" `Quick test_local_search_upper_bounds_exact;
       Alcotest.test_case "local search exact on (4,1)" `Quick test_local_search_finds_exact_on_small;
+      Alcotest.test_case "local search E12 pin (sum)" `Quick
+        (test_local_search_e12_pin ~cost:2962 ~hash:1750713423955518040);
+      Alcotest.test_case "local search E12 pin (max)" `Quick
+        (test_local_search_e12_pin ~objective:Bbc.Objective.Max ~cost:157
+           ~hash:4166828336777730080);
+      Alcotest.test_case "local search weighted, disconnected = reference" `Quick
+        test_local_search_weighted_vs_reference;
     ]
