@@ -86,13 +86,16 @@ let masked_rows ctx instance =
     owned = false;
   }
 
-let row rows v =
+(* [v]'s G_{-u} row, handed to the caller: a prefetched row leaves the
+   cache here, and an owned row goes back to the pool through [drop]. *)
+let take rows v =
   match rows.cache.(v) with
-  | Some d -> d
-  | None ->
-      let d = rows.fetch v in
-      rows.cache.(v) <- Some d;
+  | Some d ->
+      rows.cache.(v) <- None;
       d
+  | None -> rows.fetch v
+
+let drop ws rows d = if rows.owned then Workspace.release ws d
 
 let release_rows ws rows =
   if rows.owned then
@@ -105,82 +108,105 @@ let release_rows ws rows =
             Workspace.release ws r)
       rows.cache
 
-(* Distance from u to x when u's strategy gains the link (u,v) of length
-   [luv], given the current best-known distances [src] and the
-   [G_{-u}] row [rv] of [v]: written into [dst] (a pooled row). *)
-let merge_into ~src ~dst rv luv =
-  let n = Array.length src in
-  Array.blit src 0 dst 0 n;
-  for x = 0 to n - 1 do
-    if rv.(x) <> Paths.unreachable then begin
-      let d = luv + rv.(x) in
-      if d < dst.(x) then dst.(x) <- d
-    end
-  done
+(* Compact weighted rows (DESIGN.md section 18).  Only the columns
+   C_u = {x <> u : w(u,x) > 0} enter u's cost, and for w > 0 the weight
+   commutes with the min: w * min(a, b) = min(w * a, w * b).  Candidate
+   v therefore becomes one row
 
-(* Cost of the strategy extended by the link (u,v), evaluated in a
-   single pass over [src] and [rv] — the merged distance row is never
-   materialized.  Bit-identical to [merge_into] followed by
-   {!Eval.cost_of_distances}; most subsets of an enumeration are leaves
-   of the DFS, and this collapses their three O(n) passes
-   (copy, merge, fold) into one. *)
-let merged_cost ~objective instance u ~src rv luv =
-  let n = Array.length src in
-  let m = Instance.penalty instance in
-  (* Same dispatch hoisting as [Eval.cost_of_distances]: this loop runs
-     once per enumerated subset, so per-element call overhead dominates
-     the whole enumeration if left in. *)
-  match objective with
-  | Objective.Sum -> (
-      match Instance.weight_row instance u with
-      | None ->
-          let acc = ref 0 in
-          for x = 0 to n - 1 do
-            if x <> u then begin
-              let rx = rv.(x) in
-              let d0 = src.(x) in
-              let d =
-                if rx <> Paths.unreachable && luv + rx < d0 then luv + rx
-                else d0
-              in
-              acc := !acc + (if d = Paths.unreachable then m else d)
-            end
-          done;
-          !acc
-      | Some wrow ->
-          let acc = ref 0 in
-          for x = 0 to n - 1 do
-            if x <> u then begin
-              let w = wrow.(x) in
-              if w > 0 then begin
-                let rx = rv.(x) in
-                let d0 = src.(x) in
-                let d =
-                  if rx <> Paths.unreachable && luv + rx < d0 then luv + rx
-                  else d0
-                in
-                acc := !acc + (w * if d = Paths.unreachable then m else d)
-              end
-            end
-          done;
-          !acc)
+     F_v.(i) = w(u,x_i) * (l(u,v) + d_{G-u}(v,x_i)),   or w(u,x_i) * M
+
+   when x_i is unreachable from v; M exceeds every finite distance, so
+   substituting it before the min changes no result.  A strategy S costs
+   the sum (Sum) or max (Max) over i of min_{v in S} F_v.(i), and the
+   empty strategy is the row w * M.  [Instance] keeps
+   (n - 1) * max_weight * M below 2^62, so every entry and every sum fits
+   the branch-free min below.  All rows are pooled full-length rows of
+   which only the prefix [0, k) is used. *)
+type frame = {
+  k : int;  (** |C_u| *)
+  cols : int array;  (** C_u, increasing *)
+  wts : int array;  (** w(u, x_i) *)
+  empty : int array;  (** w(u, x_i) * M: the empty strategy's row *)
+  frows : int array array;  (** F row per candidate index; [||] until first touched *)
+}
+
+let open_frame ws instance u ncand =
+  let n = Instance.n instance and m = Instance.penalty instance in
+  let cols = Workspace.acquire ws n in
+  let wts = Workspace.acquire ws n in
+  let empty = Workspace.acquire ws n in
+  let k = ref 0 in
+  for x = 0 to n - 1 do
+    let w = Instance.weight instance u x in
+    if x <> u && w > 0 then begin
+      cols.(!k) <- x;
+      wts.(!k) <- w;
+      empty.(!k) <- w * m;
+      incr k
+    end
+  done;
+  { k = !k; cols; wts; empty; frows = Array.make ncand [||] }
+
+(* Rows come back to the pool clean: only their prefix was written. *)
+let release_prefix ws row k =
+  Array.fill row 0 k Csr.unreachable;
+  Workspace.release_clean ws row
+
+let close_frame ws fr =
+  Array.iter (fun f -> if Array.length f > 0 then release_prefix ws f fr.k) fr.frows;
+  release_prefix ws fr.cols fr.k;
+  release_prefix ws fr.wts fr.k;
+  release_prefix ws fr.empty fr.k
+
+(* F row of candidate [j] (target [v]), built from its G_{-u} row the
+   first time the enumeration touches it; the distance row is returned
+   to the pool straight away. *)
+let frow ws instance u rows fr j v =
+  let f = fr.frows.(j) in
+  if Array.length f > 0 then f
+  else begin
+    let rv = take rows v in
+    let luv = Instance.length instance u v in
+    let f = Workspace.acquire ws (Instance.n instance) in
+    for i = 0 to fr.k - 1 do
+      let r = rv.(fr.cols.(i)) in
+      f.(i) <- (if r = Paths.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
+    done;
+    drop ws rows rv;
+    fr.frows.(j) <- f;
+    f
+  end
+
+(* Branch-free min and max of two values in [0, 2^62): their difference
+   d cannot overflow, and [d asr 62] is all ones exactly when d < 0. *)
+let[@inline] min_bf a b =
+  let d = a - b in
+  b + (d land (d asr 62))
+
+let[@inline] max_bf a b =
+  let d = a - b in
+  a - (d land (d asr 62))
+
+(* Cost of the row min(cur, f) over its first [k] entries, never
+   materialized: most subsets of an enumeration are DFS leaves. *)
+let score ~objective cur f k =
+  let acc = ref 0 in
+  (match objective with
+  | Objective.Sum ->
+      for i = 0 to k - 1 do
+        acc := !acc + min_bf (Array.unsafe_get cur i) (Array.unsafe_get f i)
+      done
   | Objective.Max ->
-      let acc = ref 0 in
-      for x = 0 to n - 1 do
-        if x <> u then begin
-          let w = Instance.weight instance u x in
-          if w > 0 then begin
-            let rx = rv.(x) in
-            let d0 = src.(x) in
-            let d =
-              if rx <> Paths.unreachable && luv + rx < d0 then luv + rx else d0
-            in
-            let d = if d = Paths.unreachable then m else d in
-            if w * d > !acc then acc := w * d
-          end
-        end
-      done;
-      !acc
+      for i = 0 to k - 1 do
+        acc := max_bf !acc (min_bf (Array.unsafe_get cur i) (Array.unsafe_get f i))
+      done);
+  !acc
+
+(* [dst] := min(cur, f) over the first [k] entries ([dst == cur] is fine). *)
+let min_into ~dst cur f k =
+  for i = 0 to k - 1 do
+    Array.unsafe_set dst i (min_bf (Array.unsafe_get cur i) (Array.unsafe_get f i))
+  done
 
 (* Subsets explored across all enumerations; accumulated locally and
    published once per call so the DFS hot loop stays untouched. *)
@@ -208,44 +234,41 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
   let n = Instance.n instance in
   let stop = ref false in
   let subsets = ref 1 in
-  let base = Workspace.acquire ws n in
-  base.(u) <- 0;
+  let fr = open_frame ws instance u ncand in
+  let k = fr.k in
   Fun.protect
     ~finally:(fun () ->
-      Workspace.release ws base;
+      close_frame ws fr;
       release_rows ws rows)
     (fun () ->
-      if on_subset [] (Eval.cost_of_distances ~objective instance u base) then
-        stop := true;
-      (* Every subset is costed by the one-pass [merged_cost]; the merged
-         row itself is materialized (into a pooled row borrowed for the
-         subtree) only when the DFS actually descends — i.e. when some
-         further candidate is still affordable.  Leaves, the bulk of the
-         enumeration, never touch a buffer. *)
+      (* min(a, a) = a: the empty strategy folds its own row. *)
+      if on_subset [] (score ~objective fr.empty fr.empty k) then stop := true;
+      (* Every subset is costed by one [score] pass; the merged row is
+         materialized (into a pooled row borrowed for the subtree) only
+         when the DFS actually descends — i.e. when some further
+         candidate is still affordable. *)
       let rec dfs i chosen budget cur =
         if not !stop then
           for j = i to ncand - 1 do
             if not !stop then begin
-              let v = candidates.(j) in
               let c = costs.(j) in
               if c <= budget then begin
-                let rv = row rows v in
-                let luv = Instance.length instance u v in
+                let v = candidates.(j) in
+                let f = frow ws instance u rows fr j v in
                 let chosen' = v :: chosen in
                 incr subsets;
-                if on_subset chosen' (merged_cost ~objective instance u ~src:cur rv luv)
-                then stop := true
+                if on_subset chosen' (score ~objective cur f k) then stop := true
                 else if min_cost_from.(j + 1) <= budget - c then begin
                   let cur' = Workspace.acquire ws n in
-                  merge_into ~src:cur ~dst:cur' rv luv;
+                  min_into ~dst:cur' cur f k;
                   dfs (j + 1) chosen' (budget - c) cur';
-                  Workspace.release ws cur'
+                  release_prefix ws cur' k
                 end
               end
             end
           done
       in
-      dfs 0 [] (Instance.budget instance u) base);
+      dfs 0 [] (Instance.budget instance u) fr.empty);
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
 
@@ -351,58 +374,50 @@ let sampled ?(objective = Objective.Sum) ?csr ~rng ~sample instance config u =
     Some { strategy = List.sort compare !best.strategy; cost = !best.cost }
   else None
 
-let greedy_rows ~objective instance u ~rows =
+let greedy_rows ~objective instance u ~candidates ~rows =
   let ws = Workspace.get () in
-  let n = Instance.n instance in
-  let eval cur = Eval.cost_of_distances ~objective instance u cur in
-  (* The candidate list only depends on the instance — computed once,
-     not rebuilt on every growth step. *)
-  let candidates = candidate_targets instance u in
-  let base = Workspace.acquire ws n in
-  base.(u) <- 0;
+  let fr = open_frame ws instance u (Array.length candidates) in
+  let k = fr.k in
+  (* [cur] is the chosen links' merged row, updated in place. *)
+  let cur = Workspace.acquire ws (Instance.n instance) in
+  Array.blit fr.empty 0 cur 0 k;
   Fun.protect
-    ~finally:(fun () -> release_rows ws rows)
+    ~finally:(fun () ->
+      release_prefix ws cur k;
+      close_frame ws fr;
+      release_rows ws rows)
     (fun () ->
-      (* [cur] is always a pooled row owned by this loop.  Candidate
-         trials are costed by the one-pass [merged_cost]; only the
-         winning link's merged row is ever materialized.  (Cached rows
-         outlive the whole enumeration, so holding the winner's [rv]
-         across the scan is safe.) *)
-      let rec grow chosen budget cur cost =
-        let best = ref None in
-        List.iter
-          (fun v ->
+      let rec grow chosen budget cost =
+        let best = ref (-1) and best_cost = ref max_int in
+        Array.iteri
+          (fun j v ->
             if (not (List.mem v chosen)) && Instance.cost instance u v <= budget then begin
-              let rv = row rows v in
-              let luv = Instance.length instance u v in
-              let c = merged_cost ~objective instance u ~src:cur rv luv in
-              match !best with
-              | Some (_, _, _, c') when c' <= c -> ()
-              | _ -> best := Some (v, luv, rv, c)
+              let c = score ~objective cur (frow ws instance u rows fr j v) k in
+              if c < !best_cost then begin
+                best := j;
+                best_cost := c
+              end
             end)
           candidates;
-        match !best with
-        | Some (v, luv, rv, c) when c < cost ->
-            let cur' = Workspace.acquire ws n in
-            merge_into ~src:cur ~dst:cur' rv luv;
-            Workspace.release ws cur;
-            grow (v :: chosen) (budget - Instance.cost instance u v) cur' c
-        | _ ->
-            Workspace.release ws cur;
-            { strategy = List.sort compare chosen; cost }
+        if !best >= 0 && !best_cost < cost then begin
+          let v = candidates.(!best) in
+          min_into ~dst:cur cur fr.frows.(!best) k;
+          grow (v :: chosen) (budget - Instance.cost instance u v) !best_cost
+        end
+        else { strategy = List.sort compare chosen; cost }
       in
-      grow [] (Instance.budget instance u) base (eval base))
+      grow [] (Instance.budget instance u) (score ~objective fr.empty fr.empty k))
 
 let greedy ?(objective = Objective.Sum) ?ctx ?csr instance config u =
+  let candidates = Array.of_list (candidate_targets instance u) in
   match ctx with
   | Some c ->
       Incr.ensure c config;
       if Incr.functional c then
-        greedy_rows ~objective instance u ~rows:(threshold_rows c instance u)
+        greedy_rows ~objective instance u ~candidates ~rows:(threshold_rows c instance u)
       else
         Incr.with_masked c u (fun () ->
-            greedy_rows ~objective instance u ~rows:(masked_rows c instance))
+            greedy_rows ~objective instance u ~candidates ~rows:(masked_rows c instance))
   | None ->
-      let candidates = Array.of_list (candidate_targets instance u) in
-      greedy_rows ~objective instance u
+      greedy_rows ~objective instance u ~candidates
         ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)

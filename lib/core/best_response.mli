@@ -8,9 +8,16 @@
     {v d_S(u, x) = min over (u,v) in S of  l(u,v) + d_{G_{-u}}(v, x) v}
 
     Distances [d_{G_{-u}}(v, .)] do not depend on [u]'s strategy, so they
-    are computed once per candidate target ("rows") and every candidate
-    strategy is then scored in O(n).  Strategies are enumerated by DFS
-    over affordable target subsets.
+    are computed once per candidate target ("rows").  Each row is then
+    compacted to the columns [C_u = {x <> u : w(u,x) > 0}] and weighted:
+
+    {v F_v(i) = w(u,x_i) * (l(u,v) + d_{G_{-u}}(v, x_i))    (w(u,x_i) * M if unreachable) v}
+
+    Since [w > 0] commutes with [min] and the penalty [M] exceeds every
+    finite distance, a strategy [S] costs exactly
+    [sum_i min_{v in S} F_v(i)] (Max: [max_i]), with the empty strategy
+    the row [w * M]; every subset is scored in O(|C_u|).  Strategies are
+    enumerated by DFS over affordable target subsets.
 
     Every function takes an optional incremental context ([?ctx]).  With
     a context, rows come from delta-repaired SSSPs ({!Incr}) instead of
@@ -38,22 +45,21 @@ type result = {
 val candidate_targets : Instance.t -> int -> int list
 (** Targets [v <> u] with [cost(u,v) <= budget(u)], increasing. *)
 
-(** {2 Row merges}
-
-    The one-link step of every enumeration: [u]'s distance row [src]
-    gains the link [(u,v)] of length [luv], and [rv] is [v]'s row in
-    [G_{-u}].  The merged row is [min(src.(x), luv + rv.(x))]. *)
-
-val merge_into : src:int array -> dst:int array -> int array -> int -> unit
-(** [merge_into ~src ~dst rv luv] writes the merged row into [dst]
-    ([src == dst] merges in place). *)
-
-val merged_cost :
-  objective:Objective.t -> Instance.t -> int -> src:int array -> int array -> int -> int
-(** [merged_cost ~objective instance u ~src rv luv] is node [u]'s cost
-    of the merged row, in one pass without materializing it —
-    bit-identical to {!merge_into} followed by
-    {!Eval.cost_of_distances}. *)
+val enumerate :
+  ?objective:Objective.t ->
+  ?ctx:Incr.ctx ->
+  ?csr:Bbc_graph.Csr.t ->
+  Instance.t ->
+  Config.t ->
+  int ->
+  on_subset:(int list -> int -> bool) ->
+  unit
+(** [enumerate instance config u ~on_subset] calls
+    [on_subset strategy cost] for every affordable strategy of [u]: the
+    empty one first, then the DFS order over increasing targets, each
+    [strategy] listing its targets in reverse order of addition.
+    [on_subset] returns [true] to stop the enumeration.  The sequence is
+    the same for every row provider. *)
 
 val exact :
   ?objective:Objective.t ->

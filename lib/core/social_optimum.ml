@@ -193,6 +193,32 @@ let sum_score f n ~empty s ~bound =
       done;
       !acc
 
+(* [m] := min(m, luv + rv): u's row gains the link to the target whose
+   G_{-u} row is [rv]. *)
+let add_link m rv luv =
+  for x = 0 to Array.length m - 1 do
+    let r = rv.(x) in
+    if r <> Csr.unreachable && luv + r < m.(x) then m.(x) <- luv + r
+  done
+
+(* Max cost of source w's row min(src, dwu + m), in one pass without
+   materializing it: the same terms as [Eval.cost_of_distances]. *)
+let merged_max_cost instance w ~src m dwu =
+  let pen = Instance.penalty instance in
+  let acc = ref 0 in
+  for x = 0 to Array.length src - 1 do
+    if x <> w then begin
+      let om = Instance.weight instance w x in
+      if om > 0 then begin
+        let mx = m.(x) and d0 = src.(x) in
+        let d = if mx <> Csr.unreachable && dwu + mx < d0 then dwu + mx else d0 in
+        let d = if d = Csr.unreachable then pen else d in
+        if om * d > !acc then acc := om * d
+      end
+    end
+  done;
+  !acc
+
 (* Max cost of u's row [m]: sources that cannot reach u keep their
    G_{-u} cost [fixed]; every other source folds its merged row.  Stops
    like [sum_score]. *)
@@ -202,9 +228,7 @@ let max_score instance (d : int array array) u ~fixed m ~bound =
   while !w < n && !acc < bound do
     let dwu = d.(!w).(u) in
     if dwu <> Csr.unreachable then
-      acc :=
-        !acc
-        + Best_response.merged_cost ~objective:Objective.Max instance !w ~src:d.(!w) m dwu;
+      acc := !acc + merged_max_cost instance !w ~src:d.(!w) m dwu;
     incr w
   done;
   !acc
@@ -253,10 +277,7 @@ let local_search ?(objective = Objective.Sum) ?(restarts = 3) ?(max_sweeps = 50)
             fun s ~bound ->
               Array.fill m 0 n Csr.unreachable;
               m.(u) <- 0;
-              List.iter
-                (fun t ->
-                  Best_response.merge_into ~src:m ~dst:m d.(t) (Instance.length instance u t))
-                s;
+              List.iter (fun t -> add_link m d.(t) (Instance.length instance u t)) s;
               max_score instance d u ~fixed:!fixed m ~bound
       in
       let current = Config.targets config u in
