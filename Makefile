@@ -6,8 +6,8 @@ all: build
 
 # Pre-commit gate (documented in README): full build, test suite, and a
 # smoke bench --json into the git-ignored bench/results/ (exercises the
-# speedup + incremental-engine + observability-overhead + serving-layer
-# sections and the JSON writer).
+# speedup + kernel + observability-overhead + serving-layer sections and
+# the JSON writer).
 check:
 	dune build @all
 	dune runtest
@@ -15,7 +15,6 @@ check:
 	dune exec bench/main.exe -- --timing-only --json bench/results/BENCH_smoke.json \
 	  > bench/results/bench_smoke.log 2>&1 && \
 	grep -q '"obs_overhead"' bench/results/BENCH_smoke.json && \
-	grep -q '"incremental"' bench/results/BENCH_smoke.json && \
 	grep -q '"msbfs"' bench/results/BENCH_smoke.json && \
 	grep -q '"bigbench"' bench/results/BENCH_smoke.json && \
 	grep -q '"server"' bench/results/BENCH_smoke.json && \
@@ -25,8 +24,7 @@ check:
 
 # Everything CI runs, in the same order (see .github/workflows/ci.yml):
 # build, tests, smoke bench, then the regression gates on its JSON —
-# observability overhead within budget, incremental engine faster than
-# the oracle and bit-identical to it, CSR kernels bit-identical to the
+# observability overhead within budget, CSR kernels bit-identical to the
 # list-graph references and the hot path holding its floors over the
 # BENCH_1 baseline, the bit-parallel batch kernels bit-identical to
 # per-source sweeps and holding their 4x apsp floor over the BENCH_2
@@ -41,7 +39,6 @@ check:
 # selfcheck planted bug caught and shrunk to n <= 8).
 ci: check
 	scripts/check_obs_overhead.sh bench/results/BENCH_smoke.json
-	scripts/check_incremental.sh bench/results/BENCH_smoke.json
 	scripts/check_kernels.sh bench/results/BENCH_smoke.json
 	scripts/check_bigbench.sh bench/results/BENCH_smoke.json
 	scripts/check_server.sh
@@ -68,8 +65,8 @@ bench-capture:
 bench-full:
 	dune exec bench/main.exe -- --full --ablations
 
-# Quick Bechamel pass + sequential-vs-parallel + incremental-engine
-# speedups, machine-readable (first free bench/results/BENCH_N.json;
+# Quick Bechamel pass + sequential-vs-parallel + kernel speedups,
+# machine-readable (first free bench/results/BENCH_N.json;
 # format in DESIGN.md).  Honours BBC_JOBS / --jobs.
 bench-json:
 	dune exec bench/main.exe -- --timing-only --json

@@ -12,7 +12,7 @@
      --ablations    include the ablation benchmarks (implied by --full)
      --jobs N       size the Bbc_parallel domain pool (default: BBC_JOBS
                     or the machine's recommended domain count)
-     --json [FILE]  run the speedup + incremental-engine +
+     --json [FILE]  run the speedup + kernel +
                     observability-overhead + serving-layer sections and
                     write machine-readable results (default: the first
                     free bench/results/BENCH_N.json, so the perf
@@ -124,21 +124,12 @@ let ablation_benchmarks () =
       fun () ->
         let inst, config = Lazy.force willows_fixture in
         ignore (Bbc.Stability.is_stable inst config) );
-    (* Stability engines on the same fixture, labelled by engine.  The
-       old pair compared `is_stable` (incremental engine, default on)
-       against `is_stable_parallel ~domains:4` (from-scratch) and called
-       them "sequential" vs "4 domains" — an engine confound, not a
-       domain-count ablation.  Only the last two differ by domain count
-       alone (both from-scratch over the shared CSR snapshot, one node
-       per chunk pull). *)
-    ( "ablation/stability incremental (n=126)",
-      fun () ->
-        let inst, config = Lazy.force big_willows_fixture in
-        ignore (Bbc.Stability.is_stable inst config) );
+    (* Stability on the same fixture at two domain counts (both over
+       the shared CSR snapshot, one node per chunk pull). *)
     ( "ablation/stability from-scratch 1 domain (n=126)",
       fun () ->
         let inst, config = Lazy.force big_willows_fixture in
-        ignore (Bbc.Stability.is_stable ~jobs:1 ~incremental:false inst config) );
+        ignore (Bbc.Stability.is_stable ~jobs:1 inst config) );
     ( "ablation/stability from-scratch 4 domains (n=126)",
       fun () ->
         let inst, config = Lazy.force big_willows_fixture in
@@ -501,85 +492,6 @@ let print_msbfs msbfs =
         (m.mb_scalar_s /. m.mb_batched_s)
         (if m.mb_matches then "" else "  [MISMATCH]"))
     msbfs;
-  Format.pp_print_flush fmt ()
-
-(* ------------------------------------------------------------------ *)
-(* Incremental engine (delta SSSP + cost caching) vs the from-scratch
-   oracle, on the dynamics workloads where the engine matters: long
-   best-response walks that mutate one strategy per step.  Each side
-   runs the complete walk once; [is_matches] asserts the two engines
-   produced bit-identical step streams, final profiles, and outcome
-   statistics — the contract the differential tests check exhaustively
-   on small instances, re-asserted here at bench scale. *)
-
-type incr_speedup = {
-  is_name : string;
-  scratch_s : float;
-  incr_s : float;
-  is_matches : bool;
-}
-
-(* One timed dynamics walk under the given engine, digesting the entire
-   trace (not just the final state) for the identity check. *)
-let timed_walk ~incremental ~scheduler ~max_rounds instance config =
-  let trace = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    Bbc.Dynamics.run ~scheduler ~max_rounds ~incremental
-      ~on_step:(fun (s : Bbc.Dynamics.step) ->
-        if s.moved then
-          trace := (s.index, s.round, s.node, s.strategy, s.cost_after) :: !trace)
-      instance config
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  let kind =
-    match outcome with
-    | Bbc.Dynamics.Converged _ -> `Converged
-    | Bbc.Dynamics.Cycled { period; _ } -> `Cycled period
-    | Bbc.Dynamics.Exhausted _ -> `Exhausted
-  in
-  (dt, (List.rev !trace, kind, Bbc.Dynamics.stats outcome,
-        Bbc.Dynamics.final_config outcome))
-
-let incremental_benchmarks ~full =
-  let ring, path = if full then (200, 40) else (140, 28) in
-  let ring_path =
-    let instance, config = Bbc.Constructions.ring_with_path ~ring ~path in
-    let n = Bbc.Instance.n instance in
-    ( Printf.sprintf "dynamics/ring+path (n=%d)" n,
-      instance, config, Bbc.Dynamics.Round_robin, 4 * n )
-  in
-  let cayley =
-    let c = Bbc_group.Cayley.circulant ~n:(if full then 96 else 64) ~offsets:[ 1; 5 ] in
-    let instance, config = Bbc.Cayley_game.to_game c in
-    let n = Bbc.Instance.n instance in
-    ( Printf.sprintf "dynamics/cayley circulant (n=%d,k=2)" n,
-      instance, config, Bbc.Dynamics.Round_robin, if full then 50 else 8 )
-  in
-  List.map
-    (fun (name, instance, config, scheduler, max_rounds) ->
-      let scratch_s, scratch_digest =
-        timed_walk ~incremental:false ~scheduler ~max_rounds instance config
-      in
-      let incr_s, incr_digest =
-        timed_walk ~incremental:true ~scheduler ~max_rounds instance config
-      in
-      let (st, sk, ss, sc) = scratch_digest and (it, ik, is_, ic) = incr_digest in
-      let is_matches = st = it && sk = ik && ss = is_ && Bbc.Config.equal sc ic in
-      { is_name = name; scratch_s; incr_s; is_matches })
-    [ ring_path; cayley ]
-
-let print_incr_speedups entries =
-  Format.fprintf fmt "@.%s@.Incremental engine vs from-scratch oracle (dynamics)@."
-    (String.make 72 '=');
-  List.iter
-    (fun e ->
-      Format.fprintf fmt
-        "  %-44s scratch %8.4fs  incr %8.4fs  speedup %7.2fx%s@."
-        e.is_name e.scratch_s e.incr_s
-        (e.scratch_s /. e.incr_s)
-        (if e.is_matches then "" else "  [MISMATCH]"))
-    entries;
   Format.pp_print_flush fmt ()
 
 (* ------------------------------------------------------------------ *)
@@ -1131,7 +1043,7 @@ let git_rev () =
     | _ -> "unknown"
   with _ -> "unknown"
 
-let write_json ~path ~micro ~kernels ~msbfs ~speedups ~incr ~overheads ~bigbench
+let write_json ~path ~micro ~kernels ~msbfs ~speedups ~overheads ~bigbench
     ~servers ~campaign =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -1184,18 +1096,6 @@ let write_json ~path ~micro ~kernels ~msbfs ~speedups ~incr ~overheads ~bigbench
         s.sp_name s.par_jobs s.seq_s s.par_s (s.seq_s /. s.par_s) s.matches
         (if i = List.length speedups - 1 then "" else ","))
     speedups;
-  out "  ],\n";
-  out "  \"incremental\": [\n";
-  List.iteri
-    (fun i e ->
-      out
-        "    {\"name\": %S, \"scratch_s\": %.6f, \"incremental_s\": %.6f, \
-         \"speedup\": %.3f, \"results_match\": %b}%s\n"
-        e.is_name e.scratch_s e.incr_s
-        (e.scratch_s /. e.incr_s)
-        e.is_matches
-        (if i = List.length incr - 1 then "" else ","))
-    incr;
   out "  ],\n";
   out "  \"obs_overhead\": [\n";
   List.iteri
@@ -1352,26 +1252,14 @@ let () =
             max 2 (Domain.recommended_domain_count ());
           ]
       in
-      (* The seq-vs-par section measures the domain pool, so the
-         incremental engine (sequential by construction) must stay out
-         of the from-scratch code paths it times. *)
       let speedups =
-        let was = Bbc.Incr.enabled () in
-        Bbc.Incr.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Bbc.Incr.set_enabled was)
-          (fun () ->
-            List.concat_map
-              (fun par_jobs -> speedup_benchmarks ~par_jobs)
-              jobs_ablation)
+        List.concat_map (fun par_jobs -> speedup_benchmarks ~par_jobs) jobs_ablation
       in
       print_speedups speedups;
       let kernels = kernel_benchmarks () in
       print_kernels kernels;
       let msbfs = msbfs_benchmarks () in
       print_msbfs msbfs;
-      let incr = incremental_benchmarks ~full in
-      print_incr_speedups incr;
       let overheads = overhead_benchmarks () in
       print_overheads overheads;
       let bigbench = (bigbench_equivalence (), bigbench_scale_rows ()) in
@@ -1381,7 +1269,7 @@ let () =
       print_servers servers;
       let campaign = campaign_benchmarks ~full in
       print_campaign campaign;
-      write_json ~path ~micro:!micro ~kernels ~msbfs ~speedups ~incr ~overheads
+      write_json ~path ~micro:!micro ~kernels ~msbfs ~speedups ~overheads
         ~bigbench ~servers ~campaign);
   Bbc_obs.drain ();
   Option.iter close_out trace_oc;

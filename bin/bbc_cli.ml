@@ -134,19 +134,6 @@ let jobs_opt =
   in
   Term.(const apply $ Arg.(value & opt (some jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
-(* Like [jobs_opt]: applied for its side effect on the global engine
-   switch before the command body runs. *)
-let no_incremental_opt =
-  let doc =
-    "Disable the incremental evaluation engine (delta-repaired shortest \
-     paths + cost caching) and use the from-scratch reference oracle for \
-     dynamics and stability checks.  Also honours \
-     $(b,BBC_NO_INCREMENTAL=1).  Results are identical either way; this \
-     exists for cross-checking and timing."
-  in
-  let apply disable = if disable then Bbc.Incr.set_enabled false in
-  Term.(const apply $ Arg.(value & flag & info [ "no-incremental" ] ~doc))
-
 (* ---------------------------------------------------------------- *)
 
 (* The advertised id range comes from the registry, so it stays honest
@@ -165,7 +152,7 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Larger sweeps.") in
-  let run () () obs ids full =
+  let run () obs ids full =
     let quick = not full in
     match ids with
     | [] ->
@@ -189,10 +176,10 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run reproduction experiments (paper figures/claims).")
-    Term.(ret (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ ids $ full))
+    Term.(ret (const run $ jobs_opt $ obs_opts $ ids $ full))
 
 let verify_cmd =
-  let run () () obs name n k h l seed objective =
+  let run () obs name n k h l seed objective =
     match build_config name ~n ~k ~h ~l ~seed with
     | Error e -> `Error (false, e)
     | Ok (instance, config) ->
@@ -213,7 +200,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Check whether a named construction is a pure Nash equilibrium.")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ name_arg $ n_opt $ k_opt $ h_opt $ l_opt
+        (const run $ jobs_opt $ obs_opts $ name_arg $ n_opt $ k_opt $ h_opt $ l_opt
        $ seed_opt $ objective_opt))
 
 let dynamics_cmd =
@@ -236,7 +223,7 @@ let dynamics_cmd =
             "Print every deviation (the dynamics.activation event stream \
              rendered as text; --trace-out writes the same stream as JSONL).")
   in
-  let run () () obs name n k h l seed objective scheduler rounds trace =
+  let run () obs name n k h l seed objective scheduler rounds trace =
     match build_config name ~n ~k ~h ~l ~seed with
     | Error e -> `Error (false, e)
     | Ok (instance, config) ->
@@ -259,7 +246,7 @@ let dynamics_cmd =
     (Cmd.info "dynamics" ~doc:"Run a best-response walk on a named construction.")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ name_arg $ n_opt $ k_opt $ h_opt $ l_opt
+        (const run $ jobs_opt $ obs_opts $ name_arg $ n_opt $ k_opt $ h_opt $ l_opt
        $ seed_opt $ objective_opt $ scheduler_opt $ rounds_opt $ trace))
 
 let search_cmd =
@@ -272,7 +259,7 @@ let search_cmd =
       & opt int 100_000_000
       & info [ "max-profiles" ] ~doc:"Abort after examining this many profiles.")
   in
-  let run () () obs name n k h l seed objective limit max_profiles =
+  let run () obs name n k h l seed objective limit max_profiles =
     match build_config name ~n ~k ~h ~l ~seed with
     | Error e -> `Error (false, e)
     | Ok (instance, _) ->
@@ -295,7 +282,7 @@ let search_cmd =
        ~doc:"Exhaustively search a construction's instance for pure Nash equilibria.")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ name_arg $ n_opt $ k_opt $ h_opt $ l_opt
+        (const run $ jobs_opt $ obs_opts $ name_arg $ n_opt $ k_opt $ h_opt $ l_opt
        $ seed_opt $ objective_opt $ limit_opt $ max_profiles_opt))
 
 let dot_cmd =
@@ -372,7 +359,7 @@ let load_cmd =
   let config_file =
     Arg.(value & pos 1 (some file) None & info [] ~docv:"CONFIG" ~doc:"Optional configuration file to verify.")
   in
-  let run () () instance_file config_file objective =
+  let run () instance_file config_file objective =
     match Bbc.Codec.load_instance instance_file with
     | Error e -> `Error (false, e)
     | Ok instance -> (
@@ -396,7 +383,7 @@ let load_cmd =
   in
   Cmd.v
     (Cmd.info "load" ~doc:"Load an instance (and optionally verify a configuration).")
-    Term.(ret (const run $ jobs_opt $ no_incremental_opt $ instance_file $ config_file $ objective_opt))
+    Term.(ret (const run $ jobs_opt $ instance_file $ config_file $ objective_opt))
 
 let convert_cmd =
   let file =
@@ -475,7 +462,7 @@ let serve_cmd =
   let sessions_opt =
     Arg.(value & opt int 1024 & info [ "max-sessions" ] ~docv:"N" ~doc:"Live-session bound (per worker with --workers N).")
   in
-  let run () () obs socket tcp stdio workers queue batch sessions =
+  let run () obs socket tcp stdio workers queue batch sessions =
     if stdio && (socket <> None || tcp <> None) then
       `Error (true, "--stdio is mutually exclusive with --socket/--tcp")
     else if stdio && workers <> 1 then
@@ -552,12 +539,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the game-analysis service: line-delimited JSON requests (sessions, \
-          incremental evaluation, batching, deadlines, backpressure) over \
+          cached costs, batching, deadlines, backpressure) over \
           Unix-domain sockets and/or TCP, optionally sharded over worker \
           processes (--workers), with graceful drain on SIGINT/SIGTERM.")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ socket_opt
+        (const run $ jobs_opt $ obs_opts $ socket_opt
        $ tcp_opt $ stdio $ workers_opt $ queue_opt $ batch_opt $ sessions_opt))
 
 let bigbench_cmd =
@@ -598,7 +585,7 @@ let bigbench_cmd =
             "Also print wall-clock build/sweep timings and allocation rates \
              (off by default so the output stays reproducible).")
   in
-  let run () () obs family n k seed landmarks rounds sample objective timings =
+  let run () obs family n k seed landmarks rounds sample objective timings =
     let params = { Bbc.Catalog.default_params with n; k; seed } in
     (* Time the streaming build itself: allocation delta over the catalog
        call is the builder's footprint (CSR arrays + instance). *)
@@ -663,7 +650,7 @@ let bigbench_cmd =
           by sampled best-response rounds).")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ family_arg $ n_opt
+        (const run $ jobs_opt $ obs_opts $ family_arg $ n_opt
        $ k_opt $ seed_opt $ landmarks_opt $ rounds_opt $ sample_opt $ objective_opt
        $ timings_opt))
 
@@ -688,7 +675,7 @@ let fuzz_cmd =
       & info [ "max-shrink-steps" ] ~docv:"N"
           ~doc:"Property evaluations allowed while shrinking a failure.")
   in
-  let run () () obs suite seed count max_shrink_steps =
+  let run () obs suite seed count max_shrink_steps =
     if count < 1 || max_shrink_steps < 0 then
       `Error (true, "--count must be positive and --max-shrink-steps non-negative")
     else
@@ -755,14 +742,15 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Differentially fuzz every engine pair (list-graph vs CSR, scratch vs \
-          incremental, exact vs exhaustive best response, server vs direct \
-          calls) with structured generators and integrated shrinking; \
+         "Differentially fuzz every engine pair (list-graph vs CSR, batched vs \
+          per-source sweeps, best response vs its reference enumeration and \
+          exhaustive search, server vs direct calls, campaign units vs \
+          dynamics) with structured generators and integrated shrinking; \
           mismatches are shrunk to minimal instances and printed as \
           bbc-convert-loadable JSON.")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ suite_opt
+        (const run $ jobs_opt $ obs_opts $ suite_opt
        $ seed_opt $ count_opt $ shrink_opt))
 
 (* ---------------------------------------------------------------- *)
@@ -849,7 +837,7 @@ let campaign_run_cmd =
       & opt (some string) None
       & info [ "spec" ] ~docv:"FILE" ~doc:"Campaign spec (JSON).")
   in
-  let run () () obs spec_file out common =
+  let run () obs spec_file out common =
     match Bbc_campaign.Spec.load spec_file with
     | Error e -> `Error (false, e)
     | Ok spec -> exec_campaign obs spec ~out common
@@ -861,11 +849,11 @@ let campaign_run_cmd =
           checkpointed units, execute the rest, write report.json.")
     Term.(
       ret
-        (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ spec_arg
+        (const run $ jobs_opt $ obs_opts $ spec_arg
        $ campaign_out_opt $ campaign_common))
 
 let campaign_resume_cmd =
-  let run () () obs out common =
+  let run () obs out common =
     let spec_path = Bbc_campaign.Checkpoint.spec_path out in
     match Bbc_campaign.Spec.load spec_path with
     | Error e -> `Error (false, e)
@@ -877,7 +865,7 @@ let campaign_resume_cmd =
          "Resume a campaign from its directory's own spec binding — \
           equivalent to re-running with the original spec file.")
     Term.(
-      ret (const run $ jobs_opt $ no_incremental_opt $ obs_opts $ campaign_out_opt
+      ret (const run $ jobs_opt $ obs_opts $ campaign_out_opt
          $ campaign_common))
 
 let campaign_report_cmd =

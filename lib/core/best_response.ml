@@ -14,17 +14,10 @@ let candidate_targets instance u =
   !acc
 
 (* Distance rows in G_{-u}, fetched lazily per candidate target and
-   cached for the duration of one enumeration.  [fetch] is the engine:
-   a CSR kernel sweep of the G_{-u} snapshot into a pooled workspace
-   row, or one of the two incremental providers in {!Incr}.  [owned]
-   rows came from the per-domain pool and go back to it when the
-   enumeration finishes; the masked engine serves live internal arrays
-   that must not be released. *)
-type rows = {
-  fetch : int -> int array;
-  cache : int array option array;
-  owned : bool;
-}
+   cached for the duration of one enumeration: a CSR kernel sweep of
+   the G_{-u} snapshot into a pooled workspace row, which goes back to
+   the per-domain pool when the enumeration finishes. *)
+type rows = { fetch : int -> int array; cache : int array option array }
 
 (* With [?csr] (a shared full snapshot of the {e current} profile,
    trusted to equal [Config.to_csr instance config]), the G_{-u} rows
@@ -55,7 +48,6 @@ let scratch_rows ?csr ?prefetch instance config u =
           Csr.sssp ~ban snap (Workspace.scratch ws) ~src:v ~dist:row;
           row);
       cache = Array.make n None;
-      owned = true;
     }
   in
   (match prefetch with
@@ -66,28 +58,8 @@ let scratch_rows ?csr ?prefetch instance config u =
   | _ -> ());
   rows
 
-let threshold_rows ctx instance u =
-  let ws = Workspace.get () in
-  let n = Instance.n instance in
-  {
-    fetch =
-      (fun v ->
-        let row = Workspace.acquire ws n in
-        Incr.threshold_row_into ctx ~u ~v row;
-        row);
-    cache = Array.make n None;
-    owned = true;
-  }
-
-let masked_rows ctx instance =
-  {
-    fetch = (fun v -> Incr.masked_row ctx v);
-    cache = Array.make (Instance.n instance) None;
-    owned = false;
-  }
-
 (* [v]'s G_{-u} row, handed to the caller: a prefetched row leaves the
-   cache here, and an owned row goes back to the pool through [drop]. *)
+   cache here, and goes back to the pool once the caller is done. *)
 let take rows v =
   match rows.cache.(v) with
   | Some d ->
@@ -95,18 +67,15 @@ let take rows v =
       d
   | None -> rows.fetch v
 
-let drop ws rows d = if rows.owned then Workspace.release ws d
-
 let release_rows ws rows =
-  if rows.owned then
-    Array.iteri
-      (fun v r ->
-        match r with
-        | None -> ()
-        | Some r ->
-            rows.cache.(v) <- None;
-            Workspace.release ws r)
-      rows.cache
+  Array.iteri
+    (fun v r ->
+      match r with
+      | None -> ()
+      | Some r ->
+          rows.cache.(v) <- None;
+          Workspace.release ws r)
+    rows.cache
 
 (* Compact weighted rows (DESIGN.md section 18).  Only the columns
    C_u = {x <> u : w(u,x) > 0} enter u's cost, and for w > 0 the weight
@@ -172,7 +141,7 @@ let frow ws instance u rows fr j v =
       let r = rv.(fr.cols.(i)) in
       f.(i) <- (if r = Paths.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
     done;
-    drop ws rows rv;
+    Workspace.release ws rv;
     fr.frows.(j) <- f;
     f
   end
@@ -272,52 +241,119 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
 
-(* Uniform k = 1: the affordable subsets are exactly the empty set and
-   the singletons, visited in the same order the DFS would use — but
-   with O(1) closed-form costs instead of per-candidate rows. *)
-let analytic_enumerate ~objective ctx instance u ~on_subset =
-  let stop = ref false in
+(* Uniform k = 1 on a functional profile (DESIGN.md section 9).  With
+   every node buying at most one unit link, G_{-u} is a successor array
+   in which [u] has no successor, and the walk from [v] visits distinct
+   vertices until it stops at [u], stops at a node that buys nothing, or
+   closes a cycle.  Let T_v be the number of those vertices other than
+   [u].  The strategy {v} reaches exactly them, at distances 1..T_v, and
+   pays the penalty for the other n - 1 - T_v nodes, so it costs
+   T_v (T_v + 1) / 2 + (n - 1 - T_v) M (Max: n - 1 when T_v = n - 1,
+   else M).  [u]'s current cost is that of its current target, or of
+   the empty strategy when it has none.
+
+   [walk_counts succ u] gives every T_v in one O(n) pass: each vertex is
+   pushed on [path] once, and its count is the count of the vertex it
+   leads to plus one, or the cycle length for the vertices of a cycle
+   the walk closes.  While a vertex sits on the path, [t] holds
+   -2 - its position. *)
+let walk_counts succ u =
+  let n = Array.length succ in
+  let t = Array.make n (-1) in
+  let path = Array.make n 0 in
+  t.(u) <- 0;
+  for s = 0 to n - 1 do
+    if t.(s) = -1 then begin
+      let len = ref 0 and x = ref s in
+      while !x >= 0 && t.(!x) = -1 do
+        t.(!x) <- -2 - !len;
+        path.(!len) <- !x;
+        incr len;
+        x := succ.(!x)
+      done;
+      let base =
+        if !x < 0 then 0
+        else if t.(!x) >= 0 then t.(!x)
+        else begin
+          let p = -2 - t.(!x) in
+          let c = !len - p in
+          for i = p to !len - 1 do
+            t.(path.(i)) <- c
+          done;
+          len := p;
+          c
+        end
+      in
+      for i = !len - 1 downto 0 do
+        t.(path.(i)) <- base + !len - i
+      done
+    end
+  done;
+  t
+
+(* [Some (succ, T)] when the closed form applies to [u]'s decision. *)
+let closed_form instance config u =
+  if Instance.uniform_k instance <> Some 1 then None
+  else
+    match Config.successors config with
+    | None -> None
+    | Some succ -> Some (succ, walk_counts succ u)
+
+let empty_cost ~objective instance =
+  let n = Instance.n instance and m = Instance.penalty instance in
+  match objective with Objective.Sum -> (n - 1) * m | Objective.Max -> m
+
+let singleton_cost ~objective instance t =
+  let n = Instance.n instance and m = Instance.penalty instance in
+  match objective with
+  | Objective.Sum -> (t * (t + 1) / 2) + ((n - 1 - t) * m)
+  | Objective.Max -> if t = n - 1 then t else m
+
+let closed_current ~objective instance (succ, t) u =
+  if succ.(u) < 0 then empty_cost ~objective instance
+  else singleton_cost ~objective instance t.(succ.(u))
+
+(* The affordable subsets are exactly the empty set and the singletons,
+   visited in the order the DFS would use. *)
+let closed_enumerate ~objective instance (_, t) u ~on_subset =
   let subsets = ref 1 in
-  if on_subset [] (Incr.empty_cost ~objective ctx u) then stop := true;
-  List.iter
-    (fun v ->
-      if not !stop then begin
-        incr subsets;
-        if on_subset [ v ] (Incr.singleton_cost ~objective ctx u v) then stop := true
-      end)
-    (candidate_targets instance u);
+  if not (on_subset [] (empty_cost ~objective instance)) then begin
+    let rec go v =
+      if v < Instance.n instance then
+        if v = u then go (v + 1)
+        else begin
+          incr subsets;
+          if not (on_subset [ v ] (singleton_cost ~objective instance t.(v))) then go (v + 1)
+        end
+    in
+    go 0
+  end;
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
 
-let enumerate ?(objective = Objective.Sum) ?ctx ?csr instance config u ~on_subset =
-  match ctx with
-  | Some c ->
-      Incr.ensure c config;
-      if Incr.analytic c then analytic_enumerate ~objective c instance u ~on_subset
-      else if Incr.functional c then
-        dfs_enumerate ~objective instance u ~rows:(threshold_rows c instance u) ~on_subset
-      else
-        Incr.with_masked c u (fun () ->
-            dfs_enumerate ~objective instance u ~rows:(masked_rows c instance) ~on_subset)
-  | None ->
-      let candidates = Array.of_list (candidate_targets instance u) in
-      dfs_enumerate ~candidates ~objective instance u
-        ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
-        ~on_subset
+let scratch_enumerate ~objective ?csr instance config u ~on_subset =
+  let candidates = Array.of_list (candidate_targets instance u) in
+  dfs_enumerate ~candidates ~objective instance u
+    ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
+    ~on_subset
 
-let exact ?objective ?ctx ?csr instance config u =
+let enumerate ?(objective = Objective.Sum) ?csr instance config u ~on_subset =
+  match closed_form instance config u with
+  | Some cf -> closed_enumerate ~objective instance cf u ~on_subset
+  | None -> scratch_enumerate ~objective ?csr instance config u ~on_subset
+
+let exact ?objective ?csr instance config u =
   let best = ref { strategy = []; cost = max_int } in
-  enumerate ?objective ?ctx ?csr instance config u ~on_subset:(fun chosen cost ->
+  enumerate ?objective ?csr instance config u ~on_subset:(fun chosen cost ->
       if cost < !best.cost then best := { strategy = List.rev chosen; cost };
       false);
   { !best with strategy = List.sort compare !best.strategy }
 
-let best_cost ?objective ?ctx ?csr instance config u =
-  (exact ?objective ?ctx ?csr instance config u).cost
+let best_cost ?objective ?csr instance config u = (exact ?objective ?csr instance config u).cost
 
-let all_best ?objective ?ctx ?csr instance config u =
+let all_best ?objective ?csr instance config u =
   let best = ref max_int and acc = ref [] in
-  enumerate ?objective ?ctx ?csr instance config u ~on_subset:(fun chosen cost ->
+  enumerate ?objective ?csr instance config u ~on_subset:(fun chosen cost ->
       if cost < !best then begin
         best := cost;
         acc := [ List.sort compare chosen ]
@@ -326,25 +362,32 @@ let all_best ?objective ?ctx ?csr instance config u =
       false);
   List.rev_map (fun strategy -> { strategy; cost = !best }) !acc
 
-let current_cost ?objective ?ctx ?csr instance config u =
-  match ctx with
-  | Some c ->
-      Incr.ensure c config;
-      Incr.node_cost ?objective c u
-  | None -> (
-      match csr with
-      | Some full -> Eval.csr_node_cost ?objective instance full u
-      | None -> Eval.node_cost ?objective instance config u)
+let scratch_current ~objective ?csr instance config u =
+  match csr with
+  | Some full -> Eval.csr_node_cost ~objective instance full u
+  | None -> Eval.node_cost ~objective instance config u
 
-let improving ?objective ?ctx ?csr instance config u =
-  let current = current_cost ?objective ?ctx ?csr instance config u in
+let current_cost ?(objective = Objective.Sum) ?csr instance config u =
+  match closed_form instance config u with
+  | Some cf -> closed_current ~objective instance cf u
+  | None -> scratch_current ~objective ?csr instance config u
+
+let improving ?(objective = Objective.Sum) ?csr instance config u =
   let found = ref None in
-  enumerate ?objective ?ctx ?csr instance config u ~on_subset:(fun chosen cost ->
-      if cost < current then begin
-        found := Some { strategy = List.sort compare chosen; cost };
-        true
-      end
-      else false);
+  let on_subset current chosen cost =
+    if cost < current then begin
+      found := Some { strategy = List.sort compare chosen; cost };
+      true
+    end
+    else false
+  in
+  (match closed_form instance config u with
+  | Some cf ->
+      let current = closed_current ~objective instance cf u in
+      closed_enumerate ~objective instance cf u ~on_subset:(on_subset current)
+  | None ->
+      let current = scratch_current ~objective ?csr instance config u in
+      scratch_enumerate ~objective ?csr instance config u ~on_subset:(on_subset current));
   !found
 
 (* Sampled best response: the exact DFS restricted to a random subset of
@@ -363,7 +406,7 @@ let sampled ?(objective = Objective.Sum) ?csr ~rng ~sample instance config u =
       |> List.map (Array.get all)
       |> Array.of_list
   in
-  let current = current_cost ~objective ?csr instance config u in
+  let current = scratch_current ~objective ?csr instance config u in
   let best = ref { strategy = []; cost = max_int } in
   dfs_enumerate ~candidates ~objective instance u
     ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
@@ -408,16 +451,7 @@ let greedy_rows ~objective instance u ~candidates ~rows =
       in
       grow [] (Instance.budget instance u) (score ~objective fr.empty fr.empty k))
 
-let greedy ?(objective = Objective.Sum) ?ctx ?csr instance config u =
+let greedy ?(objective = Objective.Sum) ?csr instance config u =
   let candidates = Array.of_list (candidate_targets instance u) in
-  match ctx with
-  | Some c ->
-      Incr.ensure c config;
-      if Incr.functional c then
-        greedy_rows ~objective instance u ~candidates ~rows:(threshold_rows c instance u)
-      else
-        Incr.with_masked c u (fun () ->
-            greedy_rows ~objective instance u ~candidates ~rows:(masked_rows c instance))
-  | None ->
-      greedy_rows ~objective instance u ~candidates
-        ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
+  greedy_rows ~objective instance u ~candidates
+    ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)

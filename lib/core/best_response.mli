@@ -19,12 +19,15 @@
     the row [w * M]; every subset is scored in O(|C_u|).  Strategies are
     enumerated by DFS over affordable target subsets.
 
-    Every function takes an optional incremental context ([?ctx]).  With
-    a context, rows come from delta-repaired SSSPs ({!Incr}) instead of
-    per-candidate from-scratch searches; results are bit-identical (same
-    costs, same DFS visiting order, same tie-breaking), only faster.
-    Contexts are mutable single-domain state — do not share one across
-    {!Bbc_parallel} workers.
+    Uniform [k = 1] games on a functional profile (every node buys at
+    most one link) need no rows at all: the affordable strategies are
+    the empty set and the singletons, and each singleton's cost is a
+    closed form in the length of the target's walk in [G_{-u}], all of
+    which come from one O(n) pass over the successor array (DESIGN.md
+    section 9).  Every entry point except {!sampled} and {!greedy}
+    takes that path whenever {!Instance.uniform_k} is [Some 1] and
+    {!Config.successors} is [Some _]; the results are the ones the rows
+    would give.
 
     Every function also takes an optional shared snapshot ([?csr]),
     trusted to equal [Config.to_csr instance config] — the {e full}
@@ -33,9 +36,7 @@
     building a per-node [G_{-u}] CSR, and the node's current cost is
     evaluated against it too.  Results are bit-identical; the point is
     that parallel fan-outs (stability scans, dynamics improving scans)
-    share one read-only snapshot and stop contending on allocation.
-    [csr] is only consulted when no [ctx] is given (a context carries
-    its own distance engines). *)
+    share one read-only snapshot and stop contending on allocation. *)
 
 type result = {
   strategy : int list;  (** An optimal link set (sorted). *)
@@ -47,7 +48,6 @@ val candidate_targets : Instance.t -> int -> int list
 
 val enumerate :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
   ?csr:Bbc_graph.Csr.t ->
   Instance.t ->
   Config.t ->
@@ -59,11 +59,10 @@ val enumerate :
     empty one first, then the DFS order over increasing targets, each
     [strategy] listing its targets in reverse order of addition.
     [on_subset] returns [true] to stop the enumeration.  The sequence is
-    the same for every row provider. *)
+    the same with and without [?csr], and on the closed-form path. *)
 
 val exact :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
   ?csr:Bbc_graph.Csr.t ->
   Instance.t ->
   Config.t ->
@@ -75,7 +74,6 @@ val exact :
 
 val best_cost :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
   ?csr:Bbc_graph.Csr.t ->
   Instance.t ->
   Config.t ->
@@ -85,7 +83,6 @@ val best_cost :
 
 val all_best :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
   ?csr:Bbc_graph.Csr.t ->
   Instance.t ->
   Config.t ->
@@ -95,9 +92,19 @@ val all_best :
     Used when enumerating equilibrium multiplicity; can be exponentially
     many for large budgets. *)
 
+val current_cost :
+  ?objective:Objective.t ->
+  ?csr:Bbc_graph.Csr.t ->
+  Instance.t ->
+  Config.t ->
+  int ->
+  int
+(** [u]'s cost under [config]; equals {!Eval.node_cost}.  On the
+    closed-form path it is an O(n) walk count, otherwise one sweep
+    (of [csr] when given). *)
+
 val improving :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
   ?csr:Bbc_graph.Csr.t ->
   Instance.t ->
   Config.t ->
@@ -129,7 +136,6 @@ val sampled :
 
 val greedy :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
   ?csr:Bbc_graph.Csr.t ->
   Instance.t ->
   Config.t ->

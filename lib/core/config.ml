@@ -29,6 +29,11 @@ let targets t u = Array.to_list t.(u)
 
 let strategy_size t u = Array.length t.(u)
 
+let successors t =
+  if Array.for_all (fun s -> Array.length s <= 1) t then
+    Some (Array.map (fun s -> if Array.length s = 0 then -1 else s.(0)) t)
+  else None
+
 let with_strategy t u targets =
   let t' = Array.copy t in
   t'.(u) <- validate_strategy (Array.length t) u targets;

@@ -26,6 +26,11 @@ val targets : t -> int -> int list
 
 val strategy_size : t -> int -> int
 
+val successors : t -> int array option
+(** [Some succ] when every node buys at most one link (the realized
+    graph is functional): [succ.(u)] is [u]'s target, or [-1] when [u]
+    buys nothing.  [None] as soon as some node buys two or more. *)
+
 val with_strategy : t -> int -> int list -> t
 (** Functional update of one node's strategy (validated as in
     {!of_lists}).  The profile is persistent: the original is unchanged. *)

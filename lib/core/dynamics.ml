@@ -79,12 +79,8 @@ end
 
    Under [Exact_best_response] the optimum is computed with a single DFS
    and adopted iff it strictly beats the current cost — the
-   improving-then-exact double enumeration is gone.
-
-   With an incremental context ([?ctx]) the enumerations reuse
-   delta-repaired SSSPs and the current cost comes from the version-keyed
-   cache; the decisions are identical. *)
-let activate ?objective ?ctx ?rng ?known_improving ~policy instance config node =
+   improving-then-exact double enumeration is gone. *)
+let activate ?objective ?rng ?known_improving ~policy instance config node =
   match policy with
   | Sampled_best_response { sample; _ } -> (
       match known_improving with
@@ -103,7 +99,7 @@ let activate ?objective ?ctx ?rng ?known_improving ~policy instance config node 
       let improving =
         match known_improving with
         | Some r -> r
-        | None -> Best_response.improving ?objective ?ctx instance config node
+        | None -> Best_response.improving ?objective instance config node
       in
       match improving with
       | None -> (config, false)
@@ -113,15 +109,11 @@ let activate ?objective ?ctx ?rng ?known_improving ~policy instance config node 
       | Some None -> (config, false)
       | Some (Some _) ->
           (* Known unstable, so the optimum strictly improves. *)
-          let best = Best_response.exact ?objective ?ctx instance config node in
+          let best = Best_response.exact ?objective instance config node in
           (Config.with_strategy config node best.strategy, true)
       | None ->
-          let best = Best_response.exact ?objective ?ctx instance config node in
-          let current =
-            match ctx with
-            | Some c -> Incr.node_cost ?objective c node
-            | None -> Eval.node_cost ?objective instance config node
-          in
+          let best = Best_response.exact ?objective instance config node in
+          let current = Best_response.current_cost ?objective instance config node in
           if best.cost < current then (Config.with_strategy config node best.strategy, true)
           else (config, false))
 
@@ -191,7 +183,7 @@ let round_order scheduler rng n =
       order
   | Max_cost_first -> assert false
 
-let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~scheduler
+let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
     ~max_rounds instance config0 =
   let n = Instance.n instance in
   Bbc_obs.with_span "dynamics.run"
@@ -202,24 +194,6 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
         ("max_rounds", Bbc_obs.Int max_rounds);
       ]
   @@ fun () ->
-  (* One incremental context for the whole walk: every activation's
-     enumeration shares the delta-repaired SSSPs.  The context is
-     single-domain state, so all ctx paths below are sequential. *)
-  let ctx =
-    match policy with
-    (* The sampled policy exists for instances far past the incremental
-       engine's sweet spot; skip the context rather than warm caches that
-       the activations never read. *)
-    | Sampled_best_response _ -> None
-    | _ -> if Incr.resolve incremental then Some (Incr.create instance config0) else None
-  in
-  let node_cost config node =
-    match ctx with
-    | Some c ->
-        Incr.ensure c config;
-        Incr.node_cost ?objective c node
-    | None -> Eval.node_cost ?objective instance config node
-  in
   let rng = match scheduler with Random_order seed -> Some (Splitmix.create seed) | _ -> None in
   (* One generator for the whole walk's candidate sampling, so a run is
      replayable from (scheduler, policy) seeds alone. *)
@@ -244,7 +218,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
             node;
             moved;
             strategy = Config.targets config node;
-            cost_after = node_cost config node;
+            cost_after = Best_response.current_cost ?objective instance config node;
           }
   in
   let outcome =
@@ -269,28 +243,15 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
                 }
           | None -> (
               Seen.add seen config step;
-              let costs =
-                match ctx with
-                | Some c ->
-                    Incr.ensure c config;
-                    Incr.all_costs ?objective c
-                | None -> Eval.all_costs ?objective instance config
-              in
-              (* One improving check per node: with a context the scan
-                 runs sequentially against the shared SSSPs; otherwise
-                 it fans over the domain pool.  Either way the winner's
-                 result is handed to [activate] so the enumeration never
-                 runs twice for the same step. *)
+              let costs = Eval.all_costs ?objective instance config in
+              (* One improving check per node, fanned over the domain
+                 pool; the winner's result is handed to [activate] so
+                 the enumeration never runs twice for the same step. *)
               let improving =
-                match ctx with
-                | Some _ ->
-                    Array.init n (fun u ->
-                        Best_response.improving ?objective ?ctx instance config u)
-                | None ->
-                    let csr = Config.to_csr instance config in
-                    Bbc_parallel.parallel_init
-                      ~jobs:(Bbc_parallel.jobs_for ~threshold:64 n) n
-                      (fun u -> Best_response.improving ?objective ~csr instance config u)
+                let csr = Config.to_csr instance config in
+                Bbc_parallel.parallel_init
+                  ~jobs:(Bbc_parallel.jobs_for ~threshold:64 n) n
+                  (fun u -> Best_response.improving ?objective ~csr instance config u)
               in
               let unstable =
                 List.filter (fun u -> Option.is_some improving.(u)) (List.init n Fun.id)
@@ -308,7 +269,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
                     |> Option.get
                   in
                   let config', moved =
-                    activate ?objective ?ctx ?rng:brng ~known_improving:improving.(node)
+                    activate ?objective ?rng:brng ~known_improving:improving.(node)
                       ~policy instance config node
                   in
                   emit ~prev:config step step node moved config';
@@ -339,7 +300,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
               Array.iter
                 (fun node ->
                   let config', moved =
-                    activate ?objective ?ctx ?rng:brng ~policy instance !config node
+                    activate ?objective ?rng:brng ~policy instance !config node
                   in
                   emit ~prev:!config !steps round node moved config';
                   incr steps;
@@ -355,7 +316,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
   trace_outcome outcome;
   outcome
 
-let first_strong_connectivity ?objective ?policy ?incremental ~scheduler ~max_rounds
+let first_strong_connectivity ?objective ?policy ~scheduler ~max_rounds
     instance config0 =
   let hit = ref None in
   let check stats config =
@@ -379,6 +340,6 @@ let first_strong_connectivity ?objective ?policy ?incremental ~scheduler ~max_ro
     end
   in
   let outcome =
-    run ?objective ?policy ?incremental ~on_step ~scheduler ~max_rounds instance config0
+    run ?objective ?policy ~on_step ~scheduler ~max_rounds instance config0
   in
   Option.map (fun stats -> (stats, outcome)) !hit

@@ -39,8 +39,7 @@ type move_policy =
           even though an improvement exists outside its sample, so
           [Converged] means "no sampled improvement in a full pass", not
           a verified NE; the walk is replayable bit-for-bit from the
-          seeds.  Runs without the incremental engine (it targets sizes
-          past that engine's sweet spot). *)
+          seeds. *)
 
 type step = {
   index : int;  (** 0-based global step counter (activations). *)
@@ -69,21 +68,17 @@ val run :
   ?objective:Objective.t ->
   ?policy:move_policy ->
   ?on_step:(step -> unit) ->
-  ?incremental:bool ->
   scheduler:scheduler ->
   max_rounds:int ->
   Instance.t ->
   Config.t ->
   outcome
-(** [policy] defaults to [Exact_best_response].  [incremental] (default:
-    {!Incr.enabled}) selects the evaluation engine: one {!Incr} context
-    shared by every activation of the walk, or the from-scratch oracle.
-    Both engines produce the same walk, step stream, and outcome. *)
+(** [policy] defaults to [Exact_best_response].  The walk, step stream
+    and outcome are the same for every job count. *)
 
 val first_strong_connectivity :
   ?objective:Objective.t ->
   ?policy:move_policy ->
-  ?incremental:bool ->
   scheduler:scheduler ->
   max_rounds:int ->
   Instance.t ->

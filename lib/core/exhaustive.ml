@@ -132,7 +132,6 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
     done;
     !acc >= limit
   in
-  let use_incr = Incr.enabled () in
   let run_prefix p =
     if Atomic.get over_budget || limit_reached_before p then Bbc_obs.incr obs_pruned
     else begin
@@ -143,12 +142,6 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
       let profile = Array.make n [||] in
       let view = Config.unsafe_of_arrays profile in
       decode_prefix candidate_arrays ~depth p profile;
-      (* One incremental context per subtree, created against the first
-         complete profile (deep-copied — [Incr.ensure] diffs against the
-         live view, so the context must not alias it).  Consecutive
-         profiles differ only in trailing suffix levels, so re-syncing
-         applies a handful of moves instead of rebuilding the mirror. *)
-      let ctx = lazy (Incr.create instance (Config.snapshot view)) in
       let equilibria = ref [] and mine = ref 0 and examined = ref 0 in
       let on_profile () =
         if Atomic.fetch_and_add examined_total 1 >= max_profiles then begin
@@ -157,12 +150,7 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
         end
         else begin
           incr examined;
-          let stable =
-            if use_incr then
-              Stability.is_stable ?objective ~ctx:(Lazy.force ctx) instance view
-            else Stability.is_stable ?objective ~incremental:false instance view
-          in
-          if stable then begin
+          if Stability.is_stable ?objective instance view then begin
             equilibria := Config.snapshot view :: !equilibria;
             incr mine;
             Atomic.incr found.(p);

@@ -23,6 +23,20 @@ let check_table name n table =
         invalid_arg (Printf.sprintf "Instance.general: ragged %s table" name))
     table
 
+(* Every cost the library folds is at most (n - 1) * max_weight * M (n - 1
+   weighted terms, each distance at most M), and Best_response's
+   branch-free min/max need all of them in [0, 2^62).  OCaml's max_int is
+   2^62 - 1, so the product must not exceed it; the test divides instead
+   of multiplying, which would overflow. *)
+let check_cost_bound name n max_weight penalty =
+  if
+    max_weight > 0
+    && (max_weight > max_int / (n - 1) || penalty > max_int / ((n - 1) * max_weight))
+  then
+    invalid_arg
+      (Printf.sprintf "Instance.%s: (n - 1) * max weight * penalty = %d * %d * %d reaches 2^62"
+         name (n - 1) max_weight penalty)
+
 let general ?penalty ~weight ~cost ~length ~budget () =
   let n = Array.length weight in
   if n < 2 then invalid_arg "Instance.general: need at least 2 nodes";
@@ -30,12 +44,13 @@ let general ?penalty ~weight ~cost ~length ~budget () =
   check_table "cost" n cost;
   check_table "length" n length;
   if Array.length budget <> n then invalid_arg "Instance.general: budget length mismatch";
-  let max_len = ref 1 in
+  let max_len = ref 1 and max_weight = ref 0 in
   for u = 0 to n - 1 do
     if budget.(u) < 0 then invalid_arg "Instance.general: negative budget";
     for v = 0 to n - 1 do
       if u <> v then begin
         if weight.(u).(v) < 0 then invalid_arg "Instance.general: negative weight";
+        if weight.(u).(v) > !max_weight then max_weight := weight.(u).(v);
         if cost.(u).(v) < 0 then invalid_arg "Instance.general: negative cost";
         if length.(u).(v) < 1 then invalid_arg "Instance.general: length must be >= 1";
         if length.(u).(v) > !max_len then max_len := length.(u).(v)
@@ -47,6 +62,7 @@ let general ?penalty ~weight ~cost ~length ~budget () =
   in
   if penalty <= n * !max_len then
     invalid_arg "Instance.general: penalty must exceed n * max length";
+  check_cost_bound "general" n !max_weight penalty;
   { size = n; data = General { weight; cost; length; budget }; penalty }
 
 let of_weights ?penalty ~k weight =
@@ -88,9 +104,20 @@ let max_length t =
       done;
       !m
 
+let max_weight t =
+  match t.data with
+  | Uniform _ -> 1
+  | General g ->
+      let m = ref 0 in
+      Array.iteri
+        (fun u row -> Array.iteri (fun v w -> if u <> v && w > !m then m := w) row)
+        g.weight;
+      !m
+
 let with_penalty t penalty =
   if penalty <= t.size * max_length t then
     invalid_arg "Instance.with_penalty: penalty must exceed n * max length";
+  check_cost_bound "with_penalty" t.size (max_weight t) penalty;
   { t with penalty }
 
 let pp fmt t =

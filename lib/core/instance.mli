@@ -31,11 +31,14 @@ val general :
 (** A general (possibly non-uniform) game.  All four tables must be
     [n x n] (resp. length [n]); diagonal entries are ignored.  Weights,
     costs and budgets must be non-negative; lengths positive.  [penalty]
-    defaults to [2 * n * max_length + 1], satisfying [M > n * max l]. *)
+    defaults to [2 * n * max_length + 1], satisfying [M > n * max l].
+    Raises [Invalid_argument] when [(n - 1) * max_weight * M >= 2^62]:
+    every node cost must fit the library's integer folds (DESIGN.md
+    section 18). *)
 
 val of_weights : ?penalty:int -> k:int -> int array array -> t
 (** Common non-uniform shape: unit costs and lengths, uniform budget [k],
-    explicit preference matrix. *)
+    explicit preference matrix.  Same checks as {!general}. *)
 
 val n : t -> int
 
@@ -60,5 +63,7 @@ val uniform_k : t -> int option
 val max_length : t -> int
 
 val with_penalty : t -> int -> t
+(** Replace the penalty.  Raises [Invalid_argument] unless
+    [n * max_length < M] and [(n - 1) * max_weight * M < 2^62]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -34,10 +34,7 @@ let analyze ?objective ?candidates ?(max_profiles = 2_000_000) instance =
           optimum := cost;
           optimal_profile := Some (Config.snapshot config)
         end;
-        (* Every profile is a fresh, unrelated configuration: an Incr
-           context would be built and discarded per profile, which costs
-           more than the from-scratch check it replaces. *)
-        if Stability.is_stable ?objective ~incremental:false instance config then begin
+        if Stability.is_stable ?objective instance config then begin
           incr equilibria;
           (match !best_ne with
           | Some (c, _) when c <= cost -> ()

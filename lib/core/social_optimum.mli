@@ -25,9 +25,7 @@ val analyze :
 (** Exhaustive analysis of the profile space (default: all feasible
     strategies of every node; [max_profiles] defaults to [2_000_000]).
     [None] if the space is larger than [max_profiles].  Each profile
-    costs one [Eval.social_cost] and one from-scratch
-    [Stability.is_stable] (a fresh profile gives an [Incr] context
-    nothing to reuse).
+    costs one [Eval.social_cost] and one [Stability.is_stable].
 
     Note: with a restricted candidate space, [optimum] is exact for that
     space and every reported equilibrium is a true NE (full-deviation

@@ -27,131 +27,70 @@ let br_chunk = 1
 
 let obs_stable_checks = Bbc_obs.counter "stability.is_stable"
 
-(* The incremental engine replaces the parallel from-scratch scan with a
-   sequential pass over one shared {!Incr} context (contexts are
-   single-domain state).  Verdicts and reported nodes are identical:
-   the parallel scans already commit to the lowest-index result. *)
-
-(* A caller-provided context (a server session, a dynamics walk) forces
-   the incremental path and reuses its caches; [ensure] re-syncs it in
-   case the caller's configuration drifted. *)
-let use_ctx ?ctx ?incremental instance config make =
-  match ctx with
-  | Some c ->
-      Incr.ensure c config;
-      Some c
-  | None -> if Incr.resolve incremental then Some (make instance config) else None
-
-let find_deviation ?objective ?jobs ?ctx ?incremental instance config =
+let find_deviation ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = resolve_jobs ?jobs n in
   Bbc_obs.with_span "stability.find_deviation"
     ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      match use_ctx ?ctx ?incremental instance config Incr.create with
-      | Some ctx ->
-          let rec scan u =
-            if u >= n then None
-            else
-              match Best_response.improving ?objective ~ctx instance config u with
-              | Some better ->
-                  Some
-                    { node = u; current_cost = Incr.node_cost ?objective ctx u; better }
-              | None -> scan (u + 1)
-          in
-          scan 0
-      | None ->
-          (* [parallel_find_first] returns the lowest-index hit, so the reported
-             deviation is the same node the sequential scan would find.  All
-             workers share one immutable full snapshot ([~ban] sweeps give
-             each node its G_{-u} rows), so the fan-out builds no per-node
-             graphs and the domains stay off the shared allocator. *)
-          let csr = Config.to_csr instance config in
-          Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
-              match Best_response.improving ?objective ~csr instance config u with
-              | Some better ->
-                  Some
-                    {
-                      node = u;
-                      current_cost = Eval.csr_node_cost ?objective instance csr u;
-                      better;
-                    }
-              | None -> None))
+      (* [parallel_find_first] returns the lowest-index hit, so the reported
+         deviation is the same node the sequential scan would find.  All
+         workers share one immutable full snapshot ([~ban] sweeps give
+         each node its G_{-u} rows), so the fan-out builds no per-node
+         graphs and the domains stay off the shared allocator. *)
+      let csr = Config.to_csr instance config in
+      Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
+          match Best_response.improving ?objective ~csr instance config u with
+          | Some better ->
+              Some
+                {
+                  node = u;
+                  current_cost = Best_response.current_cost ?objective ~csr instance config u;
+                  better;
+                }
+          | None -> None))
 
-let is_stable ?objective ?jobs ?ctx ?incremental instance config =
+let improvable ?objective ~csr instance config u =
+  Option.is_some (Best_response.improving ?objective ~csr instance config u)
+
+let is_stable ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = resolve_jobs ?jobs n in
   Bbc_obs.incr obs_stable_checks;
   Config.feasible instance config
   &&
-  match use_ctx ?ctx ?incremental instance config Incr.create with
-  | Some ctx ->
-      let rec scan u =
-        u >= n
-        || Option.is_none (Best_response.improving ?objective ~ctx instance config u)
-           && scan (u + 1)
-      in
-      scan 0
-  | None ->
-      let csr = Config.to_csr instance config in
-      not
-        (Bbc_parallel.parallel_exists ~jobs ~chunk:br_chunk 0 n (fun u ->
-             Option.is_some (Best_response.improving ?objective ~csr instance config u)))
+  let csr = Config.to_csr instance config in
+  not
+    (Bbc_parallel.parallel_exists ~jobs ~chunk:br_chunk 0 n
+       (improvable ?objective ~csr instance config))
 
-let nodes_stable ?objective ?ctx ?incremental instance config nodes =
+let nodes_stable ?objective instance config nodes =
   Config.feasible instance config
   &&
-  match use_ctx ?ctx ?incremental instance config Incr.create with
-  | Some ctx ->
-      List.for_all
-        (fun u ->
-          Option.is_none (Best_response.improving ?objective ~ctx instance config u))
-        nodes
-  | None ->
-      let csr = Config.to_csr instance config in
-      List.for_all
-        (fun u ->
-          Option.is_none (Best_response.improving ?objective ~csr instance config u))
-        nodes
+  let csr = Config.to_csr instance config in
+  not (List.exists (improvable ?objective ~csr instance config) nodes)
 
 let is_stable_parallel ?objective ?domains instance config =
   let jobs =
     match domains with Some d -> max 1 d | None -> Bbc_parallel.default_jobs ()
   in
-  (* Compatibility entry point: always the parallel from-scratch scan. *)
-  is_stable ?objective ~jobs ~incremental:false instance config
+  is_stable ?objective ~jobs instance config
 
-let unstable_nodes ?objective ?jobs ?ctx ?incremental instance config =
+let unstable_nodes ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = resolve_jobs ?jobs n in
+  let csr = Config.to_csr instance config in
   let unstable =
-    match use_ctx ?ctx ?incremental instance config Incr.create with
-    | Some ctx ->
-        Array.init n (fun u ->
-            Option.is_some (Best_response.improving ?objective ~ctx instance config u))
-    | None ->
-        let csr = Config.to_csr instance config in
-        Bbc_parallel.parallel_init ~jobs ~chunk:br_chunk n (fun u ->
-            Option.is_some (Best_response.improving ?objective ~csr instance config u))
+    Bbc_parallel.parallel_init ~jobs ~chunk:br_chunk n (improvable ?objective ~csr instance config)
   in
   List.filter (fun u -> unstable.(u)) (List.init n Fun.id)
 
-let stability_gap ?objective ?jobs ?ctx ?incremental instance config =
+let stability_gap ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = resolve_jobs ?jobs n in
-  match use_ctx ?ctx ?incremental instance config Incr.create with
-  | Some ctx ->
-      let gap = ref 0 in
-      for u = 0 to n - 1 do
-        let cur = Incr.node_cost ?objective ctx u in
-        gap := max !gap (cur - Best_response.best_cost ?objective ~ctx instance config u)
-      done;
-      !gap
-  | None ->
-      let csr = Config.to_csr instance config in
-      let costs = Eval.all_costs ?objective ~jobs instance config in
-      Bbc_parallel.parallel_reduce ~jobs ~chunk:br_chunk ~neutral:0 ~combine:max 0 n
-        (fun u ->
-          costs.(u) - Best_response.best_cost ?objective ~csr instance config u)
+  let csr = Config.to_csr instance config in
+  let costs = Eval.all_costs ?objective ~jobs instance config in
+  Bbc_parallel.parallel_reduce ~jobs ~chunk:br_chunk ~neutral:0 ~combine:max 0 n (fun u ->
+      costs.(u) - Best_response.best_cost ?objective ~csr instance config u)
 
 let pp_deviation fmt d =
   Format.fprintf fmt "node %d: cost %d -> %d via [%a]" d.node d.current_cost

@@ -5,29 +5,13 @@
     fixed.  Verification runs one exact best-response computation per
     node; [is_stable] short-circuits on the first unstable node.
 
-    {b Engines.}  With [incremental] (default: {!Incr.enabled}) each call
-    builds one {!Incr} context and scans nodes sequentially against its
-    delta-repaired SSSPs.  With [~incremental:false] the per-node checks
-    are independent from-scratch computations fanned over the
-    {!Bbc_parallel} domain pool ([?jobs], early abort).  Both engines
-    return identical results — verdicts, nodes, and costs.
-
-    {b Context reuse.}  Every entry point also accepts [?ctx], a
-    caller-owned {!Incr} context (a server session, a long dynamics
-    walk).  Passing one forces the incremental engine, re-syncs the
-    context to [config] via {!Incr.ensure} (a no-op when already in
-    sync), and reuses its version-counter caches — repeated stability
-    queries against a slowly-mutating configuration then only pay for
-    what actually changed.  The context must have been created for the
-    same instance.
-
-    {b Parallelism.}  From-scratch per-node checks only read the shared
-    instance and profile (both immutable) and build their own [G_{-u}]
-    scratch graphs, honouring the read-only-graph contract of
-    {!Bbc_graph.Digraph}.  The [?jobs] parameter (default:
-    {!Bbc_parallel.default_jobs} for n >= 64, sequential below) applies
-    to the from-scratch engine; the incremental engine is sequential by
-    construction (contexts are single-domain state). *)
+    {b Parallelism.}  Per-node checks only read the shared instance,
+    profile and one full CSR snapshot of it (all immutable), honouring
+    the read-only-graph contract of {!Bbc_graph.Digraph}, so they fan
+    out over the {!Bbc_parallel} domain pool ([?jobs], default
+    {!Bbc_parallel.default_jobs} for n >= 64, sequential below; early
+    abort).  Every job count returns identical results — verdicts,
+    nodes, and costs. *)
 
 type deviation = {
   node : int;
@@ -38,16 +22,12 @@ type deviation = {
 val is_stable :
   ?objective:Objective.t ->
   ?jobs:int ->
-  ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   bool
 
 val nodes_stable :
   ?objective:Objective.t ->
-  ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   int list ->
@@ -59,7 +39,7 @@ val nodes_stable :
 
 val is_stable_parallel :
   ?objective:Objective.t -> ?domains:int -> Instance.t -> Config.t -> bool
-(** [is_stable ~jobs:domains ~incremental:false] — kept for
+(** [is_stable ~jobs:domains] — kept for
     compatibility; [domains] defaults to {!Bbc_parallel.default_jobs}
     (no size threshold, so this always engages the pool).  Exact same
     verdict as {!is_stable}. *)
@@ -67,8 +47,6 @@ val is_stable_parallel :
 val find_deviation :
   ?objective:Objective.t ->
   ?jobs:int ->
-  ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   deviation option
@@ -79,8 +57,6 @@ val find_deviation :
 val unstable_nodes :
   ?objective:Objective.t ->
   ?jobs:int ->
-  ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   int list
@@ -89,8 +65,6 @@ val unstable_nodes :
 val stability_gap :
   ?objective:Objective.t ->
   ?jobs:int ->
-  ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   int

@@ -309,107 +309,6 @@ let msbfs_suite =
   ]
 
 (* ---------------------------------------------------------------- *)
-(* Suite incr: scratch Eval vs incremental contexts under deltas.    *)
-
-let icm =
-  let open Gen in
-  let* inst, cfg = Domain_gen.instance_config ~max_n:8 () in
-  let+ ms = Domain_gen.moves inst in
-  (inst, cfg, ms)
-
-let costs_agree ~what inst cfg ctx =
-  let incr_costs = Bbc.Incr.all_costs ctx in
-  let scratch = E.all_costs ~jobs:1 inst cfg in
-  match array_mismatch incr_costs scratch with
-  | None -> ok
-  | Some v -> failf "%s: Incr and Eval costs disagree at node %d" what v
-
-let prop_incr_vs_scratch (inst, cfg0, ms) =
-  let ctx = Bbc.Incr.create inst cfg0 in
-  match costs_agree ~what:"initial" inst cfg0 ctx with
-  | Error _ as e -> e
-  | Ok () ->
-      let cfg = ref cfg0 in
-      let step = ref 0 in
-      check_all
-        (fun (u, s) ->
-          Bbc.Incr.apply_move ctx u s;
-          cfg := C.with_strategy !cfg u s;
-          incr step;
-          costs_agree ~what:(Printf.sprintf "after move %d" !step) inst !cfg ctx)
-        ms
-
-let prop_masked_roundtrip (inst, cfg0, ms) =
-  let ctx = Bbc.Incr.create inst cfg0 in
-  let cfg = ref cfg0 in
-  List.iter
-    (fun (u, s) ->
-      Bbc.Incr.apply_move ctx u s;
-      cfg := C.with_strategy !cfg u s)
-    ms;
-  check_all
-    (fun u ->
-      let before = Bbc.Incr.all_costs ctx in
-      let inside =
-        Bbc.Incr.with_masked ctx u (fun () ->
-            let skipped = C.to_csr ~skip:u inst !cfg in
-            check_all
-              (fun src ->
-                let masked = Bbc.Incr.masked_row ctx src in
-                let reference = P.shortest_csr skipped src in
-                match array_mismatch masked reference with
-                | None -> ok
-                | Some v ->
-                    failf "mask %d src %d: masked_row and ~skip disagree at %d"
-                      u src v)
-              (nodes inst))
-      in
-      match inside with
-      | Error _ as e -> e
-      | Ok () -> (
-          let after = Bbc.Incr.all_costs ctx in
-          match array_mismatch before after with
-          | None -> ok
-          | Some v -> failf "mask %d: undo changed node %d's cost" u v))
-    (nodes inst)
-
-let deviation_to_string = function
-  | None -> "stable"
-  | Some (d : Bbc.Stability.deviation) ->
-      Printf.sprintf "node %d: %d -> %d via [%s]" d.node d.current_cost
-        d.better.BR.cost
-        (String.concat ";" (List.map string_of_int d.better.BR.strategy))
-
-let prop_stability_engines (inst, cfg0, ms) =
-  let cfg = List.fold_left (fun c (u, s) -> C.with_strategy c u s) cfg0 ms in
-  let inc = Bbc.Stability.find_deviation ~incremental:true inst cfg in
-  let scr = Bbc.Stability.find_deviation ~incremental:false ~jobs:1 inst cfg in
-  let same =
-    match (inc, scr) with
-    | None, None -> true
-    | Some a, Some b ->
-        a.Bbc.Stability.node = b.Bbc.Stability.node
-        && a.current_cost = b.current_cost
-        && a.better.BR.cost = b.better.BR.cost
-        && a.better.BR.strategy = b.better.BR.strategy
-    | _ -> false
-  in
-  if same then ok
-  else
-    failf "find_deviation: incremental says %S, from-scratch says %S"
-      (deviation_to_string inc) (deviation_to_string scr)
-
-let incr_suite =
-  let render (inst, cfg, ms) = (inst, Some cfg, moves_to_string ms) in
-  [
-    Packed { name = "incr_vs_scratch"; gen = icm; prop = prop_incr_vs_scratch; render };
-    Packed
-      { name = "masked_roundtrip"; gen = icm; prop = prop_masked_roundtrip; render };
-    Packed
-      { name = "stability_engines"; gen = icm; prop = prop_stability_engines; render };
-  ]
-
-(* ---------------------------------------------------------------- *)
 (* Suite br: exact best response vs exhaustive enumeration.          *)
 
 let ic_tiny = Domain_gen.instance_config ~max_n:6 ()
@@ -435,24 +334,77 @@ let prop_br_vs_exhaustive (inst, cfg) =
         else ok)
     (nodes inst)
 
-let prop_br_variants (inst, cfg) =
+(* The full on_subset (strategy, cost) sequence and [improving]'s
+   verdict, on the scratch rows, on the shared [?csr] snapshot, and (on
+   uniform k = 1 functional inputs) on the closed form, against the
+   reference DFS. *)
+let sequence enumerate =
+  let acc = ref [] in
+  enumerate ~on_subset:(fun s c ->
+      acc := (s, c) :: !acc;
+      false);
+  List.rev !acc
+
+let show_sequence l =
+  String.concat " "
+    (List.map
+       (fun (s, c) -> Printf.sprintf "[%s]=%d" (String.concat ";" (List.map string_of_int s)) c)
+       l)
+
+let show_verdict = function
+  | None -> "none"
+  | Some (s, c) -> show_sequence [ (s, c) ]
+
+let prop_enumerate_vs_reference (inst, cfg) =
   let csr = C.to_csr inst cfg in
-  let ctx = Bbc.Incr.create inst cfg in
+  let path =
+    if I.uniform_k inst = Some 1 && Option.is_some (C.successors cfg) then " (closed form)" else ""
+  in
   check_all
-    (fun u ->
-      let plain = BR.exact inst cfg u in
-      let with_csr = BR.exact ~csr inst cfg u in
-      let with_ctx = BR.exact ~ctx inst cfg u in
-      if
-        plain.BR.cost = with_csr.BR.cost
-        && plain.BR.strategy = with_csr.BR.strategy
-        && plain.BR.cost = with_ctx.BR.cost
-        && plain.BR.strategy = with_ctx.BR.strategy
-      then ok
-      else
-        failf "node %d: exact/?csr/?ctx disagree (%d, %d, %d)" u plain.BR.cost
-          with_csr.BR.cost with_ctx.BR.cost)
-    (nodes inst)
+    (fun objective ->
+      let obj = Bbc.Objective.to_string objective in
+      check_all
+        (fun u ->
+          let expected = sequence (Reference.enumerate ~objective inst cfg u) in
+          let current = E.node_cost ~objective inst cfg u in
+          let verdict =
+            List.find_opt (fun (_, c) -> c < current) expected
+            |> Option.map (fun (s, c) -> (List.sort compare s, c))
+          in
+          check_all
+            (fun (provider, csr) ->
+              let got = sequence (BR.enumerate ~objective ?csr inst cfg u) in
+              let improving =
+                BR.improving ~objective ?csr inst cfg u
+                |> Option.map (fun (r : BR.result) -> (r.strategy, r.cost))
+              in
+              if got <> expected then
+                failf "%s node %d, %s%s: enumerate gives %s, reference %s" obj u provider path
+                  (show_sequence got) (show_sequence expected)
+              else if improving <> verdict then
+                failf "%s node %d, %s%s: improving gives %s, reference %s" obj u provider path
+                  (show_verdict improving) (show_verdict verdict)
+              else ok)
+            [ ("scratch", None); ("csr", Some csr) ])
+        (nodes inst))
+    [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+
+(* The closed form on every profile of a rewiring walk from a uniform
+   k = 1 start: each move buys at most one link, so every profile on
+   the walk stays functional. *)
+let k1_walk =
+  let open Gen in
+  let* inst, cfg = Domain_gen.uniform_k1_config ~max_n:8 () in
+  let+ ms = Domain_gen.moves inst in
+  (inst, cfg, ms)
+
+let prop_k1_walk_vs_reference (inst, cfg, ms) =
+  let rec go cfg ms =
+    match (prop_enumerate_vs_reference (inst, cfg), ms) with
+    | Ok (), (u, s) :: rest -> go (C.with_strategy cfg u s) rest
+    | result, _ -> result
+  in
+  go cfg ms
 
 let prop_improving_iff (inst, cfg) =
   check_all
@@ -504,7 +456,20 @@ let br_suite =
   [
     Packed
       { name = "br_vs_exhaustive"; gen = ic_tiny; prop = prop_br_vs_exhaustive; render };
-    Packed { name = "br_variants"; gen = ic_tiny; prop = prop_br_variants; render };
+    Packed
+      {
+        name = "enumerate_vs_ref";
+        gen = ic_tiny;
+        prop = prop_enumerate_vs_reference;
+        render;
+      };
+    Packed
+      {
+        name = "closed_form_vs_ref";
+        gen = k1_walk;
+        prop = prop_k1_walk_vs_reference;
+        render = (fun (inst, cfg, ms) -> (inst, Some cfg, moves_to_string ms));
+      };
     Packed
       { name = "improving_iff"; gen = ic_tiny; prop = prop_improving_iff; render };
     Packed
@@ -525,9 +490,9 @@ let icp =
   let+ ops = Domain_gen.program inst in
   (inst, cfg, ops)
 
-(* The mirror replicates a session's walk counters with from-scratch
-   engines only; the server side runs its incremental context, so every
-   comparison crosses the engine boundary too. *)
+(* The mirror replicates a session's walk counters with direct library
+   calls and no cost memo, so every comparison also checks that the
+   session's memo is dropped on every configuration change. *)
 type mirror = {
   inst : I.t;
   mutable cfg : C.t;
@@ -579,7 +544,7 @@ let mirror_expected m (op : Domain_gen.op) =
         ]
   | Domain_gen.Stable -> (
       match
-        Bbc.Stability.find_deviation ~incremental:false ~jobs:1 m.inst m.cfg
+        Bbc.Stability.find_deviation ~jobs:1 m.inst m.cfg
       with
       | None ->
           Json.Obj [ ("stable", Json.Bool true); ("feasible", Json.Bool true) ]
@@ -951,7 +916,6 @@ let suites =
   [
     ("csr", csr_suite);
     ("msbfs", msbfs_suite);
-    ("incr", incr_suite);
     ("br", br_suite);
     ("server", server_suite);
     ("campaign", campaign_suite);
@@ -961,7 +925,7 @@ let suites =
 let suite_names = List.map fst suites
 
 let expand_suites = function
-  | "all" -> Ok [ "csr"; "msbfs"; "incr"; "br"; "server"; "campaign" ]
+  | "all" -> Ok [ "csr"; "msbfs"; "br"; "server"; "campaign" ]
   | name when List.mem_assoc name suites -> Ok [ name ]
   | name ->
       Error

@@ -13,11 +13,11 @@
       per-source sweeps on instances crossing the [Csr.batch_width]
       window boundary (ragged tails, [~ban], shuffled/duplicated
       source subsets, scratch reuse with [reset_rows]);
-    - [incr] — scratch [Eval] vs {!Bbc.Incr} contexts under generated
-      move sequences, with [with_masked] exact-undo round-trips and
-      incremental-vs-parallel [Stability];
-    - [br] — [Best_response.exact] (and its [?csr]/[?ctx] variants)
-      vs exhaustive strategy enumeration on tiny instances, and
+    - [br] — [Best_response.exact] vs exhaustive strategy enumeration
+      on tiny instances; the full [Best_response.enumerate]
+      (strategy, cost) sequence and [improving]'s verdict on the scratch
+      rows, the [?csr] snapshot and the uniform [k = 1] closed form vs
+      {!Reference.enumerate} (Sum and Max); and
       [Social_optimum.local_search] vs {!Reference.local_search} (same
       seed, Sum and Max: identical cost and profile);
     - [server] — in-process [Bbc_server.Engine] request streams vs
@@ -57,7 +57,7 @@ type prop_report = {
 }
 
 val suite_names : string list
-(** [csr; msbfs; incr; br; server; campaign; selfcheck]. *)
+(** [csr; msbfs; br; server; campaign; selfcheck]. *)
 
 val expand_suites : string -> (string list, string) result
 (** Resolve a [--suite] argument: a name from {!suite_names}, or [all]

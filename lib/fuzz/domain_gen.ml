@@ -124,6 +124,17 @@ let moves ?(max_moves = 8) inst =
   in
   list ~max_len:max_moves move
 
+(* Uniform k = 1 games on which every profile is functional: each node
+   buys at most one link or none, under the default penalty or a custom
+   one. *)
+let uniform_k1_config ?(max_n = 10) () =
+  let* n = int_range 2 max_n in
+  let* penalty = oneof [ return None; map Option.some (int_range (n + 1) (6 * n)) ] in
+  let inst = I.uniform ~n ~k:1 in
+  let inst = match penalty with None -> inst | Some m -> I.with_penalty inst m in
+  let+ cfg = config_for inst in
+  (inst, cfg)
+
 (* ------------------------------------------------------------------ *)
 (* Graphs.                                                             *)
 

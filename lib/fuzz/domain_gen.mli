@@ -1,6 +1,5 @@
 (** BBC-domain generators built on {!Gen}: instances, feasible strategy
-    profiles, move sequences for the incremental engine, and server
-    request programs.
+    profiles, and server request programs.
 
     Distributions mix the paper's structured families (rings, trees,
     Forest-of-Willows, circulant Cayley graphs, random k-out) with
@@ -32,9 +31,17 @@ val strategy_for : Bbc.Instance.t -> int -> int list Gen.t
     shrinks by dropping links. *)
 
 val moves : ?max_moves:int -> Bbc.Instance.t -> (int * int list) list Gen.t
-(** A sequence of feasible rewires [(node, new strategy)] — the delta
-    stream fed to the incremental engine.  Shrinks by dropping moves,
-    then links inside a move. *)
+(** A sequence of feasible rewires [(node, new strategy)], along which
+    the closed-form property walks its profiles.  Shrinks by dropping
+    moves, then links inside a move. *)
+
+val uniform_k1_config :
+  ?max_n:int -> unit -> (Bbc.Instance.t * Bbc.Config.t) Gen.t
+(** An [(n, 1)]-uniform game ([2 <= n <= max_n], default 10) with the
+    default penalty or a custom one ({!Bbc.Instance.with_penalty}), and
+    a profile on it: every node buys one link or none, so the realized
+    graph is functional (the input of {!Bbc.Best_response}'s closed
+    form).  Shrinks toward fewer nodes and fewer links. *)
 
 val graph : ?min_n:int -> ?max_n:int -> ?max_k:int -> unit -> Bbc_graph.Digraph.t Gen.t
 (** A unit-length digraph ([random_k_out] or [gnp]); [n], [k] and the

@@ -226,7 +226,7 @@ let run_batch t =
     in
     (* Group by session, preserving first-admission order of groups and
        admission order within each group.  Same-session requests must
-       not run concurrently (the Incr context is single-domain state);
+       not run concurrently (a session is single-domain state);
        distinct groups are independent and fan out over the pool. *)
     let groups : (string option * pending_req list ref) list ref = ref [] in
     List.iter

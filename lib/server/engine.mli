@@ -11,7 +11,7 @@
     drains up to [max_batch] queued requests, expires the ones whose
     [deadline_ms] has passed (structured [timeout] error — an expired
     request never occupies a worker), groups the rest {b by session}
-    (a session's {!Bbc.Incr} context is single-domain state, so
+    (a session is single-domain mutable state, so
     same-session requests execute sequentially in admission order
     while distinct sessions fan out over the pool), executes, and
     returns responses in admission order.

@@ -69,7 +69,6 @@ let session_summary (s : Session.t) =
       ("session", Json.Str s.id);
       ("n", Json.Int (Bbc.Instance.n s.instance));
       ("feasible", Json.Bool (Bbc.Config.feasible s.instance s.config));
-      ("incremental", Json.Bool (Option.is_some s.ctx));
     ]
 
 (* In sharded mode the front tier mints the session id (so the shard
@@ -151,7 +150,7 @@ let best_response env params =
   let* s = session env params in
   let* objective = objective params in
   let* u = node_in_range s params in
-  let r = Bbc.Best_response.exact ~objective ?ctx:s.ctx s.instance s.config u in
+  let r = Bbc.Best_response.exact ~objective s.instance s.config u in
   let current = Session.node_cost ~objective s u in
   Ok
     (Json.Obj
@@ -169,7 +168,7 @@ let stable env params =
   if not (Bbc.Config.feasible s.instance s.config) then
     Ok (Json.Obj [ ("stable", Json.Bool false); ("feasible", Json.Bool false) ])
   else
-    match Bbc.Stability.find_deviation ~objective ?ctx:s.ctx s.instance s.config with
+    match Bbc.Stability.find_deviation ~objective s.instance s.config with
     | None -> Ok (Json.Obj [ ("stable", Json.Bool true); ("feasible", Json.Bool true) ])
     | Some d ->
         Ok
@@ -225,7 +224,7 @@ let walk_step ~objective (s : Session.t) =
   let n = Bbc.Instance.n s.instance in
   let node = s.walk_index mod n in
   let current = Session.node_cost ~objective s node in
-  let best = Bbc.Best_response.exact ~objective ?ctx:s.ctx s.instance s.config node in
+  let best = Bbc.Best_response.exact ~objective s.instance s.config node in
   let moved = best.cost < current in
   if moved then begin
     Session.set_config s (Bbc.Config.with_strategy s.config node best.strategy);

@@ -2,7 +2,7 @@ type t = {
   id : string;
   instance : Bbc.Instance.t;
   mutable config : Bbc.Config.t;
-  ctx : Bbc.Incr.ctx option;
+  mutable costs : (Bbc.Objective.t * int array) list;
   mutable walk_index : int;
   mutable walk_deviations : int;
   mutable walk_quiet : int;
@@ -11,17 +11,17 @@ type t = {
 
 let set_config s config =
   s.config <- config;
-  Option.iter (fun ctx -> Bbc.Incr.ensure ctx config) s.ctx
+  s.costs <- []
 
-let node_cost ?objective s u =
-  match s.ctx with
-  | Some ctx -> Bbc.Incr.node_cost ?objective ctx u
-  | None -> Bbc.Eval.node_cost ?objective s.instance s.config u
+let all_costs ?(objective = Bbc.Objective.Sum) s =
+  match List.assoc_opt objective s.costs with
+  | Some costs -> costs
+  | None ->
+      let costs = Bbc.Eval.all_costs ~objective s.instance s.config in
+      s.costs <- (objective, costs) :: s.costs;
+      costs
 
-let all_costs ?objective s =
-  match s.ctx with
-  | Some ctx -> Bbc.Incr.all_costs ?objective ctx
-  | None -> Bbc.Eval.all_costs ?objective s.instance s.config
+let node_cost ?objective s u = (all_costs ?objective s).(u)
 
 (* The table and id counter are shared mutable state touched from pool
    workers (gen / load_instance / close_session run as independent
@@ -33,9 +33,6 @@ let all_costs ?objective s =
 type store = {
   tbl : (string, t) Hashtbl.t;
   mutable next_id : int;
-  mutable reserved : int;
-      (** ids minted whose sessions are still being constructed; counts
-          against [capacity] so concurrent adds cannot overshoot *)
   capacity : int;
   ttl_ns : int;
   lock : Mutex.t;
@@ -51,7 +48,6 @@ let create_store ?(capacity = 1024) ?(ttl_ns = default_ttl_ns) () =
   {
     tbl = Hashtbl.create 64;
     next_id = 1;
-    reserved = 0;
     capacity;
     ttl_ns;
     lock = Mutex.create ();
@@ -73,14 +69,14 @@ let expire_idle_locked store ~now_ns =
   end
 
 let add ?id store ~now_ns instance config =
-  let minted =
-    locked store (fun () ->
-        if Hashtbl.length store.tbl + store.reserved >= store.capacity then
-          (* Reclaim abandoned sessions before refusing, so clients
-             that never close_session cannot exhaust the budget
-             forever. *)
-          expire_idle_locked store ~now_ns;
-        if Hashtbl.length store.tbl + store.reserved >= store.capacity then
+  locked store (fun () ->
+      if Hashtbl.length store.tbl >= store.capacity then
+        (* Reclaim abandoned sessions before refusing, so clients
+           that never close_session cannot exhaust the budget
+           forever. *)
+        expire_idle_locked store ~now_ns;
+      let minted =
+        if Hashtbl.length store.tbl >= store.capacity then
           Error
             (Printf.sprintf "session store at capacity (%d live sessions)"
                store.capacity)
@@ -92,43 +88,29 @@ let add ?id store ~now_ns instance config =
                  live session) keeps a buggy or malicious assignment
                  from hijacking someone else's state. *)
               Error (Printf.sprintf "session id %S already in use" id)
-          | Some id ->
-              store.reserved <- store.reserved + 1;
-              Ok id
+          | Some id -> Ok id
           | None ->
               let id = Printf.sprintf "s%d" store.next_id in
               store.next_id <- store.next_id + 1;
-              store.reserved <- store.reserved + 1;
-              Ok id)
-  in
-  match minted with
-  | Error msg -> Error msg
-  | Ok id ->
-      (* Context construction (SSSP state) is the expensive part; keep
-         it outside the lock so concurrent adds don't serialize on it. *)
-      let ctx =
-        try
-          if Bbc.Incr.enabled () then Some (Bbc.Incr.create instance config) else None
-        with e ->
-          locked store (fun () -> store.reserved <- store.reserved - 1);
-          raise e
+              Ok id
       in
-      let s =
-        {
-          id;
-          instance;
-          config;
-          ctx;
-          walk_index = 0;
-          walk_deviations = 0;
-          walk_quiet = 0;
-          last_used_ns = now_ns;
-        }
-      in
-      locked store (fun () ->
-          store.reserved <- store.reserved - 1;
-          Hashtbl.replace store.tbl id s);
-      Ok s
+      Result.map
+        (fun id ->
+          let s =
+            {
+              id;
+              instance;
+              config;
+              costs = [];
+              walk_index = 0;
+              walk_deviations = 0;
+              walk_quiet = 0;
+              last_used_ns = now_ns;
+            }
+          in
+          Hashtbl.replace store.tbl id s;
+          s)
+        minted)
 
 let find store id = locked store (fun () -> Hashtbl.find_opt store.tbl id)
 

@@ -1,13 +1,12 @@
 (** Server-side session store.
 
     A session owns one loaded/generated instance, its current
-    configuration, and — when the incremental engine is enabled — a
-    persistent {!Bbc.Incr} evaluation context, so repeated [cost] /
-    [best_response] / [stable] / [step_dynamics] requests against the
-    same session hit the version-counter caches instead of recomputing
-    shortest paths from scratch.
+    configuration, and a memo of every node's cost per objective, so
+    repeated [cost] / [best_response] / [step_dynamics] requests against
+    an unchanged configuration evaluate it once.  {!set_config} drops
+    the memo.
 
-    Contexts are single-domain mutable state; the scheduler therefore
+    Sessions are single-domain mutable state; the scheduler therefore
     serializes all requests that name the same session onto one worker
     per batch (see {!Engine}).  Different sessions are independent and
     run concurrently.
@@ -21,9 +20,9 @@
 type t = {
   id : string;  (** ["s1"], ["s2"], … — deterministic creation order *)
   instance : Bbc.Instance.t;
-  mutable config : Bbc.Config.t;
-  ctx : Bbc.Incr.ctx option;
-      (** [None] iff the incremental engine was disabled at creation. *)
+  mutable config : Bbc.Config.t;  (** change it through {!set_config} *)
+  mutable costs : (Bbc.Objective.t * int array) list;
+      (** {!all_costs} memo for [config], at most one per objective *)
   mutable walk_index : int;  (** round-robin activations performed *)
   mutable walk_deviations : int;
   mutable walk_quiet : int;  (** trailing activations without a move *)
@@ -31,14 +30,15 @@ type t = {
 }
 
 val set_config : t -> Bbc.Config.t -> unit
-(** Update the configuration and re-sync the context (per-player diff
-    via [Incr.ensure]). *)
-
-val node_cost : ?objective:Bbc.Objective.t -> t -> int -> int
-(** Cached when a context is present, from-scratch otherwise —
-    bit-identical either way. *)
+(** Update the configuration and drop the cost memo. *)
 
 val all_costs : ?objective:Bbc.Objective.t -> t -> int array
+(** Every node's cost ({!Bbc.Eval.all_costs}), computed once per
+    configuration and objective.  The array is the memo itself: do not
+    mutate it. *)
+
+val node_cost : ?objective:Bbc.Objective.t -> t -> int -> int
+(** [(all_costs ?objective s).(u)]. *)
 
 type store
 
@@ -55,8 +55,7 @@ val add :
   Bbc.Instance.t ->
   Bbc.Config.t ->
   (t, string) result
-(** Mint a fresh session (owning a new context when the incremental
-    engine is enabled).  When the store is full, sessions idle longer
+(** Mint a fresh session.  When the store is full, sessions idle longer
     than the TTL (by [last_used_ns]) are evicted first; [Error] only if
     the store is still at capacity afterwards, so abandoned sessions
     cannot exhaust the budget forever.

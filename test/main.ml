@@ -43,7 +43,6 @@ let () =
       ("properties", Test_props.suite);
       ("parallel", Test_parallel.suite);
       ("obs", Test_obs.suite);
-      ("incremental", Test_incremental.suite);
       ("bigbench", Test_bigbench.suite);
       ("server", Test_server.suite);
       ("shard", Test_shard.suite);

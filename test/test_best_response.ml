@@ -180,3 +180,65 @@ let test_all_best () =
   done
 
 let suite = suite @ [ Alcotest.test_case "all_best" `Quick test_all_best ]
+
+(* Uniform k = 1 functional inputs take the closed form: every answer
+   must be the reference DFS's. *)
+let for_k1_inputs f =
+  List.iter
+    (fun (name, inst, cfg) ->
+      List.iter
+        (fun objective ->
+          for u = 0 to I.n inst - 1 do
+            f (Printf.sprintf "%s %s node %d" name (Bbc.Objective.to_string objective) u)
+              objective inst cfg u
+          done)
+        K1_fixtures.objectives)
+    (K1_fixtures.inputs ())
+
+let project (r : BR.result) = (r.strategy, r.cost)
+
+let test_k1_closed_form () =
+  for_k1_inputs (fun msg objective inst cfg u ->
+      let sequence = ref [] in
+      BR.enumerate ~objective inst cfg u ~on_subset:(fun s c ->
+          sequence := (List.sort compare s, c) :: !sequence;
+          false);
+      Alcotest.(check (list (pair (list int) int)))
+        (msg ^ ": enumerate")
+        (K1_fixtures.sequence ~objective inst cfg u)
+        (List.rev !sequence);
+      let exact = K1_fixtures.exact ~objective inst cfg u in
+      Alcotest.(check (pair (list int) int))
+        (msg ^ ": exact") exact
+        (project (BR.exact ~objective inst cfg u));
+      Alcotest.(check (option (pair (list int) int)))
+        (msg ^ ": improving")
+        (K1_fixtures.improving ~objective inst cfg u)
+        (Option.map project (BR.improving ~objective inst cfg u));
+      (* With one link to buy, the greedy pick is the optimum. *)
+      Alcotest.(check (pair (list int) int))
+        (msg ^ ": greedy") exact
+        (project (BR.greedy ~objective inst cfg u)))
+
+let test_k1_all_best () =
+  for_k1_inputs (fun msg objective inst cfg u ->
+      Alcotest.(check (list (pair (list int) int)))
+        (msg ^ ": all_best")
+        (K1_fixtures.all_best ~objective inst cfg u)
+        (List.map project (BR.all_best ~objective inst cfg u)))
+
+let test_k1_current_cost () =
+  for_k1_inputs (fun msg objective inst cfg u ->
+      let expected = E.node_cost ~objective inst cfg u in
+      Alcotest.(check int) (msg ^ ": current") expected (BR.current_cost ~objective inst cfg u);
+      Alcotest.(check int)
+        (msg ^ ": current ~csr") expected
+        (BR.current_cost ~objective ~csr:(C.to_csr inst cfg) inst cfg u))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "k=1 closed form = reference" `Quick test_k1_closed_form;
+      Alcotest.test_case "k=1 all_best = reference" `Quick test_k1_all_best;
+      Alcotest.test_case "k=1 current cost = Eval" `Quick test_k1_current_cost;
+    ]

@@ -69,6 +69,31 @@ let test_errors () =
   Alcotest.(check bool) "bad instance" true
     (Result.is_error (Codec.instance_of_string "bbc-instance v1\nn 2\npenalty 9\nuniform 5\n"))
 
+(* An instance whose (n - 1) * max_weight * M reaches 2^62 is a parse
+   error in both formats, one weight unit above an accepted one. *)
+let test_cost_bound_errors () =
+  let under = max_int / 27 in
+  let weight w = Array.init 4 (fun u -> Array.init 4 (fun v -> if v = 3 && u <> 3 then w else 1)) in
+  let inst = I.of_weights ~k:1 (weight under) in
+  (* Raise the first occurrence of the heavy weight by one. *)
+  let over s =
+    let w = string_of_int under in
+    let rec find i = if String.sub s i (String.length w) = w then i else find (i + 1) in
+    let i = find 0 in
+    String.sub s 0 i ^ string_of_int (under + 1)
+    ^ String.sub s (i + String.length w) (String.length s - i - String.length w)
+  in
+  let text = Codec.instance_to_string inst in
+  let json = Bbc.Json.to_string (Codec.instance_to_json inst) in
+  Alcotest.(check bool) "text just under parses" true
+    (Result.is_ok (Codec.instance_of_string text));
+  Alcotest.(check bool) "json just under parses" true
+    (Result.is_ok (Codec.instance_of_any_string json));
+  Alcotest.(check bool) "text just over rejected" true
+    (Result.is_error (Codec.instance_of_string (over text)));
+  Alcotest.(check bool) "json just over rejected" true
+    (Result.is_error (Codec.instance_of_any_string (over json)))
+
 let test_file_roundtrip () =
   let dir = Filename.temp_file "bbc" "" in
   Sys.remove dir;
@@ -164,5 +189,6 @@ let suite =
     Alcotest.test_case "empty config" `Quick test_empty_config_roundtrip;
     Alcotest.test_case "comments and blanks" `Quick test_comments_and_blanks;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "cost bound is a parse error" `Quick test_cost_bound_errors;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
   ]

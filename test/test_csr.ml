@@ -351,8 +351,8 @@ let test_pooled_best_response_jobs_invariant () =
     let n = 12 in
     let inst = Bbc.Instance.uniform ~n ~k:2 in
     let c = Bbc.Config.of_graph (G.random_k_out rng ~n ~k:2) in
-    let seq = Bbc.Stability.is_stable ~jobs:1 ~incremental:false inst c in
-    let par = Bbc.Stability.is_stable ~jobs:4 ~incremental:false inst c in
+    let seq = Bbc.Stability.is_stable ~jobs:1 inst c in
+    let par = Bbc.Stability.is_stable ~jobs:4 inst c in
     Alcotest.(check bool) "stability verdict jobs-invariant" seq par;
     Alcotest.(check (array int))
       "all_costs jobs-invariant"

@@ -207,3 +207,72 @@ let suite =
       Alcotest.test_case "first-improvement moves improve" `Quick
         test_first_improvement_moves_are_improving;
     ]
+
+(* Round-robin walks on uniform k = 1 functional inputs take the closed
+   form at every activation: the step stream must be the reference
+   walk's, which picks moves from the reference DFS and costs from
+   Eval.  Theorem 6: these walks converge. *)
+let reference_walk ~objective ~policy ~max_rounds inst c0 =
+  let n = I.n inst in
+  let steps = ref [] and index = ref 0 in
+  let rec round r c =
+    if r >= max_rounds then (c, r)
+    else begin
+      let c = ref c and moved_any = ref false in
+      for node = 0 to n - 1 do
+        let current = Bbc.Eval.node_cost ~objective inst !c node in
+        let pick =
+          match policy with
+          | D.First_improvement -> K1_fixtures.improving ~objective inst !c node
+          | _ ->
+              let s, cost = K1_fixtures.exact ~objective inst !c node in
+              if cost < current then Some (s, cost) else None
+        in
+        let moved = Option.is_some pick in
+        Option.iter (fun (s, _) -> c := C.with_strategy !c node s) pick;
+        if moved then moved_any := true;
+        steps :=
+          ( !index,
+            r,
+            node,
+            moved,
+            C.targets !c node,
+            Bbc.Eval.node_cost ~objective inst !c node )
+          :: !steps;
+        incr index
+      done;
+      if !moved_any then round (r + 1) !c else (!c, r + 1)
+    end
+  in
+  let final, rounds = round 0 c0 in
+  (List.rev !steps, final, rounds)
+
+let test_k1_traces () =
+  List.iter
+    (fun (name, inst, c0) ->
+      List.iter
+        (fun objective ->
+          List.iter
+            (fun policy ->
+              let msg = Printf.sprintf "%s %s" name (Bbc.Objective.to_string objective) in
+              let steps = ref [] in
+              let outcome =
+                D.run ~objective ~policy
+                  ~on_step:(fun (s : D.step) ->
+                    steps := (s.index, s.round, s.node, s.moved, s.strategy, s.cost_after) :: !steps)
+                  ~scheduler:Round_robin ~max_rounds:40 inst c0
+              in
+              let ref_steps, ref_final, ref_rounds =
+                reference_walk ~objective ~policy ~max_rounds:40 inst c0
+              in
+              (match outcome with
+              | D.Converged (c, st) ->
+                  Alcotest.(check bool) (msg ^ ": final profile") true (C.equal ref_final c);
+                  Alcotest.(check int) (msg ^ ": rounds") ref_rounds st.rounds
+              | o -> Alcotest.failf "%s: expected convergence, got %a" msg D.pp_outcome o);
+              Alcotest.(check bool) (msg ^ ": step stream") true (List.rev !steps = ref_steps))
+            [ D.Exact_best_response; D.First_improvement ])
+        K1_fixtures.objectives)
+    (K1_fixtures.inputs ())
+
+let suite = suite @ [ Alcotest.test_case "k=1 traces = reference walk" `Quick test_k1_traces ]

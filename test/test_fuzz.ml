@@ -148,7 +148,14 @@ let test_generated_moves_feasible () =
       (C.feasible inst final)
   done
 
-let quick_opts = { Diff.seed = 2; count = 5; max_shrink_steps = 200 }
+let test_generated_k1_profiles_functional () =
+  for seed = 0 to 50 do
+    let inst, cfg = F.root (F.generate ~seed (DG.uniform_k1_config ())) in
+    Alcotest.(check (option int)) "uniform k = 1" (Some 1) (I.uniform_k inst);
+    Alcotest.(check bool) "profile functional" true (Option.is_some (C.successors cfg))
+  done
+
+let quick_opts = { Diff.seed = 2; count = 50; max_shrink_steps = 200 }
 
 let test_diff_suites_pass () =
   List.iter
@@ -163,7 +170,7 @@ let test_diff_suites_pass () =
               | Some f ->
                   Alcotest.failf "%s/%s failed: %s" name r.name f.message)
             reports)
-    [ "csr"; "incr"; "br"; "server" ]
+    (Result.get_ok (Diff.expand_suites "all"))
 
 let test_selfcheck_finds_planted_bug () =
   match Diff.run_suite { quick_opts with count = 20 } "selfcheck" with
@@ -188,6 +195,8 @@ let suite =
     Alcotest.test_case "runner deterministic" `Quick test_runner_deterministic;
     Alcotest.test_case "generated configs feasible" `Quick test_generated_configs_feasible;
     Alcotest.test_case "generated moves feasible" `Quick test_generated_moves_feasible;
+    Alcotest.test_case "k=1 profiles functional" `Quick
+      test_generated_k1_profiles_functional;
     Alcotest.test_case "differential suites pass" `Quick test_diff_suites_pass;
     Alcotest.test_case "selfcheck finds planted bug" `Quick test_selfcheck_finds_planted_bug;
   ]

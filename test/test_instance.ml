@@ -82,6 +82,43 @@ let test_with_penalty () =
        false
      with Invalid_argument _ -> true)
 
+(* (n - 1) * max_weight * M must stay below 2^62 = max_int + 1.  With
+   n = 4 and the default M = 2 * 4 + 1 = 9, the largest admissible
+   weight is max_int / 27. *)
+let heavy_column w = Array.init 4 (fun u -> Array.init 4 (fun v -> if v = 3 && u <> 3 then w else 1))
+
+let rejected f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_cost_bound () =
+  let ones () = Array.make_matrix 4 4 1 in
+  let general w =
+    I.general ~weight:(heavy_column w) ~cost:(ones ()) ~length:(ones ()) ~budget:(Array.make 4 1) ()
+  in
+  let under = max_int / 27 in
+  let t = general under in
+  Alcotest.(check int) "default penalty" 9 (I.penalty t);
+  let r = Bbc.Best_response.exact t (Bbc.Config.empty 4) 0 in
+  Alcotest.(check bool) "cost non-negative" true (r.cost >= 0);
+  Alcotest.(check int) "cost realized" r.cost
+    (Bbc.Eval.node_cost t (Bbc.Config.with_strategy (Bbc.Config.empty 4) 0 r.strategy) 0);
+  Alcotest.(check bool) "general just over" true (rejected (fun () -> general (under + 1)));
+  Alcotest.(check bool) "general at 2^59" true (rejected (fun () -> general (1 lsl 59)));
+  Alcotest.(check bool) "of_weights just under" false
+    (rejected (fun () -> I.of_weights ~k:1 (heavy_column under)));
+  Alcotest.(check bool) "of_weights just over" true
+    (rejected (fun () -> I.of_weights ~k:1 (heavy_column (under + 1))));
+  let u = I.uniform ~n:4 ~k:1 in
+  Alcotest.(check int) "with_penalty just under" (max_int / 3)
+    (I.penalty (I.with_penalty u (max_int / 3)));
+  Alcotest.(check bool) "with_penalty just over" true
+    (rejected (fun () -> I.with_penalty u ((max_int / 3) + 1)));
+  Alcotest.(check bool) "with_penalty keeps the weight bound" true
+    (rejected (fun () -> I.with_penalty t 10))
+
 let suite =
   [
     Alcotest.test_case "uniform accessors" `Quick test_uniform;
@@ -90,4 +127,5 @@ let suite =
     Alcotest.test_case "general validation" `Quick test_general_validation;
     Alcotest.test_case "of_weights" `Quick test_of_weights;
     Alcotest.test_case "with_penalty" `Quick test_with_penalty;
+    Alcotest.test_case "cost overflow bound" `Quick test_cost_bound;
   ]

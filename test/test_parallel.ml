@@ -250,6 +250,33 @@ let test_dynamics_jobs_independent () =
     (C.equal (Bbc.Dynamics.final_config o1) (Bbc.Dynamics.final_config o4));
   Alcotest.(check bool) "same stats" true (Bbc.Dynamics.stats o1 = Bbc.Dynamics.stats o4)
 
+(* Uniform k = 1 walks past the pool threshold (n = 70): the closed
+   form runs inside the fanned-out improving scans of Max_cost_first,
+   and the whole step stream must not depend on the job count. *)
+let test_k1_dynamics_jobs_invariant () =
+  let inst, config = Bbc.Constructions.ring_with_path ~ring:50 ~path:20 in
+  let trace policy jobs =
+    P.set_default_jobs jobs;
+    let steps = ref [] in
+    Fun.protect
+      ~finally:(fun () -> P.set_default_jobs 1)
+      (fun () ->
+        let o =
+          Bbc.Dynamics.run ~policy
+            ~on_step:(fun (s : Bbc.Dynamics.step) ->
+              steps := (s.index, s.node, s.moved, s.strategy, s.cost_after) :: !steps)
+            ~scheduler:Bbc.Dynamics.Max_cost_first ~max_rounds:20_000 inst config
+        in
+        (List.rev !steps, Bbc.Dynamics.stats o, Bbc.Dynamics.final_config o))
+  in
+  List.iter
+    (fun policy ->
+      let s1, st1, c1 = trace policy 1 and s4, st4, c4 = trace policy 4 in
+      Alcotest.(check bool) "same step stream" true (s1 = s4);
+      Alcotest.(check bool) "same stats" true (st1 = st4);
+      Alcotest.(check bool) "same final config" true (C.equal c1 c4))
+    [ Bbc.Dynamics.Exact_best_response; Bbc.Dynamics.First_improvement ]
+
 let suite =
   [
     Alcotest.test_case "parallel_map matches sequential" `Quick test_parallel_map_matches_sequential;
@@ -268,4 +295,5 @@ let suite =
     Alcotest.test_case "exhaustive early abort finds NE" `Quick test_exhaustive_early_abort_finds_equilibrium;
     Alcotest.test_case "exhaustive absence certified in parallel" `Quick test_exhaustive_no_equilibrium_jobs_invariant;
     Alcotest.test_case "dynamics independent of pool size" `Quick test_dynamics_jobs_independent;
+    Alcotest.test_case "k=1 dynamics jobs-invariant" `Quick test_k1_dynamics_jobs_invariant;
   ]

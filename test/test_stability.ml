@@ -114,3 +114,47 @@ let suite =
   @ [
       Alcotest.test_case "parallel stability" `Quick test_parallel_agrees_with_sequential;
     ]
+
+(* Uniform k = 1 functional inputs take the closed form: verdicts,
+   deviations and gaps must match the reference DFS's, at any job
+   count. *)
+let test_k1_closed_form () =
+  List.iter
+    (fun (name, inst, c) ->
+      List.iter
+        (fun objective ->
+          let msg = Printf.sprintf "%s %s" name (Bbc.Objective.to_string objective) in
+          let n = I.n inst in
+          let current u = Bbc.Eval.node_cost ~objective inst c u in
+          let improving u = K1_fixtures.improving ~objective inst c u in
+          let unstable = List.filter (fun u -> improving u <> None) (List.init n Fun.id) in
+          let deviation =
+            match unstable with
+            | [] -> None
+            | u :: _ -> Some (u, current u, Option.get (improving u))
+          in
+          let gap =
+            List.fold_left
+              (fun g u -> max g (current u - snd (K1_fixtures.exact ~objective inst c u)))
+              0 (List.init n Fun.id)
+          in
+          List.iter
+            (fun jobs ->
+              let msg = Printf.sprintf "%s jobs %d" msg jobs in
+              Alcotest.(check bool) (msg ^ ": is_stable") (unstable = [])
+                (S.is_stable ~objective ~jobs inst c);
+              Alcotest.(check (list int)) (msg ^ ": unstable_nodes") unstable
+                (S.unstable_nodes ~objective ~jobs inst c);
+              Alcotest.(check (option (triple int int (pair (list int) int))))
+                (msg ^ ": find_deviation") deviation
+                (Option.map
+                   (fun (d : S.deviation) ->
+                     (d.node, d.current_cost, (d.better.strategy, d.better.cost)))
+                   (S.find_deviation ~objective ~jobs inst c));
+              Alcotest.(check int) (msg ^ ": stability_gap") gap
+                (S.stability_gap ~objective ~jobs inst c))
+            [ 1; 4 ])
+        K1_fixtures.objectives)
+    (K1_fixtures.inputs ())
+
+let suite = suite @ [ Alcotest.test_case "k=1 closed form = reference" `Quick test_k1_closed_form ]
