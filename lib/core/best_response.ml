@@ -127,21 +127,26 @@ let close_frame ws fr =
   release_prefix ws fr.wts fr.k;
   release_prefix ws fr.empty fr.k
 
-(* F row of candidate [j] (target [v]), built from its G_{-u} row the
-   first time the enumeration touches it; the distance row is returned
+(* [v]'s F row, built from its G_{-u} row; the distance row goes back
    to the pool straight away. *)
+let build_frow ws instance u rows fr v =
+  let rv = take rows v in
+  let luv = Instance.length instance u v in
+  let f = Workspace.acquire ws (Instance.n instance) in
+  for i = 0 to fr.k - 1 do
+    let r = rv.(fr.cols.(i)) in
+    f.(i) <- (if r = Paths.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
+  done;
+  Workspace.release ws rv;
+  f
+
+(* F row of candidate [j] (target [v]), built the first time the
+   enumeration touches it. *)
 let frow ws instance u rows fr j v =
   let f = fr.frows.(j) in
   if Array.length f > 0 then f
   else begin
-    let rv = take rows v in
-    let luv = Instance.length instance u v in
-    let f = Workspace.acquire ws (Instance.n instance) in
-    for i = 0 to fr.k - 1 do
-      let r = rv.(fr.cols.(i)) in
-      f.(i) <- (if r = Paths.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
-    done;
-    Workspace.release ws rv;
+    let f = build_frow ws instance u rows fr v in
     fr.frows.(j) <- f;
     f
   end
@@ -182,16 +187,22 @@ let min_into ~dst cur f k =
 let obs_subsets = Bbc_obs.counter "best_response.subsets"
 let obs_enumerations = Bbc_obs.counter "best_response.enumerations"
 
-(* DFS over affordable subsets of candidates.  [on_subset strategy_rev cost]
-   is called for every feasible subset (including the empty one); it
-   returns [true] to abort the search early. *)
-let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
+(* Run [f ws fr] on a frame over [ncand] candidates; the frame and every
+   row still cached in [rows] go back to the pool afterwards. *)
+let with_frame instance u ~ncand ~rows f =
   let ws = Workspace.get () in
-  let candidates =
-    match candidates with
-    | Some c -> c
-    | None -> Array.of_list (candidate_targets instance u)
-  in
+  let fr = open_frame ws instance u ncand in
+  Fun.protect
+    ~finally:(fun () ->
+      close_frame ws fr;
+      release_rows ws rows)
+    (fun () -> f ws fr)
+
+(* DFS over affordable subsets of [candidates] on an open frame.
+   [on_subset strategy_rev cost] is called for every feasible subset
+   (including the empty one); it returns [true] to abort the search
+   early. *)
+let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
   let ncand = Array.length candidates in
   let costs = Array.map (fun v -> Instance.cost instance u v) candidates in
   (* Cheapest candidate among j..ncand-1: O(1) "is this subset a DFS
@@ -203,43 +214,59 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
   let n = Instance.n instance in
   let stop = ref false in
   let subsets = ref 1 in
-  let fr = open_frame ws instance u ncand in
   let k = fr.k in
-  Fun.protect
-    ~finally:(fun () ->
-      close_frame ws fr;
-      release_rows ws rows)
-    (fun () ->
-      (* min(a, a) = a: the empty strategy folds its own row. *)
-      if on_subset [] (score ~objective fr.empty fr.empty k) then stop := true;
-      (* Every subset is costed by one [score] pass; the merged row is
-         materialized (into a pooled row borrowed for the subtree) only
-         when the DFS actually descends — i.e. when some further
-         candidate is still affordable. *)
-      let rec dfs i chosen budget cur =
-        if not !stop then
-          for j = i to ncand - 1 do
-            if not !stop then begin
-              let c = costs.(j) in
-              if c <= budget then begin
-                let v = candidates.(j) in
-                let f = frow ws instance u rows fr j v in
-                let chosen' = v :: chosen in
-                incr subsets;
-                if on_subset chosen' (score ~objective cur f k) then stop := true
-                else if min_cost_from.(j + 1) <= budget - c then begin
-                  let cur' = Workspace.acquire ws n in
-                  min_into ~dst:cur' cur f k;
-                  dfs (j + 1) chosen' (budget - c) cur';
-                  release_prefix ws cur' k
-                end
-              end
+  (* min(a, a) = a: the empty strategy folds its own row. *)
+  if on_subset [] (score ~objective fr.empty fr.empty k) then stop := true;
+  (* Every subset is costed by one [score] pass; the merged row is
+     materialized (into a pooled row borrowed for the subtree) only
+     when the DFS actually descends — i.e. when some further
+     candidate is still affordable. *)
+  let rec go i chosen budget cur =
+    if not !stop then
+      for j = i to ncand - 1 do
+        if not !stop then begin
+          let c = costs.(j) in
+          if c <= budget then begin
+            let v = candidates.(j) in
+            let f = frow ws instance u rows fr j v in
+            let chosen' = v :: chosen in
+            incr subsets;
+            if on_subset chosen' (score ~objective cur f k) then stop := true
+            else if min_cost_from.(j + 1) <= budget - c then begin
+              let cur' = Workspace.acquire ws n in
+              min_into ~dst:cur' cur f k;
+              go (j + 1) chosen' (budget - c) cur';
+              release_prefix ws cur' k
             end
-          done
-      in
-      dfs 0 [] (Instance.budget instance u) fr.empty);
+          end
+        end
+      done
+  in
+  go 0 [] (Instance.budget instance u) fr.empty;
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
+
+(* [u]'s cost under its current [targets]: the min-fold of their F rows,
+   scored like any subset.  A target among the candidates shares the
+   DFS's cached row; any other one (outside the sample, or over budget
+   in an infeasible profile) gets a row of its own, dropped once
+   folded, and never enters the DFS. *)
+let price ~objective ws instance u ~rows fr ~candidates targets =
+  let k = fr.k in
+  let cur = Workspace.acquire ws (Instance.n instance) in
+  Array.blit fr.empty 0 cur 0 k;
+  List.iter
+    (fun v ->
+      match Array.find_index (( = ) v) candidates with
+      | Some j -> min_into ~dst:cur cur (frow ws instance u rows fr j v) k
+      | None ->
+          let f = build_frow ws instance u rows fr v in
+          min_into ~dst:cur cur f k;
+          release_prefix ws f k)
+    targets;
+  let c = score ~objective cur cur k in
+  release_prefix ws cur k;
+  c
 
 (* Uniform k = 1 on a functional profile (DESIGN.md section 9).  With
    every node buying at most one unit link, G_{-u} is a successor array
@@ -333,21 +360,75 @@ let closed_enumerate ~objective instance (_, t) u ~on_subset =
 
 let scratch_enumerate ~objective ?csr instance config u ~on_subset =
   let candidates = Array.of_list (candidate_targets instance u) in
-  dfs_enumerate ~candidates ~objective instance u
-    ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
-    ~on_subset
+  let rows = scratch_rows ?csr ~prefetch:candidates instance config u in
+  with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
+      dfs ~objective ws instance u ~rows fr ~candidates ~on_subset)
 
 let enumerate ?(objective = Objective.Sum) ?csr instance config u ~on_subset =
   match closed_form instance config u with
   | Some cf -> closed_enumerate ~objective instance cf u ~on_subset
   | None -> scratch_enumerate ~objective ?csr instance config u ~on_subset
 
-let exact ?objective ?csr instance config u =
+type search = Exact | First_improving | Sampled of { rng : Bbc_prng.Splitmix.t; sample : int }
+type decision = { best : result; current : int }
+
+(* The candidate pool of one search: every affordable target, or a
+   uniform sample of them drawn from [rng]. *)
+let pool ~search instance u =
+  let all = Array.of_list (candidate_targets instance u) in
+  match search with
+  | Sampled { rng; sample } when sample < Array.length all ->
+      Bbc_prng.Splitmix.sample_without_replacement rng sample (Array.length all)
+      |> List.map (Array.get all)
+      |> Array.of_list
+  | Exact | First_improving | Sampled _ -> all
+
+(* One row set prices both sides of the decision: the current targets
+   join the candidates' prefetch (one [sssp_batch] window on unit
+   lengths), [price] folds their F rows, and the DFS scores the
+   candidates' subsets against that cost. *)
+let scratch_decide ~objective ?csr ~search instance config u ~on_subset =
+  let candidates = pool ~search instance u in
+  let targets = Config.targets config u in
+  let others = List.filter (fun v -> not (Array.mem v candidates)) targets in
+  let rows =
+    scratch_rows ?csr ~prefetch:(Array.append candidates (Array.of_list others)) instance config u
+  in
+  with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
+      let current = price ~objective ws instance u ~rows fr ~candidates targets in
+      dfs ~objective ws instance u ~rows fr ~candidates ~on_subset:(on_subset current);
+      current)
+
+let decide ?(objective = Objective.Sum) ?csr ~search instance config u =
   let best = ref { strategy = []; cost = max_int } in
-  enumerate ?objective ?csr instance config u ~on_subset:(fun chosen cost ->
-      if cost < !best.cost then best := { strategy = List.rev chosen; cost };
-      false);
-  { !best with strategy = List.sort compare !best.strategy }
+  let stop_early = match search with First_improving -> true | Exact | Sampled _ -> false in
+  (* The first minimum in DFS order; [First_improving] stops at the
+     first subset strictly below [current], which is then also the
+     minimum so far. *)
+  let on_subset current chosen cost =
+    cost < !best.cost
+    && begin
+         best := { strategy = chosen; cost };
+         stop_early && cost < current
+       end
+  in
+  let closed =
+    match search with
+    | Exact | First_improving -> closed_form instance config u
+    | Sampled _ -> None
+  in
+  let current =
+    match closed with
+    | Some cf ->
+        let current = closed_current ~objective instance cf u in
+        closed_enumerate ~objective instance cf u ~on_subset:(on_subset current);
+        current
+    | None -> scratch_decide ~objective ?csr ~search instance config u ~on_subset
+  in
+  { best = { !best with strategy = List.sort compare !best.strategy }; current }
+
+let exact ?objective ?csr instance config u =
+  (decide ?objective ?csr ~search:Exact instance config u).best
 
 let best_cost ?objective ?csr instance config u = (exact ?objective ?csr instance config u).cost
 
@@ -362,74 +443,30 @@ let all_best ?objective ?csr instance config u =
       false);
   List.rev_map (fun strategy -> { strategy; cost = !best }) !acc
 
-let scratch_current ~objective ?csr instance config u =
-  match csr with
-  | Some full -> Eval.csr_node_cost ~objective instance full u
-  | None -> Eval.node_cost ~objective instance config u
-
 let current_cost ?(objective = Objective.Sum) ?csr instance config u =
   match closed_form instance config u with
   | Some cf -> closed_current ~objective instance cf u
-  | None -> scratch_current ~objective ?csr instance config u
+  | None -> (
+      match csr with
+      | Some full -> Eval.csr_node_cost ~objective instance full u
+      | None -> Eval.node_cost ~objective instance config u)
 
-let improving ?(objective = Objective.Sum) ?csr instance config u =
-  let found = ref None in
-  let on_subset current chosen cost =
-    if cost < current then begin
-      found := Some { strategy = List.sort compare chosen; cost };
-      true
-    end
-    else false
-  in
-  (match closed_form instance config u with
-  | Some cf ->
-      let current = closed_current ~objective instance cf u in
-      closed_enumerate ~objective instance cf u ~on_subset:(on_subset current)
-  | None ->
-      let current = scratch_current ~objective ?csr instance config u in
-      scratch_enumerate ~objective ?csr instance config u ~on_subset:(on_subset current));
-  !found
+let improvement d = if d.best.cost < d.current then Some d.best else None
 
-(* Sampled best response: the exact DFS restricted to a random subset of
-   the candidate targets.  Scoring stays exact (real G_{-u} rows, real
-   merged costs), only the candidate pool shrinks — so the returned
-   deviation's cost is trustworthy, and the final strict comparison
-   against the node's exact current cost guarantees that a returned
-   deviation is genuinely improving.  With [sample >= #candidates] this
-   is exactly {!exact} filtered to improving results. *)
-let sampled ?(objective = Objective.Sum) ?csr ~rng ~sample instance config u =
-  let all = Array.of_list (candidate_targets instance u) in
-  let candidates =
-    if sample >= Array.length all then all
-    else
-      Bbc_prng.Splitmix.sample_without_replacement rng sample (Array.length all)
-      |> List.map (Array.get all)
-      |> Array.of_list
-  in
-  let current = scratch_current ~objective ?csr instance config u in
-  let best = ref { strategy = []; cost = max_int } in
-  dfs_enumerate ~candidates ~objective instance u
-    ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
-    ~on_subset:(fun chosen cost ->
-      if cost < !best.cost then best := { strategy = chosen; cost };
-      false);
-  if !best.cost < current then
-    Some { strategy = List.sort compare !best.strategy; cost = !best.cost }
-  else None
+let improving ?objective ?csr instance config u =
+  improvement (decide ?objective ?csr ~search:First_improving instance config u)
 
-let greedy_rows ~objective instance u ~candidates ~rows =
-  let ws = Workspace.get () in
-  let fr = open_frame ws instance u (Array.length candidates) in
-  let k = fr.k in
-  (* [cur] is the chosen links' merged row, updated in place. *)
-  let cur = Workspace.acquire ws (Instance.n instance) in
-  Array.blit fr.empty 0 cur 0 k;
-  Fun.protect
-    ~finally:(fun () ->
-      release_prefix ws cur k;
-      close_frame ws fr;
-      release_rows ws rows)
-    (fun () ->
+let sampled ?objective ?csr ~rng ~sample instance config u =
+  improvement (decide ?objective ?csr ~search:(Sampled { rng; sample }) instance config u)
+
+let greedy ?(objective = Objective.Sum) ?csr instance config u =
+  let candidates = Array.of_list (candidate_targets instance u) in
+  let rows = scratch_rows ?csr ~prefetch:candidates instance config u in
+  with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
+      let k = fr.k in
+      (* [cur] is the chosen links' merged row, updated in place. *)
+      let cur = Workspace.acquire ws (Instance.n instance) in
+      Array.blit fr.empty 0 cur 0 k;
       let rec grow chosen budget cost =
         let best = ref (-1) and best_cost = ref max_int in
         Array.iteri
@@ -449,9 +486,6 @@ let greedy_rows ~objective instance u ~candidates ~rows =
         end
         else { strategy = List.sort compare chosen; cost }
       in
-      grow [] (Instance.budget instance u) (score ~objective fr.empty fr.empty k))
-
-let greedy ?(objective = Objective.Sum) ?csr instance config u =
-  let candidates = Array.of_list (candidate_targets instance u) in
-  greedy_rows ~objective instance u ~candidates
-    ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
+      let r = grow [] (Instance.budget instance u) (score ~objective fr.empty fr.empty k) in
+      release_prefix ws cur k;
+      r)

@@ -24,8 +24,8 @@
     the empty set and the singletons, and each singleton's cost is a
     closed form in the length of the target's walk in [G_{-u}], all of
     which come from one O(n) pass over the successor array (DESIGN.md
-    section 9).  Every entry point except {!sampled} and {!greedy}
-    takes that path whenever {!Instance.uniform_k} is [Some 1] and
+    section 9).  Every entry point except {!greedy} and the sampled
+    searches ({!sampled}, {!decide} with [Sampled]) takes that path whenever {!Instance.uniform_k} is [Some 1] and
     {!Config.successors} is [Some _]; the results are the ones the rows
     would give.
 
@@ -33,8 +33,7 @@
     trusted to equal [Config.to_csr instance config] — the {e full}
     current profile, nothing skipped.  With it, the [G_{-u}] rows come
     from [~ban:u] sweeps of that one immutable snapshot instead of
-    building a per-node [G_{-u}] CSR, and the node's current cost is
-    evaluated against it too.  Results are bit-identical; the point is
+    building a per-node [G_{-u}] CSR.  Results are bit-identical; the point is
     that parallel fan-outs (stability scans, dynamics improving scans)
     share one read-only snapshot and stop contending on allocation. *)
 
@@ -92,6 +91,52 @@ val all_best :
     Used when enumerating equilibrium multiplicity; can be exponentially
     many for large budgets. *)
 
+(** {2 One decision}
+
+    A best-response step compares [u]'s current cost with the best
+    strategy a search finds.  Both numbers come from the same [G_{-u}]
+    rows: a shortest path from [u] leaves [u] once, so [u]'s current
+    cost is the score of its current target set, folded from those
+    targets' F rows exactly like any enumerated subset.  The current
+    targets join the candidates' prefetch (one bit-parallel window on
+    unit lengths); a target that is not a candidate — outside the
+    sample, or over budget in an infeasible profile — has its row
+    fetched and folded but never enters the DFS.  On the closed-form
+    path the current cost is the walk-count formula at [u]'s target. *)
+
+type search =
+  | Exact  (** Full DFS: the first optimum in DFS order. *)
+  | First_improving
+      (** DFS that stops at the first subset strictly below the current
+          cost. *)
+  | Sampled of { rng : Bbc_prng.Splitmix.t; sample : int }
+      (** Full DFS over [sample] candidate targets drawn uniformly
+          without replacement from [rng] (all of them when [sample] is
+          at least their count).  Never takes the closed form. *)
+
+type decision = {
+  best : result;
+      (** The best subset the search saw: the optimum ([Exact]), the
+          sampled optimum ([Sampled]), or the first improving subset
+          ([First_improving], which is the optimum when none improves).
+          Its [cost] is exact: [u]'s cost after adopting [strategy]. *)
+  current : int;  (** [u]'s exact cost under [config]; equals {!Eval.node_cost}. *)
+}
+
+val decide :
+  ?objective:Objective.t ->
+  ?csr:Bbc_graph.Csr.t ->
+  search:search ->
+  Instance.t ->
+  Config.t ->
+  int ->
+  decision
+(** [decide ~search instance config u] runs one search and prices [u]'s
+    current strategy from the same row set.  [u] strictly improves iff
+    [best.cost < current], and the cost after the step is [best.cost]
+    if it moves, [current] if it does not.  {!exact}, {!improving} and
+    {!sampled} are views of it. *)
+
 val current_cost :
   ?objective:Objective.t ->
   ?csr:Bbc_graph.Csr.t ->
@@ -101,7 +146,8 @@ val current_cost :
   int
 (** [u]'s cost under [config]; equals {!Eval.node_cost}.  On the
     closed-form path it is an O(n) walk count, otherwise one sweep
-    (of [csr] when given). *)
+    (of [csr] when given).  A caller that also needs a best response
+    takes both from {!decide} instead. *)
 
 val improving :
   ?objective:Objective.t ->
@@ -113,7 +159,8 @@ val improving :
 (** [Some r] with [r.cost] strictly below [u]'s current cost if a strictly
     improving deviation exists, else [None].  Unlike {!exact}, exits as
     soon as any improvement is found (the returned deviation is improving
-    but not necessarily optimal). *)
+    but not necessarily optimal).  The current cost comes from the
+    search's own rows ({!decide} with [First_improving]). *)
 
 val sampled :
   ?objective:Objective.t ->
@@ -132,7 +179,9 @@ val sampled :
     deviation is always genuinely improving — and [None] means no
     improvement exists {e within the sampled pool} (a full improving
     deviation may still exist outside it).  With [sample] at least the
-    candidate count, identical to {!exact} filtered to improvements. *)
+    candidate count, identical to {!exact} filtered to improvements.
+    The current cost comes from the same rows ({!decide} with
+    [Sampled]). *)
 
 val greedy :
   ?objective:Objective.t ->

@@ -68,54 +68,44 @@ module Seen = struct
     Hashtbl.replace t h ((config, round) :: bucket)
 end
 
-(* One best-response activation of [node]; returns the new configuration
-   and whether it moved.  A node moves only on a strict improvement, per
-   the paper's best-response step.
+(* What one activation did: the profile after it, whether [node] moved,
+   and [node]'s cost before and after the step. *)
+type activation = { config : Config.t; moved : bool; before : int; after : int }
 
-   [known_improving] lets a scheduler that already ran the improving
-   check (Max_cost_first scans every node per step) pass its result in,
-   so the subset enumeration is not repeated here: [Some None] = known
-   stable, [Some (Some r)] = known unstable with witness [r].
+(* One best-response activation of [node].  A node moves only on a
+   strict improvement, per the paper's best-response step, and both
+   costs come from one {!Best_response.decide}: its [current] is the
+   cost before, and the cost after is [best.cost] on a move, [current]
+   otherwise.  Nothing re-evaluates a node's cost per activation.
 
-   Under [Exact_best_response] the optimum is computed with a single DFS
-   and adopted iff it strictly beats the current cost — the
-   improving-then-exact double enumeration is gone. *)
-let activate ?objective ?rng ?known_improving ~policy instance config node =
-  match policy with
-  | Sampled_best_response { sample; _ } -> (
-      match known_improving with
-      | Some None -> (config, false)
-      | _ -> (
-          (* Large-n path: one full snapshot of the current profile, so
-             the candidate sweeps and the current-cost check never touch
-             the list-based digraph.  [Best_response.sampled] only ever
-             returns strict improvements, so the move is adopted as is. *)
-          let csr = Config.to_csr instance config in
-          let rng = Option.get rng in
-          match Best_response.sampled ?objective ~csr ~rng ~sample instance config node with
-          | None -> (config, false)
-          | Some r -> (Config.with_strategy config node r.strategy, true)))
-  | First_improvement -> (
-      let improving =
-        match known_improving with
-        | Some r -> r
-        | None -> Best_response.improving ?objective instance config node
-      in
-      match improving with
-      | None -> (config, false)
-      | Some first -> (Config.with_strategy config node first.strategy, true))
-  | Exact_best_response -> (
-      match known_improving with
-      | Some None -> (config, false)
-      | Some (Some _) ->
-          (* Known unstable, so the optimum strictly improves. *)
-          let best = Best_response.exact ?objective instance config node in
-          (Config.with_strategy config node best.strategy, true)
-      | None ->
-          let best = Best_response.exact ?objective instance config node in
-          let current = Best_response.current_cost ?objective instance config node in
-          if best.cost < current then (Config.with_strategy config node best.strategy, true)
-          else (config, false))
+   [known] lets a scheduler that already ran the improving check and
+   holds every node's cost (Max_cost_first scans every node per step)
+   pass both in, so the enumeration is not repeated here:
+   [Some (None, c)] = known stable at cost [c], [Some (Some r, c)] =
+   known unstable with witness [r]. *)
+let activate ?objective ?rng ?known ~policy instance config node =
+  let stay cost = { config; moved = false; before = cost; after = cost } in
+  let move (r : Best_response.result) before =
+    { config = Config.with_strategy config node r.strategy; moved = true; before; after = r.cost }
+  in
+  let decide ?csr search =
+    let d = Best_response.decide ?objective ?csr ~search instance config node in
+    if d.best.cost < d.current then move d.best d.current else stay d.current
+  in
+  match (known, policy) with
+  | Some (None, cost), _ -> stay cost
+  | Some (Some first, cost), First_improvement -> move first cost
+  | Some (Some _, cost), Exact_best_response ->
+      (* Known unstable, so the optimum strictly improves. *)
+      move (Best_response.exact ?objective instance config node) cost
+  | _, Sampled_best_response { sample; _ } ->
+      (* Large-n path: one full snapshot of the current profile, so the
+         candidate sweeps never touch the list-based digraph. *)
+      decide
+        ~csr:(Config.to_csr instance config)
+        (Sampled { rng = Option.get rng; sample })
+  | None, First_improvement -> decide First_improving
+  | None, Exact_best_response -> decide Exact
 
 let obs_activations = Bbc_obs.counter "dynamics.activations"
 let obs_deviations = Bbc_obs.counter "dynamics.deviations"
@@ -127,9 +117,9 @@ let scheduler_name = function
   | Max_cost_first -> "max-cost"
 
 (* One [dynamics.activation] trace event per deviation: who moved, the
-   cost improvement, and the edge swap (targets added / removed).  The
-   extra cost evaluations only run when a trace sink is attached. *)
-let trace_activation ?objective instance ~prev ~next ~index ~round ~node =
+   cost improvement (the activation's own costs), and the edge swap
+   (targets added / removed). *)
+let trace_activation ~prev ~next ~old_cost ~new_cost ~index ~round ~node =
   if Bbc_obs.tracing () then begin
     let old_s = Config.targets prev node and new_s = Config.targets next node in
     let added = List.filter (fun v -> not (List.mem v old_s)) new_s in
@@ -141,8 +131,8 @@ let trace_activation ?objective instance ~prev ~next ~index ~round ~node =
           ("step", Int index);
           ("round", Int round);
           ("node", Int node);
-          ("old_cost", Int (Eval.node_cost ?objective instance prev node));
-          ("new_cost", Int (Eval.node_cost ?objective instance next node));
+          ("old_cost", Int old_cost);
+          ("new_cost", Int new_cost);
           ("strategy", Str (str new_s));
           ("added", Str (str added));
           ("removed", Str (str removed));
@@ -202,11 +192,12 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
     | Sampled_best_response { seed; _ } -> Some (Splitmix.create seed)
     | _ -> None
   in
-  let emit ~prev index round node moved config =
+  let emit ~prev index round node (a : activation) =
     Bbc_obs.incr obs_activations;
-    if moved then begin
+    if a.moved then begin
       Bbc_obs.incr obs_deviations;
-      trace_activation ?objective instance ~prev ~next:config ~index ~round ~node
+      trace_activation ~prev ~next:a.config ~old_cost:a.before ~new_cost:a.after ~index ~round
+        ~node
     end;
     match on_step with
     | None -> ()
@@ -216,9 +207,9 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
             index;
             round;
             node;
-            moved;
-            strategy = Config.targets config node;
-            cost_after = Best_response.current_cost ?objective instance config node;
+            moved = a.moved;
+            strategy = Config.targets a.config node;
+            cost_after = a.after;
           }
   in
   let outcome =
@@ -268,12 +259,12 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
                       None us
                     |> Option.get
                   in
-                  let config', moved =
-                    activate ?objective ?rng:brng ~known_improving:improving.(node)
+                  let a =
+                    activate ?objective ?rng:brng ~known:(improving.(node), costs.(node))
                       ~policy instance config node
                   in
-                  emit ~prev:config step step node moved config';
-                  go config' (step + 1) (deviations + if moved then 1 else 0))
+                  emit ~prev:config step step node a;
+                  go a.config (step + 1) (deviations + if a.moved then 1 else 0))
       in
       go config0 0 0
   | Round_robin | Fixed_order _ | Random_order _ ->
@@ -299,13 +290,11 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
               let config = ref config and changed = ref 0 and steps = ref steps in
               Array.iter
                 (fun node ->
-                  let config', moved =
-                    activate ?objective ?rng:brng ~policy instance !config node
-                  in
-                  emit ~prev:!config !steps round node moved config';
+                  let a = activate ?objective ?rng:brng ~policy instance !config node in
+                  emit ~prev:!config !steps round node a;
                   incr steps;
-                  if moved then incr changed;
-                  config := config')
+                  if a.moved then incr changed;
+                  config := a.config)
                 order;
               if !changed = 0 then
                 Converged (!config, { rounds = round + 1; steps = !steps; deviations })

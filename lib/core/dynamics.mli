@@ -48,6 +48,12 @@ type step = {
   moved : bool;
   strategy : int list;  (** The node's strategy after the step. *)
   cost_after : int;
+      (** The node's cost after the step (equals {!Eval.node_cost} on
+          the post-step profile).  It comes from the activation's own
+          {!Best_response.decide}: the best strategy's cost on a move,
+          the priced current cost otherwise, and under [Max_cost_first]
+          a known-stable node's cost from the step's cost scan — never
+          a separate evaluation. *)
 }
 
 type stats = {

@@ -91,10 +91,6 @@ let cost_of_distances32 ?(objective = Objective.Sum) instance u
       done;
       !acc
 
-let node_cost ?objective ?graph instance config u =
-  let g = match graph with Some g -> g | None -> Config.to_graph instance config in
-  cost_of_distances ?objective instance u (Paths.shortest g u)
-
 (* One SSSP per source: below this node count the pool fan-out costs
    more than the row of BFS/Dijkstra runs it saves. *)
 let parallel_threshold = 64
@@ -115,6 +111,11 @@ let csr_node_cost ?objective instance csr u =
   Bbc_graph.Csr.reset scratch row;
   Bbc_graph.Workspace.release_clean ws row;
   c
+
+(* One node's cost: a flat snapshot and one pooled sweep, never the
+   list-based digraph. *)
+let node_cost ?objective instance config u =
+  csr_node_cost ?objective instance (Config.to_csr instance config) u
 
 (* Costs of sources [lo, hi) under the shared snapshot, fed to [emit].
    Unit-length snapshots sweep up to [Csr.batch_width] sources per

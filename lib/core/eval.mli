@@ -6,16 +6,11 @@
     instance's penalty [M].  (Note: following the paper, a target with
     [w(u,v) = 0] contributes nothing even when unreachable.) *)
 
-val node_cost :
-  ?objective:Objective.t ->
-  ?graph:Bbc_graph.Digraph.t ->
-  Instance.t ->
-  Config.t ->
-  int ->
-  int
-(** [node_cost instance config u] is [u]'s cost.  Pass [graph] (the
-    realization of [config]) to avoid rebuilding it across calls; it is
-    trusted to equal [Config.to_graph instance config]. *)
+val node_cost : ?objective:Objective.t -> Instance.t -> Config.t -> int -> int
+(** [node_cost instance config u] is [u]'s cost: one {!csr_node_cost}
+    sweep of [Config.to_csr instance config].  Callers that evaluate
+    many nodes of one profile build the snapshot once and call
+    {!csr_node_cost}. *)
 
 val all_costs :
   ?objective:Objective.t -> ?jobs:int -> Instance.t -> Config.t -> int array

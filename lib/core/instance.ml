@@ -9,10 +9,6 @@ type data =
 
 type t = { size : int; data : data; penalty : int }
 
-let uniform ~n ~k =
-  if n < 2 then invalid_arg "Instance.uniform: n must be >= 2";
-  if k < 1 || k > n - 1 then invalid_arg "Instance.uniform: need 1 <= k <= n - 1";
-  { size = n; data = Uniform { k }; penalty = 4 * n }
 
 let check_table name n table =
   if Array.length table <> n then
@@ -36,6 +32,17 @@ let check_cost_bound name n max_weight penalty =
     invalid_arg
       (Printf.sprintf "Instance.%s: (n - 1) * max weight * penalty = %d * %d * %d reaches 2^62"
          name (n - 1) max_weight penalty)
+
+(* Unit weights and the default penalty M = 4n: every cost is at most
+   (n - 1) * 4n, so n itself is bounded (near 2^30).  4n must fit before
+   the bound can test it. *)
+let uniform ~n ~k =
+  if n < 2 then invalid_arg "Instance.uniform: n must be >= 2";
+  if k < 1 || k > n - 1 then invalid_arg "Instance.uniform: need 1 <= k <= n - 1";
+  if n > max_int / 4 then
+    invalid_arg (Printf.sprintf "Instance.uniform: penalty 4 * %d reaches 2^62" n);
+  check_cost_bound "uniform" n 1 (4 * n);
+  { size = n; data = Uniform { k }; penalty = 4 * n }
 
 let general ?penalty ~weight ~cost ~length ~budget () =
   let n = Array.length weight in

@@ -17,8 +17,9 @@
 type t
 
 val uniform : n:int -> k:int -> t
-(** The [(n, k)]-uniform game.  Requires [n >= 2] and [1 <= k <= n - 1].
-    Penalty defaults to [4 * n]. *)
+(** The [(n, k)]-uniform game.  Requires [n >= 2], [1 <= k <= n - 1],
+    and [(n - 1) * 4n < 2^62] (so [n <= 2^30]), the cost bound that
+    {!general} enforces.  Penalty defaults to [4 * n]. *)
 
 val general :
   ?penalty:int ->

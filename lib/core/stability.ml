@@ -39,15 +39,9 @@ let find_deviation ?objective ?jobs instance config =
          graphs and the domains stay off the shared allocator. *)
       let csr = Config.to_csr instance config in
       Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
-          match Best_response.improving ?objective ~csr instance config u with
-          | Some better ->
-              Some
-                {
-                  node = u;
-                  current_cost = Best_response.current_cost ?objective ~csr instance config u;
-                  better;
-                }
-          | None -> None))
+          let d = Best_response.decide ?objective ~csr ~search:First_improving instance config u in
+          if d.best.cost < d.current then Some { node = u; current_cost = d.current; better = d.best }
+          else None))
 
 let improvable ?objective ~csr instance config u =
   Option.is_some (Best_response.improving ?objective ~csr instance config u)

@@ -433,6 +433,89 @@ let prop_improving_iff (inst, cfg) =
           else ok)
     (nodes inst)
 
+(* Every activation's costs come from one [Best_response.decide]; the
+   oracle is [Eval.node_cost] on the profiles before and after.  The
+   start may overspend: up to three nodes are rewired to arbitrary
+   target sets, budgets ignored, so some current targets are not DFS
+   candidates.  [sample] (1..3) is usually below the candidate count,
+   so the sampled search also prices targets outside its sample. *)
+let ic_activation =
+  let open Gen in
+  let* inst, cfg = Domain_gen.instance_config ~max_n:6 () in
+  let n = I.n inst in
+  let overspend =
+    let* u = Domain_gen.node_of inst in
+    let+ picks = list ~max_len:(n - 1) (int_bound (n - 2)) in
+    (u, List.sort_uniq compare (List.map (fun p -> if p >= u then p + 1 else p) picks))
+  in
+  let* extra = list ~max_len:3 overspend in
+  let+ sample, seed = pair (int_range 1 3) (int_bound 0xFFFF) in
+  (inst, List.fold_left (fun c (u, s) -> C.with_strategy c u s) cfg extra, sample, seed)
+
+let prop_activation_cost_vs_eval (inst, cfg, sample, seed) =
+  let n = I.n inst in
+  let csr = C.to_csr inst cfg in
+  let searches () =
+    [
+      ("exact", BR.Exact);
+      ("first-improving", BR.First_improving);
+      ("sampled", BR.Sampled { rng = Bbc_prng.Splitmix.create seed; sample });
+    ]
+  in
+  let decisions objective =
+    let obj = Bbc.Objective.to_string objective in
+    check_all
+      (fun u ->
+        let current = E.node_cost ~objective inst cfg u in
+        check_all
+          (fun (provider, csr) ->
+            check_all
+              (fun (name, search) ->
+                let d = BR.decide ~objective ?csr ~search inst cfg u in
+                let realized = E.node_cost ~objective inst (C.with_strategy cfg u d.best.strategy) u in
+                if d.current <> current then
+                  failf "%s node %d, %s %s: decision current %d, Eval %d" obj u name provider
+                    d.current current
+                else if d.best.cost <> realized then
+                  failf "%s node %d, %s %s: decision best %d, realized %d" obj u name provider
+                    d.best.cost realized
+                else ok)
+              (searches ()))
+          [ ("scratch", None); ("csr", Some csr) ])
+      (nodes inst)
+  in
+  let walk objective (pname, policy) (sname, scheduler) =
+    let config = ref cfg and error = ref None in
+    let on_step (s : Bbc.Dynamics.step) =
+      let before = !config in
+      config := C.with_strategy before s.node s.strategy;
+      let after = E.node_cost ~objective inst !config s.node in
+      if !error = None && s.cost_after <> after then
+        error :=
+          Some
+            (failf "%s %s %s step %d node %d: cost_after %d, Eval %d"
+               (Bbc.Objective.to_string objective) pname sname s.index s.node s.cost_after after)
+    in
+    let max_rounds = match scheduler with Bbc.Dynamics.Max_cost_first -> 3 * n | _ -> 3 in
+    ignore (Bbc.Dynamics.run ~objective ~policy ~on_step ~scheduler ~max_rounds inst cfg);
+    Option.value ~default:ok !error
+  in
+  let walks objective =
+    check_all
+      (fun policy ->
+        check_all (walk objective policy)
+          [ ("round-robin", Bbc.Dynamics.Round_robin); ("max-cost", Bbc.Dynamics.Max_cost_first) ])
+      [
+        ("exact", Bbc.Dynamics.Exact_best_response);
+        ("first", Bbc.Dynamics.First_improvement);
+        ("sampled", Bbc.Dynamics.Sampled_best_response { sample; seed });
+      ]
+  in
+  check_all
+    (fun objective ->
+      match decisions objective with Ok () -> walks objective | e -> e)
+    [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+
 (* Local search scores moves from one G_{-u} matrix per node; the
    reference realizes and re-evaluates every candidate.  Same seed, same
    RNG consumption, so both must end on the same (cost, profile). *)
@@ -472,6 +555,15 @@ let br_suite =
       };
     Packed
       { name = "improving_iff"; gen = ic_tiny; prop = prop_improving_iff; render };
+    Packed
+      {
+        name = "activation_cost_vs_eval";
+        gen = ic_activation;
+        prop = prop_activation_cost_vs_eval;
+        render =
+          (fun (inst, cfg, sample, seed) ->
+            (inst, Some cfg, Printf.sprintf "sample %d seed %d" sample seed));
+      };
     Packed
       {
         name = "local_search_vs_reference";

@@ -17,7 +17,10 @@
       on tiny instances; the full [Best_response.enumerate]
       (strategy, cost) sequence and [improving]'s verdict on the scratch
       rows, the [?csr] snapshot and the uniform [k = 1] closed form vs
-      {!Reference.enumerate} (Sum and Max); and
+      {!Reference.enumerate} (Sum and Max); every
+      [Best_response.decide] search's current and best cost, and every
+      [Dynamics] step's [cost_after] (three policies, round-robin and
+      max-cost, possibly overspending starts), vs [Eval.node_cost]; and
       [Social_optimum.local_search] vs {!Reference.local_search} (same
       seed, Sum and Max: identical cost and profile);
     - [server] — in-process [Bbc_server.Engine] request streams vs

@@ -94,6 +94,29 @@ let test_cost_bound_errors () =
   Alcotest.(check bool) "json just over rejected" true
     (Result.is_error (Codec.instance_of_any_string (over json)))
 
+(* A uniform game's (n - 1) * 4n bound is a parse error too: n = 2^30
+   round-trips, one node more is rejected in both formats (whatever
+   the declared penalty). *)
+let test_uniform_bound_errors () =
+  let n = 1 lsl 30 in
+  let inst = I.uniform ~n ~k:1 in
+  let bump s =
+    let w = string_of_int n in
+    let rec find i = if String.sub s i (String.length w) = w then i else find (i + 1) in
+    let i = find 0 in
+    String.sub s 0 i ^ string_of_int (n + 1)
+    ^ String.sub s (i + String.length w) (String.length s - i - String.length w)
+  in
+  let text = Codec.instance_to_string inst in
+  let json = Bbc.Json.to_string (Codec.instance_to_json inst) in
+  Alcotest.(check bool) "text n = 2^30 parses" true (Result.is_ok (Codec.instance_of_string text));
+  Alcotest.(check bool) "json n = 2^30 parses" true
+    (Result.is_ok (Codec.instance_of_any_string json));
+  Alcotest.(check bool) "text n = 2^30 + 1 rejected" true
+    (Result.is_error (Codec.instance_of_string (bump text)));
+  Alcotest.(check bool) "json n = 2^30 + 1 rejected" true
+    (Result.is_error (Codec.instance_of_any_string (bump json)))
+
 let test_file_roundtrip () =
   let dir = Filename.temp_file "bbc" "" in
   Sys.remove dir;
@@ -190,5 +213,6 @@ let suite =
     Alcotest.test_case "comments and blanks" `Quick test_comments_and_blanks;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "cost bound is a parse error" `Quick test_cost_bound_errors;
+    Alcotest.test_case "uniform bound is a parse error" `Quick test_uniform_bound_errors;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
   ]

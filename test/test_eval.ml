@@ -65,12 +65,32 @@ let test_all_costs_matches_node_cost () =
     Alcotest.(check int) "agree" (E.node_cost inst c v) all.(v)
   done
 
-let test_graph_reuse () =
-  let inst = I.uniform ~n:5 ~k:1 in
-  let c = ring_config 5 in
-  let g = C.to_graph inst c in
-  Alcotest.(check int) "explicit graph" (E.node_cost inst c 3)
-    (E.node_cost ~graph:g inst c 3)
+(* [node_cost] sweeps a flat snapshot; the list digraph with
+   [Paths.shortest] must give the same cost on unit and weighted
+   lengths, for both objectives. *)
+let test_list_graph_agrees () =
+  let len = [| [| 1; 4; 1 |]; [| 1; 1; 6 |]; [| 1; 1; 1 |] |] in
+  let ones = Array.make_matrix 3 3 1 in
+  let cases =
+    [
+      (I.uniform ~n:5 ~k:1, ring_config 5);
+      (I.uniform ~n:4 ~k:1, C.of_lists 4 [| [ 1 ]; []; [ 0 ]; [ 2 ] |]);
+      ( I.general ~weight:ones ~cost:ones ~length:len ~budget:[| 2; 1; 1 |] (),
+        C.of_lists 3 [| [ 1; 2 ]; [ 2 ]; [] |] );
+    ]
+  in
+  List.iter
+    (fun (inst, c) ->
+      let g = C.to_graph inst c in
+      List.iter
+        (fun objective ->
+          for u = 0 to I.n inst - 1 do
+            Alcotest.(check int) "list graph"
+              (E.cost_of_distances ~objective inst u (Bbc_graph.Paths.shortest g u))
+              (E.node_cost ~objective inst c u)
+          done)
+        [ Bbc.Objective.Sum; Bbc.Objective.Max ])
+    cases
 
 let test_shared_cost_of_distances () =
   let inst = I.uniform ~n:4 ~k:1 in
@@ -88,6 +108,6 @@ let suite =
     Alcotest.test_case "max objective" `Quick test_max_objective;
     Alcotest.test_case "max objective penalty" `Quick test_max_objective_penalty;
     Alcotest.test_case "all_costs consistency" `Quick test_all_costs_matches_node_cost;
-    Alcotest.test_case "graph reuse" `Quick test_graph_reuse;
+    Alcotest.test_case "list graph agrees" `Quick test_list_graph_agrees;
     Alcotest.test_case "cost_of_distances" `Quick test_shared_cost_of_distances;
   ]

@@ -119,6 +119,15 @@ let test_cost_bound () =
   Alcotest.(check bool) "with_penalty keeps the weight bound" true
     (rejected (fun () -> I.with_penalty t 10))
 
+(* Uniform games: (n - 1) * 4n < 2^62 holds up to n = 2^30 and fails
+   one node later; n so large that 4n overflows is rejected too. *)
+let test_uniform_cost_bound () =
+  let n = 1 lsl 30 in
+  Alcotest.(check int) "n = 2^30 accepted" (4 * n) (I.penalty (I.uniform ~n ~k:1));
+  Alcotest.(check bool) "n = 2^30 + 1 rejected" true
+    (rejected (fun () -> I.uniform ~n:(n + 1) ~k:1));
+  Alcotest.(check bool) "4n overflows" true (rejected (fun () -> I.uniform ~n:(max_int / 2) ~k:1))
+
 let suite =
   [
     Alcotest.test_case "uniform accessors" `Quick test_uniform;
@@ -128,4 +137,5 @@ let suite =
     Alcotest.test_case "of_weights" `Quick test_of_weights;
     Alcotest.test_case "with_penalty" `Quick test_with_penalty;
     Alcotest.test_case "cost overflow bound" `Quick test_cost_bound;
+    Alcotest.test_case "uniform cost bound" `Quick test_uniform_cost_bound;
   ]
