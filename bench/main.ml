@@ -94,7 +94,7 @@ let core_benchmarks () =
     ( "graph/scc (n=2000,k=3)",
       fun () -> ignore (Bbc_graph.Scc.compute (Lazy.force big_graph_fixture)) );
     ( "graph/bfs (n=2000,k=3)",
-      fun () -> ignore (Bbc_graph.Paths.bfs (Lazy.force big_graph_fixture) 0) );
+      fun () -> ignore (Bbc_fuzz.Reference.bfs (Lazy.force big_graph_fixture) 0) );
     ( "flow/min-cost unit flow (n=8)",
       fun () ->
         let inst, profile = Lazy.force fractional_fixture in
@@ -112,10 +112,10 @@ let ablation_benchmarks () =
         let inst, config = Lazy.force random_config_fixture in
         ignore (naive_best_response inst config 0) );
     ( "ablation/bfs on unit graph (n=2000)",
-      fun () -> ignore (Bbc_graph.Paths.bfs (Lazy.force big_graph_fixture) 0) );
+      fun () -> ignore (Bbc_fuzz.Reference.bfs (Lazy.force big_graph_fixture) 0) );
     ( "ablation/dijkstra on unit graph (n=2000)",
       fun () ->
-        ignore (Bbc_graph.Paths.dijkstra (Lazy.force big_graph_fixture) 0) );
+        ignore (Bbc_fuzz.Reference.dijkstra (Lazy.force big_graph_fixture) 0) );
     ( "ablation/stability early-exit, unstable start",
       fun () ->
         let inst, _ = Lazy.force random_config_fixture in
@@ -133,7 +133,7 @@ let ablation_benchmarks () =
     ( "ablation/stability from-scratch 4 domains (n=126)",
       fun () ->
         let inst, config = Lazy.force big_willows_fixture in
-        ignore (Bbc.Stability.is_stable_parallel ~domains:4 inst config) );
+        ignore (Bbc.Stability.is_stable ~jobs:4 inst config) );
   ]
 
 (* Allocation per call, measured with [Gc.quick_stat] deltas over a few
@@ -228,7 +228,7 @@ let speedup_benchmarks ~par_jobs =
     entry "eval/social_cost (n=2000,k=3)" 3 (fun jobs ->
         `Cost (Bbc.Eval.social_cost ~jobs inst2000 cfg2000));
     entry "graph/apsp (n=512,k=3)" 2 (fun jobs ->
-        `Diameter (Bbc_graph.Apsp.diameter (Bbc_graph.Apsp.compute ~jobs apsp_graph)));
+        `Matrix (Bbc_graph.Apsp.matrix (Bbc_graph.Apsp.compute ~jobs apsp_graph)));
     entry "stability/is_stable willows(n=126)" 2 (fun jobs ->
         `Stable (Bbc.Stability.is_stable ~jobs willows_inst willows_cfg));
     entry "exhaustive/count_equilibria (n=6,k=1)" 2 (fun jobs ->
@@ -274,7 +274,7 @@ type kernel = {
    the pooled enumeration. *)
 let legacy_exact_cost instance config u =
   let module D = Bbc_graph.Digraph in
-  let module P = Bbc_graph.Paths in
+  let module R = Bbc_fuzz.Reference in
   let g = Bbc.Config.to_graph instance config in
   D.remove_out_edges g u;
   let n = Bbc.Instance.n instance in
@@ -283,7 +283,7 @@ let legacy_exact_cost instance config u =
     match cache.(v) with
     | Some d -> d
     | None ->
-        let d = P.shortest g v in
+        let d = R.shortest g v in
         cache.(v) <- Some d;
         d
   in
@@ -292,14 +292,14 @@ let legacy_exact_cost instance config u =
     let d = Array.copy cur in
     let rv = row v in
     for x = 0 to n - 1 do
-      if rv.(x) <> P.unreachable then begin
+      if rv.(x) <> Bbc_graph.Csr.unreachable then begin
         let c = luv + rv.(x) in
         if c < d.(x) then d.(x) <- c
       end
     done;
     d
   in
-  let base = Array.make n P.unreachable in
+  let base = Array.make n Bbc_graph.Csr.unreachable in
   base.(u) <- 0;
   let candidates = Array.of_list (Bbc.Best_response.candidate_targets instance u) in
   let best = ref (Bbc.Eval.cost_of_distances instance u base) in
@@ -321,7 +321,7 @@ let legacy_exact_cost instance config u =
 let kernel_benchmarks () =
   let module Csr = Bbc_graph.Csr in
   let module W = Bbc_graph.Workspace in
-  let module P = Bbc_graph.Paths in
+  let module R = Bbc_fuzz.Reference in
   let g = Lazy.force big_graph_fixture in
   let csr = Csr.of_digraph g in
   (* Weighted variant of the same topology (lengths 1..4), so the
@@ -344,6 +344,11 @@ let kernel_benchmarks () =
     Csr.reset scratch row;
     W.release_clean ws row
   in
+  let fresh_sweep snapshot =
+    let dist = Array.make (Csr.n snapshot) Csr.unreachable in
+    Csr.sssp snapshot (Csr.create_scratch ()) ~src:0 ~dist;
+    dist
+  in
   let br_inst, br_cfg = Lazy.force random_config_fixture in
   let apsp_graph =
     Bbc_graph.Generators.random_k_out (Bbc_prng.Splitmix.create 7) ~n:256 ~k:3
@@ -358,18 +363,18 @@ let kernel_benchmarks () =
   List.map run
     [
       ( "graph/bfs (n=2000,k=3)", 40,
-        (fun () -> ignore (P.bfs g 0)),
+        (fun () -> ignore (R.bfs g 0)),
         pooled_sweep csr,
-        fun () -> P.bfs g 0 = P.shortest_csr csr 0 );
+        fun () -> R.bfs g 0 = fresh_sweep csr );
       ( "graph/dijkstra (n=2000,k=3,weighted)", 40,
-        (fun () -> ignore (P.dijkstra gw 0)),
+        (fun () -> ignore (R.dijkstra gw 0)),
         pooled_sweep csrw,
-        fun () -> P.dijkstra gw 0 = P.shortest_csr csrw 0 );
+        fun () -> R.dijkstra gw 0 = fresh_sweep csrw );
       ( "graph/apsp (n=256,k=3)", 3,
-        (fun () -> ignore (Bbc_graph.Apsp.floyd_warshall apsp_graph)),
+        (fun () -> ignore (R.floyd_warshall apsp_graph)),
         (fun () -> ignore (Bbc_graph.Apsp.compute apsp_graph)),
         fun () ->
-          Bbc_graph.Apsp.matrix (Bbc_graph.Apsp.floyd_warshall apsp_graph)
+          R.floyd_warshall apsp_graph
           = Bbc_graph.Apsp.matrix (Bbc_graph.Apsp.compute apsp_graph) );
       ( "best_response/exact (n=40,k=2)", 10,
         (fun () -> ignore (legacy_exact_cost br_inst br_cfg 0)),
@@ -417,7 +422,7 @@ let msbfs_benchmarks () =
   let n = Csr.n csr in
   let srcs = Array.init n Fun.id in
   let scratch () = W.scratch (W.get ()) in
-  let fresh () = Array.init n (fun _ -> Array.make n Bbc_graph.Paths.unreachable) in
+  let fresh () = Array.init n (fun _ -> Array.make n Bbc_graph.Csr.unreachable) in
   let scalar_matrix ?ban () =
     let s = scratch () in
     let dist = fresh () in
@@ -543,7 +548,7 @@ let plain_apsp g =
   let n = Bbc_graph.Digraph.n g in
   let jobs = Bbc_parallel.jobs_for ~threshold:128 n in
   let csr = Bbc_graph.Csr.of_digraph g in
-  let dist = Array.init n (fun _ -> Array.make n Bbc_graph.Paths.unreachable) in
+  let dist = Array.init n (fun _ -> Array.make n Bbc_graph.Csr.unreachable) in
   Bbc_parallel.parallel_for_chunks ~jobs ~chunk:Bbc_graph.Csr.batch_width 0 n
     (fun lo hi ->
       let srcs = Array.init (hi - lo) (fun i -> lo + i) in

@@ -1,4 +1,3 @@
-module Paths = Bbc_graph.Paths
 module Csr = Bbc_graph.Csr
 module Workspace = Bbc_graph.Workspace
 
@@ -14,16 +13,15 @@ let candidate_targets instance u =
   !acc
 
 (* Distance rows in G_{-u}, fetched lazily per candidate target and
-   cached for the duration of one enumeration: a CSR kernel sweep of
-   the G_{-u} snapshot into a pooled workspace row, which goes back to
-   the per-domain pool when the enumeration finishes. *)
+   cached for the duration of one enumeration: a [~ban:u] CSR kernel
+   sweep of the full snapshot of the current profile into a pooled
+   workspace row, which goes back to the per-domain pool when the
+   enumeration finishes. *)
 type rows = { fetch : int -> int array; cache : int array option array }
 
-(* With [?csr] (a shared full snapshot of the {e current} profile,
-   trusted to equal [Config.to_csr instance config]), the G_{-u} rows
-   come from [~ban:u] sweeps of that shared snapshot — no per-node CSR
-   build at all, which is what keeps parallel stability scans off the
-   allocator.
+(* The snapshot is [?csr] when the caller shares one (trusted to equal
+   [Config.to_csr instance config]), which keeps parallel scans from
+   building one per node; otherwise this decision builds its own.
 
    [?prefetch] names the candidate targets the caller is about to
    enumerate: on unit-length snapshots their rows are fetched up front
@@ -35,17 +33,13 @@ type rows = { fetch : int -> int array; cache : int array option array }
 let scratch_rows ?csr ?prefetch instance config u =
   let ws = Workspace.get () in
   let n = Instance.n instance in
-  let snap, ban =
-    match csr with
-    | Some full -> (full, u)
-    | None -> (Config.to_csr ~skip:u instance config, -1)
-  in
+  let snap = match csr with Some full -> full | None -> Config.to_csr instance config in
   let rows =
     {
       fetch =
         (fun v ->
           let row = Workspace.acquire ws n in
-          Csr.sssp ~ban snap (Workspace.scratch ws) ~src:v ~dist:row;
+          Csr.sssp ~ban:u snap (Workspace.scratch ws) ~src:v ~dist:row;
           row);
       cache = Array.make n None;
     }
@@ -53,7 +47,7 @@ let scratch_rows ?csr ?prefetch instance config u =
   (match prefetch with
   | Some targets when Array.length targets > 1 && Csr.unit_lengths snap ->
       let bufs = Array.map (fun _ -> Workspace.acquire ws n) targets in
-      Csr.sssp_batch ~ban snap (Workspace.scratch ws) ~srcs:targets ~rows:bufs;
+      Csr.sssp_batch ~ban:u snap (Workspace.scratch ws) ~srcs:targets ~rows:bufs;
       Array.iteri (fun i v -> rows.cache.(v) <- Some bufs.(i)) targets
   | _ -> ());
   rows
@@ -135,7 +129,7 @@ let build_frow ws instance u rows fr v =
   let f = Workspace.acquire ws (Instance.n instance) in
   for i = 0 to fr.k - 1 do
     let r = rv.(fr.cols.(i)) in
-    f.(i) <- (if r = Paths.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
+    f.(i) <- (if r = Csr.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
   done;
   Workspace.release ws rv;
   f
@@ -318,13 +312,19 @@ let walk_counts succ u =
   done;
   t
 
+(* The successor array when the closed form applies to every node's
+   decision on [config]. *)
+let closed_form_input instance config =
+  if Instance.uniform_k instance <> Some 1 then None else Config.successors config
+
 (* [Some (succ, T)] when the closed form applies to [u]'s decision. *)
 let closed_form instance config u =
-  if Instance.uniform_k instance <> Some 1 then None
-  else
-    match Config.successors config with
-    | None -> None
-    | Some succ -> Some (succ, walk_counts succ u)
+  Option.map (fun succ -> (succ, walk_counts succ u)) (closed_form_input instance config)
+
+let snapshot instance config =
+  match closed_form_input instance config with
+  | Some _ -> None
+  | None -> Some (Config.to_csr instance config)
 
 let empty_cost ~objective instance =
   let n = Instance.n instance and m = Instance.penalty instance in
@@ -442,14 +442,6 @@ let all_best ?objective ?csr instance config u =
       else if cost = !best then acc := List.sort compare chosen :: !acc;
       false);
   List.rev_map (fun strategy -> { strategy; cost = !best }) !acc
-
-let current_cost ?(objective = Objective.Sum) ?csr instance config u =
-  match closed_form instance config u with
-  | Some cf -> closed_current ~objective instance cf u
-  | None -> (
-      match csr with
-      | Some full -> Eval.csr_node_cost ~objective instance full u
-      | None -> Eval.node_cost ~objective instance config u)
 
 let improvement d = if d.best.cost < d.current then Some d.best else None
 

@@ -25,17 +25,17 @@
     closed form in the length of the target's walk in [G_{-u}], all of
     which come from one O(n) pass over the successor array (DESIGN.md
     section 9).  Every entry point except {!greedy} and the sampled
-    searches ({!sampled}, {!decide} with [Sampled]) takes that path whenever {!Instance.uniform_k} is [Some 1] and
-    {!Config.successors} is [Some _]; the results are the ones the rows
-    would give.
+    searches ({!sampled}, {!decide} with [Sampled]) takes that path
+    whenever {!Instance.uniform_k} is [Some 1] and {!Config.successors}
+    is [Some _]; the results are the ones the rows would give.
 
-    Every function also takes an optional shared snapshot ([?csr]),
-    trusted to equal [Config.to_csr instance config] — the {e full}
-    current profile, nothing skipped.  With it, the [G_{-u}] rows come
-    from [~ban:u] sweeps of that one immutable snapshot instead of
-    building a per-node [G_{-u}] CSR.  Results are bit-identical; the point is
-    that parallel fan-outs (stability scans, dynamics improving scans)
-    share one read-only snapshot and stop contending on allocation. *)
+    The [G_{-u}] rows are [~ban:u] sweeps of one full snapshot of the
+    current profile, [Config.to_csr instance config].  Every function
+    takes it as an optional shared argument ([?csr], trusted to equal
+    that snapshot) and builds it itself when not given.  Results are
+    bit-identical either way; the point is that parallel fan-outs
+    (stability scans, dynamics improving scans) share one read-only
+    snapshot ({!snapshot}) and stop contending on allocation. *)
 
 type result = {
   strategy : int list;  (** An optimal link set (sorted). *)
@@ -44,6 +44,13 @@ type result = {
 
 val candidate_targets : Instance.t -> int -> int list
 (** Targets [v <> u] with [cost(u,v) <= budget(u)], increasing. *)
+
+val snapshot : Instance.t -> Config.t -> Bbc_graph.Csr.t option
+(** The shared [?csr] for a scan that decides every node of [config]
+    with [Exact] or [First_improving]: [None] when the closed form
+    answers all of them and reads no rows, else
+    [Some (Config.to_csr instance config)].  Passing [None] on is always
+    correct; it only tells each decision that no snapshot is shared. *)
 
 val enumerate :
   ?objective:Objective.t ->
@@ -136,18 +143,6 @@ val decide :
     [best.cost < current], and the cost after the step is [best.cost]
     if it moves, [current] if it does not.  {!exact}, {!improving} and
     {!sampled} are views of it. *)
-
-val current_cost :
-  ?objective:Objective.t ->
-  ?csr:Bbc_graph.Csr.t ->
-  Instance.t ->
-  Config.t ->
-  int ->
-  int
-(** [u]'s cost under [config]; equals {!Eval.node_cost}.  On the
-    closed-form path it is an O(n) walk count, otherwise one sweep
-    (of [csr] when given).  A caller that also needs a best response
-    takes both from {!decide} instead. *)
 
 val improving :
   ?objective:Objective.t ->

@@ -164,6 +164,11 @@ let config_to_string config =
   done;
   Buffer.contents buf
 
+(* Omitted strategy lines make a text configuration's size independent
+   of its length, so [n] itself is capped before anything is allocated:
+   a short untrusted input must not request a gigabyte-sized profile. *)
+let max_text_config_n = 1 lsl 20
+
 let config_of_string text =
   let st = { lines = String.split_on_char '\n' text; line_no = 0 } in
   match next_line st with
@@ -173,6 +178,8 @@ let config_of_string text =
           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
           | [ "n"; v ] -> (
               match int_of_string_opt v with
+              | Some n when n < 0 || n > max_text_config_n ->
+                  fail st (Printf.sprintf "n must be in [0, %d]" max_text_config_n)
               | Some n -> (
                   let strategies = Array.make n [] in
                   let rec go () =

@@ -47,6 +47,9 @@ val instance_of_string : string -> (Instance.t, string) result
 val config_to_string : Config.t -> string
 
 val config_of_string : string -> (Config.t, string) result
+(** The text format omits empty strategies, so its [n] is capped at
+    2^20 (a parse error above, and below 0) before anything is
+    allocated. *)
 
 (** {1 JSON encoding}
 

@@ -59,14 +59,11 @@ let to_graph instance t =
 
 let edge_count t = Array.fold_left (fun acc s -> acc + Array.length s) 0 t
 
-let to_csr ?skip instance t =
+let to_csr instance t =
   let size = Array.length t in
-  let sk = match skip with Some u -> u | None -> -1 in
-  let m = edge_count t - (if sk >= 0 then Array.length t.(sk) else 0) in
-  let b = Bbc_graph.Csr.builder ~n:size ~m in
+  let b = Bbc_graph.Csr.builder ~n:size ~m:(edge_count t) in
   for u = 0 to size - 1 do
-    if u <> sk then
-      Array.iter (fun v -> Bbc_graph.Csr.add b u v (Instance.length instance u v)) t.(u)
+    Array.iter (fun v -> Bbc_graph.Csr.add b u v (Instance.length instance u v)) t.(u)
   done;
   Bbc_graph.Csr.finish b
 

@@ -45,10 +45,10 @@ val to_graph : Instance.t -> t -> Bbc_graph.Digraph.t
 (** Realize the bought links as a digraph with lengths from the
     instance. *)
 
-val to_csr : ?skip:int -> Instance.t -> t -> Bbc_graph.Csr.t
+val to_csr : Instance.t -> t -> Bbc_graph.Csr.t
 (** Realize the profile directly as a flat CSR snapshot — no
-    intermediate adjacency-list graph.  With [~skip:u], node [u]'s links
-    are left out: the best-response [G_{-u}] shape, built in one pass. *)
+    intermediate adjacency-list graph.  Best responses sweep it with
+    [~ban:u] for the [G_{-u}] rows. *)
 
 val edge_count : t -> int
 

@@ -88,8 +88,8 @@ let activate ?objective ?rng ?known ~policy instance config node =
   let move (r : Best_response.result) before =
     { config = Config.with_strategy config node r.strategy; moved = true; before; after = r.cost }
   in
-  let decide ?csr search =
-    let d = Best_response.decide ?objective ?csr ~search instance config node in
+  let decide search =
+    let d = Best_response.decide ?objective ~search instance config node in
     if d.best.cost < d.current then move d.best d.current else stay d.current
   in
   match (known, policy) with
@@ -99,11 +99,7 @@ let activate ?objective ?rng ?known ~policy instance config node =
       (* Known unstable, so the optimum strictly improves. *)
       move (Best_response.exact ?objective instance config node) cost
   | _, Sampled_best_response { sample; _ } ->
-      (* Large-n path: one full snapshot of the current profile, so the
-         candidate sweeps never touch the list-based digraph. *)
-      decide
-        ~csr:(Config.to_csr instance config)
-        (Sampled { rng = Option.get rng; sample })
+      decide (Sampled { rng = Option.get rng; sample })
   | None, First_improvement -> decide First_improving
   | None, Exact_best_response -> decide Exact
 
@@ -239,10 +235,10 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
                  pool; the winner's result is handed to [activate] so
                  the enumeration never runs twice for the same step. *)
               let improving =
-                let csr = Config.to_csr instance config in
+                let csr = Best_response.snapshot instance config in
                 Bbc_parallel.parallel_init
                   ~jobs:(Bbc_parallel.jobs_for ~threshold:64 n) n
-                  (fun u -> Best_response.improving ?objective ~csr instance config u)
+                  (fun u -> Best_response.improving ?objective ?csr instance config u)
               in
               let unstable =
                 List.filter (fun u -> Option.is_some improving.(u)) (List.init n Fun.id)

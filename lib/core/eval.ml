@@ -1,5 +1,3 @@
-module Paths = Bbc_graph.Paths
-
 (* The representation and objective dispatch is hoisted out of the
    per-node loop: this fold runs once per SSSP across every evaluation
    path, and the generic [Objective.fold]-per-element version costs a
@@ -15,7 +13,7 @@ let cost_of_distances ?(objective = Objective.Sum) instance u dist =
           for v = 0 to n - 1 do
             if v <> u then begin
               let d = dist.(v) in
-              acc := !acc + (if d = Paths.unreachable then m else d)
+              acc := !acc + (if d = Bbc_graph.Csr.unreachable then m else d)
             end
           done;
           !acc
@@ -26,7 +24,7 @@ let cost_of_distances ?(objective = Objective.Sum) instance u dist =
               let w = wrow.(v) in
               if w > 0 then begin
                 let d = dist.(v) in
-                acc := !acc + (w * if d = Paths.unreachable then m else d)
+                acc := !acc + (w * if d = Bbc_graph.Csr.unreachable then m else d)
               end
             end
           done;
@@ -38,7 +36,7 @@ let cost_of_distances ?(objective = Objective.Sum) instance u dist =
           let w = Instance.weight instance u v in
           if w > 0 then begin
             let d = dist.(v) in
-            let d = if d = Paths.unreachable then m else d in
+            let d = if d = Bbc_graph.Csr.unreachable then m else d in
             if w * d > !acc then acc := w * d
           end
         end

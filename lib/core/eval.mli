@@ -32,7 +32,7 @@ val social_cost : ?objective:Objective.t -> ?jobs:int -> Instance.t -> Config.t 
 val cost_of_distances :
   ?objective:Objective.t -> Instance.t -> int -> int array -> int
 (** [cost_of_distances instance u dist] folds a precomputed distance array
-    (with {!Bbc_graph.Paths.unreachable} marking no-path) into [u]'s cost.
+    (with {!Bbc_graph.Csr.unreachable} marking no-path) into [u]'s cost.
     Exposed for the best-response enumerator. *)
 
 val cost_of_distances32 :

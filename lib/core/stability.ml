@@ -4,9 +4,9 @@ type deviation = {
   better : Best_response.result;
 }
 
-(* Per-node best-response checks only read the shared instance and
-   profile (and build their own G_{-u} copies), so they fan out over the
-   domain pool.  Below this node count the checks run sequentially. *)
+(* Per-node best-response checks only read the shared instance,
+   profile and snapshot, so they fan out over the domain pool.  Below
+   this node count the checks run sequentially. *)
 let parallel_threshold = 64
 
 let resolve_jobs ?jobs n = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n
@@ -36,15 +36,17 @@ let find_deviation ?objective ?jobs instance config =
          deviation is the same node the sequential scan would find.  All
          workers share one immutable full snapshot ([~ban] sweeps give
          each node its G_{-u} rows), so the fan-out builds no per-node
-         graphs and the domains stay off the shared allocator. *)
-      let csr = Config.to_csr instance config in
+         graphs and the domains stay off the shared allocator.  The
+         snapshot is built before the fan-out, and only when some
+         decision reads rows. *)
+      let csr = Best_response.snapshot instance config in
       Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
-          let d = Best_response.decide ?objective ~csr ~search:First_improving instance config u in
+          let d = Best_response.decide ?objective ?csr ~search:First_improving instance config u in
           if d.best.cost < d.current then Some { node = u; current_cost = d.current; better = d.best }
           else None))
 
-let improvable ?objective ~csr instance config u =
-  Option.is_some (Best_response.improving ?objective ~csr instance config u)
+let improvable ?objective ?csr instance config u =
+  Option.is_some (Best_response.improving ?objective ?csr instance config u)
 
 let is_stable ?objective ?jobs instance config =
   let n = Instance.n instance in
@@ -52,39 +54,33 @@ let is_stable ?objective ?jobs instance config =
   Bbc_obs.incr obs_stable_checks;
   Config.feasible instance config
   &&
-  let csr = Config.to_csr instance config in
+  let csr = Best_response.snapshot instance config in
   not
     (Bbc_parallel.parallel_exists ~jobs ~chunk:br_chunk 0 n
-       (improvable ?objective ~csr instance config))
+       (improvable ?objective ?csr instance config))
 
 let nodes_stable ?objective instance config nodes =
   Config.feasible instance config
   &&
-  let csr = Config.to_csr instance config in
-  not (List.exists (improvable ?objective ~csr instance config) nodes)
-
-let is_stable_parallel ?objective ?domains instance config =
-  let jobs =
-    match domains with Some d -> max 1 d | None -> Bbc_parallel.default_jobs ()
-  in
-  is_stable ?objective ~jobs instance config
+  let csr = Best_response.snapshot instance config in
+  not (List.exists (improvable ?objective ?csr instance config) nodes)
 
 let unstable_nodes ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = resolve_jobs ?jobs n in
-  let csr = Config.to_csr instance config in
+  let csr = Best_response.snapshot instance config in
   let unstable =
-    Bbc_parallel.parallel_init ~jobs ~chunk:br_chunk n (improvable ?objective ~csr instance config)
+    Bbc_parallel.parallel_init ~jobs ~chunk:br_chunk n (improvable ?objective ?csr instance config)
   in
   List.filter (fun u -> unstable.(u)) (List.init n Fun.id)
 
 let stability_gap ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = resolve_jobs ?jobs n in
-  let csr = Config.to_csr instance config in
+  let csr = Best_response.snapshot instance config in
   let costs = Eval.all_costs ?objective ~jobs instance config in
   Bbc_parallel.parallel_reduce ~jobs ~chunk:br_chunk ~neutral:0 ~combine:max 0 n (fun u ->
-      costs.(u) - Best_response.best_cost ?objective ~csr instance config u)
+      costs.(u) - Best_response.best_cost ?objective ?csr instance config u)
 
 let pp_deviation fmt d =
   Format.fprintf fmt "node %d: cost %d -> %d via [%a]" d.node d.current_cost

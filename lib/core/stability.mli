@@ -6,7 +6,9 @@
     node; [is_stable] short-circuits on the first unstable node.
 
     {b Parallelism.}  Per-node checks only read the shared instance,
-    profile and one full CSR snapshot of it (all immutable), honouring
+    profile and one full CSR snapshot of it (all immutable; the
+    snapshot is built only when a check reads rows, see
+    {!Best_response.snapshot}), honouring
     the read-only-graph contract of {!Bbc_graph.Digraph}, so they fan
     out over the {!Bbc_parallel} domain pool ([?jobs], default
     {!Bbc_parallel.default_jobs} for n >= 64, sequential below; early
@@ -36,13 +38,6 @@ val nodes_stable :
     any of them).  Used with symmetry arguments: verifying one
     representative per orbit of a vertex-symmetric configuration is
     equivalent to verifying every node. *)
-
-val is_stable_parallel :
-  ?objective:Objective.t -> ?domains:int -> Instance.t -> Config.t -> bool
-(** [is_stable ~jobs:domains] — kept for
-    compatibility; [domains] defaults to {!Bbc_parallel.default_jobs}
-    (no size threshold, so this always engages the pool).  Exact same
-    verdict as {!is_stable}. *)
 
 val find_deviation :
   ?objective:Objective.t ->

@@ -6,7 +6,6 @@ module E = Bbc.Eval
 module BR = Bbc.Best_response
 module Json = Bbc.Json
 module Csr = Bbc_graph.Csr
-module P = Bbc_graph.Paths
 module Apsp = Bbc_graph.Apsp
 
 type options = { seed : int; count : int; max_shrink_steps : int }
@@ -71,51 +70,49 @@ let moves_to_string ms =
 
 let ic_csr = Domain_gen.instance_config ~max_n:10 ()
 
+(* A fresh distance row from one CSR kernel sweep. *)
+let sweep ?ban csr src =
+  let dist = Array.make (Csr.n csr) Csr.unreachable in
+  Csr.sssp ?ban csr (Csr.create_scratch ()) ~src ~dist;
+  dist
+
 let prop_paths_vs_csr (inst, cfg) =
   let g = C.to_graph inst cfg in
   let csr = C.to_csr inst cfg in
   check_all
     (fun src ->
-      let ref_row = P.shortest g src in
-      let csr_row = P.shortest_csr csr src in
-      match array_mismatch ref_row csr_row with
+      match array_mismatch (Reference.shortest g src) (sweep csr src) with
       | None -> ok
-      | Some v ->
-          failf "src %d: Paths.shortest and CSR sweep disagree at node %d" src v)
+      | Some v -> failf "src %d: list-graph oracle and CSR sweep disagree at node %d" src v)
     (nodes inst)
 
 let prop_apsp_vs_floyd (inst, cfg) =
   let g = C.to_graph inst cfg in
   let fast = Apsp.compute g in
-  let oracle = Apsp.floyd_warshall g in
+  let oracle = Reference.floyd_warshall g in
   check_all
     (fun u ->
       check_all
         (fun v ->
-          if Apsp.distance fast u v = Apsp.distance oracle u v then ok
+          if Apsp.distance fast u v = oracle.(u).(v) then ok
           else failf "apsp (%d, %d): compute <> floyd_warshall" u v)
         (nodes inst))
     (nodes inst)
 
+(* [~ban:u] sweeps of the full snapshot against the list-graph oracle on
+   the profile with [u]'s links dropped: the G_{-u} rows every best
+   response reads, from two independent constructions. *)
 let prop_ban_vs_skip (inst, cfg) =
-  let n = I.n inst in
   let full = C.to_csr inst cfg in
-  let scratch = Csr.create_scratch () in
-  let dist = Array.make n Csr.unreachable in
   check_all
     (fun u ->
-      let skipped = C.to_csr ~skip:u inst cfg in
+      let g_u = C.to_graph inst (C.with_strategy cfg u []) in
       check_all
         (fun src ->
-          Csr.sssp ~ban:u full scratch ~src ~dist;
-          let banned = Array.copy dist in
-          Csr.reset scratch dist;
-          let reference = P.shortest_csr skipped src in
-          match array_mismatch banned reference with
+          match array_mismatch (sweep ~ban:u full src) (Reference.shortest g_u src) with
           | None -> ok
           | Some v ->
-              failf "ban:%d src %d: ~ban sweep and ~skip snapshot disagree at %d"
-                u src v)
+              failf "ban:%d src %d: ~ban sweep and G_{-u} oracle disagree at %d" u src v)
         (nodes inst))
     (nodes inst)
 
@@ -126,7 +123,7 @@ let prop_int32_rows (inst, cfg) =
   let dist32 = Csr.create_dist32 n in
   check_all
     (fun src ->
-      let reference = P.shortest_csr csr src in
+      let reference = sweep csr src in
       Csr.sssp32 csr scratch ~src ~dist:dist32 ;
       let r =
         check_all
@@ -163,7 +160,7 @@ let csr_suite =
 let ic_msbfs = Domain_gen.instance_config ~max_n:70 ()
 
 let scalar_reference csr srcs =
-  Array.map (fun src -> P.shortest_csr csr src) srcs
+  Array.map (sweep csr) srcs
 
 let check_rows ~what srcs reference rows =
   let r = ref ok in
@@ -335,9 +332,9 @@ let prop_br_vs_exhaustive (inst, cfg) =
     (nodes inst)
 
 (* The full on_subset (strategy, cost) sequence and [improving]'s
-   verdict, on the scratch rows, on the shared [?csr] snapshot, and (on
-   uniform k = 1 functional inputs) on the closed form, against the
-   reference DFS. *)
+   verdict, with and without a shared [?csr] snapshot, and (on uniform
+   k = 1 functional inputs) on the closed form, against the reference
+   DFS. *)
 let sequence enumerate =
   let acc = ref [] in
   enumerate ~on_subset:(fun s c ->

@@ -6,8 +6,9 @@
     instance/configuration (printable as [bbc convert]-loadable JSON).
 
     Engine pairs covered:
-    - [csr] — list-graph reference ([Paths], [Apsp.floyd_warshall])
-      vs flat CSR kernels, including [~ban:u] vs [~skip:u] snapshots
+    - [csr] — list-graph oracles ({!Reference.shortest},
+      {!Reference.floyd_warshall}) vs flat CSR kernels, including
+      [~ban:u] sweeps vs the oracle on the profile without [u]'s links,
       and int32 vs int rows;
     - [msbfs] — bit-parallel [Csr.sssp_batch]/[sssp_batch32] vs
       per-source sweeps on instances crossing the [Csr.batch_width]
@@ -15,8 +16,9 @@
       source subsets, scratch reuse with [reset_rows]);
     - [br] — [Best_response.exact] vs exhaustive strategy enumeration
       on tiny instances; the full [Best_response.enumerate]
-      (strategy, cost) sequence and [improving]'s verdict on the scratch
-      rows, the [?csr] snapshot and the uniform [k = 1] closed form vs
+      (strategy, cost) sequence and [improving]'s verdict with and
+      without a shared [?csr] snapshot and on the uniform [k = 1]
+      closed form vs
       {!Reference.enumerate} (Sum and Max); every
       [Best_response.decide] search's current and best cost, and every
       [Dynamics] step's [cost_after] (three policies, round-robin and

@@ -1,6 +1,75 @@
 (* Reference oracles; see reference.mli. *)
 
-module Paths = Bbc_graph.Paths
+module Digraph = Bbc_graph.Digraph
+
+let unreachable = Bbc_graph.Csr.unreachable
+
+let bfs g src =
+  let n = Digraph.n g in
+  let dist = Array.make n unreachable in
+  let queue = Queue.create () in
+  dist.(src) <- 0;
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.take queue in
+    let du = dist.(u) in
+    Digraph.iter_out g u (fun v _len ->
+        if dist.(v) = unreachable then begin
+          dist.(v) <- du + 1;
+          Queue.add v queue
+        end)
+  done;
+  dist
+
+let dijkstra g src =
+  let module Heap = Bbc_graph.Binary_heap in
+  let n = Digraph.n g in
+  let dist = Array.make n unreachable in
+  let heap = Heap.create ~capacity:n () in
+  dist.(src) <- 0;
+  Heap.push heap 0 src;
+  let rec drain () =
+    match Heap.pop heap with
+    | None -> ()
+    | Some (d, u) ->
+        (* Lazy deletion: skip entries that were superseded. *)
+        if d = dist.(u) then
+          Digraph.iter_out g u (fun v len ->
+              let nd = d + len in
+              if nd < dist.(v) then begin
+                dist.(v) <- nd;
+                Heap.push heap nd v
+              end);
+        drain ()
+  in
+  drain ();
+  dist
+
+let shortest g src = if Digraph.all_unit_lengths g then bfs g src else dijkstra g src
+
+let obs_pivots = Bbc_obs.counter "apsp.pivots"
+
+let floyd_warshall g =
+  let n = Digraph.n g in
+  let dist = Array.init n (fun _ -> Array.make n unreachable) in
+  for v = 0 to n - 1 do
+    dist.(v).(v) <- 0
+  done;
+  Digraph.iter_edges g (fun u v len -> if len < dist.(u).(v) then dist.(u).(v) <- len);
+  Bbc_obs.add obs_pivots n;
+  for k = 0 to n - 1 do
+    let row_k = dist.(k) in
+    for i = 0 to n - 1 do
+      let row_i = dist.(i) in
+      let dik = row_i.(k) in
+      if dik <> unreachable then
+        for j = 0 to n - 1 do
+          let dkj = row_k.(j) in
+          if dkj <> unreachable && dik + dkj < row_i.(j) then row_i.(j) <- dik + dkj
+        done
+    done
+  done;
+  dist
 
 (* Distance from u to x once u's strategy gains the link (u,v) of
    length [luv], given the best-known distances [src] and v's G_{-u}
@@ -8,7 +77,7 @@ module Paths = Bbc_graph.Paths
 let merge_into ~src ~dst rv luv =
   Array.blit src 0 dst 0 (Array.length src);
   Array.iteri
-    (fun x r -> if r <> Paths.unreachable && luv + r < dst.(x) then dst.(x) <- luv + r)
+    (fun x r -> if r <> unreachable && luv + r < dst.(x) then dst.(x) <- luv + r)
     rv
 
 (* Cost of the strategy extended by (u,v), in one pass over the row it
@@ -22,8 +91,8 @@ let merged_cost ~objective instance u ~src rv luv =
       let w = Bbc.Instance.weight instance u x in
       if x <> u && w > 0 then begin
         let r = rv.(x) in
-        let d = if r <> Paths.unreachable && luv + r < d0 then luv + r else d0 in
-        let c = w * if d = Paths.unreachable then m else d in
+        let d = if r <> unreachable && luv + r < d0 then luv + r else d0 in
+        let c = w * if d = unreachable then m else d in
         match objective with
         | Bbc.Objective.Sum -> acc := !acc + c
         | Bbc.Objective.Max -> if c > !acc then acc := c
@@ -34,10 +103,10 @@ let merged_cost ~objective instance u ~src rv luv =
 let enumerate ?(objective = Bbc.Objective.Sum) instance config u ~on_subset =
   let n = Bbc.Instance.n instance in
   let g_u = Bbc.Config.to_graph instance (Bbc.Config.with_strategy config u []) in
-  let rows = Array.init n (fun v -> if v = u then [||] else Paths.shortest g_u v) in
+  let rows = Array.init n (fun v -> if v = u then [||] else shortest g_u v) in
   let candidates = Array.of_list (Bbc.Best_response.candidate_targets instance u) in
   let stop = ref false in
-  let base = Array.make n Paths.unreachable in
+  let base = Array.make n unreachable in
   base.(u) <- 0;
   if on_subset [] (Bbc.Eval.cost_of_distances ~objective instance u base) then stop := true;
   let rec dfs i chosen budget cur =
@@ -50,7 +119,7 @@ let enumerate ?(objective = Bbc.Objective.Sum) instance config u ~on_subset =
         if on_subset chosen' (merged_cost ~objective instance u ~src:cur rows.(v) luv) then
           stop := true
         else begin
-          let cur' = Array.make n Paths.unreachable in
+          let cur' = Array.make n unreachable in
           merge_into ~src:cur ~dst:cur' rows.(v) luv;
           dfs (j + 1) chosen' (budget - c) cur'
         end

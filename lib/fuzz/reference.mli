@@ -2,6 +2,28 @@
     oracles for the optimized library paths.  Not for production use:
     each one trades all of the library's sharing for obviousness. *)
 
+(** {1 Shortest paths on list graphs}
+
+    Distances come back as a fresh [int array] indexed by vertex, with
+    {!Bbc_graph.Csr.unreachable} marking vertices with no path.  These
+    walk the adjacency lists of a {!Bbc_graph.Digraph} directly and share
+    no code with the {!Bbc_graph.Csr} kernels they check, whatever the
+    graph size. *)
+
+val bfs : Bbc_graph.Digraph.t -> int -> int array
+(** Hop-count distances from the source (every edge counts 1). *)
+
+val dijkstra : Bbc_graph.Digraph.t -> int -> int array
+(** Length-weighted distances from the source. *)
+
+val shortest : Bbc_graph.Digraph.t -> int -> int array
+(** {!bfs} when every edge has length 1, {!dijkstra} otherwise. *)
+
+val floyd_warshall : Bbc_graph.Digraph.t -> int array array
+(** The all-pairs matrix by Floyd–Warshall: O(n^3), sequential, and
+    structurally independent of the SSSP kernels; 0 on the diagonal.
+    Adds n to the [apsp.pivots] counter. *)
+
 val local_search :
   ?objective:Bbc.Objective.t ->
   ?restarts:int ->
@@ -23,7 +45,7 @@ val enumerate :
   on_subset:(int list -> int -> bool) ->
   unit
 (** {!Bbc.Best_response.enumerate} as the plain subset DFS: [G_{-u}]
-    rows from list-graph [Paths.shortest], and every subset costed from
+    rows from list-graph {!shortest}, and every subset costed from
     its full merged distance row ([w * d], the penalty for unreachable
     targets).  Same visiting order, strategy lists and stop rule, so the
     library must produce the identical (strategy, cost) sequence on

@@ -1,33 +1,22 @@
 (** All-pairs shortest paths.
 
-    {!compute} builds the matrix from one {!Csr} kernel sweep per source
-    — O(n (m + n)) on the sparse unit graphs this project mostly handles
+    {!compute} builds the matrix from batched {!Csr} kernel sweeps —
+    O(n (m + n)) on the sparse unit graphs this project mostly handles
     — with all traversal state drawn from the per-domain {!Workspace}
-    pool, so the only allocation is the result matrix.  The classic
-    Floyd–Warshall is kept as {!floyd_warshall}: O(n^3) but structurally
-    independent of the SSSP kernels, which makes it the oracle the test
-    suite cross-checks {!compute}, {!Paths.dijkstra} and the CSR kernels
-    against. *)
+    pool, so the only allocation is the result matrix.  The test suite
+    checks it against the Floyd–Warshall oracle in
+    [Bbc_fuzz.Reference]; {!Metrics} folds the matrix into diameters
+    and distance sums. *)
 
 type t
 
 val compute : ?jobs:int -> Digraph.t -> t
-(** One CSR sweep per source, fanned over the domain pool in contiguous
+(** Batched CSR sweeps, fanned over the domain pool in contiguous
     source ranges.  Rows are independent, so the result is identical for
     every job count; small matrices (n < 128) run sequentially. *)
 
-val floyd_warshall : ?jobs:int -> Digraph.t -> t
-(** Floyd–Warshall oracle; same matrix as {!compute}.  [jobs] fans the
-    row updates of each pivot pass over the domain pool. *)
-
 val distance : t -> int -> int -> int
-(** [Paths.unreachable] when no path exists; 0 on the diagonal. *)
+(** [Csr.unreachable] when no path exists; 0 on the diagonal. *)
 
 val matrix : t -> int array array
 (** The full distance matrix (not a copy; treat as read-only). *)
-
-val eccentricity : t -> int -> int option
-(** Max distance from a vertex; [None] if it does not reach everyone. *)
-
-val diameter : t -> int option
-(** [None] unless the graph is strongly connected. *)

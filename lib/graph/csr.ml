@@ -66,13 +66,11 @@ let finish b =
   in
   { n = b.b_n; offsets = b.b_offsets; targets; lengths; unit_lengths = b.b_unit }
 
-let of_digraph ?skip g =
+let of_digraph g =
   let n = Digraph.n g in
-  let sk = match skip with Some u -> u | None -> -1 in
-  let skipped = if sk >= 0 then Digraph.out_degree g sk else 0 in
-  let b = builder ~n ~m:(Digraph.edge_count g - skipped) in
+  let b = builder ~n ~m:(Digraph.edge_count g) in
   for u = 0 to n - 1 do
-    if u <> sk then Digraph.iter_out g u (fun v len -> add b u v len)
+    Digraph.iter_out g u (fun v len -> add b u v len)
   done;
   finish b
 
@@ -144,8 +142,8 @@ let reset s dist =
 
 (* [ban] excludes one vertex's out-edges from the traversal: sweeping
    the full snapshot with [~ban:u] from any source computes exactly the
-   distances of the [G_{-u}] sub-snapshot ([of_digraph ~skip:u]) — the
-   best-response shape — without building a per-node CSR. *)
+   distances of G_{-u} — the best-response shape — without building a
+   per-node CSR. *)
 
 let bfs ?(ban = -1) t s ~src ~dist =
   ensure s t.n;

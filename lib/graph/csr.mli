@@ -4,7 +4,7 @@
     A snapshot packs the adjacency structure into three flat [int]
     arrays — row offsets, edge targets, edge lengths — so a sweep walks
     contiguous memory instead of chasing list cells.  Snapshots are
-    immutable: build one per realized graph (or per [G_{-u}]), run any
+    immutable: build one per realized graph, run any
     number of sweeps against it, from any number of domains.
 
     The kernels ({!bfs}, {!dijkstra}, {!sssp}) write distances into a
@@ -30,7 +30,9 @@
 type t
 
 val unreachable : int
-(** Sentinel distance ([max_int]), same value as [Paths.unreachable]. *)
+(** Sentinel distance ([max_int]) for vertices with no path — the one
+    sentinel of every distance row in the library.  The BBC cost model
+    replaces it by the disconnection penalty [M] at a higher layer. *)
 
 val n : t -> int
 val edge_count : t -> int
@@ -44,10 +46,8 @@ val equal : t -> t -> bool
     not just graph isomorphism.  Used to check that streaming builders
     reproduce {!of_digraph} exactly. *)
 
-val of_digraph : ?skip:int -> Digraph.t -> t
-(** Snapshot of [g]; with [~skip:u], the out-edges of [u] are left out
-    (the best-response [G_{-u}] shape) — [u] keeps its vertex slot with
-    an empty row. *)
+val of_digraph : Digraph.t -> t
+(** Snapshot of [g]. *)
 
 (** {1 Direct construction}
 
@@ -79,16 +79,15 @@ val bfs : ?ban:int -> t -> scratch -> src:int -> dist:int array -> unit
 (** Hop-count distances from [src] into [dist] (must be clean, length
     [n]).  Edge lengths are ignored — exact for unit-length graphs.
     With [~ban:u], the out-edges of [u] are not traversed: distances
-    equal those in the [G_{-u}] snapshot ([of_digraph ~skip:u]) without
-    building a per-node CSR. *)
+    are those of the best-response shape [G_{-u}], without building a
+    per-node CSR. *)
 
 val dijkstra : ?ban:int -> t -> scratch -> src:int -> dist:int array -> unit
 (** Length-weighted distances from [src] into [dist] (must be clean).
     [ban] as in {!bfs}. *)
 
 val sssp : ?ban:int -> t -> scratch -> src:int -> dist:int array -> unit
-(** {!bfs} when {!unit_lengths}, {!dijkstra} otherwise — the CSR
-    counterpart of [Paths.shortest]. *)
+(** {!bfs} when {!unit_lengths}, {!dijkstra} otherwise. *)
 
 val reset : scratch -> int array -> unit
 (** Restore a distance buffer to all-{!unreachable} by clearing exactly

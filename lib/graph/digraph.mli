@@ -30,8 +30,8 @@ val edge_count : t -> int
 val all_unit_lengths : t -> bool
 (** Whether every edge has length 1, in O(1): the graph maintains a
     count of non-unit edges, updated on every insertion, replacement and
-    removal.  {!Paths.shortest} uses this to dispatch BFS vs Dijkstra
-    without rescanning the edge set. *)
+    removal, so a BFS vs Dijkstra dispatch never rescans the edge
+    set. *)
 
 val add_edge : t -> int -> int -> int -> unit
 (** [add_edge g u v len] adds (or replaces) the edge [u -> v] with length

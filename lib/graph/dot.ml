@@ -1,7 +1,7 @@
 let to_dot ?(name = "g") ?vertex_label ?show_lengths g =
   let label = match vertex_label with Some f -> f | None -> string_of_int in
   let show_lengths =
-    match show_lengths with Some b -> b | None -> not (Paths.all_unit_lengths g)
+    match show_lengths with Some b -> b | None -> not (Digraph.all_unit_lengths g)
   in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);

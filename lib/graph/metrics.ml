@@ -1,63 +1,51 @@
-let fold_distances g src ~init ~f =
-  let dist = Paths.shortest g src in
+(* Fold [f] over the distances of [row] to every vertex but [src];
+   [None] as soon as one of them is unreachable. *)
+let fold_row row src ~init ~f =
   let acc = ref (Some init) in
   Array.iteri
     (fun v d ->
       if v <> src then
         match !acc with
         | None -> ()
-        | Some a -> if d = Paths.unreachable then acc := None else acc := Some (f a d))
-    dist;
+        | Some a -> if d = Csr.unreachable then acc := None else acc := Some (f a d))
+    row;
   !acc
 
-let eccentricity g u = if Digraph.n g <= 1 then Some 0 else fold_distances g u ~init:0 ~f:max
+let sweep g src =
+  let csr = Csr.of_digraph g in
+  let dist = Array.make (Csr.n csr) Csr.unreachable in
+  Csr.sssp csr (Workspace.scratch (Workspace.get ())) ~src ~dist;
+  dist
 
-let total_distance g u = fold_distances g u ~init:0 ~f:( + )
+let eccentricity g u = if Digraph.n g <= 1 then Some 0 else fold_row (sweep g u) u ~init:0 ~f:max
 
-let diameter g =
-  let n = Digraph.n g in
-  if n <= 1 then Some 0
-  else begin
-    let best = ref (Some 0) in
-    (try
-       for u = 0 to n - 1 do
-         match eccentricity g u with
-         | None ->
-             best := None;
-             raise Exit
-         | Some e -> best := Some (max e (Option.get !best))
-       done
-     with Exit -> ());
-    !best
-  end
+let total_distance g u = fold_row (sweep g u) u ~init:0 ~f:( + )
+
+(* [f] folded over every row of one all-pairs matrix. *)
+let per_source g f = Array.mapi (fun u row -> f row u) (Apsp.matrix (Apsp.compute g))
+
+(* Combine per-source results; [None] if any of them is [None]. *)
+let combine_all f rs =
+  Array.fold_left
+    (fun acc r -> match (acc, r) with Some a, Some x -> Some (f a x) | _ -> None)
+    (Some 0) rs
+
+let eccentricities g = per_source g (fold_row ~init:0 ~f:max)
+
+let diameter g = if Digraph.n g <= 1 then Some 0 else combine_all max (eccentricities g)
 
 let radius g =
-  let n = Digraph.n g in
-  if n <= 1 then Some 0
-  else begin
-    let best = ref None in
-    for u = 0 to n - 1 do
-      match eccentricity g u with
-      | None -> ()
-      | Some e -> (
-          match !best with None -> best := Some e | Some b -> if e < b then best := Some e)
-    done;
-    !best
-  end
+  if Digraph.n g <= 1 then Some 0
+  else
+    Array.fold_left
+      (fun acc e ->
+        match (acc, e) with
+        | None, e -> e
+        | Some b, Some e -> Some (min b e)
+        | Some _, None -> acc)
+      None (eccentricities g)
 
-let sum_of_distances g =
-  let n = Digraph.n g in
-  let total = ref (Some 0) in
-  (try
-     for u = 0 to n - 1 do
-       match total_distance g u with
-       | None ->
-           total := None;
-           raise Exit
-       | Some s -> total := Some (s + Option.get !total)
-     done
-   with Exit -> ());
-  !total
+let sum_of_distances g = combine_all ( + ) (per_source g (fold_row ~init:0 ~f:( + )))
 
 let average_distance g =
   let n = Digraph.n g in

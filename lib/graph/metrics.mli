@@ -1,7 +1,9 @@
 (** Graph-level metrics: eccentricities, diameter, distance sums, degrees.
 
     Distances are hop counts when all edge lengths are 1 and weighted
-    otherwise (see {!Paths.shortest}).  Unreachable pairs make the metric
+    otherwise, from {!Csr} kernel sweeps: one snapshot sweep for a
+    single-source metric, one {!Apsp.compute} matrix for an all-pairs
+    one.  Unreachable pairs make the metric
     [None] (the BBC layer substitutes the disconnection penalty instead;
     these raw metrics are about the graph itself, e.g. Lemma 7's diameter
     bound applies to stable graphs, which are strongly connected). *)
@@ -12,7 +14,7 @@ val eccentricity : Digraph.t -> int -> int option
 
 val diameter : Digraph.t -> int option
 (** Max over vertices of {!eccentricity}; [None] unless strongly
-    connected.  O(n (m + n log n)). *)
+    connected.  One {!Apsp.compute} matrix. *)
 
 val radius : Digraph.t -> int option
 (** Min over vertices of {!eccentricity} over vertices that reach all

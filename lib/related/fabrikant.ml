@@ -1,6 +1,6 @@
 module Config = Bbc.Config
 module Digraph = Bbc_graph.Digraph
-module Paths = Bbc_graph.Paths
+module Csr = Bbc_graph.Csr
 
 type t = { n : int; alpha : int; penalty : int }
 
@@ -10,7 +10,8 @@ let create ?penalty ~n ~alpha () =
   let penalty = Option.value ~default:(4 * n * (alpha + 1)) penalty in
   { n; alpha; penalty }
 
-(* The undirected realization: both directions for every bought link. *)
+(* The undirected realization, as a CSR snapshot: both directions for
+   every bought link. *)
 let undirected_graph t config =
   let g = Digraph.create t.n in
   for u = 0 to t.n - 1 do
@@ -20,14 +21,15 @@ let undirected_graph t config =
         Digraph.add_edge g v u 1)
       (Config.targets config u)
   done;
-  g
+  Csr.of_digraph g
 
 let node_cost_on t config graph u =
-  let dist = Paths.bfs graph u in
+  let dist = Array.make t.n Csr.unreachable in
+  Csr.bfs graph (Bbc_graph.Workspace.scratch (Bbc_graph.Workspace.get ())) ~src:u ~dist;
   let total = ref (t.alpha * Config.strategy_size config u) in
   for v = 0 to t.n - 1 do
     if v <> u then
-      total := !total + (if dist.(v) = Paths.unreachable then t.penalty else dist.(v))
+      total := !total + (if dist.(v) = Csr.unreachable then t.penalty else dist.(v))
   done;
   !total
 

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Differential-fuzzing gate (DESIGN.md section 12), two halves:
 #
-#   1. The real suites — every engine pair (Paths/Apsp vs CSR kernels,
-#      batched vs per-source sweeps, best response vs its reference DFS
-#      and exhaustive search, in-process server vs direct calls,
-#      campaign units vs dynamics) —
+#   1. The real suites — every engine pair (list-graph oracles in
+#      Bbc_fuzz.Reference vs CSR kernels, batched vs per-source sweeps,
+#      best response vs its reference DFS and exhaustive search,
+#      in-process server vs direct calls, campaign units vs dynamics) —
 #      must report zero mismatches under a fixed seed and budget.
 #   2. The harness itself must still catch bugs: the "selfcheck" suite
 #      runs the same social-cost property against a deliberately broken

@@ -47,6 +47,7 @@ let () =
       ("server", Test_server.suite);
       ("shard", Test_shard.suite);
       ("fuzz", Test_fuzz.suite);
+      ("parsers", Test_parsers.suite);
       ("campaign", Test_campaign.suite);
       ("experiments-registry", Test_experiments.suite);
     ]

@@ -1,6 +1,7 @@
 module A = Bbc_graph.Apsp
 module D = Bbc_graph.Digraph
-module P = Bbc_graph.Paths
+module R = Bbc_fuzz.Reference
+module M = Bbc_graph.Metrics
 module G = Bbc_graph.Generators
 module SM = Bbc_prng.Splitmix
 
@@ -12,7 +13,7 @@ let test_matches_dijkstra_random () =
     D.iter_edges g (fun u v _ -> D.add_edge g u v (1 + SM.int rng 5));
     let apsp = A.compute g in
     for u = 0 to 19 do
-      let d = P.dijkstra g u in
+      let d = R.dijkstra g u in
       for v = 0 to 19 do
         Alcotest.(check int) "apsp = dijkstra" d.(v) (A.distance apsp u v)
       done
@@ -29,24 +30,36 @@ let test_diagonal_zero () =
 let test_unreachable () =
   let g = G.directed_path 4 in
   let apsp = A.compute g in
-  Alcotest.(check int) "backwards" P.unreachable (A.distance apsp 3 0)
+  Alcotest.(check int) "backwards" Bbc_graph.Csr.unreachable (A.distance apsp 3 0)
+
+(* The diameter read straight off the Floyd–Warshall oracle matrix. *)
+let oracle_diameter g =
+  let m = R.floyd_warshall g in
+  Array.fold_left
+    (fun acc row ->
+      Array.fold_left
+        (fun acc d ->
+          match acc with
+          | Some a when d <> Bbc_graph.Csr.unreachable -> Some (max a d)
+          | _ -> None)
+        acc row)
+    (Some 0) m
 
 let test_diameter_agrees () =
   let rng = SM.create 37 in
   for _ = 1 to 10 do
     let g = G.random_k_out rng ~n:15 ~k:2 in
-    Alcotest.(check (option int)) "diameter agreement"
-      (Bbc_graph.Metrics.diameter g)
-      (A.diameter (A.compute g))
+    Alcotest.(check (option int)) "diameter agreement" (oracle_diameter g) (M.diameter g)
   done
 
 let test_eccentricity () =
   let g = G.directed_ring 6 in
-  let apsp = A.compute g in
-  Alcotest.(check (option int)) "ring eccentricity" (Some 5) (A.eccentricity apsp 2);
+  Alcotest.(check (option int)) "ring eccentricity" (Some 5) (M.eccentricity g 2);
+  Alcotest.(check (option int)) "ring diameter" (Some 5) (M.diameter g);
   let h = G.directed_path 3 in
-  Alcotest.(check (option int)) "tail sees nobody" None
-    (A.eccentricity (A.compute h) 2)
+  Alcotest.(check (option int)) "tail sees nobody" None (M.eccentricity h 2);
+  Alcotest.(check (option int)) "head sees everyone" (Some 2) (M.eccentricity h 0);
+  Alcotest.(check (option int)) "radius" (Some 2) (M.radius h)
 
 let test_parallel_edge_min () =
   (* A longer direct edge must lose to a shorter relay path. *)

@@ -230,10 +230,66 @@ let test_k1_all_best () =
 let test_k1_current_cost () =
   for_k1_inputs (fun msg objective inst cfg u ->
       let expected = E.node_cost ~objective inst cfg u in
-      Alcotest.(check int) (msg ^ ": current") expected (BR.current_cost ~objective inst cfg u);
-      Alcotest.(check int)
-        (msg ^ ": current ~csr") expected
-        (BR.current_cost ~objective ~csr:(C.to_csr inst cfg) inst cfg u))
+      let current ?csr () = (BR.decide ~objective ?csr ~search:Exact inst cfg u).current in
+      Alcotest.(check int) (msg ^ ": current") expected (current ());
+      Alcotest.(check int) (msg ^ ": current ~csr") expected (current ~csr:(C.to_csr inst cfg) ()))
+
+(* Only node 0's links are longer than 1: G_{-0} on its own is a
+   unit-length graph (bit-parallel BFS), but the full snapshot the
+   decision sweeps with [~ban:0] is weighted (Dijkstra).  The rows must
+   still give the list-graph reference's cost on every subset. *)
+let test_weighted_mover_only () =
+  let n = 7 in
+  let ones = Array.make_matrix n n 1 in
+  let length = Array.init n (fun u -> Array.init n (fun v -> if u = 0 then 1 + v else 1)) in
+  let inst = I.general ~weight:ones ~cost:ones ~length ~budget:(Array.make n 2) () in
+  let cfg =
+    C.of_lists n [| [ 3; 5 ]; [ 2 ]; [ 4; 6 ]; [ 1 ]; [ 0 ]; [ 6 ]; [ 5; 1 ] |]
+  in
+  let full = C.to_csr inst cfg in
+  Alcotest.(check bool) "full snapshot is weighted" false (Bbc_graph.Csr.unit_lengths full);
+  Alcotest.(check bool) "G_{-0} is unit" true
+    (Bbc_graph.Csr.unit_lengths (C.to_csr inst (C.with_strategy cfg 0 [])));
+  let sequence f =
+    let acc = ref [] in
+    f ~on_subset:(fun s c ->
+        acc := (s, c) :: !acc;
+        false);
+    List.rev !acc
+  in
+  List.iter
+    (fun objective ->
+      let msg = Bbc.Objective.to_string objective in
+      let expected = sequence (Bbc_fuzz.Reference.enumerate ~objective inst cfg 0) in
+      let pair = Alcotest.(list (pair (list int) int)) in
+      Alcotest.check pair (msg ^ ": enumerate") expected
+        (sequence (BR.enumerate ~objective inst cfg 0));
+      Alcotest.check pair (msg ^ ": enumerate ~csr") expected
+        (sequence (BR.enumerate ~objective ~csr:full inst cfg 0));
+      let best_s, best_c =
+        List.fold_left
+          (fun (bs, bc) (s, c) -> if c < bc then (List.sort compare s, c) else (bs, bc))
+          ([], max_int) expected
+      in
+      let decision ?csr () =
+        let d = BR.decide ~objective ?csr ~search:Exact inst cfg 0 in
+        (d.best.strategy, d.best.cost, d.current)
+      in
+      let want = (best_s, best_c, E.node_cost ~objective inst cfg 0) in
+      let triple = Alcotest.(triple (list int) int int) in
+      Alcotest.check triple (msg ^ ": decide") want (decision ());
+      Alcotest.check triple (msg ^ ": decide ~csr") want (decision ~csr:full ()))
+    [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+
+(* A scan's shared snapshot is built only when some decision reads
+   rows: never on uniform k = 1 functional profiles. *)
+let test_snapshot_shape () =
+  let ring = C.of_lists 5 (Array.init 5 (fun v -> [ (v + 1) mod 5 ])) in
+  Alcotest.(check bool) "k=1 ring: none" true (BR.snapshot (I.uniform ~n:5 ~k:1) ring = None);
+  Alcotest.(check bool) "k=2 game: built" true (BR.snapshot (I.uniform ~n:5 ~k:2) ring <> None);
+  let two = C.with_strategy ring 0 [ 1; 2 ] in
+  Alcotest.(check bool) "non-functional profile: built" true
+    (BR.snapshot (I.uniform ~n:5 ~k:1) two <> None)
 
 let suite =
   suite
@@ -241,4 +297,6 @@ let suite =
       Alcotest.test_case "k=1 closed form = reference" `Quick test_k1_closed_form;
       Alcotest.test_case "k=1 all_best = reference" `Quick test_k1_all_best;
       Alcotest.test_case "k=1 current cost = Eval" `Quick test_k1_current_cost;
+      Alcotest.test_case "weighted mover: ban sweep = reference" `Quick test_weighted_mover_only;
+      Alcotest.test_case "snapshot only off the closed form" `Quick test_snapshot_shape;
     ]

@@ -60,7 +60,16 @@ let test_comments_and_blanks () =
   | Error e -> Alcotest.fail e
 
 let test_errors () =
-  let bad = [ ""; "nonsense"; "bbc-config v1\nn x\n"; "bbc-config v1\nn 2\n5: 1\n" ] in
+  let bad =
+    [
+      "";
+      "nonsense";
+      "bbc-config v1\nn x\n";
+      "bbc-config v1\nn 2\n5: 1\n";
+      "bbc-config v1\nn -1\n";
+      "bbc-config v1\nn 9999999999999\n";
+    ]
+  in
   List.iter
     (fun text ->
       Alcotest.(check bool) "rejected" true

@@ -1,5 +1,5 @@
 module D = Bbc_graph.Digraph
-module P = Bbc_graph.Paths
+module R = Bbc_fuzz.Reference
 module Csr = Bbc_graph.Csr
 module W = Bbc_graph.Workspace
 module G = Bbc_graph.Generators
@@ -34,7 +34,7 @@ let test_bfs_matches_reference () =
     let csr = Csr.of_digraph g in
     Alcotest.(check bool) "unit graph detected" true (Csr.unit_lengths csr);
     let src = SM.int rng n in
-    Alcotest.(check (array int)) "bfs = Paths.bfs" (P.bfs g src) (fresh_sweep csr src)
+    Alcotest.(check (array int)) "bfs = oracle" (R.bfs g src) (fresh_sweep csr src)
   done
 
 let test_dijkstra_matches_reference () =
@@ -46,7 +46,7 @@ let test_dijkstra_matches_reference () =
     let src = SM.int rng n in
     let dist = Array.make n Csr.unreachable in
     Csr.dijkstra csr (Csr.create_scratch ()) ~src ~dist;
-    Alcotest.(check (array int)) "dijkstra = Paths.dijkstra" (P.dijkstra g src) dist
+    Alcotest.(check (array int)) "dijkstra = oracle" (R.dijkstra g src) dist
   done
 
 let test_sssp_dispatch_zero_lengths () =
@@ -64,7 +64,7 @@ let test_disconnected () =
   Alcotest.(check int) "reached" 1 d.(1);
   Alcotest.(check int) "isolated" Csr.unreachable d.(3)
 
-let test_skip_matches_removed () =
+let test_ban_matches_removed () =
   let rng = SM.create 31 in
   for _ = 1 to 20 do
     let n = 3 + SM.int rng 20 in
@@ -73,10 +73,13 @@ let test_skip_matches_removed () =
     let src = SM.int rng n in
     let pruned = D.copy g in
     List.iter (fun (v, _) -> D.remove_edge pruned u v) (D.out_edges g u);
+    let banned = Array.make n Csr.unreachable in
+    Csr.sssp ~ban:u (Csr.of_digraph g) (Csr.create_scratch ()) ~src ~dist:banned;
+    Alcotest.(check (array int)) "~ban sweep = oracle on pruned graph" (R.shortest pruned src) banned;
     Alcotest.(check (array int))
-      "of_digraph ~skip = sweep of pruned graph"
+      "~ban sweep = sweep of pruned snapshot"
       (fresh_sweep (Csr.of_digraph pruned) src)
-      (fresh_sweep (Csr.of_digraph ~skip:u g) src)
+      banned
   done
 
 let test_builder_matches_of_digraph () =
@@ -116,7 +119,7 @@ let test_buffer_reuse_with_reset () =
     if Array.length !buf < n then buf := Array.make n Csr.unreachable;
     for src = 0 to n - 1 do
       Csr.sssp csr scratch ~src ~dist:!buf;
-      let expect = P.shortest g src in
+      let expect = R.shortest g src in
       for v = 0 to n - 1 do
         if !buf.(v) <> expect.(v) then
           Alcotest.failf "reused buffer diverges at src=%d v=%d" src v
@@ -135,21 +138,11 @@ let test_apsp_matches_floyd_warshall () =
     let n = 2 + SM.int rng 25 in
     let g = random_weighted rng ~n ~max_len:3 in
     let sweep = Bbc_graph.Apsp.matrix (Bbc_graph.Apsp.compute g) in
-    let oracle = Bbc_graph.Apsp.matrix (Bbc_graph.Apsp.floyd_warshall g) in
+    let oracle = R.floyd_warshall g in
     Array.iteri
       (fun i row -> Alcotest.(check (array int)) (Printf.sprintf "row %d" i) oracle.(i) row)
       sweep
   done
-
-let test_shortest_csr_fast_path () =
-  (* Above the dispatch threshold, [Paths.shortest] goes through the CSR
-     kernels; the answers must not change. *)
-  let rng = SM.create 12 in
-  let n = 300 in
-  let g = G.random_k_out rng ~n ~k:2 in
-  let src = 17 in
-  Alcotest.(check (array int)) "fast path = bfs" (P.bfs g src) (P.shortest g src);
-  Alcotest.(check (array int)) "explicit csr entry" (P.bfs g src) (P.shortest_csr (Csr.of_digraph g) src)
 
 let test_workspace_rows_clean () =
   let ws = W.get () in
@@ -200,8 +193,8 @@ let test_msbfs_matches_scalar () =
     Array.iteri
       (fun i src ->
         Alcotest.(check (array int))
-          (Printf.sprintf "msbfs row %d = Paths.bfs" i)
-          (P.bfs g src) rows.(i))
+          (Printf.sprintf "msbfs row %d = oracle bfs" i)
+          (R.bfs g src) rows.(i))
       srcs
   done
 
@@ -240,7 +233,7 @@ let test_sssp_batch_windows () =
     let rows = Array.init k (fun _ -> Array.make n Csr.unreachable) in
     Csr.sssp_batch csr scratch ~srcs ~rows;
     for i = 0 to k - 1 do
-      Alcotest.(check (array int)) (Printf.sprintf "k=%d row %d" k i) (P.bfs g i) rows.(i)
+      Alcotest.(check (array int)) (Printf.sprintf "k=%d row %d" k i) (R.bfs g i) rows.(i)
     done;
     (* Multi-window batches fall back to full fills in reset_rows; both
        paths must leave every row clean. *)
@@ -270,7 +263,7 @@ let test_msbfs32_matches_int () =
     Csr.sssp_batch32 csr (Csr.create_scratch ()) ~srcs ~rows:rows32;
     Array.iteri
       (fun i src ->
-        let expect = P.bfs g src in
+        let expect = R.bfs g src in
         for v = 0 to n - 1 do
           let got = Bigarray.Array1.get rows32.(i) v in
           let want =
@@ -297,7 +290,7 @@ let test_sssp_batch_weighted_dispatch () =
       (fun i src ->
         Alcotest.(check (array int))
           (Printf.sprintf "weighted batch row %d = dijkstra" i)
-          (P.dijkstra g src) rows.(i))
+          (R.dijkstra g src) rows.(i))
       srcs
   done
 
@@ -327,7 +320,7 @@ let test_batch_reuse_and_clean_pool () =
       (fun i src ->
         Alcotest.(check (array int))
           (Printf.sprintf "reused scratch row %d" i)
-          (P.bfs g src) rows.(i))
+          (R.bfs g src) rows.(i))
       srcs;
     Csr.reset_rows scratch ~rows;
     Array.iter
@@ -366,12 +359,11 @@ let suite =
     Alcotest.test_case "dijkstra matches reference" `Quick test_dijkstra_matches_reference;
     Alcotest.test_case "zero lengths dispatch" `Quick test_sssp_dispatch_zero_lengths;
     Alcotest.test_case "disconnected graphs" `Quick test_disconnected;
-    Alcotest.test_case "skip = removed out-edges" `Quick test_skip_matches_removed;
+    Alcotest.test_case "ban = removed out-edges" `Quick test_ban_matches_removed;
     Alcotest.test_case "builder matches of_digraph" `Quick test_builder_matches_of_digraph;
     Alcotest.test_case "builder rejects unsorted" `Quick test_builder_rejects_unsorted;
     Alcotest.test_case "buffer reuse with reset" `Quick test_buffer_reuse_with_reset;
     Alcotest.test_case "apsp matches floyd-warshall" `Quick test_apsp_matches_floyd_warshall;
-    Alcotest.test_case "shortest csr fast path" `Quick test_shortest_csr_fast_path;
     Alcotest.test_case "workspace rows stay clean" `Quick test_workspace_rows_clean;
     Alcotest.test_case "msbfs matches scalar bfs" `Quick test_msbfs_matches_scalar;
     Alcotest.test_case "msbfs with ban" `Quick test_msbfs_ban_matches_scalar;

@@ -66,7 +66,7 @@ let test_all_costs_matches_node_cost () =
   done
 
 (* [node_cost] sweeps a flat snapshot; the list digraph with
-   [Paths.shortest] must give the same cost on unit and weighted
+   the list-graph oracle must give the same cost on unit and weighted
    lengths, for both objectives. *)
 let test_list_graph_agrees () =
   let len = [| [| 1; 4; 1 |]; [| 1; 1; 6 |]; [| 1; 1; 1 |] |] in
@@ -86,7 +86,7 @@ let test_list_graph_agrees () =
         (fun objective ->
           for u = 0 to I.n inst - 1 do
             Alcotest.(check int) "list graph"
-              (E.cost_of_distances ~objective inst u (Bbc_graph.Paths.shortest g u))
+              (E.cost_of_distances ~objective inst u (Bbc_fuzz.Reference.shortest g u))
               (E.node_cost ~objective inst c u)
           done)
         [ Bbc.Objective.Sum; Bbc.Objective.Max ])
@@ -94,7 +94,7 @@ let test_list_graph_agrees () =
 
 let test_shared_cost_of_distances () =
   let inst = I.uniform ~n:4 ~k:1 in
-  let dist = [| 0; 2; Bbc_graph.Paths.unreachable; 1 |] in
+  let dist = [| 0; 2; Bbc_graph.Csr.unreachable; 1 |] in
   Alcotest.(check int) "fold with penalty" (2 + I.penalty inst + 1)
     (E.cost_of_distances inst 0 dist)
 

@@ -142,8 +142,8 @@ let test_stability_jobs_invariant () =
   let willows_inst, willows_cfg = Bbc.Willows.build { k = 2; h = 3; l = 1 } in
   Alcotest.(check bool) "willows stable under 4 domains" true
     (Bbc.Stability.is_stable ~jobs:4 willows_inst willows_cfg);
-  Alcotest.(check bool) "is_stable_parallel wrapper agrees" true
-    (Bbc.Stability.is_stable_parallel ~domains:3 willows_inst willows_cfg);
+  Alcotest.(check bool) "willows stable under 3 domains" true
+    (Bbc.Stability.is_stable ~jobs:3 willows_inst willows_cfg);
   let inst, config = random_instance_config 51 ~n:40 ~k:2 in
   Alcotest.(check bool)
     "same verdict"

@@ -9,7 +9,7 @@
 module Q = QCheck
 module SM = Bbc_prng.Splitmix
 module D = Bbc_graph.Digraph
-module P = Bbc_graph.Paths
+module R = Bbc_fuzz.Reference
 module G = Bbc_graph.Generators
 module Scc = Bbc_graph.Scc
 module I = Bbc.Instance
@@ -55,22 +55,22 @@ let graph_src_arb =
 
 let prop_bfs_equals_dijkstra =
   Q.Test.make ~count:100 ~name:"bfs = dijkstra on unit graphs" graph_src_arb
-    (on_root (fun (g, src) -> P.bfs g src = P.dijkstra g src))
+    (on_root (fun (g, src) -> R.bfs g src = R.dijkstra g src))
 
 let prop_triangle_inequality =
   Q.Test.make ~count:60 ~name:"shortest paths satisfy the triangle inequality"
     graph_arb
     (on_root (fun g ->
          let n = D.n g in
-         let dist = Array.init n (fun v -> P.shortest g v) in
+         let dist = Array.init n (fun v -> R.shortest g v) in
          let ok = ref true in
          for u = 0 to n - 1 do
            for v = 0 to n - 1 do
              for w = 0 to n - 1 do
                if
-                 dist.(u).(v) <> P.unreachable
-                 && dist.(v).(w) <> P.unreachable
-                 && (dist.(u).(w) = P.unreachable
+                 dist.(u).(v) <> Bbc_graph.Csr.unreachable
+                 && dist.(v).(w) <> Bbc_graph.Csr.unreachable
+                 && (dist.(u).(w) = Bbc_graph.Csr.unreachable
                     || dist.(u).(w) > dist.(u).(v) + dist.(v).(w))
                then ok := false
              done
@@ -205,9 +205,9 @@ let prop_flow_cost_equals_shortest_path =
          else begin
            let p = Bbc.Fractional.integral_profile inst cfg in
            let g = C.to_graph inst cfg in
-           let d = (P.shortest g u).(v) in
+           let d = (R.shortest g u).(v) in
            let expected =
-             if d = P.unreachable then float_of_int (I.penalty inst)
+             if d = Bbc_graph.Csr.unreachable then float_of_int (I.penalty inst)
              else float_of_int (min d (I.penalty inst))
            in
            Float.abs (Bbc.Fractional.pair_cost inst p u v -. expected) < 1e-6

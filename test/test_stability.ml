@@ -100,14 +100,14 @@ let test_parallel_agrees_with_sequential () =
     let inst = I.uniform ~n ~k:2 in
     let c = C.of_graph (Bbc_graph.Generators.random_k_out rng ~n ~k:2) in
     Alcotest.(check bool) "parallel = sequential" (S.is_stable inst c)
-      (S.is_stable_parallel ~domains:3 inst c)
+      (S.is_stable ~jobs:3 inst c)
   done;
   (* A known stable graph, with more domains than useful. *)
   let inst, config = Bbc.Willows.build { k = 2; h = 2; l = 1 } in
   Alcotest.(check bool) "stable willows" true
-    (S.is_stable_parallel ~domains:4 inst config);
+    (S.is_stable ~jobs:4 inst config);
   Alcotest.(check bool) "degenerate domain count" true
-    (S.is_stable_parallel ~domains:1 inst config)
+    (S.is_stable ~jobs:1 inst config)
 
 let suite =
   suite
