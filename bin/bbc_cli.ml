@@ -451,7 +451,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "stdio" ] ~doc:"Serve one implicit connection on stdin/stdout instead of a socket (testing).")
   in
   let workers_opt =
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker processes.  1 (the default) serves in-process; N > 1 forks N workers, each with its own engine and session store, and routes every request to the worker owning its session (hash sharding), so distinct sessions execute truly in parallel.")
+    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker processes.  1 (the default) runs one in-process engine inside the serving loop, with nothing forked; N > 1 forks N workers, each with its own engine and session store, and the same loop routes every request to the worker owning its session (hash sharding), so distinct sessions execute truly in parallel.")
   in
   let queue_opt =
     Arg.(value & opt int 256 & info [ "queue" ] ~docv:"N" ~doc:"Admission-queue bound; requests beyond it are rejected with an overloaded error (backpressure).  With --workers N the bound applies per worker.")
@@ -489,7 +489,7 @@ let serve_cmd =
         }
       in
       let serve () =
-        if stdio then Bbc_server.Server.run ~engine Bbc_server.Server.Stdio
+        if stdio then Bbc_server.Front.run_stdio ~engine
         else begin
           let listeners =
             (match socket with
@@ -513,13 +513,7 @@ let serve_cmd =
                   (Bbc_server.Net.endpoint_to_string l.l_endpoint))
               listeners
           in
-          if workers = 1 then
-            Bbc_server.Server.run ~on_ready:announce ~engine
-              (Bbc_server.Server.Listen listeners)
-          else
-            Bbc_server.Front.run
-              ~on_ready:(fun _ -> announce ())
-              ~engine ~workers listeners
+          Bbc_server.Front.run ~on_ready:(fun _ -> announce ()) ~engine ~workers listeners
         end
       in
       match

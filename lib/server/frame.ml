@@ -1,9 +1,9 @@
 type t = Query of int * string | Answer of int * string | Stop
 
 let encode = function
-  | Query (token, line) -> Printf.sprintf "Q %d %s\n" token line
-  | Answer (token, line) -> Printf.sprintf "A %d %s\n" token line
-  | Stop -> "S\n"
+  | Query (token, line) -> Printf.sprintf "Q %d %s" token line
+  | Answer (token, line) -> Printf.sprintf "A %d %s" token line
+  | Stop -> "S"
 
 let decode_tagged line =
   (* "<tag> <token> <payload>"; the payload may contain spaces. *)

@@ -19,7 +19,7 @@ type t =
   | Stop  (** graceful drain order (front to worker) *)
 
 val encode : t -> string
-(** One line including the trailing newline. *)
+(** One line, without its newline (the inverse of {!decode}). *)
 
 val decode : string -> (t, string) result
 (** Parse one line (without its newline). *)

@@ -1,15 +1,19 @@
 module Json = Bbc.Json
 
+(* Per-connection buffer bounds: the engine's queue_cap caps admitted
+   requests but not these buffers, so without limits one client
+   streaming newline-free bytes or submitting while never reading its
+   responses could exhaust the daemon's memory. *)
+let max_line_bytes = 8 * 1024 * 1024
+let max_outbuf_bytes = 256 * 1024 * 1024
+
 (* One client connection.  [c_order] holds the reorder tokens of every
-   admitted-and-routed request in admission order; [c_ready] holds
-   responses that came back before their turn.  A response is released
-   to [c_outbuf] only when its token reaches the queue head, so answers
-   cross worker boundaries without ever reordering on the wire. *)
+   admitted request in admission order; [c_ready] holds responses that
+   came back before their turn.  A response is released to the output
+   only when its token reaches the queue head, so answers cross worker
+   boundaries without ever reordering on the wire. *)
 type conn = {
-  c_fd : Unix.file_descr;
-  c_inbuf : Buffer.t;
-  c_outbuf : Buffer.t;
-  mutable c_eof : bool;
+  c_io : Linebuf.t;
   c_order : int Queue.t;
   c_ready : (int, string) Hashtbl.t;
 }
@@ -26,22 +30,25 @@ type fanout = {
 
 type pend =
   | Direct of { d_conn : int; d_id : Json.t; d_worker : int }
+      (** [d_id] and [d_worker] are only read when a worker dies *)
   | Part of fanout * int  (** worker index *)
 
 type wstate = {
   w_index : int;
   mutable w_pid : int;
-  mutable w_fd : Unix.file_descr;
-  w_inbuf : Buffer.t;
-  w_outbuf : Buffer.t;
-  mutable w_eof : bool;
+  mutable w_io : Linebuf.t;
+  mutable w_down : bool;
 }
 
+(* Where requests execute: one in-process engine, or forked workers
+   that each own one. *)
+type shards = Local of Engine.t | Forked of wstate array
+
 type t = {
-  wcfg : Engine.config;
-  workers : wstate array;
+  shards : shards;
+  wcfg : Engine.config;  (** what a respawned worker runs *)
   conns : (int, conn) Hashtbl.t;
-  pending : (int, pend) Hashtbl.t;  (** worker-token -> continuation *)
+  pending : (int, pend) Hashtbl.t;  (** token -> continuation *)
   mutable next_conn : int;
   mutable next_token : int;
   mutable next_session : int;
@@ -54,28 +61,12 @@ type t = {
 
 type handle = t
 
-let worker_pids t =
-  Array.to_list (Array.map (fun w -> w.w_pid) t.workers)
-
+let workers st = match st.shards with Local _ -> [||] | Forked ws -> ws
+let worker_pids t = Array.to_list (Array.map (fun w -> w.w_pid) (workers t))
 let request_stop t = Atomic.set t.interrupted true
-
-let chunk = Bytes.create 65536
-
-(* Same per-connection bounds as the single-process transport (see
-   server.ml for the rationale). *)
-let max_line_bytes = 8 * 1024 * 1024
-let max_outbuf_bytes = 256 * 1024 * 1024
 
 (* ---------------------------------------------------------------- *)
 (* Response delivery                                                  *)
-
-let push_raw c reply =
-  Buffer.add_string c.c_outbuf reply;
-  Buffer.add_char c.c_outbuf '\n';
-  if Buffer.length c.c_outbuf > max_outbuf_bytes then begin
-    Buffer.clear c.c_outbuf;
-    c.c_eof <- true
-  end
 
 (* Release every response whose turn has come. *)
 let release c =
@@ -86,7 +77,7 @@ let release c =
     | Some reply ->
         ignore (Queue.pop c.c_order);
         Hashtbl.remove c.c_ready tok;
-        push_raw c reply
+        Linebuf.push c.c_io reply
     | None -> continue := false
   done
 
@@ -117,7 +108,7 @@ and merge_fields xs ys =
 
 let front_fields st =
   [
-    ("workers", Json.Int (Array.length st.workers));
+    ("workers", Json.Int (Array.length (workers st)));
     ("respawns", Json.Int st.respawns);
     ("connections", Json.Int (Hashtbl.length st.conns));
   ]
@@ -169,18 +160,6 @@ let fail_pend st token p =
 (* ---------------------------------------------------------------- *)
 (* Worker lifecycle                                                   *)
 
-let write_all fd data =
-  let len = String.length data in
-  let off = ref 0 in
-  (try Unix.clear_nonblock fd with Unix.Unix_error (_, _, _) -> ());
-  try
-    while !off < len do
-      let n = Unix.write_substring fd data !off (len - !off) in
-      if n <= 0 then raise Exit;
-      off := !off + n
-    done
-  with Exit | Unix.Unix_error (_, _, _) -> ()
-
 let reap ?(timeout_s = 5.0) pid =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let kill_and_wait () =
@@ -194,7 +173,7 @@ let reap ?(timeout_s = 5.0) pid =
     | 0, _ ->
         if Unix.gettimeofday () >= deadline then kill_and_wait ()
         else begin
-          ignore (Unix.select [] [] [] 0.01);
+          Unix.sleepf 0.01;
           go ()
         end
     | _, status -> status
@@ -209,23 +188,34 @@ let status_string = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
+let bad_exit w status =
+  Printf.sprintf "worker %d (pid %d) %s" w.w_index w.w_pid (status_string status)
+
+(* Fork one worker.  The child must not keep the front's other
+   descriptors: a sibling pipe held open there would hide that
+   sibling's EOF if the front died. *)
+let spawn_worker ~engine ~listeners ~clients ~siblings i =
+  let close_in_child =
+    List.map (fun l -> l.Net.l_fd) listeners
+    @ clients
+    @ List.filter_map (fun o -> if o.w_down then None else Some (Linebuf.fd o.w_io)) siblings
+  in
+  let fresh = Worker.spawn ~close_in_child ~engine () in
+  { w_index = i; w_pid = fresh.Worker.w_pid; w_io = Linebuf.create fresh.Worker.w_fd; w_down = false }
+
 (* EOF or a corrupt frame on a worker pipe: fail its in-flight
    requests, reap it, and (outside a drain) fork a replacement onto the
    same shard.  Sessions that lived there are gone — later requests for
    them get [unknown_session] from the fresh engine, which is the
    documented crash policy. *)
 let worker_died st ~listeners w =
-  if not w.w_eof then begin
-    w.w_eof <- true;
-    (try Unix.close w.w_fd with Unix.Unix_error (_, _, _) -> ());
-    Buffer.clear w.w_inbuf;
-    Buffer.clear w.w_outbuf;
+  if not w.w_down then begin
+    w.w_down <- true;
+    Linebuf.drop w.w_io;
+    (try Unix.close (Linebuf.fd w.w_io) with Unix.Unix_error (_, _, _) -> ());
     let status = reap w.w_pid in
     if st.stopping && status <> Unix.WEXITED 0 then
-      st.bad_exits <-
-        Printf.sprintf "worker %d (pid %d) %s" w.w_index w.w_pid
-          (status_string status)
-        :: st.bad_exits;
+      st.bad_exits <- bad_exit w status :: st.bad_exits;
     let affected =
       Hashtbl.fold
         (fun token p acc ->
@@ -237,80 +227,47 @@ let worker_died st ~listeners w =
     in
     List.iter (fun (token, p) -> fail_pend st token p) affected;
     if not st.stopping then begin
-      let close_in_child =
-        List.map (fun l -> l.Net.l_fd) listeners
-        @ Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) st.conns []
-        @ Array.fold_left
-            (fun acc o -> if o.w_eof then acc else o.w_fd :: acc)
-            [] st.workers
+      let fresh =
+        spawn_worker ~engine:st.wcfg ~listeners
+          ~clients:(Hashtbl.fold (fun _ c acc -> Linebuf.fd c.c_io :: acc) st.conns [])
+          ~siblings:(Array.to_list (workers st)) w.w_index
       in
-      let fresh = Worker.spawn ~close_in_child ~engine:st.wcfg () in
-      w.w_pid <- fresh.Worker.w_pid;
-      w.w_fd <- fresh.Worker.w_fd;
-      w.w_eof <- false;
+      w.w_pid <- fresh.w_pid;
+      w.w_io <- fresh.w_io;
+      w.w_down <- false;
       st.respawns <- st.respawns + 1
     end
   end
 
-let send st wi token line =
-  let w = st.workers.(wi) in
-  if w.w_eof then
+let send st w token line =
+  if w.w_down then
     (* Only reachable when a worker is down for good (draining): answer
        for it rather than leave the token dangling. *)
     resolve st token
       (Protocol.error ~id:Json.Null Protocol.Internal "worker unavailable")
-  else Buffer.add_string w.w_outbuf (Frame.encode (Frame.Query (token, line)))
-
-let flush_worker st ~listeners w =
-  let data = Buffer.contents w.w_outbuf in
-  let len = String.length data in
-  if len > 0 then
-    match Unix.write_substring w.w_fd data 0 len with
-    | written ->
-        if written = len then Buffer.clear w.w_outbuf
-        else if written > 0 then begin
-          let rest = String.sub data written (len - written) in
-          Buffer.clear w.w_outbuf;
-          Buffer.add_string w.w_outbuf rest
-        end
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> worker_died st ~listeners w
+  else Linebuf.push w.w_io (Frame.encode (Frame.Query (token, line)))
 
 let read_worker st ~listeners w =
-  match Unix.read w.w_fd chunk 0 (Bytes.length chunk) with
-  | 0 -> worker_died st ~listeners w
-  | n -> (
-      Buffer.add_subbytes w.w_inbuf chunk 0 n;
-      let data = Buffer.contents w.w_inbuf in
-      let len = String.length data in
-      let start = ref 0 in
-      let corrupt = ref false in
-      (try
-         while not !corrupt do
-           let nl = String.index_from data !start '\n' in
-           let line = String.sub data !start (nl - !start) in
-           start := nl + 1;
-           if line <> "" then
-             match Frame.decode line with
-             | Ok (Frame.Answer (token, reply)) -> resolve st token reply
-             | Ok (Frame.Query _ | Frame.Stop) | Error _ ->
-                 (* Protocol corruption: answers can no longer be
-                    trusted to carry the right token.  Treat the worker
-                    as dead (its pendings fail, a fresh one spawns). *)
-                 corrupt := true
-         done
-       with Not_found -> ());
-      if !corrupt then begin
-        (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-        worker_died st ~listeners w
-      end
-      else if !start > 0 then begin
-        let rest = String.sub data !start (len - !start) in
-        Buffer.clear w.w_inbuf;
-        Buffer.add_string w.w_inbuf rest
-      end)
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> worker_died st ~listeners w
+  let on_line line =
+    if line <> "" then
+      match Frame.decode line with
+      | Ok (Frame.Answer (token, reply)) -> resolve st token reply
+      | Ok (Frame.Query _ | Frame.Stop) | Error _ ->
+          (* Protocol corruption: answers can no longer be trusted to
+             carry the right token.  Treat the worker as dead (its
+             pendings fail, a fresh one spawns). *)
+          (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
+          Linebuf.drop w.w_io
+  in
+  match Linebuf.read w.w_io on_line with
+  | `More -> ()
+  | `Eof | `Overlong -> worker_died st ~listeners w
+
+(* A worker pipe's input only ends through [worker_died], so an ended
+   pipe after a flush means the write failed. *)
+let flush_worker st ~listeners w =
+  Linebuf.flush w.w_io;
+  if Linebuf.eof w.w_io then worker_died st ~listeners w
 
 (* ---------------------------------------------------------------- *)
 (* Admission and routing                                              *)
@@ -326,14 +283,14 @@ let fresh_token st =
   st.next_token <- tok + 1;
   tok
 
-let local c token reply =
+let reply_at_front c token reply =
   Hashtbl.replace c.c_ready token reply;
   release c
 
-let route st conn_id c id wi line =
+let route st ws conn_id c id wi line =
   let tok = take_token st c in
   Hashtbl.replace st.pending tok (Direct { d_conn = conn_id; d_id = id; d_worker = wi });
-  send st wi tok line
+  send st ws.(wi) tok line
 
 (* Rebuild a gen/load_instance request with the front-minted session id
    attached as the "_session" param.  Any "_session" the client sent is
@@ -353,138 +310,116 @@ let rewrite_with_session (req : Protocol.request) sid =
   in
   Json.to_string (Json.Obj base)
 
+(* The in-process shard: the engine parses the line itself, so ping,
+   stats and shutdown are its own.  The token doubles as the engine's
+   client id; an immediate [`Reply] jumps the reorder queue. *)
+let admit_local st engine conn_id c line =
+  match Engine.submit engine ~client:st.next_token line with
+  | `Reply r -> Linebuf.push c.c_io r
+  | `Queued ->
+      let tok = take_token st c in
+      Hashtbl.replace st.pending tok
+        (Direct { d_conn = conn_id; d_id = Json.Null; d_worker = 0 })
+
+let admit_forked st ws conn_id c line =
+  match Protocol.parse_request line with
+  | Error (id, code, msg) ->
+      (* Immediate rejections jump the reorder queue, exactly as the
+         engine's [`Reply] path does on the in-process shard. *)
+      Linebuf.push c.c_io (Protocol.error ~id code msg)
+  | Ok req -> (
+      if st.stopping then
+        Linebuf.push c.c_io
+          (Protocol.error ~id:req.id Protocol.Shutting_down "server is draining")
+      else
+        match req.meth with
+        | "ping" ->
+            let tok = take_token st c in
+            reply_at_front c tok (Protocol.ok ~id:req.id (Json.Obj [ ("pong", Json.Bool true) ]))
+        | "shutdown" ->
+            st.shutdown_req <- true;
+            let tok = take_token st c in
+            reply_at_front c tok
+              (Protocol.ok ~id:req.id (Json.Obj [ ("stopping", Json.Bool true) ]))
+        | "stats" -> (
+            let alive =
+              Array.fold_left (fun acc w -> if w.w_down then acc else w :: acc) [] ws
+            in
+            let tok = take_token st c in
+            match alive with
+            | [] -> reply_at_front c tok (Protocol.ok ~id:req.id (Json.Obj (front_fields st)))
+            | alive ->
+                let f =
+                  {
+                    f_conn = conn_id;
+                    f_token = tok;
+                    f_id = req.id;
+                    f_parts = [];
+                    f_missing = List.length alive;
+                  }
+                in
+                List.iter
+                  (fun w ->
+                    let wtok = fresh_token st in
+                    Hashtbl.replace st.pending wtok (Part (f, w.w_index));
+                    send st w wtok line)
+                  alive)
+        | "gen" | "load_instance" ->
+            let sid = Shard.mint st.next_session in
+            st.next_session <- st.next_session + 1;
+            let wi = Shard.of_session ~workers:(Array.length ws) sid in
+            route st ws conn_id c req.id wi (rewrite_with_session req sid)
+        | _ ->
+            (* Sessionless or malformed-session requests all hash the
+               empty string — any single worker can answer bad_params /
+               unknown_session correctly. *)
+            let key =
+              match Json.member "session" req.params with
+              | Some (Json.Str s) -> s
+              | _ -> ""
+            in
+            let wi = Shard.of_session ~workers:(Array.length ws) key in
+            route st ws conn_id c req.id wi line)
+
 let admit st conn_id c line =
   if String.trim line <> "" then
-    match Protocol.parse_request line with
-    | Error (id, code, msg) ->
-        (* Immediate rejections jump the reorder queue, exactly as the
-           engine's [`Reply] path does in the single-process server. *)
-        push_raw c (Protocol.error ~id code msg)
-    | Ok req -> (
-        if st.stopping then
-          push_raw c
-            (Protocol.error ~id:req.id Protocol.Shutting_down "server is draining")
-        else
-          match req.meth with
-          | "ping" ->
-              let tok = take_token st c in
-              local c tok
-                (Protocol.ok ~id:req.id (Json.Obj [ ("pong", Json.Bool true) ]))
-          | "shutdown" ->
-              st.shutdown_req <- true;
-              let tok = take_token st c in
-              local c tok
-                (Protocol.ok ~id:req.id (Json.Obj [ ("stopping", Json.Bool true) ]))
-          | "stats" -> (
-              let alive =
-                Array.fold_left
-                  (fun acc w -> if w.w_eof then acc else w.w_index :: acc)
-                  [] st.workers
-              in
-              let tok = take_token st c in
-              match alive with
-              | [] ->
-                  local c tok
-                    (Protocol.ok ~id:req.id (Json.Obj (front_fields st)))
-              | alive ->
-                  let f =
-                    {
-                      f_conn = conn_id;
-                      f_token = tok;
-                      f_id = req.id;
-                      f_parts = [];
-                      f_missing = List.length alive;
-                    }
-                  in
-                  List.iter
-                    (fun wi ->
-                      let wtok = fresh_token st in
-                      Hashtbl.replace st.pending wtok (Part (f, wi));
-                      send st wi wtok line)
-                    alive)
-          | "gen" | "load_instance" ->
-              let sid = Shard.mint st.next_session in
-              st.next_session <- st.next_session + 1;
-              let wi = Shard.of_session ~workers:(Array.length st.workers) sid in
-              route st conn_id c req.id wi (rewrite_with_session req sid)
-          | _ ->
-              (* Sessionless or malformed-session requests all hash the
-                 empty string — any single worker can answer bad_params /
-                 unknown_session correctly. *)
-              let key =
-                match Json.member "session" req.params with
-                | Some (Json.Str s) -> s
-                | _ -> ""
-              in
-              let wi = Shard.of_session ~workers:(Array.length st.workers) key in
-              route st conn_id c req.id wi line)
+    match st.shards with
+    | Local engine -> admit_local st engine conn_id c line
+    | Forked ws -> admit_forked st ws conn_id c line
 
 (* ---------------------------------------------------------------- *)
 (* Client IO                                                          *)
 
-let feed_lines st conn_id c =
-  let data = Buffer.contents c.c_inbuf in
-  let len = String.length data in
-  let start = ref 0 in
-  (try
-     while true do
-       let nl = String.index_from data !start '\n' in
-       let line = String.sub data !start (nl - !start) in
-       start := nl + 1;
-       admit st conn_id c line
-     done
-   with Not_found -> ());
-  if len - !start > max_line_bytes then begin
-    Buffer.clear c.c_inbuf;
-    push_raw c
-      (Protocol.error ~id:Json.Null Protocol.Bad_request
-         (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
-    c.c_eof <- true
-  end
-  else if !start > 0 then begin
-    let rest = String.sub data !start (len - !start) in
-    Buffer.clear c.c_inbuf;
-    Buffer.add_string c.c_inbuf rest
-  end
-
 let read_client st conn_id c =
-  match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-  | 0 -> c.c_eof <- true
-  | n ->
-      Buffer.add_subbytes c.c_inbuf chunk 0 n;
-      feed_lines st conn_id c
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> c.c_eof <- true
+  match Linebuf.read c.c_io (admit st conn_id c) with
+  | `More | `Eof -> ()
+  | `Overlong ->
+      (* Answer with a structured error; the connection closes once it
+         is flushed. *)
+      Linebuf.push c.c_io
+        (Protocol.error ~id:Json.Null Protocol.Bad_request
+           (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
 
-let write_client c =
-  let data = Buffer.contents c.c_outbuf in
-  let len = String.length data in
-  if len > 0 then
-    match Unix.write_substring c.c_fd data 0 len with
-    | written ->
-        if written = len then Buffer.clear c.c_outbuf
-        else if written > 0 then begin
-          let rest = String.sub data written (len - written) in
-          Buffer.clear c.c_outbuf;
-          Buffer.add_string c.c_outbuf rest
-        end
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-        Buffer.clear c.c_outbuf;
-        c.c_eof <- true
-
-let close_conn st conn_id c =
-  Hashtbl.remove st.conns conn_id;
-  try Unix.close c.c_fd with Unix.Unix_error (_, _, _) -> ()
-
+(* A connection is closed once it was dropped, or once its input ended
+   and every admitted request has been answered and flushed. *)
 let sweep st =
   let dead =
     Hashtbl.fold
       (fun conn_id c acc ->
-        if c.c_eof && Buffer.length c.c_outbuf = 0 then (conn_id, c) :: acc else acc)
+        if
+          Linebuf.dropped c.c_io
+          || Linebuf.eof c.c_io
+             && Linebuf.pending c.c_io = 0
+             && Queue.is_empty c.c_order
+        then (conn_id, c) :: acc
+        else acc)
       st.conns []
   in
-  List.iter (fun (conn_id, c) -> close_conn st conn_id c) dead
+  List.iter
+    (fun (conn_id, c) ->
+      Hashtbl.remove st.conns conn_id;
+      try Unix.close (Linebuf.fd c.c_io) with Unix.Unix_error (_, _, _) -> ())
+    dead
 
 (* ---------------------------------------------------------------- *)
 (* Event loop                                                         *)
@@ -498,45 +433,45 @@ let rec accept_loop st l =
       st.next_conn <- conn_id + 1;
       Hashtbl.replace st.conns conn_id
         {
-          c_fd = fd;
-          c_inbuf = Buffer.create 256;
-          c_outbuf = Buffer.create 256;
-          c_eof = false;
+          c_io = Linebuf.create ~max_line:max_line_bytes ~max_out:max_outbuf_bytes fd;
           c_order = Queue.create ();
           c_ready = Hashtbl.create 8;
         };
       accept_loop st l
   | None -> ()
 
-let step st ~listeners ~timeout_ms =
+(* One poll(2) wake-up: accept, read and admit, run a batch on the
+   in-process shard, flush.  poll rather than select because select
+   fails on any fd number >= FD_SETSIZE (1024), which "thousands of
+   connections" crosses. *)
+let step st ~listeners =
   let slots = ref [] in
   List.iter (fun l -> slots := Slistener l :: !slots) listeners;
   Hashtbl.iter
     (fun conn_id c ->
-      if (not c.c_eof) || Buffer.length c.c_outbuf > 0 then
+      if (not (Linebuf.eof c.c_io)) || Linebuf.pending c.c_io > 0 then
         slots := Sclient (conn_id, c) :: !slots)
     st.conns;
-  Array.iter (fun w -> if not w.w_eof then slots := Sworker w :: !slots) st.workers;
+  Array.iter (fun w -> if not w.w_down then slots := Sworker w :: !slots) (workers st);
   let slots = Array.of_list !slots in
   let n = Array.length slots in
-  let fds =
-    Array.map
-      (function
-        | Slistener l -> l.Net.l_fd | Sclient (_, c) -> c.c_fd | Sworker w -> w.w_fd)
-      slots
+  let io_of = function
+    | Slistener l -> (l.Net.l_fd, Poll.pollin)
+    | Sclient (_, c) ->
+        ( Linebuf.fd c.c_io,
+          (if Linebuf.eof c.c_io then 0 else Poll.pollin)
+          lor if Linebuf.pending c.c_io > 0 then Poll.pollout else 0 )
+    | Sworker w ->
+        ( Linebuf.fd w.w_io,
+          Poll.pollin lor if Linebuf.pending w.w_io > 0 then Poll.pollout else 0 )
   in
-  let events =
-    Array.map
-      (function
-        | Slistener _ -> Poll.pollin
-        | Sclient (_, c) ->
-            (if c.c_eof then 0 else Poll.pollin)
-            lor (if Buffer.length c.c_outbuf > 0 then Poll.pollout else 0)
-        | Sworker w ->
-            Poll.pollin lor if Buffer.length w.w_outbuf > 0 then Poll.pollout else 0)
-      slots
-  in
+  let fds = Array.map (fun s -> fst (io_of s)) slots in
+  let events = Array.map (fun s -> snd (io_of s)) slots in
   let revents = Array.make n 0 in
+  (* Never sleep while the in-process engine has queued work. *)
+  let timeout_ms =
+    match st.shards with Local e when Engine.pending e > 0 -> 0 | _ -> 50
+  in
   (match Poll.poll ~fds ~events ~revents ~n ~timeout_ms with
   | _ -> ()
   | exception Unix.Unix_error (_, _, _) -> ());
@@ -546,156 +481,140 @@ let step st ~listeners ~timeout_ms =
       match slot with
       | Slistener l -> if r land Poll.pollin <> 0 then accept_loop st l
       | Sclient (conn_id, c) ->
-          if r land Poll.pollin <> 0 && not c.c_eof then read_client st conn_id c
-          else if r land Poll.pollerr <> 0 then c.c_eof <- true
+          if r land Poll.pollin <> 0 && not (Linebuf.eof c.c_io) then
+            read_client st conn_id c
+          else if r land Poll.pollerr <> 0 then Linebuf.shut_input c.c_io
       | Sworker w ->
-          if w.w_eof then ()
+          if w.w_down then ()
           else if r land Poll.pollin <> 0 then read_worker st ~listeners w
           else if r land Poll.pollerr <> 0 then worker_died st ~listeners w)
     slots;
-  (* Opportunistic flush: frames routed and responses released this
-     wake-up were not in anyone's pollout set. *)
-  Array.iter
-    (fun w ->
-      if (not w.w_eof) && Buffer.length w.w_outbuf > 0 then
-        flush_worker st ~listeners w)
-    st.workers;
-  Hashtbl.iter (fun _ c -> if Buffer.length c.c_outbuf > 0 then write_client c) st.conns;
+  (match st.shards with
+  | Local e -> List.iter (fun (tok, reply) -> resolve st tok reply) (Engine.run_batch e)
+  | Forked ws ->
+      (* Opportunistic flush: frames routed this wake-up were not in
+         anyone's pollout set. *)
+      Array.iter
+        (fun w -> if (not w.w_down) && Linebuf.pending w.w_io > 0 then flush_worker st ~listeners w)
+        ws);
+  Hashtbl.iter (fun _ c -> if Linebuf.pending c.c_io > 0 then Linebuf.flush c.c_io) st.conns;
   sweep st
 
-let stop_wanted st = Atomic.get st.interrupted || st.shutdown_req
+let stop_wanted st =
+  Atomic.get st.interrupted || st.shutdown_req
+  || match st.shards with Local e -> Engine.shutdown_requested e | Forked _ -> false
 
 (* ---------------------------------------------------------------- *)
 (* Drain                                                              *)
 
-let drain st listeners =
-  st.stopping <- true;
-  List.iter Net.close_listener listeners;
-  (* Resolve every outstanding token: workers keep executing and the
-     loop keeps routing their answers; nothing new is admitted. *)
+(* Resolve every outstanding token: workers keep executing and the loop
+   keeps routing their answers (new requests are answered
+   [shutting_down]); then stop and reap every worker. *)
+let drain_workers st ws =
   let give_up = Unix.gettimeofday () +. 30.0 in
   while Hashtbl.length st.pending > 0 && Unix.gettimeofday () < give_up do
-    step st ~listeners:[] ~timeout_ms:50
+    step st ~listeners:[]
   done;
-  if Hashtbl.length st.pending > 0 then begin
-    let leftovers = Hashtbl.fold (fun tok p acc -> (tok, p) :: acc) st.pending [] in
-    List.iter (fun (tok, p) -> fail_pend st tok p) leftovers
-  end;
+  let leftovers = Hashtbl.fold (fun tok p acc -> (tok, p) :: acc) st.pending [] in
+  List.iter (fun (tok, p) -> fail_pend st tok p) leftovers;
   (* Stop frames: each worker drains its engine, flushes, exits 0. *)
   Array.iter
     (fun w ->
-      if not w.w_eof then begin
-        Buffer.add_string w.w_outbuf (Frame.encode Frame.Stop);
-        write_all w.w_fd (Buffer.contents w.w_outbuf);
-        Buffer.clear w.w_outbuf;
-        (try Unix.close w.w_fd with Unix.Unix_error (_, _, _) -> ());
-        w.w_eof <- true
+      if not w.w_down then begin
+        Linebuf.push w.w_io (Frame.encode Frame.Stop);
+        Linebuf.flush_blocking w.w_io;
+        (try Unix.close (Linebuf.fd w.w_io) with Unix.Unix_error (_, _, _) -> ());
+        w.w_down <- true
       end)
-    st.workers;
-  let statuses = Array.map (fun w -> (w, reap ~timeout_s:10.0 w.w_pid)) st.workers in
+    ws;
+  Array.iter
+    (fun w ->
+      let status = reap ~timeout_s:10.0 w.w_pid in
+      if status <> Unix.WEXITED 0 then st.bad_exits <- st.bad_exits @ [ bad_exit w status ])
+    ws
+
+let drain st listeners =
+  st.stopping <- true;
+  List.iter Net.close_listener listeners;
+  (match st.shards with
+  | Local e ->
+      Engine.begin_shutdown e;
+      List.iter (fun (tok, reply) -> resolve st tok reply) (Engine.drain e)
+  | Forked ws -> drain_workers st ws);
   (* Flush released responses to clients (bounded budget), then close. *)
   let flush_deadline = Unix.gettimeofday () +. 5.0 in
   let rec flush_clients () =
     let waiting =
       Hashtbl.fold
-        (fun _ c acc ->
-          if Buffer.length c.c_outbuf > 0 && not c.c_eof then c :: acc else acc)
+        (fun _ c acc -> if Linebuf.pending c.c_io > 0 then c :: acc else acc)
         st.conns []
     in
     if waiting <> [] && Unix.gettimeofday () < flush_deadline then begin
-      List.iter write_client waiting;
-      let still =
-        List.exists (fun c -> Buffer.length c.c_outbuf > 0 && not c.c_eof) waiting
-      in
-      if still then begin
-        ignore (Unix.select [] [] [] 0.01);
+      List.iter (fun c -> Linebuf.flush c.c_io) waiting;
+      if List.exists (fun c -> Linebuf.pending c.c_io > 0) waiting then begin
+        Unix.sleepf 0.01;
         flush_clients ()
       end
     end
   in
   flush_clients ();
   Hashtbl.iter
-    (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error (_, _, _) -> ())
+    (fun _ c -> try Unix.close (Linebuf.fd c.c_io) with Unix.Unix_error (_, _, _) -> ())
     st.conns;
   Hashtbl.reset st.conns;
-  let status_bad =
-    List.filter_map
-      (fun (w, status) ->
-        if status = Unix.WEXITED 0 then None
-        else
-          Some
-            (Printf.sprintf "worker %d (pid %d) %s" w.w_index w.w_pid
-               (status_string status)))
-      (Array.to_list statuses)
-  in
-  let bad = st.bad_exits @ status_bad in
-  if bad <> [] then failwith ("unclean worker exit: " ^ String.concat "; " bad)
+  if st.bad_exits <> [] then
+    failwith ("unclean worker exit: " ^ String.concat "; " st.bad_exits)
 
 (* ---------------------------------------------------------------- *)
-(* Entry point                                                        *)
+(* Entry points                                                       *)
 
-let with_signals st f =
-  let install s =
-    match
-      Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set st.interrupted true))
-    with
+(* SIGINT/SIGTERM set [interrupted] for the duration of [f]; SIGPIPE is
+   ignored (a vanished peer is an EPIPE write error, not a death). *)
+let with_signals interrupted f =
+  let set s behavior =
+    match Sys.signal s behavior with
     | prev -> Some prev
     | exception (Invalid_argument _ | Sys_error _) -> None
   in
-  let pipe =
-    match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-    | prev -> Some prev
-    | exception (Invalid_argument _ | Sys_error _) -> None
-  in
-  let old_int = install Sys.sigint and old_term = install Sys.sigterm in
+  let stop = Sys.Signal_handle (fun _ -> Atomic.set interrupted true) in
+  let old_int = set Sys.sigint stop in
+  let old_term = set Sys.sigterm stop in
+  let old_pipe = set Sys.sigpipe Sys.Signal_ignore in
   Fun.protect f ~finally:(fun () ->
-      let restore s prev =
-        match prev with
-        | Some b -> (
-            try Sys.set_signal s b with Invalid_argument _ | Sys_error _ -> ())
-        | None -> ()
-      in
+      let restore s = Option.iter (fun prev -> ignore (set s prev)) in
       restore Sys.sigint old_int;
       restore Sys.sigterm old_term;
-      restore Sys.sigpipe pipe)
+      restore Sys.sigpipe old_pipe)
 
 let run ?on_ready ~engine ~workers listeners =
   if workers < 1 then invalid_arg "Front.run: workers must be >= 1";
   (* One engine per worker process: parallelism comes from the shards,
      so each worker defaults to a single-domain pool unless the caller
-     explicitly sizes within-worker jobs. *)
+     explicitly sizes within-worker jobs.  The in-process shard runs
+     the caller's config as given. *)
   let wcfg =
-    {
-      engine with
-      Engine.assign_ids = true;
-      jobs = Some (max 1 (Option.value engine.Engine.jobs ~default:1));
-    }
+    if workers = 1 then engine
+    else
+      {
+        engine with
+        Engine.assign_ids = true;
+        jobs = Some (max 1 (Option.value engine.Engine.jobs ~default:1));
+      }
   in
-  let listener_fds = List.map (fun l -> l.Net.l_fd) listeners in
-  let ws =
-    let acc = ref [] in
-    for i = 0 to workers - 1 do
-      let close_in_child =
-        listener_fds @ List.map (fun w -> w.w_fd) !acc
-      in
-      let fresh = Worker.spawn ~close_in_child ~engine:wcfg () in
-      acc :=
-        {
-          w_index = i;
-          w_pid = fresh.Worker.w_pid;
-          w_fd = fresh.Worker.w_fd;
-          w_inbuf = Buffer.create 4096;
-          w_outbuf = Buffer.create 4096;
-          w_eof = false;
-        }
-        :: !acc
-    done;
-    Array.of_list (List.rev !acc)
+  let shards =
+    if workers = 1 then Local (Engine.create wcfg)
+    else begin
+      let acc = ref [] in
+      for i = 0 to workers - 1 do
+        acc := spawn_worker ~engine:wcfg ~listeners ~clients:[] ~siblings:!acc i :: !acc
+      done;
+      Forked (Array.of_list (List.rev !acc))
+    end
   in
   let st =
     {
+      shards;
       wcfg;
-      workers = ws;
       conns = Hashtbl.create 64;
       pending = Hashtbl.create 256;
       next_conn = 1;
@@ -708,9 +627,36 @@ let run ?on_ready ~engine ~workers listeners =
       shutdown_req = false;
     }
   in
-  with_signals st (fun () ->
+  with_signals st.interrupted (fun () ->
       Option.iter (fun f -> f st) on_ready;
       while not (stop_wanted st) do
-        step st ~listeners ~timeout_ms:50
+        step st ~listeners
       done;
       drain st listeners)
+
+(* One implicit connection on stdin/stdout, used by the cram tests:
+   read until EOF (or an executed [shutdown]), answering each line's
+   batch in admission order, then drain. *)
+let run_stdio ~engine =
+  let engine = Engine.create engine in
+  let interrupted = Atomic.make false in
+  let emit replies =
+    List.iter
+      (fun (_, reply) ->
+        print_string reply;
+        print_newline ())
+      replies
+  in
+  with_signals interrupted (fun () ->
+      (try
+         while not (Atomic.get interrupted || Engine.shutdown_requested engine) do
+           let line = try input_line stdin with End_of_file -> raise Exit in
+           (if String.trim line <> "" then
+              match Engine.submit engine ~client:0 line with
+              | `Queued -> ()
+              | `Reply r -> emit [ (0, r) ]);
+           emit (Engine.run_batch engine)
+         done
+       with Exit -> ());
+      Engine.begin_shutdown engine;
+      emit (Engine.drain engine))

@@ -1,4 +1,4 @@
-(** Transport endpoints shared by the server, the front tier and the
+(** Transport endpoints shared by the serving loop ({!Front}) and the
     load generator: Unix-domain socket paths and TCP host:port pairs,
     with the listener lifecycle (bind/listen/accept/cleanup) in one
     place so every component treats stale sockets, [SO_REUSEADDR] and

@@ -20,5 +20,5 @@ val of_session : workers:int -> string -> int
 
 val mint : int -> string
 (** ["s<counter>"] — the session-id format shared with the
-    single-process engine, so clients observe the same namespace in
+    in-process engine ([--workers 1]), so clients observe the same namespace in
     both modes. *)

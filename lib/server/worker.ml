@@ -1,109 +1,48 @@
 type t = { w_pid : int; w_fd : Unix.file_descr }
 
-let chunk = Bytes.create 65536
-
-(* Write everything, blocking: only used at drain time, when the loop
-   is done and losing answers matters more than latency. *)
-let write_all fd data =
-  let len = String.length data in
-  let off = ref 0 in
-  (try Unix.clear_nonblock fd with Unix.Unix_error (_, _, _) -> ());
-  try
-    while !off < len do
-      let n = Unix.write_substring fd data !off (len - !off) in
-      if n <= 0 then raise Exit;
-      off := !off + n
-    done
-  with
-  | Exit -> ()
-  | Unix.Unix_error (_, _, _) -> ()
-
-let drain_and_exit engine fd outbuf =
-  Engine.begin_shutdown engine;
-  List.iter
-    (fun (token, reply) ->
-      Buffer.add_string outbuf (Frame.encode (Frame.Answer (token, reply))))
-    (Engine.drain engine);
-  write_all fd (Buffer.contents outbuf);
-  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-  (* _exit, not exit: at_exit callbacks and channel flushers inherited
-     from the parent must not run twice. *)
-  Unix._exit 0
-
 let run ~engine fd =
   let engine = Engine.create engine in
-  let inbuf = Buffer.create 4096 in
-  let outbuf = Buffer.create 4096 in
   Unix.set_nonblock fd;
-  let fds = [| fd |] in
-  let events = [| 0 |] in
-  let revents = [| 0 |] in
-  let handle_line line =
+  let io = Linebuf.create fd in
+  let answer (token, reply) = Linebuf.push io (Frame.encode (Frame.Answer (token, reply))) in
+  let drain_and_exit () =
+    Engine.begin_shutdown engine;
+    List.iter answer (Engine.drain engine);
+    Linebuf.flush_blocking io;
+    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+    (* _exit, not exit: at_exit callbacks and channel flushers inherited
+       from the parent must not run twice. *)
+    Unix._exit 0
+  in
+  let on_line line =
     if line <> "" then
       match Frame.decode line with
       | Ok (Frame.Query (token, payload)) -> (
           match Engine.submit engine ~client:token payload with
           | `Queued -> ()
-          | `Reply r -> Buffer.add_string outbuf (Frame.encode (Frame.Answer (token, r))))
-      | Ok Frame.Stop -> drain_and_exit engine fd outbuf
+          | `Reply r -> answer (token, r))
+      | Ok Frame.Stop -> drain_and_exit ()
       | Ok (Frame.Answer _) | Error _ ->
           (* A malformed frame means the pipe is corrupt; continuing
              would misroute answers.  Drain what we have and exit. *)
-          drain_and_exit engine fd outbuf
+          drain_and_exit ()
   in
-  let split_lines () =
-    let data = Buffer.contents inbuf in
-    let len = String.length data in
-    let start = ref 0 in
-    (try
-       while true do
-         let nl = String.index_from data !start '\n' in
-         let line = String.sub data !start (nl - !start) in
-         start := nl + 1;
-         handle_line line
-       done
-     with Not_found -> ());
-    if !start > 0 then begin
-      let rest = String.sub data !start (len - !start) in
-      Buffer.clear inbuf;
-      Buffer.add_string inbuf rest
-    end
-  in
-  let flush_some () =
-    let data = Buffer.contents outbuf in
-    let len = String.length data in
-    if len > 0 then
-      match Unix.write_substring fd data 0 len with
-      | written ->
-          if written = len then Buffer.clear outbuf
-          else if written > 0 then begin
-            let rest = String.sub data written (len - written) in
-            Buffer.clear outbuf;
-            Buffer.add_string outbuf rest
-          end
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> drain_and_exit engine fd outbuf
-  in
+  let fds = [| fd |] in
+  let events = [| 0 |] in
+  let revents = [| 0 |] in
   let rec loop () =
-    events.(0) <-
-      (Poll.pollin lor if Buffer.length outbuf > 0 then Poll.pollout else 0);
+    events.(0) <- (Poll.pollin lor if Linebuf.pending io > 0 then Poll.pollout else 0);
     let timeout_ms = if Engine.pending engine > 0 then 0 else 50 in
     ignore (Poll.poll ~fds ~events ~revents ~n:1 ~timeout_ms);
     if revents.(0) land Poll.pollin <> 0 then begin
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> drain_and_exit engine fd outbuf (* front went away *)
-      | n ->
-          Buffer.add_subbytes inbuf chunk 0 n;
-          split_lines ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> drain_and_exit engine fd outbuf
+      (* EOF: the front went away. *)
+      match Linebuf.read io on_line with `More -> () | `Eof | `Overlong -> drain_and_exit ()
     end
-    else if revents.(0) land Poll.pollerr <> 0 then drain_and_exit engine fd outbuf;
-    List.iter
-      (fun (token, reply) ->
-        Buffer.add_string outbuf (Frame.encode (Frame.Answer (token, reply))))
-      (Engine.run_batch engine);
-    flush_some ();
+    else if revents.(0) land Poll.pollerr <> 0 then drain_and_exit ();
+    List.iter answer (Engine.run_batch engine);
+    Linebuf.flush io;
+    (* Input only ends above, so an ended pipe here means the write failed. *)
+    if Linebuf.eof io then drain_and_exit ();
     loop ()
   in
   (* Group signals (Ctrl-C on a terminal) must not kill workers before

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Soak-and-latency gate on the serving layer (DESIGN.md sections 10 and
-# 14): drive a large concurrent TCP workload through the sharded
-# multi-worker front and require
+# 14): drive a large concurrent TCP workload through the serving loop
+# twice — with --workers 1, where the loop's one shard is its in-process
+# engine, and with the sharded multi-worker front — and require
 #   - zero error responses and zero protocol errors over the whole soak,
 #   - the consistency cross-check to pass (identical queries answered
 #     byte-identically under concurrency, across worker shards too),
 #   - a graceful drain: SIGTERM makes the daemon stop accepting, finish
-#     in-flight work, reap its workers, and exit 0 (asserted via
-#     `wait "$server"` on both legs),
+#     in-flight work, reap its workers (if any), and exit 0 (asserted
+#     via `wait "$server"` on both legs),
 #   - the N-worker configuration to beat the 1-worker baseline by
 #     SERVER_SPEEDUP_FLOOR on multi-core machines (auto-relaxed to a
 #     sanity floor when nproc < 4 — forked shards can't beat one

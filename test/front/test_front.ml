@@ -1,9 +1,11 @@
-(* End-to-end tests of the sharded front tier (lib/server/front.ml):
-   a forked child runs [Front.run] with real worker processes while
-   this process talks to it over TCP.  The front is forked rather than
-   run in-process because [Front.run] forks workers, and fork is only
-   safe while the process owns no domains — a dedicated child keeps
-   that invariant independent of what the test runner does.
+(* End-to-end tests of the serving loop (lib/server/front.ml): a forked
+   child runs [Front.run] — with real worker processes, or with its
+   in-process engine when [workers = 1] — while this process talks to
+   it over TCP.  The front is forked rather than run in-process because
+   [Front.run] forks workers, and fork is only safe while the process
+   owns no domains — a dedicated child keeps that invariant independent
+   of what the test runner does.  The drain and fault-injection cases
+   run against both kinds of shard.
 
    Session-to-worker affinity is proven behaviorally: session stores
    are per-worker, so if routing were ever inconsistent a follow-up
@@ -54,8 +56,9 @@ let start_front ~workers =
             Alcotest.fail "front child died before reporting worker pids"
       in
       close_in ic;
-      if List.length pids <> workers then
-        Alcotest.failf "expected %d worker pids, got %d" workers
+      let expected = if workers = 1 then 0 else workers in
+      if List.length pids <> expected then
+        Alcotest.failf "expected %d worker pids, got %d" expected
           (List.length pids);
       { pid; endpoint = l.Net.l_endpoint; pids }
 
@@ -229,8 +232,8 @@ let check_clean_exit f =
   | Unix.WSTOPPED _ -> Alcotest.fail "front stopped"
 
 (* A served shutdown request drains the workers and exits 0. *)
-let test_shutdown_request () =
-  with_front ~workers:2 (fun f ->
+let test_shutdown_request ~workers () =
+  with_front ~workers (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       ignore (ok_payload (cost c sid));
@@ -247,17 +250,164 @@ let test_shutdown_request () =
           | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
         f.pids)
 
+let sigterm_exits_clean f =
+  Unix.kill f.pid Sys.sigterm;
+  check_clean_exit f
+
 (* SIGTERM triggers the same graceful drain. *)
-let test_sigterm () =
-  with_front ~workers:2 (fun f ->
+let test_sigterm ~workers () =
+  with_front ~workers (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       ignore (ok_payload (cost c sid));
       close_client c;
+      sigterm_exits_clean f)
+
+(* ---------------------------------------------------------------- *)
+(* Fault injection: after each fault a fresh client is served and
+   SIGTERM still drains to exit 0. *)
+
+let still_serves f =
+  let c = connect f.endpoint in
+  let pong = ok_payload (rpc c (req "p" "ping" [])) in
+  Alcotest.(check bool) "fresh client pinged" true
+    (Json.member "pong" pong = Some (Json.Bool true));
+  close_client c;
+  sigterm_exits_clean f
+
+(* Blocking write that tolerates the server closing mid-way. *)
+let write_until_closed c s =
+  try ignore (Unix.write_substring c.fd s 0 (String.length s))
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
+(* Read until the server closes the connection; the lines read. *)
+let read_to_close c =
+  let rec go acc =
+    match input_line c.ic with
+    | line -> go (line :: acc)
+    | exception (End_of_file | Sys_error _) -> List.rev acc
+  in
+  go []
+
+(* One byte past the 8 MiB line bound, with no newline: answered
+   bad_request, then the connection is closed. *)
+let test_oversized_line ~workers () =
+  with_front ~workers (fun f ->
+      let c = connect f.endpoint in
+      write_until_closed c (String.make ((8 * 1024 * 1024) + 1) 'x');
+      (match read_to_close c with
+      | [ r ] -> Alcotest.(check string) "code" "bad_request" (error_code r)
+      | lines -> Alcotest.failf "expected one reply, got %d" (List.length lines));
+      close_client c;
+      still_serves f)
+
+(* A client pipelines 50 requests and vanishes without reading: its
+   answers land after it is gone. *)
+let test_vanishing_client ~workers () =
+  with_front ~workers (fun f ->
+      let c = connect f.endpoint in
+      let sid = gen_session c () in
+      let lines =
+        List.init 50 (fun i ->
+            if i mod 5 = 0 then
+              req (string_of_int i) "gen" [ ("name", Json.Str "ring"); ("n", Json.Int 8) ]
+            else req (string_of_int i) "cost" [ ("session", Json.Str sid) ])
+      in
+      write_until_closed c (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+      close_client c;
+      still_serves f)
+
+(* 20 MiB of malformed lines from a client that never reads: every
+   line is answered immediately, so its pending output passes the
+   256 MiB bound and it is dropped, while another client is served. *)
+let test_flood ~workers () =
+  with_front ~workers (fun f ->
+      let other = connect f.endpoint in
+      let flood = connect f.endpoint in
+      write_until_closed flood (String.concat "" (List.init (10 * 1024 * 1024) (fun _ -> "x\n")));
+      (* The server dropped it, discarding the answers it had not yet
+         written: reading reaches the end well short of one answer per
+         line. *)
+      let answered = List.length (read_to_close flood) in
+      if answered >= 1024 * 1024 then
+        Alcotest.failf "flooding client not dropped (%d answers read)" answered;
+      close_client flood;
+      ignore (ok_payload (rpc other (req "p" "ping" [])));
+      close_client other;
+      still_serves f)
+
+(* Pipeline [count] requests on one connection without reading. *)
+let pipeline c count mk =
+  output_string c.oc
+    (String.concat "" (List.init count (fun i -> req (string_of_int i) "stable" (mk i) ^ "\n")));
+  flush c.oc
+
+let answer_id r =
+  match Json.member "id" (parse r) with
+  | Some (Json.Str i) -> int_of_string i
+  | _ -> Alcotest.failf "answer without a request id: %s" r
+
+(* SIGKILL a worker while a pipelined burst is in flight on both
+   shards: every request is still answered, in order — [ok] or the
+   crash policy's errors — and the front keeps serving. *)
+let test_kill_mid_batch () =
+  with_front ~workers:2 (fun f ->
+      let c = connect f.endpoint in
+      let sids = Array.init 8 (fun _ -> gen_session c ~n:40 ()) in
+      pipeline c 200 (fun i -> [ ("session", Json.Str sids.(i mod 8)) ]);
+      Unix.kill (List.hd f.pids) Sys.sigkill;
+      for i = 0 to 199 do
+        let r = input_line c.ic in
+        Alcotest.(check int) "in order" i (answer_id r);
+        if Json.member "ok" (parse r) = None then
+          match error_code r with
+          | "internal" | "unknown_session" -> ()
+          | code -> Alcotest.failf "request %d answered %S" i code
+      done;
+      close_client c;
+      still_serves f)
+
+(* A second SIGTERM while the first drain runs changes nothing: what
+   was admitted is answered [ok], anything read after the drain began
+   gets [shutting_down], each request at most once, and the exit is 0. *)
+let test_sigterm_during_drain ~workers () =
+  with_front ~workers (fun f ->
+      let c = connect f.endpoint in
+      let sid = gen_session c ~n:40 () in
+      pipeline c 100 (fun _ -> [ ("session", Json.Str sid) ]);
       Unix.kill f.pid Sys.sigterm;
+      Unix.kill f.pid Sys.sigterm;
+      let ids =
+        List.map
+          (fun r ->
+            if Json.member "ok" (parse r) = None && error_code r <> "shutting_down" then
+              Alcotest.failf "drain answered %s" r;
+            answer_id r)
+          (read_to_close c)
+      in
+      Alcotest.(check int) "each request answered at most once"
+        (List.length ids) (List.length (List.sort_uniq compare ids));
+      close_client c;
       check_clean_exit f)
 
+(* The cases every shard kind must pass. *)
+let per_shard ~workers =
+  [
+    Alcotest.test_case "graceful drain on shutdown request" `Quick
+      (test_shutdown_request ~workers);
+    Alcotest.test_case "graceful drain on SIGTERM" `Quick (test_sigterm ~workers);
+    Alcotest.test_case "second SIGTERM during drain" `Quick
+      (test_sigterm_during_drain ~workers);
+    Alcotest.test_case "oversized line: bad_request, closed" `Quick
+      (test_oversized_line ~workers);
+    Alcotest.test_case "client vanishes with answers pending" `Quick
+      (test_vanishing_client ~workers);
+    Alcotest.test_case "malformed-line flood: dropped" `Quick (test_flood ~workers);
+  ]
+
 let () =
+  (* A client the server closed on must not kill the test runner. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "bbc-front"
     [
       ( "front",
@@ -266,8 +416,9 @@ let () =
             test_affinity;
           Alcotest.test_case "worker crash: isolated errors + respawn" `Quick
             test_worker_crash;
-          Alcotest.test_case "graceful drain on shutdown request" `Quick
-            test_shutdown_request;
-          Alcotest.test_case "graceful drain on SIGTERM" `Quick test_sigterm;
-        ] );
+          Alcotest.test_case "worker killed mid-batch: all answered" `Quick
+            test_kill_mid_batch;
+        ]
+        @ per_shard ~workers:2 );
+      ("front-inproc", per_shard ~workers:1);
     ]

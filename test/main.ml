@@ -45,6 +45,7 @@ let () =
       ("obs", Test_obs.suite);
       ("bigbench", Test_bigbench.suite);
       ("server", Test_server.suite);
+      ("linebuf", Test_linebuf.suite);
       ("shard", Test_shard.suite);
       ("fuzz", Test_fuzz.suite);
       ("parsers", Test_parsers.suite);

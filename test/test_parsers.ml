@@ -2,7 +2,8 @@
    inputs must come back as [Ok] or [Error], never as an exception.
    Mutations are truncation, bit flips, an integer literal widened to 20
    digits, and 3000 nested '[' spliced in; the generator is seeded, so
-   every run feeds the same inputs. *)
+   every run feeds the same inputs.  Each call must also finish within a
+   wall-clock budget, so a parser that hangs fails by name. *)
 
 module SM = Bbc_prng.Splitmix
 module I = Bbc.Instance
@@ -47,8 +48,6 @@ let checkpoint_lines () =
       { Checkpoint.unit_id = 5; payload = Checkpoint.Failed "boom" };
     ]
 
-let drop_newline s = String.sub s 0 (String.length s - 1)
-
 (* Each parser with the valid inputs its mutations start from. *)
 let parsers () =
   let ok f s = Result.is_ok (f s) in
@@ -59,8 +58,7 @@ let parsers () =
     ("Protocol.parse_request", ok Bbc_server.Protocol.parse_request, [ protocol_line ]);
     ( "Frame.decode",
       ok Frame.decode,
-      List.map
-        (fun f -> drop_newline (Frame.encode f))
+      List.map Frame.encode
         [ Frame.Query (12, protocol_line); Frame.Answer (3, {|{"id":1,"ok":5}|}); Frame.Stop ] );
     ( "Codec.instance_of_string",
       ok Codec.instance_of_string,
@@ -111,11 +109,28 @@ let mutate rng s =
   | 2 -> huge_int rng s
   | _ -> deep_nesting rng s
 
+(* A parse call slower than this counts as a hang: every input here is
+   a few KiB at most, so a correct parser answers in microseconds and
+   the budget only catches super-linear blow-ups. *)
+let budget_s = 0.1
+
+(* Fail if the call on [s] that started at [t0] overran the budget. *)
+let within_budget name s t0 =
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > budget_s then
+    Alcotest.failf "%s took %.0f ms (budget %.0f ms) on input starting %S" name (dt *. 1e3)
+      (budget_s *. 1e3)
+      (String.sub s 0 (min 60 (String.length s)))
+
 let test_seeds_parse () =
   List.iter
     (fun (name, parse, seeds) ->
       List.iteri
-        (fun i s -> Alcotest.(check bool) (Printf.sprintf "%s seed %d" name i) true (parse s))
+        (fun i s ->
+          let t0 = Unix.gettimeofday () in
+          let accepted = parse s in
+          within_budget name s t0;
+          Alcotest.(check bool) (Printf.sprintf "%s seed %d" name i) true accepted)
         seeds)
     (parsers ())
 
@@ -129,9 +144,11 @@ let test_mutations_never_raise () =
         (* Stack two mutations half the time. *)
         let s = mutate rng (SM.choose rng seeds) in
         let s = if SM.bool rng then mutate rng s else s in
-        match parse s with
+        let t0 = Unix.gettimeofday () in
+        (match parse s with
         | accepted -> if not accepted then incr rejected
-        | exception e -> Alcotest.failf "%s raised %s on %S" name (Printexc.to_string e) s
+        | exception e -> Alcotest.failf "%s raised %s on %S" name (Printexc.to_string e) s);
+        within_budget name s t0
       done;
       (* The mutations must reach the error paths, not only valid input. *)
       if !rejected = 0 then Alcotest.failf "%s accepted every mutated input" name)
