@@ -420,5 +420,7 @@ let () =
             test_kill_mid_batch;
         ]
         @ per_shard ~workers:2 );
-      ("front-inproc", per_shard ~workers:1);
+      (* Kept short: Alcotest sizes the label column to the longest
+         suite name and cuts test names that overflow 80 columns. *)
+      ("inproc", per_shard ~workers:1);
     ]
