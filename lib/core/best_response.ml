@@ -3,73 +3,76 @@ module Workspace = Bbc_graph.Workspace
 
 type result = { strategy : int list; cost : int }
 
-let candidate_targets instance u =
-  let n = Instance.n instance in
+(* [f v] for every affordable target [v] of [u], increasing. *)
+let iter_candidates instance u f =
   let b = Instance.budget instance u in
+  for v = 0 to Instance.n instance - 1 do
+    if v <> u && Instance.cost instance u v <= b then f v
+  done
+
+let candidate_targets instance u =
   let acc = ref [] in
-  for v = n - 1 downto 0 do
-    if v <> u && Instance.cost instance u v <= b then acc := v :: !acc
-  done;
-  !acc
+  iter_candidates instance u (fun v -> acc := v :: !acc);
+  List.rev !acc
 
-(* Distance rows in G_{-u}, fetched lazily per candidate target and
-   cached for the duration of one enumeration: a [~ban:u] CSR kernel
-   sweep of the full snapshot of the current profile into a pooled
-   workspace row, which goes back to the per-domain pool when the
-   enumeration finishes. *)
-type rows = { fetch : int -> int array; cache : int array option array }
+(* Distance rows in G_{-u} of the sources [srcs] of one enumeration —
+   its candidate targets in order, then any current target that is not
+   one: [~ban:u] CSR kernel sweeps of the full snapshot of the current
+   profile into pooled workspace rows, which go back to the per-domain
+   pool when the enumeration finishes.  [bufs.(i)] holds source [i]'s
+   row while it is fetched and not yet taken, [||] otherwise; a source
+   without one is swept when taken.
 
-(* The snapshot is [?csr] when the caller shares one (trusted to equal
-   [Config.to_csr instance config]), which keeps parallel scans from
-   building one per node; otherwise this decision builds its own.
+   The snapshot is [?csr] when the caller shares one (trusted to equal
+   [Config.to_csr instance config]), which keeps parallel scans and
+   walks from building one per decision; otherwise this decision builds
+   its own.
 
-   [?prefetch] names the candidate targets the caller is about to
-   enumerate: on unit-length snapshots their rows are fetched up front
-   with one bit-parallel [Csr.sssp_batch ~ban] traversal instead of one
+   On unit-length snapshots every source's row is fetched up front with
+   one bit-parallel [Csr.sssp_batch ~ban] traversal instead of one
    scalar sweep each.  An enumeration that runs to completion touches
    every candidate row at DFS depth 1 anyway, so the batch does the
    same work for ~one sweep's worth of graph reads; early-aborting
    callers pay at most one window of extra traversal. *)
-let scratch_rows ?csr ?prefetch instance config u =
-  let ws = Workspace.get () in
-  let n = Instance.n instance in
-  let snap = match csr with Some full -> full | None -> Config.to_csr instance config in
-  let rows =
-    {
-      fetch =
-        (fun v ->
-          let row = Workspace.acquire ws n in
-          Csr.sssp ~ban:u snap (Workspace.scratch ws) ~src:v ~dist:row;
-          row);
-      cache = Array.make n None;
-    }
-  in
-  (match prefetch with
-  | Some targets when Array.length targets > 1 && Csr.unit_lengths snap ->
-      let bufs = Array.map (fun _ -> Workspace.acquire ws n) targets in
-      Csr.sssp_batch ~ban:u snap (Workspace.scratch ws) ~srcs:targets ~rows:bufs;
-      Array.iteri (fun i v -> rows.cache.(v) <- Some bufs.(i)) targets
-  | _ -> ());
-  rows
+type rows = { snap : Csr.t; u : int; srcs : int array; bufs : int array array }
 
-(* [v]'s G_{-u} row, handed to the caller: a prefetched row leaves the
-   cache here, and goes back to the pool once the caller is done. *)
-let take rows v =
-  match rows.cache.(v) with
-  | Some d ->
-      rows.cache.(v) <- None;
-      d
-  | None -> rows.fetch v
+let scratch_rows ?csr instance config u ~srcs =
+  let snap = match csr with Some full -> full | None -> Config.to_csr instance config in
+  let bufs =
+    if Array.length srcs > 1 && Csr.unit_lengths snap then begin
+      let ws = Workspace.get () in
+      let bufs = Array.map (fun _ -> Workspace.acquire ws (Csr.n snap)) srcs in
+      Csr.sssp_batch ~ban:u snap (Workspace.scratch ws) ~srcs ~rows:bufs;
+      bufs
+    end
+    else Array.make (Array.length srcs) [||]
+  in
+  { snap; u; srcs; bufs }
+
+(* Source [i]'s G_{-u} row, handed to the caller: a prefetched row
+   leaves [bufs] here, and goes back to the pool once the caller is
+   done. *)
+let take rows i =
+  let d = rows.bufs.(i) in
+  if Array.length d > 0 then begin
+    rows.bufs.(i) <- [||];
+    d
+  end
+  else begin
+    let ws = Workspace.get () in
+    let row = Workspace.acquire ws (Csr.n rows.snap) in
+    Csr.sssp ~ban:rows.u rows.snap (Workspace.scratch ws) ~src:rows.srcs.(i) ~dist:row;
+    row
+  end
 
 let release_rows ws rows =
   Array.iteri
-    (fun v r ->
-      match r with
-      | None -> ()
-      | Some r ->
-          rows.cache.(v) <- None;
-          Workspace.release ws r)
-    rows.cache
+    (fun i r ->
+      if Array.length r > 0 then begin
+        rows.bufs.(i) <- [||];
+        Workspace.release ws r
+      end)
+    rows.bufs
 
 (* Compact weighted rows (DESIGN.md section 18).  Only the columns
    C_u = {x <> u : w(u,x) > 0} enter u's cost, and for w > 0 the weight
@@ -121,11 +124,11 @@ let close_frame ws fr =
   release_prefix ws fr.wts fr.k;
   release_prefix ws fr.empty fr.k
 
-(* [v]'s F row, built from its G_{-u} row; the distance row goes back
-   to the pool straight away. *)
-let build_frow ws instance u rows fr v =
-  let rv = take rows v in
-  let luv = Instance.length instance u v in
+(* Source [i]'s F row, built from its G_{-u} row; the distance row goes
+   back to the pool straight away. *)
+let build_frow ws instance u rows fr i =
+  let rv = take rows i in
+  let luv = Instance.length instance u rows.srcs.(i) in
   let f = Workspace.acquire ws (Instance.n instance) in
   for i = 0 to fr.k - 1 do
     let r = rv.(fr.cols.(i)) in
@@ -134,13 +137,13 @@ let build_frow ws instance u rows fr v =
   Workspace.release ws rv;
   f
 
-(* F row of candidate [j] (target [v]), built the first time the
-   enumeration touches it. *)
-let frow ws instance u rows fr j v =
+(* F row of candidate [j] (source [j] of [rows]), built the first time
+   the enumeration touches it. *)
+let frow ws instance u rows fr j =
   let f = fr.frows.(j) in
   if Array.length f > 0 then f
   else begin
-    let f = build_frow ws instance u rows fr v in
+    let f = build_frow ws instance u rows fr j in
     fr.frows.(j) <- f;
     f
   end
@@ -222,7 +225,7 @@ let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
           let c = costs.(j) in
           if c <= budget then begin
             let v = candidates.(j) in
-            let f = frow ws instance u rows fr j v in
+            let f = frow ws instance u rows fr j in
             let chosen' = v :: chosen in
             incr subsets;
             if on_subset chosen' (score ~objective cur f k) then stop := true
@@ -240,23 +243,25 @@ let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
 
-(* [u]'s cost under its current [targets]: the min-fold of their F rows,
-   scored like any subset.  A target among the candidates shares the
-   DFS's cached row; any other one (outside the sample, or over budget
-   in an infeasible profile) gets a row of its own, dropped once
-   folded, and never enters the DFS. *)
-let price ~objective ws instance u ~rows fr ~candidates targets =
+(* [u]'s cost under its current [targets], all of them sources of
+   [rows]: the min-fold of their F rows, scored like any subset.  A
+   target among the candidates shares the DFS's cached row; any other
+   one (outside the sample, or over budget in an infeasible profile)
+   gets a row of its own, dropped once folded, and never enters the
+   DFS. *)
+let price ~objective ws instance u ~rows fr targets =
   let k = fr.k in
   let cur = Workspace.acquire ws (Instance.n instance) in
   Array.blit fr.empty 0 cur 0 k;
   List.iter
     (fun v ->
-      match Array.find_index (( = ) v) candidates with
-      | Some j -> min_into ~dst:cur cur (frow ws instance u rows fr j v) k
-      | None ->
-          let f = build_frow ws instance u rows fr v in
-          min_into ~dst:cur cur f k;
-          release_prefix ws f k)
+      let i = Option.get (Array.find_index (( = ) v) rows.srcs) in
+      if i < Array.length fr.frows then min_into ~dst:cur cur (frow ws instance u rows fr i) k
+      else begin
+        let f = build_frow ws instance u rows fr i in
+        min_into ~dst:cur cur f k;
+        release_prefix ws f k
+      end)
     targets;
   let c = score ~objective cur cur k in
   release_prefix ws cur k;
@@ -360,7 +365,7 @@ let closed_enumerate ~objective instance (_, t) u ~on_subset =
 
 let scratch_enumerate ~objective ?csr instance config u ~on_subset =
   let candidates = Array.of_list (candidate_targets instance u) in
-  let rows = scratch_rows ?csr ~prefetch:candidates instance config u in
+  let rows = scratch_rows ?csr instance config u ~srcs:candidates in
   with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
       dfs ~objective ws instance u ~rows fr ~candidates ~on_subset)
 
@@ -373,15 +378,29 @@ type search = Exact | First_improving | Sampled of { rng : Bbc_prng.Splitmix.t; 
 type decision = { best : result; current : int }
 
 (* The candidate pool of one search: every affordable target, or a
-   uniform sample of them drawn from [rng]. *)
+   uniform sample of them drawn from [rng].  The affordable targets are
+   listed in a pooled row, so a sample of a few out of thousands
+   allocates only the sample. *)
 let pool ~search instance u =
-  let all = Array.of_list (candidate_targets instance u) in
-  match search with
-  | Sampled { rng; sample } when sample < Array.length all ->
-      Bbc_prng.Splitmix.sample_without_replacement rng sample (Array.length all)
-      |> List.map (Array.get all)
-      |> Array.of_list
-  | Exact | First_improving | Sampled _ -> all
+  let ws = Workspace.get () in
+  let all = Workspace.acquire ws (Instance.n instance) in
+  let count = ref 0 in
+  iter_candidates instance u (fun v ->
+      all.(!count) <- v;
+      incr count);
+  let c = !count in
+  let picked =
+    match search with
+    | Sampled { rng; sample } when sample < c ->
+        let picked = Array.make sample 0 in
+        List.iteri
+          (fun i j -> picked.(i) <- all.(j))
+          (Bbc_prng.Splitmix.sample_without_replacement rng sample c);
+        picked
+    | Exact | First_improving | Sampled _ -> Array.sub all 0 c
+  in
+  release_prefix ws all c;
+  picked
 
 (* One row set prices both sides of the decision: the current targets
    join the candidates' prefetch (one [sssp_batch] window on unit
@@ -392,10 +411,10 @@ let scratch_decide ~objective ?csr ~search instance config u ~on_subset =
   let targets = Config.targets config u in
   let others = List.filter (fun v -> not (Array.mem v candidates)) targets in
   let rows =
-    scratch_rows ?csr ~prefetch:(Array.append candidates (Array.of_list others)) instance config u
+    scratch_rows ?csr instance config u ~srcs:(Array.append candidates (Array.of_list others))
   in
   with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
-      let current = price ~objective ws instance u ~rows fr ~candidates targets in
+      let current = price ~objective ws instance u ~rows fr targets in
       dfs ~objective ws instance u ~rows fr ~candidates ~on_subset:(on_subset current);
       current)
 
@@ -453,7 +472,7 @@ let sampled ?objective ?csr ~rng ~sample instance config u =
 
 let greedy ?(objective = Objective.Sum) ?csr instance config u =
   let candidates = Array.of_list (candidate_targets instance u) in
-  let rows = scratch_rows ?csr ~prefetch:candidates instance config u in
+  let rows = scratch_rows ?csr instance config u ~srcs:candidates in
   with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
       let k = fr.k in
       (* [cur] is the chosen links' merged row, updated in place. *)
@@ -464,7 +483,7 @@ let greedy ?(objective = Objective.Sum) ?csr instance config u =
         Array.iteri
           (fun j v ->
             if (not (List.mem v chosen)) && Instance.cost instance u v <= budget then begin
-              let c = score ~objective cur (frow ws instance u rows fr j v) k in
+              let c = score ~objective cur (frow ws instance u rows fr j) k in
               if c < !best_cost then begin
                 best := j;
                 best_cost := c

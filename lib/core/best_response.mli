@@ -35,7 +35,9 @@
     that snapshot) and builds it itself when not given.  Results are
     bit-identical either way; the point is that parallel fan-outs
     (stability scans, dynamics improving scans) share one read-only
-    snapshot ({!snapshot}) and stop contending on allocation. *)
+    snapshot ({!snapshot}) and stop contending on allocation, and that
+    a best-response walk keeps one snapshot for all its activations
+    ({!Dynamics.run}). *)
 
 type result = {
   strategy : int list;  (** An optimal link set (sorted). *)

@@ -67,6 +67,10 @@ let to_csr instance t =
   done;
   Bbc_graph.Csr.finish b
 
+let csr_with_row instance t snap u =
+  Bbc_graph.Csr.with_row snap u ~targets:t.(u)
+    ~lengths:(Array.map (Instance.length instance u) t.(u))
+
 let validated_strategy = validate_strategy
 
 let unsafe_of_arrays (strategies : int array array) : t = strategies

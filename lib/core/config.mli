@@ -50,6 +50,12 @@ val to_csr : Instance.t -> t -> Bbc_graph.Csr.t
     intermediate adjacency-list graph.  Best responses sweep it with
     [~ban:u] for the [G_{-u}] rows. *)
 
+val csr_with_row : Instance.t -> t -> Bbc_graph.Csr.t -> int -> Bbc_graph.Csr.t
+(** [csr_with_row instance config snap u] replaces [u]'s row of [snap]
+    by [u]'s strategy in [config] ({!Bbc_graph.Csr.with_row}).  When
+    [snap] is [to_csr] of a profile that differs from [config] at most
+    in [u]'s strategy, the result equals [to_csr instance config]. *)
+
 val edge_count : t -> int
 
 (** {2 Trusted construction (hot paths)}

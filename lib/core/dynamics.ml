@@ -82,14 +82,16 @@ type activation = { config : Config.t; moved : bool; before : int; after : int }
    holds every node's cost (Max_cost_first scans every node per step)
    pass both in, so the enumeration is not repeated here:
    [Some (None, c)] = known stable at cost [c], [Some (Some r, c)] =
-   known unstable with witness [r]. *)
-let activate ?objective ?rng ?known ~policy instance config node =
+   known unstable with witness [r].
+
+   [csr] is the walk's snapshot of [config] (see [run]). *)
+let activate ?objective ?rng ?known ?csr ~policy instance config node =
   let stay cost = { config; moved = false; before = cost; after = cost } in
   let move (r : Best_response.result) before =
     { config = Config.with_strategy config node r.strategy; moved = true; before; after = r.cost }
   in
   let decide search =
-    let d = Best_response.decide ?objective ~search instance config node in
+    let d = Best_response.decide ?objective ?csr ~search instance config node in
     if d.best.cost < d.current then move d.best d.current else stay d.current
   in
   match (known, policy) with
@@ -97,7 +99,7 @@ let activate ?objective ?rng ?known ~policy instance config node =
   | Some (Some first, cost), First_improvement -> move first cost
   | Some (Some _, cost), Exact_best_response ->
       (* Known unstable, so the optimum strictly improves. *)
-      move (Best_response.exact ?objective instance config node) cost
+      move (Best_response.exact ?objective ?csr instance config node) cost
   | _, Sampled_best_response { sample; _ } ->
       decide (Sampled { rng = Option.get rng; sample })
   | None, First_improvement -> decide First_improving
@@ -169,6 +171,17 @@ let round_order scheduler rng n =
       order
   | Max_cost_first -> assert false
 
+(* The walk's one snapshot of its start, or [None] when no decision
+   reads rows: uniform k = 1 on a functional profile takes the closed
+   form under [Exact_best_response] and [First_improvement], and every
+   move keeps the profile functional (a budget of one unit link buys at
+   most one).  [None] stays correct if that ever changed: a decision
+   given no snapshot builds its own. *)
+let walk_snapshot ~policy instance config =
+  match policy with
+  | Sampled_best_response _ -> Some (Config.to_csr instance config)
+  | Exact_best_response | First_improvement -> Best_response.snapshot instance config
+
 let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
     ~max_rounds instance config0 =
   let n = Instance.n instance in
@@ -187,6 +200,15 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
     match policy with
     | Sampled_best_response { seed; _ } -> Some (Splitmix.create seed)
     | _ -> None
+  in
+  (* One snapshot for the whole walk, always that of the current
+     profile: every activation decides on it, and a move replaces the
+     mover's row ([Csr.with_row], O(n + m)) instead of rebuilding the
+     graph; a node that stays costs nothing.  Snapshots are immutable,
+     so the parallel improving scan shares it read-only. *)
+  let csr = ref (walk_snapshot ~policy instance config0) in
+  let advance node (a : activation) =
+    if a.moved then csr := Option.map (fun s -> Config.csr_with_row instance a.config s node) !csr
   in
   let emit ~prev index round node (a : activation) =
     Bbc_obs.incr obs_activations;
@@ -235,7 +257,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
                  pool; the winner's result is handed to [activate] so
                  the enumeration never runs twice for the same step. *)
               let improving =
-                let csr = Best_response.snapshot instance config in
+                let csr = !csr in
                 Bbc_parallel.parallel_init
                   ~jobs:(Bbc_parallel.jobs_for ~threshold:64 n) n
                   (fun u -> Best_response.improving ?objective ?csr instance config u)
@@ -257,8 +279,9 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
                   in
                   let a =
                     activate ?objective ?rng:brng ~known:(improving.(node), costs.(node))
-                      ~policy instance config node
+                      ?csr:!csr ~policy instance config node
                   in
+                  advance node a;
                   emit ~prev:config step step node a;
                   go a.config (step + 1) (deviations + if a.moved then 1 else 0))
       in
@@ -286,7 +309,8 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
               let config = ref config and changed = ref 0 and steps = ref steps in
               Array.iter
                 (fun node ->
-                  let a = activate ?objective ?rng:brng ~policy instance !config node in
+                  let a = activate ?objective ?rng:brng ?csr:!csr ~policy instance !config node in
+                  advance node a;
                   emit ~prev:!config !steps round node a;
                   incr steps;
                   if a.moved then incr changed;

@@ -80,7 +80,17 @@ val run :
   Config.t ->
   outcome
 (** [policy] defaults to [Exact_best_response].  The walk, step stream
-    and outcome are the same for every job count. *)
+    and outcome are the same for every job count.
+
+    The walk holds one CSR snapshot of its current profile, built once
+    at the start when the policy reads [G_{-u}] rows (always for
+    [Sampled_best_response]; for the exact policies unless the uniform
+    [k = 1] closed form answers every decision, see
+    {!Best_response.snapshot}).  Every activation decides on it, and
+    after a move the mover's row is replaced
+    ({!Bbc_graph.Csr.with_row}, O(n + m)) instead of rebuilding the
+    graph; a node that stays costs nothing.  Step stream and outcome
+    are those of a walk that builds a fresh snapshot per decision. *)
 
 val first_strong_connectivity :
   ?objective:Objective.t ->

@@ -141,6 +141,32 @@ let prop_int32_rows (inst, cfg) =
       r)
     (nodes inst)
 
+(* A walk of rewires, one snapshot carried along by
+   [Config.csr_with_row]: after every move it must equal the snapshot
+   rebuilt from the new profile, and the one it replaced must be
+   unchanged.  General games' lengths 1..3 flip [unit_lengths] both
+   ways along a walk. *)
+let ic_rewires =
+  let open Gen in
+  let* inst, cfg = ic_csr in
+  let+ ms = Domain_gen.moves inst in
+  (inst, cfg, ms)
+
+let prop_with_row_vs_rebuild (inst, cfg, ms) =
+  let rec go cfg snap = function
+    | [] -> ok
+    | (u, s) :: rest ->
+        let cfg' = C.with_strategy cfg u s in
+        let snap' = C.csr_with_row inst cfg' snap u in
+        if not (Csr.equal snap' (C.to_csr inst cfg')) then
+          failf "node %d <- [%s]: with_row <> to_csr of the new profile" u
+            (String.concat ";" (List.map string_of_int s))
+        else if not (Csr.equal snap (C.to_csr inst cfg)) then
+          failf "node %d: with_row changed the snapshot it replaced" u
+        else go cfg' snap' rest
+  in
+  go cfg (C.to_csr inst cfg) ms
+
 let csr_suite =
   let render (inst, cfg) = (inst, Some cfg, "") in
   [
@@ -148,6 +174,13 @@ let csr_suite =
     Packed { name = "apsp_vs_floyd"; gen = ic_csr; prop = prop_apsp_vs_floyd; render };
     Packed { name = "ban_vs_skip"; gen = ic_csr; prop = prop_ban_vs_skip; render };
     Packed { name = "int32_rows"; gen = ic_csr; prop = prop_int32_rows; render };
+    Packed
+      {
+        name = "with_row_vs_rebuild";
+        gen = ic_rewires;
+        prop = prop_with_row_vs_rebuild;
+        render = (fun (inst, cfg, ms) -> (inst, Some cfg, moves_to_string ms));
+      };
   ]
 
 (* ---------------------------------------------------------------- *)
@@ -513,6 +546,71 @@ let prop_activation_cost_vs_eval (inst, cfg, sample, seed) =
       match decisions objective with Ok () -> walks objective | e -> e)
     [ Bbc.Objective.Sum; Bbc.Objective.Max ]
 
+(* [Dynamics.run] keeps one snapshot per walk and replaces the mover's
+   row after each move; [Reference.walk] hands every decision a
+   snapshot built afresh.  Both must report the same steps and outcome
+   under every policy, scheduler and objective.  The mix covers
+   weighted general games and uniform k = 1 starts (the closed form,
+   where the walk holds no snapshot). *)
+let ic_walk =
+  let open Gen in
+  let* inst, cfg =
+    oneof [ Domain_gen.instance_config ~max_n:7 (); Domain_gen.uniform_k1_config ~max_n:7 () ]
+  in
+  let+ sample, seed = pair (int_range 1 3) (int_bound 0xFFFF) in
+  (inst, cfg, sample, seed)
+
+let prop_walk_snapshot_vs_fresh (inst, cfg, sample, seed) =
+  let n = I.n inst in
+  let walk objective (pname, policy) (sname, scheduler) =
+    let record run =
+      let acc = ref [] in
+      let outcome = run ~on_step:(fun s -> acc := s :: !acc) in
+      (List.rev !acc, outcome)
+    in
+    let max_rounds = match scheduler with Bbc.Dynamics.Max_cost_first -> 3 * n | _ -> 3 in
+    let got, got_outcome =
+      record (fun ~on_step ->
+          Bbc.Dynamics.run ~objective ~policy ~on_step ~scheduler ~max_rounds inst cfg)
+    in
+    let expected, expected_outcome =
+      record (fun ~on_step ->
+          Reference.walk ~objective ~policy ~on_step ~scheduler ~max_rounds inst cfg)
+    in
+    let label = Printf.sprintf "%s %s %s" (Bbc.Objective.to_string objective) pname sname in
+    let rec first_diff i = function
+      | s :: rest, r :: rest' -> if s = r then first_diff (i + 1) (rest, rest') else Some i
+      | [], [] -> None
+      | _ -> Some i
+    in
+    match first_diff 0 (got, expected) with
+    | Some i ->
+        failf "%s: step %d differs from the fresh-snapshot walk (%d vs %d steps)" label i
+          (List.length got) (List.length expected)
+    | None ->
+        if got_outcome = expected_outcome then ok
+        else
+          failf "%s: outcome %s, fresh-snapshot walk %s" label
+            (Format.asprintf "%a" Bbc.Dynamics.pp_outcome got_outcome)
+            (Format.asprintf "%a" Bbc.Dynamics.pp_outcome expected_outcome)
+  in
+  check_all
+    (fun objective ->
+      check_all
+        (fun policy ->
+          check_all (walk objective policy)
+            [
+              ("round-robin", Bbc.Dynamics.Round_robin);
+              ("random-order", Bbc.Dynamics.Random_order seed);
+              ("max-cost", Bbc.Dynamics.Max_cost_first);
+            ])
+        [
+          ("exact", Bbc.Dynamics.Exact_best_response);
+          ("first", Bbc.Dynamics.First_improvement);
+          ("sampled", Bbc.Dynamics.Sampled_best_response { sample; seed });
+        ])
+    [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+
 (* Local search scores moves from one G_{-u} matrix per node; the
    reference realizes and re-evaluates every candidate.  Same seed, same
    RNG consumption, so both must end on the same (cost, profile). *)
@@ -557,6 +655,15 @@ let br_suite =
         name = "activation_cost_vs_eval";
         gen = ic_activation;
         prop = prop_activation_cost_vs_eval;
+        render =
+          (fun (inst, cfg, sample, seed) ->
+            (inst, Some cfg, Printf.sprintf "sample %d seed %d" sample seed));
+      };
+    Packed
+      {
+        name = "walk_snapshot_vs_fresh";
+        gen = ic_walk;
+        prop = prop_walk_snapshot_vs_fresh;
         render =
           (fun (inst, cfg, sample, seed) ->
             (inst, Some cfg, Printf.sprintf "sample %d seed %d" sample seed));

@@ -173,3 +173,105 @@ let local_search ?objective ?(restarts = 3) ?(max_sweeps = 50) rng instance =
     if fst candidate < fst !best then best := candidate
   done;
   !best
+
+let walk ?(objective = Bbc.Objective.Sum) ~policy ~on_step ~scheduler ~max_rounds instance
+    config0 =
+  let module D = Bbc.Dynamics in
+  let module BR = Bbc.Best_response in
+  let module C = Bbc.Config in
+  let n = Bbc.Instance.n instance in
+  let fresh config = C.to_csr instance config in
+  let brng =
+    match policy with
+    | D.Sampled_best_response { seed; _ } -> Some (Bbc_prng.Splitmix.create seed)
+    | D.Exact_best_response | D.First_improvement -> None
+  in
+  let search () =
+    match policy with
+    | D.Exact_best_response -> BR.Exact
+    | D.First_improvement -> BR.First_improving
+    | D.Sampled_best_response { sample; _ } -> BR.Sampled { rng = Option.get brng; sample }
+  in
+  (* One activation: the profile after it, and the step it reports.
+     [known] is Max_cost_first's (improving witness, cost) pair. *)
+  let activate ?known config index round node =
+    let move (r : BR.result) = (C.with_strategy config node r.strategy, true, r.cost) in
+    let config', moved, cost_after =
+      match (known, policy) with
+      | Some (None, cost), _ -> (config, false, cost)
+      | Some (Some first, _), D.First_improvement -> move first
+      | Some (Some _, _), D.Exact_best_response ->
+          move (BR.exact ~objective ~csr:(fresh config) instance config node)
+      | _ ->
+          let d = BR.decide ~objective ~csr:(fresh config) ~search:(search ()) instance config node in
+          if d.best.cost < d.current then move d.best else (config, false, d.current)
+    in
+    on_step
+      { D.index; round; node; moved; strategy = C.targets config' node; cost_after };
+    (config', moved)
+  in
+  let seen = ref [] in
+  let recurred config = List.find_map (fun (c, r) -> if C.equal c config then Some r else None) !seen in
+  match scheduler with
+  | D.Max_cost_first ->
+      let rec go config step deviations =
+        let stats = { D.rounds = step; steps = step; deviations } in
+        if step >= max_rounds then D.Exhausted (config, stats)
+        else
+          match recurred config with
+          | Some prev -> D.Cycled { config; period = step - prev; stats }
+          | None -> (
+              seen := (config, step) :: !seen;
+              let costs = Array.init n (Bbc.Eval.node_cost ~objective instance config) in
+              let improving =
+                Array.init n (fun u -> BR.improving ~objective ~csr:(fresh config) instance config u)
+              in
+              let node = ref (-1) in
+              for u = n - 1 downto 0 do
+                if Option.is_some improving.(u) && (!node < 0 || costs.(u) >= costs.(!node)) then
+                  node := u
+              done;
+              if !node < 0 then D.Converged (config, stats)
+              else
+                let config', moved =
+                  activate ~known:(improving.(!node), costs.(!node)) config step step !node
+                in
+                go config' (step + 1) (deviations + if moved then 1 else 0))
+      in
+      go config0 0 0
+  | D.Round_robin | D.Fixed_order _ | D.Random_order _ ->
+      let rng =
+        match scheduler with
+        | D.Random_order seed -> Some (Bbc_prng.Splitmix.create seed)
+        | _ -> None
+      in
+      let rec go config round steps deviations =
+        let stats = { D.rounds = round; steps; deviations } in
+        if round >= max_rounds then D.Exhausted (config, stats)
+        else
+          match (recurred config, scheduler) with
+          | Some prev, (D.Round_robin | D.Fixed_order _) ->
+              D.Cycled { config; period = round - prev; stats }
+          | _ ->
+              seen := (config, round) :: !seen;
+              let order =
+                match scheduler with
+                | D.Fixed_order order -> order
+                | _ ->
+                    let order = Array.init n Fun.id in
+                    Option.iter (fun rng -> Bbc_prng.Splitmix.shuffle rng order) rng;
+                    order
+              in
+              let config = ref config and changed = ref 0 and steps = ref steps in
+              Array.iter
+                (fun node ->
+                  let config', moved = activate !config !steps round node in
+                  if moved then incr changed;
+                  incr steps;
+                  config := config')
+                order;
+              if !changed = 0 then
+                D.Converged (!config, { D.rounds = round + 1; steps = !steps; deviations })
+              else go !config (round + 1) !steps (deviations + !changed)
+      in
+      go config0 0 0 0

@@ -50,3 +50,20 @@ val enumerate :
     targets).  Same visiting order, strategy lists and stop rule, so the
     library must produce the identical (strategy, cost) sequence on
     every row provider and on its uniform [k = 1] closed form. *)
+
+val walk :
+  ?objective:Bbc.Objective.t ->
+  policy:Bbc.Dynamics.move_policy ->
+  on_step:(Bbc.Dynamics.step -> unit) ->
+  scheduler:Bbc.Dynamics.scheduler ->
+  max_rounds:int ->
+  Bbc.Instance.t ->
+  Bbc.Config.t ->
+  Bbc.Dynamics.outcome
+(** {!Bbc.Dynamics.run} as a plain loop that hands every decision a
+    snapshot built afresh from the profile it decides on
+    ([Config.to_csr]), and finds [Max_cost_first]'s costs with one
+    [Eval.node_cost] per node.  Same schedulers, policies, generator
+    draws, tie-breaks and cycle rule, so the library walk, which keeps
+    one snapshot and replaces a row per move, must report the identical
+    step stream and outcome. *)

@@ -74,6 +74,38 @@ let of_digraph g =
   done;
   finish b
 
+(* A fresh snapshot, three blits of the old one around [u]'s new row:
+   the old snapshot is untouched, so sweeps still running on it (or a
+   transpose cached against it) stay valid. *)
+let with_row t u ~targets ~lengths =
+  let n = t.n in
+  if u < 0 || u >= n then invalid_arg "Csr.with_row: vertex out of range";
+  let d = Array.length targets in
+  if Array.length lengths <> d then invalid_arg "Csr.with_row: targets and lengths differ in length";
+  Array.iter (fun v -> if v < 0 || v >= n then invalid_arg "Csr.with_row: vertex out of range") targets;
+  let lo = t.offsets.(u) and hi = t.offsets.(u + 1) in
+  let m = t.offsets.(n) in
+  let shift = d - (hi - lo) in
+  let offsets = Array.make (n + 1) 0 in
+  Array.blit t.offsets 0 offsets 0 (u + 1);
+  for w = u + 1 to n do
+    offsets.(w) <- t.offsets.(w) + shift
+  done;
+  let splice old row =
+    let a = Array.make (m + shift) 0 in
+    Array.blit old 0 a 0 lo;
+    Array.blit row 0 a lo d;
+    Array.blit old hi a (lo + d) (m - hi);
+    a
+  in
+  let lengths' = splice t.lengths lengths in
+  let is_unit = Array.for_all (fun l -> l = 1) in
+  (* Every other row of a unit snapshot is unit, so the new row decides;
+     a weighted one may have lost its last non-unit edge with the old
+     row, so every length is checked again. *)
+  let unit_lengths = if t.unit_lengths then is_unit lengths else is_unit lengths' in
+  { n; offsets; targets = splice t.targets targets; lengths = lengths'; unit_lengths }
+
 (* ------------------------------------------------------------------ *)
 (* Kernels.                                                            *)
 
@@ -300,19 +332,27 @@ let sssp32 ?ban t s ~src ~dist =
    bit clear ([batch_width] = 62) so masks stay non-negative and the
    lowest-bit extraction below needs no sign special-cases.
 
-   Dense frontiers flip to a bottom-up (pull) pass over the reverse
-   adjacency (Beamer's direction-optimizing BFS): every not-fully-seen
-   vertex scans its in-neighbours, exiting early once all its missing
-   source bits are found.  The transpose is built lazily and cached in
-   the scratch keyed by physical equality of the snapshot — consumers
-   sweep one immutable snapshot many times, so the build amortizes to
-   nothing.
+   In windows of at least [pull_min_width] sources, dense frontiers
+   flip to a bottom-up (pull) pass over the reverse adjacency (Beamer's
+   direction-optimizing BFS): every not-fully-seen vertex scans its
+   in-neighbours, exiting early once all its missing source bits are
+   found.  The transpose is built lazily and cached in the scratch
+   keyed by physical equality of the snapshot, so a consumer sweeping
+   one snapshot window after window builds it once.  Narrower windows
+   never pull, and so never build it: with few bits per mask the pull
+   pass's O(n + m) scan finds little per vertex, and a snapshot swept by
+   one narrow window (a best-response prefetch on a walk's snapshot)
+   would pay the whole transpose for it.
 
    Weighted graphs keep the scalar Dijkstra path: bit-parallelism
    requires all sources to agree on the expansion order, which only
    uniform hop counts guarantee. *)
 
 let batch_width = Sys.int_size - 1
+
+(* The narrowest window that may take a bottom-up step (DESIGN.md
+   section 16.2 has the measured crossover). *)
+let pull_min_width = 16
 
 (* Lowest-bit index by perfect hash: powers of two are distinct mod 67
    (2 is a primitive root mod 67), so [(1 lsl i) mod 67] maps bit
@@ -374,6 +414,7 @@ let msbfs_window ~ban t s ~srcs ~soff ~k ~rows ~roff =
   let m = offsets.(n) in
   let seen = s.seen in
   let full = if k = batch_width then max_int else (1 lsl k) - 1 in
+  let pull = k >= pull_min_width in
   let fr = ref s.front and nf = ref s.next_front in
   let cl = ref s.cur_list and nl = ref s.next_list in
   let cn = ref 0 and ce = ref 0 in
@@ -398,7 +439,7 @@ let msbfs_window ~ban t s ~srcs ~soff ~k ~rows ~roff =
     (* Pull pays once the frontier touches a constant fraction of the
        edges: the pass is O(n + m) with early exit per vertex, versus
        O(frontier out-edges) for push.  8 is Beamer's alpha, untuned. *)
-    if !ce * 8 > m then begin
+    if pull && !ce * 8 > m then begin
       ensure_rev t s;
       let roffs = s.rev_offsets and rtgts = s.rev_targets in
       for w = 0 to n - 1 do
@@ -482,6 +523,7 @@ let msbfs_window32 ~ban t s ~srcs ~soff ~k ~(rows : dist32 array) ~roff =
   let m = offsets.(n) in
   let seen = s.seen in
   let full = if k = batch_width then max_int else (1 lsl k) - 1 in
+  let pull = k >= pull_min_width in
   let fr = ref s.front and nf = ref s.next_front in
   let cl = ref s.cur_list and nl = ref s.next_list in
   let cn = ref 0 and ce = ref 0 in
@@ -504,7 +546,7 @@ let msbfs_window32 ~ban t s ~srcs ~soff ~k ~(rows : dist32 array) ~roff =
     let d32 = Int32.of_int d' in
     let frA = !fr and nfA = !nf and clA = !cl and nlA = !nl in
     let nn = ref 0 and ne = ref 0 in
-    if !ce * 8 > m then begin
+    if pull && !ce * 8 > m then begin
       ensure_rev t s;
       let roffs = s.rev_offsets and rtgts = s.rev_targets in
       for w = 0 to n - 1 do

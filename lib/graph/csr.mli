@@ -49,6 +49,16 @@ val equal : t -> t -> bool
 val of_digraph : Digraph.t -> t
 (** Snapshot of [g]. *)
 
+val with_row : t -> int -> targets:int array -> lengths:int array -> t
+(** [with_row t u ~targets ~lengths] is a fresh snapshot equal (under
+    {!equal}) to rebuilding [t] with [u]'s out-row replaced by the
+    edges [u -> targets.(i)] of length [lengths.(i)], in that order.
+    Three blits, O(n + m); {!unit_lengths} is recomputed.  [t] is left
+    as it was, so sweeps that still hold it stay valid.  Raises
+    [Invalid_argument] when [u] or a target is out of range, or the
+    two arrays differ in length.  A walk that moves one node at a time
+    keeps one snapshot this way instead of rebuilding it per step. *)
+
 (** {1 Direct construction}
 
     For callers that can enumerate edges grouped by source in ascending
@@ -99,9 +109,13 @@ val reset : scratch -> int array -> unit
     Unit-length sweeps from up to {!batch_width} sources share one
     traversal (the MS-BFS technique): per-vertex source bitmaps replace
     the visited flag, so each adjacency row is read once per {e batch}
-    instead of once per source, and dense frontiers flip to a bottom-up
-    pull pass over a lazily cached transpose (direction-optimizing
-    BFS).  Weighted snapshots fall back to per-source {!dijkstra} —
+    instead of once per source.  In windows of at least 16 sources,
+    dense frontiers flip to a bottom-up pull pass over a transpose that
+    is built on first use and cached in the scratch for that snapshot
+    (direction-optimizing BFS); narrower windows always expand top-down
+    and never build the transpose, so a few-source sweep of a fresh
+    snapshot (a best-response prefetch) costs no O(n + m) set-up.
+    Weighted snapshots fall back to per-source {!dijkstra} —
     bit-parallelism needs all sources to agree on the expansion order,
     which only uniform hop counts guarantee.
 

@@ -100,6 +100,60 @@ let test_builder_matches_of_digraph () =
       "same distances" (fresh_sweep (Csr.of_digraph g) src) (fresh_sweep built src)
   done
 
+(* Each move replaces one row of the walk's snapshot; the result must
+   be the snapshot rebuilt from the updated profile, and the old
+   snapshot must be left as it was.  Lengths: 0 -> 4 costs 3 and
+   4 -> 0 costs 2, every other edge 1, so the moves flip
+   [unit_lengths] both ways. *)
+let test_with_row_matches_rebuild () =
+  let n = 5 in
+  let length = Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else 1)) in
+  length.(0).(4) <- 3;
+  length.(4).(0) <- 2;
+  let inst =
+    Bbc.Instance.general
+      ~weight:(Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else 1)))
+      ~cost:(Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else 1)))
+      ~length ~budget:(Array.make n (n - 1)) ()
+  in
+  let cfg = Bbc.Config.of_lists n [| [ 1; 2 ]; [ 2 ]; []; [ 4 ]; [ 3 ] |] in
+  let moves =
+    [
+      ("u = 0 grows", 0, [ 1; 2; 3 ], true);
+      ("u = 0 shrinks to a non-unit edge", 0, [ 4 ], false);
+      ("u = n-1 swaps to a non-unit edge", 4, [ 0 ], false);
+      ("u = 0 empties, 4 -> 0 still weighted", 0, [], false);
+      ("u = n-1 drops the last non-unit edge", 4, [ 1; 2 ], true);
+      ("empty row grows", 2, [ 0; 1; 3; 4 ], true);
+      ("u = n-1 empties", 4, [], true);
+      ("middle row shrinks", 2, [ 3 ], true);
+    ]
+  in
+  ignore
+    (List.fold_left
+       (fun (cfg, snap) (what, u, s, unit) ->
+         let cfg' = Bbc.Config.with_strategy cfg u s in
+         let targets = Array.of_list s in
+         let lengths = Array.map (Bbc.Instance.length inst u) targets in
+         let snap' = Csr.with_row snap u ~targets ~lengths in
+         Alcotest.(check bool) what true (Csr.equal snap' (Bbc.Config.to_csr inst cfg'));
+         Alcotest.(check bool) (what ^ ": unit_lengths") unit (Csr.unit_lengths snap');
+         Alcotest.(check bool)
+           (what ^ ": old snapshot untouched")
+           true
+           (Csr.equal snap (Bbc.Config.to_csr inst cfg));
+         (cfg', snap'))
+       (cfg, Bbc.Config.to_csr inst cfg)
+       moves);
+  let snap = Bbc.Config.to_csr inst cfg in
+  Alcotest.check_raises "vertex out of range" (Invalid_argument "Csr.with_row: vertex out of range")
+    (fun () -> ignore (Csr.with_row snap n ~targets:[||] ~lengths:[||]));
+  Alcotest.check_raises "target out of range" (Invalid_argument "Csr.with_row: vertex out of range")
+    (fun () -> ignore (Csr.with_row snap 0 ~targets:[| n |] ~lengths:[| 1 |]));
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Csr.with_row: targets and lengths differ in length") (fun () ->
+      ignore (Csr.with_row snap 0 ~targets:[| 1 |] ~lengths:[||]))
+
 let test_builder_rejects_unsorted () =
   let b = Csr.builder ~n:3 ~m:2 in
   Csr.add b 1 0 1;
@@ -177,8 +231,8 @@ let test_msbfs_matches_scalar () =
   let rng = SM.create 6262 in
   for iter = 1 to 25 do
     let n = 2 + SM.int rng 60 in
-    (* Every fifth graph is dense so the direction-optimizing pass
-       actually flips to bottom-up. *)
+    (* Every fifth graph is dense, so its windows of at least 16
+       sources can flip to bottom-up; narrower windows never do. *)
     let g =
       if iter mod 5 = 0 then G.random_k_out rng ~n ~k:(max 1 (n / 2))
       else random_unit rng ~n
@@ -250,6 +304,51 @@ let test_sssp_batch_windows () =
   check_all n;
   check_all Csr.batch_width;
   check_all 1
+
+(* Every window width from 1 to [batch_width], on both sides of the
+   narrowest width that may pull (16): a sparse k-out graph, where few
+   levels are dense, and a dense one, where wide windows flip to
+   bottom-up from the first level.  Every row, with and without a ban,
+   int and int32, must equal its scalar [bfs]. *)
+let test_msbfs_direction_widths () =
+  let rng = SM.create 1616 in
+  let graphs =
+    [ ("sparse", G.random_k_out rng ~n:150 ~k:2); ("dense", G.random_k_out rng ~n:90 ~k:45) ]
+  in
+  List.iter
+    (fun (shape, g) ->
+      let csr = Csr.of_digraph g in
+      let n = Csr.n csr in
+      let scratch = Csr.create_scratch () in
+      let dist = Array.make n Csr.unreachable in
+      List.iter
+        (fun ban ->
+          for w = 1 to Csr.batch_width do
+            let srcs = Array.init w (fun i -> ((i * 7) + 3) mod n) in
+            let rows = Array.init w (fun _ -> Array.make n Csr.unreachable) in
+            let rows32 = Array.init w (fun _ -> Csr.create_dist32 n) in
+            Csr.sssp_batch ?ban csr scratch ~srcs ~rows;
+            Csr.sssp_batch32 ?ban csr (Csr.create_scratch ()) ~srcs ~rows:rows32;
+            Array.iteri
+              (fun i src ->
+                Csr.bfs ?ban csr (Csr.create_scratch ()) ~src ~dist;
+                let what =
+                  Printf.sprintf "%s ban=%d width %d row %d" shape
+                    (Option.value ~default:(-1) ban) w i
+                in
+                Alcotest.(check (array int)) what dist rows.(i);
+                Alcotest.(check (array int))
+                  (what ^ " int32")
+                  dist
+                  (Array.init n (fun v ->
+                       let d = Bigarray.Array1.get rows32.(i) v in
+                       if d = Csr.unreachable32 then Csr.unreachable else Int32.to_int d));
+                Array.fill dist 0 n Csr.unreachable)
+              srcs;
+            Csr.reset_rows scratch ~rows
+          done)
+        [ None; Some 3 ])
+    graphs
 
 let test_msbfs32_matches_int () =
   let rng = SM.create 3232 in
@@ -362,6 +461,7 @@ let suite =
     Alcotest.test_case "ban = removed out-edges" `Quick test_ban_matches_removed;
     Alcotest.test_case "builder matches of_digraph" `Quick test_builder_matches_of_digraph;
     Alcotest.test_case "builder rejects unsorted" `Quick test_builder_rejects_unsorted;
+    Alcotest.test_case "with_row matches rebuild" `Quick test_with_row_matches_rebuild;
     Alcotest.test_case "buffer reuse with reset" `Quick test_buffer_reuse_with_reset;
     Alcotest.test_case "apsp matches floyd-warshall" `Quick test_apsp_matches_floyd_warshall;
     Alcotest.test_case "workspace rows stay clean" `Quick test_workspace_rows_clean;
@@ -369,6 +469,7 @@ let suite =
     Alcotest.test_case "msbfs with ban" `Quick test_msbfs_ban_matches_scalar;
     Alcotest.test_case "sssp_batch windows + ragged tail" `Quick test_sssp_batch_windows;
     Alcotest.test_case "msbfs32 matches int rows" `Quick test_msbfs32_matches_int;
+    Alcotest.test_case "msbfs window widths, both directions" `Quick test_msbfs_direction_widths;
     Alcotest.test_case "sssp_batch weighted dispatch" `Quick
       test_sssp_batch_weighted_dispatch;
     Alcotest.test_case "batch reuse + clean pool" `Quick test_batch_reuse_and_clean_pool;
