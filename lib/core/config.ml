@@ -92,6 +92,8 @@ let hash t =
     t;
   !h
 
+module Tbl = Hashtbl.Make (struct type nonrec t = t let equal = equal let hash = hash end)
+
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   Array.iteri

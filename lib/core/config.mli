@@ -86,4 +86,7 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by whole profiles ({!equal}, {!hash}). *)
+
 val pp : Format.formatter -> t -> unit

@@ -47,27 +47,6 @@ let pp_outcome fmt o =
       Format.fprintf fmt "cycled (period %d rounds, %a)" period pp_stats s
   | Exhausted (_, s) -> Format.fprintf fmt "exhausted (%a)" pp_stats s
 
-(* Configurations seen at round boundaries, for cycle detection.  Keyed by
-   hash with exact-equality buckets, so collisions cannot cause a false
-   cycle report. *)
-module Seen = struct
-  type t = (int, (Config.t * int) list) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let find (t : t) config =
-    match Hashtbl.find_opt t (Config.hash config) with
-    | None -> None
-    | Some bucket ->
-        List.find_opt (fun (c, _) -> Config.equal c config) bucket
-        |> Option.map snd
-
-  let add (t : t) config round =
-    let h = Config.hash config in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt t h) in
-    Hashtbl.replace t h ((config, round) :: bucket)
-end
-
 (* What one activation did: the profile after it, whether [node] moved,
    and [node]'s cost before and after the step. *)
 type activation = { config : Config.t; moved : bool; before : int; after : int }
@@ -78,11 +57,10 @@ type activation = { config : Config.t; moved : bool; before : int; after : int }
    cost before, and the cost after is [best.cost] on a move, [current]
    otherwise.  Nothing re-evaluates a node's cost per activation.
 
-   [known] lets a scheduler that already ran the improving check and
-   holds every node's cost (Max_cost_first scans every node per step)
-   pass both in, so the enumeration is not repeated here:
-   [Some (None, c)] = known stable at cost [c], [Some (Some r, c)] =
-   known unstable with witness [r].
+   [known] is the first-improving decision of a node a scheduler
+   already found unstable (Max_cost_first decides every node per step),
+   so the enumeration is not repeated here: its [current] is the cost
+   before and its [best] an improving witness.
 
    [csr] is the walk's snapshot of [config] (see [run]). *)
 let activate ?objective ?rng ?known ?csr ~policy instance config node =
@@ -94,12 +72,11 @@ let activate ?objective ?rng ?known ?csr ~policy instance config node =
     let d = Best_response.decide ?objective ?csr ~search instance config node in
     if d.best.cost < d.current then move d.best d.current else stay d.current
   in
-  match (known, policy) with
-  | Some (None, cost), _ -> stay cost
-  | Some (Some first, cost), First_improvement -> move first cost
-  | Some (Some _, cost), Exact_best_response ->
+  match ((known : Best_response.decision option), policy) with
+  | Some d, First_improvement -> move d.best d.current
+  | Some d, Exact_best_response ->
       (* Known unstable, so the optimum strictly improves. *)
-      move (Best_response.exact ?objective ?csr instance config node) cost
+      move (Best_response.exact ?objective ?csr instance config node) d.current
   | _, Sampled_best_response { sample; _ } ->
       decide (Sampled { rng = Option.get rng; sample })
   | None, First_improvement -> decide First_improving
@@ -182,6 +159,15 @@ let walk_snapshot ~policy instance config =
   | Sampled_best_response _ -> Some (Config.to_csr instance config)
   | Exact_best_response | First_improvement -> Best_response.snapshot instance config
 
+(* A repeated profile (compared whole, so a hash collision is never a
+   repeat) is a cycle only when the rest of the walk is a function of
+   the profile: no scheduler draw and no sampled move. *)
+let detects_cycles ~scheduler ~policy =
+  match (scheduler, policy) with
+  | Random_order _, _ | _, Sampled_best_response _ -> false
+  | (Round_robin | Fixed_order _ | Max_cost_first), (Exact_best_response | First_improvement) ->
+      true
+
 let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
     ~max_rounds instance config0 =
   let n = Instance.n instance in
@@ -230,19 +216,19 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
             cost_after = a.after;
           }
   in
+  let cycles = detects_cycles ~scheduler ~policy in
   let outcome =
   match scheduler with
   | Max_cost_first ->
       (* Adaptive: each step activates the unstable node of max cost.  A
-         "round" is one step; cycle detection keys on the configuration,
-         which fully determines the rest of the walk. *)
-      let seen = Seen.create () in
+         "round" is one step. *)
+      let seen = Config.Tbl.create 64 in
       let max_steps = max_rounds in
       let rec go config step deviations =
         if step >= max_steps then
           Exhausted (config, { rounds = step; steps = step; deviations })
         else
-          match Seen.find seen config with
+          match if cycles then Config.Tbl.find_opt seen config else None with
           | Some prev ->
               Cycled
                 {
@@ -251,35 +237,31 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
                   stats = { rounds = step; steps = step; deviations };
                 }
           | None -> (
-              Seen.add seen config step;
-              let costs = Eval.all_costs ?objective instance config in
-              (* One improving check per node, fanned over the domain
-                 pool; the winner's result is handed to [activate] so
-                 the enumeration never runs twice for the same step. *)
-              let improving =
+              if cycles then Config.Tbl.add seen config step;
+              (* One first-improving decision per node on the walk's
+                 snapshot, fanned over the domain pool: its [current] is
+                 the node's cost and its [best] the witness of an
+                 unstable node, handed to [activate] so the enumeration
+                 never runs twice for the same step. *)
+              let decisions =
                 let csr = !csr in
                 Bbc_parallel.parallel_init
                   ~jobs:(Bbc_parallel.jobs_for ~threshold:64 n) n
-                  (fun u -> Best_response.improving ?objective ?csr instance config u)
+                  (fun u ->
+                    Best_response.decide ?objective ?csr ~search:First_improving instance config u)
               in
-              let unstable =
-                List.filter (fun u -> Option.is_some improving.(u)) (List.init n Fun.id)
-              in
-              match unstable with
-              | [] -> Converged (config, { rounds = step; steps = step; deviations })
-              | us ->
-                  let node =
-                    List.fold_left
-                      (fun best u ->
-                        match best with
-                        | Some b when costs.(b) >= costs.(u) -> best
-                        | _ -> Some u)
-                      None us
-                    |> Option.get
-                  in
+              let node = ref (-1) in
+              Array.iteri
+                (fun u (d : Best_response.decision) ->
+                  if d.best.cost < d.current && (!node < 0 || d.current > decisions.(!node).current)
+                  then node := u)
+                decisions;
+              match !node with
+              | -1 -> Converged (config, { rounds = step; steps = step; deviations })
+              | node ->
                   let a =
-                    activate ?objective ?rng:brng ~known:(improving.(node), costs.(node))
-                      ?csr:!csr ~policy instance config node
+                    activate ?objective ?rng:brng ~known:decisions.(node) ?csr:!csr ~policy instance
+                      config node
                   in
                   advance node a;
                   emit ~prev:config step step node a;
@@ -287,24 +269,21 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
       in
       go config0 0 0
   | Round_robin | Fixed_order _ | Random_order _ ->
-      let seen = Seen.create () in
+      let seen = Config.Tbl.create 64 in
       let rec go config round steps deviations =
         if round >= max_rounds then
           Exhausted (config, { rounds = round; steps; deviations })
         else
-          match Seen.find seen config with
-          | Some prev
-            when match scheduler with
-                 | Round_robin | Fixed_order _ -> true
-                 | Random_order _ | Max_cost_first -> false ->
+          match if cycles then Config.Tbl.find_opt seen config else None with
+          | Some prev ->
               Cycled
                 {
                   config;
                   period = round - prev;
                   stats = { rounds = round; steps; deviations };
                 }
-          | _ ->
-              Seen.add seen config round;
+          | None ->
+              if cycles then Config.Tbl.add seen config round;
               let order = round_order scheduler rng n in
               let config = ref config and changed = ref 0 and steps = ref steps in
               Array.iter

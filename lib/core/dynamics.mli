@@ -11,12 +11,21 @@
       (the adversarial schedules of the paper's Omega(n^2) argument);
     - [Max_cost_first]: each step activates the unstable node with the
       largest current cost (lowest id on ties) — the adaptive walk of the
-      paper's experimental remarks.
+      paper's experimental remarks.  One scan per step runs a
+      first-improving {!Best_response.decide} for every node on the
+      walk's snapshot; its [current] costs rank the nodes, and "unstable"
+      always means the exact scan found an improvement.
 
-    Cycle detection compares full configurations at round boundaries
-    (the schedulers above are deterministic functions of the
-    configuration, except [Random_order], for which cycling is reported
-    only if the same configuration recurs — a sound but weaker notion). *)
+    {b Cycles.}  A repeated profile (at a round boundary; every step
+    under [Max_cost_first]) is reported as [Cycled] only when the rest
+    of the walk is a function of the profile: a deterministic scheduler
+    ([Round_robin], [Fixed_order], [Max_cost_first]) with a
+    deterministic policy ([Exact_best_response], [First_improvement]).
+    Under [Random_order] or [Sampled_best_response] a repeat proves
+    nothing, since the generator has moved on and a later draw may
+    still find a move, so the walk ends [Converged] or [Exhausted]; under
+    [Max_cost_first] it converges only when the exact scan finds no
+    unstable node. *)
 
 type scheduler =
   | Round_robin
@@ -51,9 +60,8 @@ type step = {
       (** The node's cost after the step (equals {!Eval.node_cost} on
           the post-step profile).  It comes from the activation's own
           {!Best_response.decide}: the best strategy's cost on a move,
-          the priced current cost otherwise, and under [Max_cost_first]
-          a known-stable node's cost from the step's cost scan — never
-          a separate evaluation. *)
+          the priced current cost otherwise — never a separate
+          evaluation. *)
 }
 
 type stats = {
@@ -66,8 +74,9 @@ type outcome =
   | Converged of Config.t * stats
       (** A full pass made no change: the profile is a pure NE. *)
   | Cycled of { config : Config.t; period : int; stats : stats }
-      (** The configuration at a round boundary recurred; [period] is the
-          number of rounds between occurrences. *)
+      (** The configuration at a round boundary recurred under a
+          deterministic scheduler and policy (see above); [period] is
+          the number of rounds between occurrences. *)
   | Exhausted of Config.t * stats  (** [max_rounds] reached. *)
 
 val run :

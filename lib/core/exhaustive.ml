@@ -29,97 +29,139 @@ let maximal_strategies instance u =
 let space_size candidates =
   Array.fold_left (fun acc l -> acc *. float_of_int (List.length l)) 1.0 candidates
 
-let default_candidates instance =
-  Array.init (Instance.n instance) (all_strategies instance)
+let candidate_lists ?candidates instance =
+  match candidates with
+  | Some c -> c
+  | None -> Array.init (Instance.n instance) (all_strategies instance)
 
-(* The profile space is partitioned by the strategies of the first
-   [depth] nodes (the "prefix"): every prefix subtree is enumerated
-   independently on the domain pool, and prefixes are indexed so that
-   ascending index = the sequential DFS order.  Early abort propagates
-   two ways: a global profile budget ([max_profiles]) and a per-prefix
-   rule — a subtree may stop as soon as the prefixes strictly before it
-   have already found [limit] equilibria, because all of those precede
-   anything it could still find in enumeration order.  Together this
-   keeps the reported equilibria identical to the sequential search for
-   every job count. *)
+(* Every candidate strategy is validated once, up front: profiles are
+   assembled out of the canonical rows with {!Config.unsafe_of_arrays},
+   with no per-profile validation pass. *)
+let candidate_rows instance candidates =
+  let n = Instance.n instance in
+  if Array.length candidates <> n then invalid_arg "Exhaustive: candidates length mismatch";
+  Array.mapi (fun u l -> Array.of_list (List.map (Config.validated_strategy n u) l)) candidates
 
-let prefix_partition candidate_arrays ~n ~jobs =
+let ordinals instance rows u =
+  let at = Hashtbl.create 64 and count = ref 0 in
+  Best_response.enumerate instance (Config.empty (Instance.n instance)) u
+    ~on_subset:(fun chosen _ ->
+      Hashtbl.replace at (Array.of_list (List.rev chosen)) !count;
+      incr count;
+      false);
+  (Array.map (fun s -> Option.value ~default:(-1) (Hashtbl.find_opt at s)) rows.(u), !count)
+
+(* The space is partitioned by the strategies of the first [depth] nodes
+   (the "prefix"), at most n - 1 of them: every prefix subtree is
+   enumerated independently on the domain pool, and prefixes are indexed
+   so that ascending index = the sequential DFS order. *)
+let prefix_partition rows ~jobs =
   if jobs = 1 then (0, 1)
   else begin
     let target = jobs * 8 and cap = 8192 in
     let depth = ref 0 and count = ref 1 in
     while
-      !depth < n && !count < target
-      && !count * max 1 (Array.length candidate_arrays.(!depth)) <= cap
+      !depth < Array.length rows - 1
+      && !count < target
+      && !count * max 1 (Array.length rows.(!depth)) <= cap
     do
-      count := !count * Array.length candidate_arrays.(!depth);
+      count := !count * Array.length rows.(!depth);
       incr depth
     done;
     (!depth, !count)
   end
 
-(* Mixed-radix decode of prefix index [p] (level 0 most significant, so
-   lexicographic prefix order matches ascending [p]). *)
-let decode_prefix candidate_arrays ~depth p profile =
-  let rec go level p =
-    if level >= 0 then begin
-      let arr = candidate_arrays.(level) in
-      let len = Array.length arr in
-      profile.(level) <- arr.(p mod len);
-      go (level - 1) (p / len)
-    end
-  in
-  go (depth - 1) p
+type block = { view : Config.t; first : int; set : int -> unit; stable : int -> bool }
 
-(* DFS over the suffix levels [level .. n-1]; [on_profile] sees every
-   complete assignment and returns [true] to abort this subtree. *)
-let enumerate_suffix candidate_arrays profile level ~on_profile =
-  let n = Array.length candidate_arrays in
-  let exception Stop in
-  let rec assign u =
-    if u = n then begin
-      if on_profile () then raise Stop
-    end
-    else
-      Array.iter
-        (fun s ->
-          profile.(u) <- s;
-          assign (u + 1))
-        candidate_arrays.(u)
+let blocks ?objective ~jobs instance rows ~start ~block =
+  let last = Array.length rows - 1 in
+  let tail = rows.(last) in
+  let ord, subsets = ordinals instance rows last in
+  let others = List.init last Fun.id in
+  let depth, nprefixes = prefix_partition rows ~jobs in
+  let results = Array.make nprefixes None and start = start nprefixes in
+  let run p st =
+    (* One mutable profile buffer per subtree, rebound in place. *)
+    let profile = Array.make (last + 1) [||] in
+    let view = Config.unsafe_of_arrays profile in
+    let costs = Array.make subsets 0 in
+    (* Mixed-radix decode of [p], level 0 most significant. *)
+    let q = ref p in
+    for u = depth - 1 downto 0 do
+      let len = Array.length rows.(u) in
+      profile.(u) <- rows.(u).(!q mod len);
+      q := !q / len
+    done;
+    let exception Stop in
+    let rec assign u index =
+      if u < last then
+        Array.iteri
+          (fun j s ->
+            profile.(u) <- s;
+            assign (u + 1) ((index * Array.length rows.(u)) + j))
+          rows.(u)
+      else begin
+        (* The last node's G_{-(n-1)} rows ignore its own row, so one
+           enumeration, made on first use, prices all its strategies. *)
+        let best =
+          lazy
+            (let best = ref max_int and k = ref 0 in
+             Best_response.enumerate ?objective ?csr:(Best_response.snapshot instance view) instance
+               view last ~on_subset:(fun _ c ->
+                 costs.(!k) <- c;
+                 incr k;
+                 best := min !best c;
+                 false);
+             !best)
+        in
+        let set j = profile.(last) <- tail.(j) in
+        let stable j =
+          set j;
+          ord.(j) >= 0
+          && (* Forced before [costs] is read: it fills them. *)
+          (let best = Lazy.force best in
+           best = costs.(ord.(j)))
+          && Stability.nodes_stable ?objective instance view others
+        in
+        profile.(last) <- [||];
+        if block st { view; first = index * Array.length tail; set; stable } then raise Stop
+      end
+    in
+    (try assign depth p with Stop -> ());
+    results.(p) <- Some st
   in
-  try assign level with Stop -> ()
+  if not (Array.exists (fun r -> Array.length r = 0) rows) then
+    Bbc_parallel.parallel_for ~jobs ~chunk:1 0 nprefixes (fun p -> Option.iter (run p) (start p));
+  results
 
-(* Search-shape telemetry: profiles actually evaluated, prefix subtrees
-   pruned by the cross-prefix limit rule, and aborts on the global
-   profile budget. *)
+(* Search-shape telemetry: profiles examined, prefix subtrees pruned by
+   the cross-prefix limit rule, and aborts on the global profile
+   budget. *)
 let obs_profiles = Bbc_obs.counter "exhaustive.profiles"
 let obs_pruned = Bbc_obs.counter "exhaustive.pruned_prefixes"
 let obs_aborted = Bbc_obs.counter "exhaustive.aborted"
 
+type prefix = { p : int; mutable found : Config.t list; mutable mine : int; mutable examined : int }
+
 let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jobs instance =
   let n = Instance.n instance in
-  let candidates = match candidates with Some c -> c | None -> default_candidates instance in
-  if Array.length candidates <> n then invalid_arg "Exhaustive.search: candidates length mismatch";
-  (* Validate every candidate strategy once, up front.  The canonical
-     rows this produces satisfy the profile representation invariant, so
-     the enumeration below may assemble profiles out of them with
-     {!Config.unsafe_of_arrays} — no per-profile validation pass. *)
-  let candidate_arrays =
-    Array.mapi
-      (fun u l -> Array.of_list (List.map (Config.validated_strategy n u) l))
-      candidates
-  in
+  let candidates = candidate_lists ?candidates instance in
+  let rows = candidate_rows instance candidates in
   let jobs = Bbc_parallel.jobs_for ?jobs ~threshold:0 n in
   Bbc_obs.with_span "exhaustive.search"
     ~attrs:[ ("n", Bbc_obs.Int n); ("limit", Bbc_obs.Int limit); ("jobs", Bbc_obs.Int jobs) ]
   @@ fun () ->
-  let depth, nprefixes = prefix_partition candidate_arrays ~n ~jobs in
-  let found = Array.init nprefixes (fun _ -> Atomic.make 0) in
-  let total_found = Atomic.make 0 in
+  (* Early abort propagates two ways: a global profile budget
+     ([max_profiles]) and a per-prefix rule — a subtree may stop as soon
+     as the prefixes strictly before it have already found [limit]
+     equilibria, because all of those precede anything it could still
+     find in enumeration order.  Together this keeps the reported
+     equilibria identical to the sequential search for every job
+     count. *)
+  (* Equilibria found per prefix subtree, sized by [start]. *)
+  let counts = ref [||] and total_found = Atomic.make 0 in
   let examined_total = Atomic.make 0 in
   let over_budget = Atomic.make false in
-  let per_equilibria = Array.make nprefixes [] in
-  let per_examined = Array.make nprefixes 0 in
   (* Have the prefixes strictly before [p] already found [limit]
      equilibria?  Cheap pre-check on the global count first. *)
   let limit_reached_before p =
@@ -127,54 +169,53 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
     &&
     let acc = ref 0 and q = ref 0 in
     while !acc < limit && !q < p do
-      acc := !acc + Atomic.get found.(!q);
+      acc := !acc + Atomic.get !counts.(!q);
       incr q
     done;
     !acc >= limit
   in
-  let run_prefix p =
-    if Atomic.get over_budget || limit_reached_before p then Bbc_obs.incr obs_pruned
-    else begin
-      (* One mutable profile buffer per subtree, wrapped once as a
-         profile view: the DFS rebinds rows in place and the view tracks
-         it, so examining a profile allocates nothing.  Equilibria are
-         detached from the buffer with a deep {!Config.snapshot}. *)
-      let profile = Array.make n [||] in
-      let view = Config.unsafe_of_arrays profile in
-      decode_prefix candidate_arrays ~depth p profile;
-      let equilibria = ref [] and mine = ref 0 and examined = ref 0 in
-      let on_profile () =
-        if Atomic.fetch_and_add examined_total 1 >= max_profiles then begin
-          if not (Atomic.exchange over_budget true) then Bbc_obs.incr obs_aborted;
-          true
-        end
-        else begin
-          incr examined;
-          if Stability.is_stable ?objective instance view then begin
-            equilibria := Config.snapshot view :: !equilibria;
-            incr mine;
-            Atomic.incr found.(p);
-            Atomic.incr total_found
-          end;
-          !mine >= limit
-          || Atomic.get over_budget
-          || (!examined land 63 = 0 && limit_reached_before p)
-        end
-      in
-      enumerate_suffix candidate_arrays profile depth ~on_profile;
-      per_equilibria.(p) <- List.rev !equilibria;
-      per_examined.(p) <- !examined;
-      Bbc_obs.add obs_profiles !examined
-    end
+  let start count =
+    counts := Array.init count (fun _ -> Atomic.make 0);
+    fun p ->
+      if Atomic.get over_budget || limit_reached_before p then begin
+        Bbc_obs.incr obs_pruned;
+        None
+      end
+      else Some { p; found = []; mine = 0; examined = 0 }
   in
-  Bbc_parallel.parallel_for ~jobs ~chunk:1 0 nprefixes run_prefix;
-  let all = List.concat (Array.to_list per_equilibria) in
-  let total = List.length all in
-  let equilibria = List.filteri (fun i _ -> i < limit) all in
+  (* The budget is charged per profile, also inside a block. *)
+  let block st b =
+    let rec from j =
+      j < Array.length rows.(n - 1)
+      &&
+      if Atomic.fetch_and_add examined_total 1 >= max_profiles then begin
+        if not (Atomic.exchange over_budget true) then Bbc_obs.incr obs_aborted;
+        true
+      end
+      else begin
+        st.examined <- st.examined + 1;
+        if b.stable j then begin
+          st.found <- Config.snapshot b.view :: st.found;
+          st.mine <- st.mine + 1;
+          Atomic.incr !counts.(st.p);
+          Atomic.incr total_found
+        end;
+        st.mine >= limit
+        || Atomic.get over_budget
+        || (st.examined land 63 = 0 && limit_reached_before st.p)
+        || from (j + 1)
+      end
+    in
+    from 0
+  in
+  let per = List.filter_map Fun.id (Array.to_list (blocks ?objective ~jobs instance rows ~start ~block)) in
+  let examined = List.fold_left (fun acc st -> acc + st.examined) 0 per in
+  Bbc_obs.add obs_profiles examined;
+  let all = List.concat_map (fun st -> List.rev st.found) per in
   {
-    equilibria;
-    examined = Array.fold_left ( + ) 0 per_examined;
-    complete = (not (Atomic.get over_budget)) && total < limit;
+    equilibria = List.filteri (fun i _ -> i < limit) all;
+    examined;
+    complete = (not (Atomic.get over_budget)) && List.length all < limit;
   }
 
 let has_equilibrium ?objective ?candidates ?max_profiles ?jobs instance =

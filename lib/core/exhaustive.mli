@@ -2,17 +2,20 @@
 
     The profile space is the product of per-node candidate strategy lists
     (by default, {e all} feasible strategies of each node).  Regardless of
-    any candidate restriction, each enumerated profile is verified with
-    the full polynomial stability check of {!Stability} — i.e. against
-    {e all} feasible deviations — so every reported equilibrium is a true
-    pure NE of the unrestricted game.  A restriction only narrows where
-    we look: "no equilibrium found" under a restriction certifies absence
-    within the restricted space (used for the Figure-1 gadget, whose full
-    space of 11^11 profiles is out of reach; see DESIGN.md). *)
+    any candidate restriction, every reported equilibrium is stable
+    against {e all} feasible deviations, so it is a true pure NE of the
+    unrestricted game.  A restriction only narrows where we look: "no
+    equilibrium found" under a restriction certifies absence within the
+    restricted space (used for the Figure-1 gadget, whose full space of
+    11^11 profiles is out of reach; see DESIGN.md).  Most profiles are
+    settled without a stability check: only the last node's best
+    responses can be equilibria ({!blocks}; DESIGN.md section 20). *)
 
 type result = {
   equilibria : Config.t list;  (** In enumeration order, up to [limit]. *)
-  examined : int;  (** Profiles actually checked. *)
+  examined : int;
+      (** Profiles visited, including those the last-level pruning
+          settles without a stability check. *)
   complete : bool;
       (** Whether the whole candidate space was examined (false when the
           [limit] on equilibria or [max_profiles] stopped the search). *)
@@ -39,19 +42,22 @@ val search :
   ?jobs:int ->
   Instance.t ->
   result
-(** Enumerate and stability-check the profile space.  [limit] (default 1)
-    bounds the number of equilibria collected; [max_profiles] (default
-    [10^8]) aborts oversized searches with [complete = false].
+(** Enumerate the profile space in DFS order (node 0 most significant)
+    and collect its pure equilibria.  [limit] (default 1) bounds the
+    number of equilibria collected; [max_profiles] (default [10^8])
+    aborts oversized searches with [complete = false].  The budget is
+    charged per profile, also inside a pruned block, so an aborted
+    search reports [examined = max_profiles] at one job.
 
     [jobs] (default {!Bbc_parallel.default_jobs}) partitions the space
     by a prefix of the first node levels and enumerates the subtrees on
     the domain pool.  Early abort propagates across domains: a subtree
     stops once the prefixes preceding it have found [limit] equilibria
     (everything they found precedes anything it could find) or the
-    global [max_profiles] budget is exhausted.  The [equilibria] list
-    and [complete] flag are therefore identical for every job count;
-    [examined] can differ between job counts only when the search aborts
-    early ([limit] hit or budget exhausted). *)
+    global [max_profiles] budget is exhausted.  Unless the budget cuts
+    the search, the [equilibria] list and [complete] flag are therefore
+    identical for every job count, and so is [examined] when the search
+    completes. *)
 
 val has_equilibrium :
   ?objective:Objective.t ->
@@ -69,3 +75,45 @@ val count_equilibria :
   ?jobs:int ->
   Instance.t ->
   int option
+
+(** {2 The profile-space engine}
+
+    Shared by {!search}, {!Social_optimum.analyze} and {!Potential}.  A
+    profile's index is the mixed-radix number of its nodes' candidate
+    positions, node 0 most significant (DFS order). *)
+
+val candidate_lists : ?candidates:int list list array -> Instance.t -> int list list array
+(** [candidates] if given, else {!all_strategies} of every node. *)
+
+val candidate_rows : Instance.t -> int list list array -> int array array array
+(** Every candidate validated once ({!Config.validated_strategy}). *)
+
+val ordinals : Instance.t -> int array array array -> int -> int array * int
+(** [(ord, count)]: {!Best_response.enumerate} visits [u]'s candidate
+    [j] [ord.(j)]-th ([-1]: not affordable) of its [count] strategies,
+    on every profile. *)
+
+type block = {
+  view : Config.t;  (** The block's profile buffer. *)
+  first : int;  (** Index of its profile with node [n-1] on candidate 0. *)
+  set : int -> unit;  (** Put node [n-1] on candidate [j]. *)
+  stable : int -> bool;  (** [set j]; is that profile a pure NE? *)
+}
+
+val blocks :
+  ?objective:Objective.t ->
+  jobs:int ->
+  Instance.t ->
+  int array array array ->
+  start:(int -> int -> 'a option) ->
+  block:('a -> block -> bool) ->
+  'a option array
+(** Every assignment of nodes [0 .. n-2] as a {!block}, in DFS order,
+    split into prefix subtrees on the {!Bbc_parallel} pool.
+    [start count] is applied once, with the number of subtrees; then
+    [start count p] makes subtree [p]'s state ([None]: skip it), and
+    [block] returns [true] to stop its subtree.  [stable] prices node
+    [n-1]'s strategies with one enumeration per block, on first use;
+    only its best responses pay a {!Stability.nodes_stable} check of
+    the others.  The states come back in prefix order, so a
+    left-to-right merge is the sequential answer for every job count. *)

@@ -7,88 +7,99 @@ type space = {
 }
 
 let enumerate_space ?candidates ?(max_profiles = 200_000) instance =
-  let n = Instance.n instance in
-  let candidates =
-    match candidates with
-    | Some c -> c
-    | None -> Array.init n (Exhaustive.all_strategies instance)
-  in
+  let candidates = Exhaustive.candidate_lists ?candidates instance in
   if Exhaustive.space_size candidates > float_of_int max_profiles then None
   else begin
-    let acc = ref [] in
-    let profile = Array.make n [] in
-    let rec assign u =
-      if u = n then acc := Config.of_lists n (Array.copy profile) :: !acc
-      else
-        List.iter
-          (fun s ->
-            profile.(u) <- s;
-            assign (u + 1))
-          candidates.(u)
-    in
-    assign 0;
-    let profiles = Array.of_list (List.rev !acc) in
-    (* Index by hash with exact-equality buckets. *)
-    let table = Hashtbl.create (2 * Array.length profiles) in
-    Array.iteri
-      (fun i c ->
-        let h = Config.hash c in
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt table h) in
-        Hashtbl.replace table h ((c, i) :: bucket))
-      profiles;
-    let index c =
-      match Hashtbl.find_opt table (Config.hash c) with
-      | None -> raise Not_found
-      | Some bucket -> (
-          match List.find_opt (fun (c', _) -> Config.equal c c') bucket with
-          | Some (_, i) -> i
-          | None -> raise Not_found)
-    in
-    Some { profiles; index; candidates }
+    let rows = Exhaustive.candidate_rows instance candidates in
+    let n = Array.length rows in
+    let profiles = Array.make (int_of_float (Exhaustive.space_size candidates)) (Config.empty n) in
+    ignore
+      (Exhaustive.blocks ~jobs:1 instance rows ~start:(fun _ -> Option.some) ~block:(fun _ b ->
+           Array.iteri
+             (fun j _ ->
+               b.set j;
+               profiles.(b.first + j) <- Config.snapshot b.view)
+             rows.(n - 1);
+           false));
+    let at = Config.Tbl.create (Array.length profiles) in
+    Array.iteri (fun i c -> Config.Tbl.replace at c i) profiles;
+    Some { profiles; index = Config.Tbl.find at; candidates }
   end
 
-let improvement_graph ?objective ?(best_only = false) instance space =
-  let n = Instance.n instance in
-  let g = Digraph.create (Array.length space.profiles) in
-  Array.iteri
-    (fun i config ->
-      let costs = Eval.all_costs ?objective instance config in
-      for u = 0 to n - 1 do
-        if best_only then begin
-          let best = Best_response.exact ?objective instance config u in
-          if best.cost < costs.(u) then
-            match space.index (Config.with_strategy config u best.strategy) with
-            | j -> if not (Digraph.mem_edge g i j) then Digraph.add_edge g i j 1
-            | exception Not_found -> ()
-        end
-        else
-          (* Every strictly improving unilateral move inside the space:
-             iterate u's candidate strategies directly. *)
-          List.iter
-            (fun s ->
-              if s <> Config.targets config u then begin
-                let config' = Config.with_strategy config u s in
-                let c' = Eval.node_cost ?objective instance config' u in
-                if c' < costs.(u) then
-                  match space.index config' with
-                  | j -> if not (Digraph.mem_edge g i j) then Digraph.add_edge g i j 1
-                  | exception Not_found -> ()
-              end)
-            space.candidates.(u)
-      done)
-    space.profiles;
+(* Per (profile, node u), one {!Best_response.enumerate} prices every
+   feasible strategy of u from one G_{-u} row set: u's current cost and
+   each candidate's are read off it by enumeration ordinal (a candidate
+   that is not affordable, only possible in a restricted space, by
+   {!Eval.node_cost}), and an arc's head is the index with u's digit
+   changed.  The last node's rows are the same across a block, so it is
+   enumerated once per block.  Each profile's heads are kept in its own
+   slot, and the arcs are added in enumeration order. *)
+let improvement_graph ?(objective = Objective.Sum) ?(best_only = false) ?candidates instance =
+  let candidates = Exhaustive.candidate_lists ?candidates instance in
+  let rows = Exhaustive.candidate_rows instance candidates in
+  let size = int_of_float (Exhaustive.space_size candidates) in
+  let n = Array.length rows in
+  let last = n - 1 and stride = Array.make n 1 in
+  (* [stride.(u)] weighs node u's candidate position in a profile index. *)
+  for u = n - 2 downto 0 do
+    stride.(u) <- stride.(u + 1) * Array.length rows.(u + 1)
+  done;
+  let ords = Array.init n (Exhaustive.ordinals instance rows) in
+  let heads = Array.make size [||] in
+  let start _ _ = Some (Array.map (fun (_, count) -> Array.make count 0) ords) in
+  let block costs (b : Exhaustive.block) =
+    Array.iteri
+      (fun jl _ ->
+        b.set jl;
+        let i = b.first + jl in
+        let csr = Best_response.snapshot instance b.view and out = ref [] in
+        for u = 0 to last do
+          let ord, _ = ords.(u) and cost = costs.(u) in
+          if u < last || jl = 0 then begin
+            let k = ref 0 in
+            Best_response.enumerate ~objective ?csr instance b.view u ~on_subset:(fun _ c ->
+                cost.(!k) <- c;
+                incr k;
+                false)
+          end;
+          let ju = i / stride.(u) mod Array.length rows.(u) in
+          let cost_of j =
+            if ord.(j) >= 0 then cost.(ord.(j))
+            else
+              Eval.node_cost ~objective instance
+                (Config.with_strategy b.view u (Array.to_list rows.(u).(j)))
+                u
+          in
+          let current = cost_of ju in
+          let arc j = out := (i + ((j - ju) * stride.(u))) :: !out in
+          if best_only then begin
+            (* The first optimum in enumeration order, if a candidate. *)
+            let o = ref 0 in
+            Array.iteri (fun k c -> if c < cost.(!o) then o := k) cost;
+            if cost.(!o) < current then Option.iter arc (Array.find_index (( = ) !o) ord)
+          end
+          else Array.iteri (fun j _ -> if cost_of j < current then arc j) rows.(u)
+        done;
+        heads.(i) <- Array.of_list (List.rev !out))
+      rows.(last);
+    false
+  in
+  ignore (Exhaustive.blocks ~jobs:(Bbc_parallel.default_jobs ()) instance rows ~start ~block);
+  let g = Digraph.create size in
+  Array.iteri (fun i -> Array.iter (fun j -> Digraph.add_edge g i j 1)) heads;
   g
 
-let has_finite_improvement_property ?objective ?best_only ?candidates ?max_profiles
+let has_finite_improvement_property ?objective ?best_only ?candidates ?(max_profiles = 200_000)
     instance =
-  match enumerate_space ?candidates ?max_profiles instance with
-  | None -> None
-  | Some space ->
-      let g = improvement_graph ?objective ?best_only instance space in
-      (* Acyclic iff every SCC is a singleton and no self-loops (we never
-         add self-loops, and strict improvement forbids them anyway). *)
-      let scc = Bbc_graph.Scc.compute g in
-      Some (scc.count = Digraph.n g)
+  let candidates = Exhaustive.candidate_lists ?candidates instance in
+  if Exhaustive.space_size candidates > float_of_int max_profiles then None
+  else begin
+    let g = improvement_graph ?objective ?best_only ~candidates instance in
+    (* Acyclic iff every SCC is a singleton and no self-loops (we never
+       add self-loops, and strict improvement forbids them anyway). *)
+    let scc = Bbc_graph.Scc.compute g in
+    Some (scc.count = Digraph.n g)
+  end
 
 let sinks_are_equilibria ?objective instance space g =
   let ok = ref true in

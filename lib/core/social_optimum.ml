@@ -7,65 +7,6 @@ type summary = {
   profiles : int;
 }
 
-let analyze ?objective ?candidates ?(max_profiles = 2_000_000) instance =
-  let n = Instance.n instance in
-  let candidates =
-    match candidates with
-    | Some c -> c
-    | None -> Array.init n (Exhaustive.all_strategies instance)
-  in
-  if Exhaustive.space_size candidates > float_of_int max_profiles then None
-  else begin
-    let optimum = ref max_int and optimal_profile = ref None in
-    let best_ne = ref None and worst_ne = ref None in
-    let equilibria = ref 0 and profiles = ref 0 in
-    (* Strategies are validated once, so each profile is a view of one
-       reusable buffer; only recorded profiles are copied out of it. *)
-    let candidates =
-      Array.mapi (fun u l -> List.map (Config.validated_strategy n u) l) candidates
-    in
-    let profile = Array.make n [||] in
-    let config = Config.unsafe_of_arrays profile in
-    let rec assign u =
-      if u = n then begin
-        incr profiles;
-        let cost = Eval.social_cost ?objective instance config in
-        if cost < !optimum then begin
-          optimum := cost;
-          optimal_profile := Some (Config.snapshot config)
-        end;
-        if Stability.is_stable ?objective instance config then begin
-          incr equilibria;
-          (match !best_ne with
-          | Some (c, _) when c <= cost -> ()
-          | _ -> best_ne := Some (cost, Config.snapshot config));
-          match !worst_ne with
-          | Some (c, _) when c >= cost -> ()
-          | _ -> worst_ne := Some (cost, Config.snapshot config)
-        end
-      end
-      else
-        List.iter
-          (fun s ->
-            profile.(u) <- s;
-            assign (u + 1))
-          candidates.(u)
-    in
-    assign 0;
-    match !optimal_profile with
-    | None -> None (* empty candidate space *)
-    | Some c ->
-        Some
-          {
-            optimum = !optimum;
-            optimal_profile = c;
-            best_equilibrium = !best_ne;
-            worst_equilibrium = !worst_ne;
-            equilibria = !equilibria;
-            profiles = !profiles;
-          }
-  end
-
 let ratio_of value summary =
   Option.map
     (fun (cost, _) -> float_of_int cost /. float_of_int (max summary.optimum 1))
@@ -230,11 +171,122 @@ let max_score instance (d : int array array) u ~fixed m ~bound =
   done;
   !acc
 
-let local_search ?(objective = Objective.Sum) ?(restarts = 3) ?(max_sweeps = 50) rng
-    instance =
+(* [f d] on the G_{-u} distance matrix [d] of [csr]: one batched
+   [~ban:u] sweep from all n sources into pooled rows. *)
+let with_matrix csr u f =
+  let n = Csr.n csr and ws = Workspace.get () in
+  let d = Workspace.acquire_many ws n n in
+  Csr.sssp_batch ~ban:u csr (Workspace.scratch ws) ~srcs:(Array.init n Fun.id) ~rows:d;
+  let r = f d in
+  Csr.reset_rows (Workspace.scratch ws) ~rows:d;
+  Workspace.release_clean_many ws d;
+  r
+
+(* The exact social cost of u's strategies, from the G_{-u} distance
+   matrix [d]: Sum through the per-link table [f] (n * n, [targets]
+   the targets any scored strategy may use), Max through the merged-row
+   fold into the scratch row [m].  The scorer stops like [sum_score]
+   once a partial cost reaches [bound]. *)
+let scorer ~objective instance d u ~targets ~f ~m =
   let n = Instance.n instance in
+  match objective with
+  | Objective.Sum ->
+      let empty = fill_link_costs f instance d u ~targets in
+      sum_score f n ~empty
+  | Objective.Max ->
+      let fixed = ref 0 in
+      for w = 0 to n - 1 do
+        if d.(w).(u) = Csr.unreachable then
+          fixed := !fixed + Eval.cost_of_distances ~objective instance w d.(w)
+      done;
+      fun s ~bound ->
+        Array.fill m 0 n Csr.unreachable;
+        m.(u) <- 0;
+        List.iter (fun t -> add_link m d.(t) (Instance.length instance u t)) s;
+        max_score instance d u ~fixed:!fixed m ~bound
+
+(* [b] folded after [a]: the first optimum and the first best and
+   worst equilibrium in enumeration order win ties, so folding profiles
+   and then prefixes left to right keeps the sequential choices. *)
+let merge a b =
+  let pick better x y =
+    match (x, y) with Some (c, _), Some (c', _) when not (better c' c) -> x | _, None -> x | _ -> y
+  in
+  {
+    optimum = min a.optimum b.optimum;
+    optimal_profile = (if b.optimum < a.optimum then b.optimal_profile else a.optimal_profile);
+    best_equilibrium = pick ( < ) a.best_equilibrium b.best_equilibrium;
+    worst_equilibrium = pick ( > ) a.worst_equilibrium b.worst_equilibrium;
+    equilibria = a.equilibria + b.equilibria;
+    profiles = a.profiles + b.profiles;
+  }
+
+let analyze ?(objective = Objective.Sum) ?candidates ?(max_profiles = 2_000_000) ?jobs instance =
+  let n = Instance.n instance in
+  let candidates = Exhaustive.candidate_lists ?candidates instance in
+  if Exhaustive.space_size candidates > float_of_int max_profiles then None
+  else begin
+    let rows = Exhaustive.candidate_rows instance candidates in
+    let jobs = Bbc_parallel.jobs_for ?jobs ~threshold:0 n in
+    let last = n - 1 in
+    let strategies = Array.map Array.to_list rows.(last) in
+    let targets = Array.of_list (List.sort_uniq compare (List.concat (Array.to_list strategies))) in
+    let empty =
+      { optimum = max_int; optimal_profile = Config.empty n; best_equilibrium = None;
+        worst_equilibrium = None; equilibria = 0; profiles = 0 }
+    in
+    let start _ _ =
+      Some (ref empty, Array.make (Array.length strategies) 0, Array.make (n * n) 0, Array.make n 0)
+    in
+    (* One batched G_{-(n-1)} sweep from all n sources scores the social
+       cost of every candidate of the last node; the block's last-level
+       pruning decides which of them are equilibria. *)
+    let block (acc, social, f, m) (b : Exhaustive.block) =
+      with_matrix (Config.to_csr instance b.view) last (fun d ->
+          let score = scorer ~objective instance d last ~targets ~f ~m in
+          Array.iteri (fun j s -> social.(j) <- score s ~bound:max_int) strategies);
+      Array.iteri
+        (fun j cost ->
+          (* Profile j as a one-profile summary.  [merge] keeps its
+             profile only where it is strictly better, and then it is
+             a copy, never the block's buffer. *)
+          let ne = b.stable j in
+          let p = if ne || cost < !acc.optimum then Config.snapshot b.view else b.view in
+          let this = if ne then Some (cost, p) else None in
+          acc :=
+            merge !acc
+              { optimum = cost; optimal_profile = p; best_equilibrium = this;
+                worst_equilibrium = this; equilibria = Bool.to_int ne; profiles = 1 })
+        social;
+      false
+    in
+    let s =
+      Array.fold_left
+        (fun s -> Option.fold ~none:s ~some:(fun (acc, _, _, _) -> merge s !acc))
+        empty
+        (Exhaustive.blocks ~objective ~jobs instance rows ~start ~block)
+    in
+    if s.profiles = 0 then None else Some s
+  end
+
+(* One per-link table per domain, reused by every node and sweep:
+   [fill_link_costs] writes every entry a score then reads. *)
+let link_tables = Domain.DLS.new_key (fun () -> ref [||])
+
+let link_table n =
+  let f = Domain.DLS.get link_tables in
+  if Array.length !f < n * n then f := Array.make (n * n) 0;
+  !f
+
+(* Prefer the pool from this many nodes on: below it a sweep's
+   per-node scoring is too short to pay for the hand-off. *)
+let parallel_threshold = 16
+
+let local_search ?(objective = Objective.Sum) ?(restarts = 3) ?(max_sweeps = 50) rng instance =
+  let n = Instance.n instance in
+  let jobs = Bbc_parallel.jobs_for ~threshold:parallel_threshold n in
   Bbc_obs.with_span "social_optimum.local_search"
-    ~attrs:[ ("n", Bbc_obs.Int n); ("restarts", Bbc_obs.Int restarts) ]
+    ~attrs:[ ("n", Bbc_obs.Int n); ("restarts", Bbc_obs.Int restarts); ("jobs", Bbc_obs.Int jobs) ]
   @@ fun () ->
   let random_start () =
     let strategies =
@@ -245,52 +297,43 @@ let local_search ?(objective = Objective.Sum) ?(restarts = 3) ?(max_sweeps = 50)
     in
     Config.of_lists n strategies
   in
-  let srcs = Array.init n Fun.id in
-  let f = Array.make (n * n) 0 in
-  (* Best single-node replacement by social cost: across u ascending,
-     then [Exhaustive.all_strategies] order, the first strictly best
-     move below [cost] wins. *)
-  let improve_once config cost =
-    let ws = Workspace.get () in
-    let scratch = Workspace.scratch ws in
-    let csr = Config.to_csr instance config in
-    let d = Workspace.acquire_many ws n n in
-    let m = Workspace.acquire ws n in
+  (* Node [u]'s best replacement in one sweep: the first strictly best
+     strategy, in [Exhaustive.all_strategies] order, below the sweep's
+     [cost].  Nodes only read the sweep's snapshot, so they fan out over
+     the pool, each with its own rows and table. *)
+  let best_move csr config cost u =
+    with_matrix csr u @@ fun d ->
+    let m = Array.make n 0 and f = link_table n in
+    let targets = Array.of_list (Best_response.candidate_targets instance u) in
+    let score = scorer ~objective instance d u ~targets ~f ~m in
+    let current = Config.targets config u in
     let best = ref None and scored = ref 0 in
-    for u = 0 to n - 1 do
-      Csr.sssp_batch ~ban:u csr scratch ~srcs ~rows:d;
-      let score =
-        match objective with
-        | Objective.Sum ->
-            let targets = Array.of_list (Best_response.candidate_targets instance u) in
-            let empty = fill_link_costs f instance d u ~targets in
-            sum_score f n ~empty
-        | Objective.Max ->
-            let fixed = ref 0 in
-            for w = 0 to n - 1 do
-              if d.(w).(u) = Csr.unreachable then
-                fixed := !fixed + Eval.cost_of_distances ~objective instance w d.(w)
-            done;
-            fun s ~bound ->
-              Array.fill m 0 n Csr.unreachable;
-              m.(u) <- 0;
-              List.iter (fun t -> add_link m d.(t) (Instance.length instance u t)) s;
-              max_score instance d u ~fixed:!fixed m ~bound
-      in
-      let current = Config.targets config u in
-      List.iter
-        (fun s ->
-          if s <> current then begin
-            incr scored;
-            let bound = match !best with Some (_, _, c) -> c | None -> cost in
-            let c = score s ~bound in
-            if c < bound then best := Some (u, s, c)
-          end)
-        (Exhaustive.all_strategies instance u);
-      Csr.reset_rows scratch ~rows:d
-    done;
-    Workspace.release ws m;
-    Workspace.release_clean_many ws d;
+    List.iter
+      (fun s ->
+        if s <> current then begin
+          incr scored;
+          let bound = match !best with Some (_, c) -> c | None -> cost in
+          let c = score s ~bound in
+          if c < bound then best := Some (s, c)
+        end)
+      (Exhaustive.all_strategies instance u);
+    (!best, !scored)
+  in
+  (* Best single-node replacement by social cost: the strict minimum
+     over the nodes' own best moves, nodes ascending — the move a
+     sequential sweep over u ascending, then strategies, keeps. *)
+  let improve_once config cost =
+    let csr = Config.to_csr instance config in
+    let moves = Bbc_parallel.parallel_init ~jobs ~chunk:1 n (best_move csr config cost) in
+    let best = ref None and scored = ref 0 in
+    Array.iteri
+      (fun u (move, k) ->
+        scored := !scored + k;
+        match (move, !best) with
+        | Some (s, c), Some (_, _, b) when c < b -> best := Some (u, s, c)
+        | Some (s, c), None -> best := Some (u, s, c)
+        | _ -> ())
+      moves;
     Bbc_obs.add obs_moves !scored;
     Option.map (fun (u, s, c) -> (Config.with_strategy config u s, c)) !best
   in

@@ -20,12 +20,25 @@ val analyze :
   ?objective:Objective.t ->
   ?candidates:int list list array ->
   ?max_profiles:int ->
+  ?jobs:int ->
   Instance.t ->
   summary option
 (** Exhaustive analysis of the profile space (default: all feasible
     strategies of every node; [max_profiles] defaults to [2_000_000]).
-    [None] if the space is larger than [max_profiles].  Each profile
-    costs one [Eval.social_cost] and one [Stability.is_stable].
+    [None] if the space is larger than [max_profiles].
+
+    {b Cost model.}  The space is visited in {!Exhaustive.blocks}: per
+    assignment of nodes [0 .. n-2], one CSR snapshot, one batched
+    [~ban:(n-1)] sweep from all n sources that scores the social cost of
+    every candidate of node [n-1] (the tables of {!local_search}), and
+    one {!Best_response.enumerate} that prices all of that node's
+    strategies.  Only the profiles whose last strategy is a best
+    response pay a {!Stability.nodes_stable} check of nodes
+    [0 .. n-2].  [jobs] (default {!Bbc_parallel.default_jobs}) runs the
+    prefix subtrees on the domain pool; their results merge in prefix
+    order, so the summary, tie-breaks included (the first optimal,
+    best and worst profile in enumeration order), is the same for
+    every job count.
 
     Note: with a restricted candidate space, [optimum] is exact for that
     space and every reported equilibrium is a true NE (full-deviation
@@ -62,6 +75,10 @@ val local_search :
     no further snapshot or sweep: [Sum] in O(|S| n) from a per-node table
     of per-link costs, [Max] in O(n{^2}) by folding each source's merged
     row (see DESIGN.md §17).  Candidates stop early once their partial
-    cost reaches the best found so far.  The [social_optimum.local_search]
-    span times the call and [social_optimum.moves_scored] counts the
-    candidate moves, added once per sweep. *)
+    cost reaches the node's best so far.  From 16 nodes on, the nodes of
+    a sweep fan out over the domain pool: each keeps its first strictly
+    best move below the sweep's cost, and the strict minimum over nodes
+    ascending is the sequential sweep's move, so the result is the same
+    for every job count.  The [social_optimum.local_search] span times
+    the call and [social_optimum.moves_scored] counts the candidate
+    moves, added once per sweep. *)

@@ -629,6 +629,117 @@ let prop_local_search_vs_reference (inst, seed) =
           (if cost = ref_cost then " (different profiles)" else ""))
     [ Bbc.Objective.Sum; Bbc.Objective.Max ]
 
+(* The profile-space engine — [Exhaustive.search], [Social_optimum.analyze]
+   and [Potential]'s improvement graph, all on the pruned block
+   enumeration — against the reference that checks every profile from
+   scratch, on tiny games: full and maximal candidate lists, Sum and
+   Max, one and two jobs.  Spaces above [space_cap] profiles are left
+   out to keep the reference fast. *)
+let space_cap = 400
+let tiny_instance = Domain_gen.instance ~max_n:5 ~max_k:2 ()
+let same_profiles a b = List.length a = List.length b && List.for_all2 C.equal a b
+let show_profiles l = "[" ^ String.concat "; " (List.map Bbc.Codec.config_to_string l) ^ "]"
+
+let same_summary (a : Bbc.Social_optimum.summary) (b : Bbc.Social_optimum.summary) =
+  let same_ne x y =
+    match (x, y) with
+    | Some (c, p), Some (c', p') -> c = c' && C.equal p p'
+    | None, None -> true
+    | _ -> false
+  in
+  a.optimum = b.optimum
+  && C.equal a.optimal_profile b.optimal_profile
+  && same_ne a.best_equilibrium b.best_equilibrium
+  && same_ne a.worst_equilibrium b.worst_equilibrium
+  && a.equilibria = b.equilibria && a.profiles = b.profiles
+
+(* Kahn's algorithm: every vertex leaves the queue iff no cycle. *)
+let acyclic size arcs =
+  let indeg = Array.make size 0 and out = Array.make size [] in
+  List.iter
+    (fun (i, j) ->
+      indeg.(j) <- indeg.(j) + 1;
+      out.(i) <- j :: out.(i))
+    arcs;
+  let rec drain seen = function
+    | [] -> seen = size
+    | v :: queue ->
+        drain (seen + 1)
+          (List.fold_left
+             (fun q w ->
+               indeg.(w) <- indeg.(w) - 1;
+               if indeg.(w) = 0 then w :: q else q)
+             queue out.(v))
+  in
+  drain 0 (List.filter (fun v -> indeg.(v) = 0) (List.init size Fun.id))
+
+let prop_engine_vs_reference inst =
+  let module X = Bbc.Exhaustive in
+  let edges g = List.rev (Bbc_graph.Digraph.fold_edges g (fun acc i j _ -> (i, j) :: acc) []) in
+  let space (label, candidates) objective =
+    let label = Printf.sprintf "%s/%s" label (Bbc.Objective.to_string objective) in
+    let size = int_of_float (X.space_size candidates) in
+    let search (limit, max_profiles) =
+      let expected = Reference.search ~objective ~candidates ~limit ~max_profiles inst in
+      check_all
+        (fun jobs ->
+          let r = X.search ~objective ~candidates ~limit ~max_profiles ~jobs inst in
+          if not (same_profiles r.equilibria expected.equilibria) then
+            failf "%s: search limit %d budget %d jobs %d: equilibria %s, reference %s" label limit
+              max_profiles jobs (show_profiles r.equilibria) (show_profiles expected.equilibria)
+          else if r.complete <> expected.complete then
+            failf "%s: search limit %d jobs %d: complete %b, reference %b" label limit jobs
+              r.complete expected.complete
+          else if (jobs = 1 || r.complete) && r.examined <> expected.examined then
+            failf "%s: search limit %d budget %d jobs %d: examined %d, reference %d" label limit
+              max_profiles jobs r.examined expected.examined
+          else ok)
+        (if max_profiles = max_int then [ 1; 2 ] else [ 1 ])
+    in
+    let analyze jobs =
+      match
+        ( Bbc.Social_optimum.analyze ~objective ~candidates ~max_profiles:max_int ~jobs inst,
+          Reference.analyze ~objective ~candidates inst )
+      with
+      | Some s, Some e when same_summary s e -> ok
+      | None, None -> ok
+      | _ -> failf "%s: analyze at %d jobs differs from the reference" label jobs
+    in
+    let graph (best_only, jobs) =
+      let expected = Reference.improvement_arcs ~objective ~best_only ~candidates inst in
+      let reference = Bbc_graph.Digraph.create size in
+      List.iter (fun (i, j) -> Bbc_graph.Digraph.add_edge reference i j 1) expected;
+      (* The graph runs at the pool's default job count. *)
+      let prev = Bbc_parallel.default_jobs () in
+      Bbc_parallel.set_default_jobs jobs;
+      Fun.protect ~finally:(fun () -> Bbc_parallel.set_default_jobs prev) @@ fun () ->
+      let g = Bbc.Potential.improvement_graph ~objective ~best_only ~candidates inst in
+      if edges g <> edges reference then
+        failf "%s: improvement graph (best_only %b, %d jobs): %d arcs, reference %d" label best_only
+          jobs (Bbc_graph.Digraph.edge_count g) (List.length expected)
+      else
+        match
+          Bbc.Potential.has_finite_improvement_property ~objective ~best_only ~candidates
+            ~max_profiles:max_int inst
+        with
+        | Some fip when fip = acyclic size expected -> ok
+        | _ -> failf "%s: FIP verdict (best_only %b) differs from the reference" label best_only
+    in
+    Result.bind
+      (check_all search [ (1, max_int); (3, max_int); (max_int, max_int); (max_int, (size / 3) + 1) ])
+    @@ fun () ->
+    Result.bind (check_all analyze [ 1; 2 ]) @@ fun () ->
+    check_all graph [ (false, 1); (false, 2); (true, 1); (true, 2) ]
+  in
+  check_all
+    (fun candidates ->
+      if X.space_size (snd candidates) > float_of_int space_cap then ok
+      else check_all (space candidates) [ Bbc.Objective.Sum; Bbc.Objective.Max ])
+    [
+      ("full", X.candidate_lists inst);
+      ("maximal", Array.init (I.n inst) (X.maximal_strategies inst));
+    ]
+
 let br_suite =
   let render (inst, cfg) = (inst, Some cfg, "") in
   [
@@ -667,6 +778,13 @@ let br_suite =
         render =
           (fun (inst, cfg, sample, seed) ->
             (inst, Some cfg, Printf.sprintf "sample %d seed %d" sample seed));
+      };
+    Packed
+      {
+        name = "engine_vs_reference";
+        gen = tiny_instance;
+        prop = prop_engine_vs_reference;
+        render = (fun inst -> (inst, None, ""));
       };
     Packed
       {

@@ -22,7 +22,12 @@
       {!Reference.enumerate} (Sum and Max); every
       [Best_response.decide] search's current and best cost, and every
       [Dynamics] step's [cost_after] (three policies, round-robin and
-      max-cost, possibly overspending starts), vs [Eval.node_cost]; and
+      max-cost, possibly overspending starts), vs [Eval.node_cost];
+      the profile-space engine ([Exhaustive.search] at several limits
+      and budgets, [Social_optimum.analyze], [Potential]'s improvement
+      graph and FIP verdict; one and two jobs) vs {!Reference.search},
+      {!Reference.analyze} and {!Reference.improvement_arcs} on games
+      with n <= 5; and
       [Social_optimum.local_search] vs {!Reference.local_search} (same
       seed, Sum and Max: identical cost and profile);
     - [server] — in-process [Bbc_server.Engine] request streams vs

@@ -174,6 +174,77 @@ let local_search ?objective ?(restarts = 3) ?(max_sweeps = 50) rng instance =
   done;
   !best
 
+let profiles candidates =
+  let n = Array.length candidates in
+  let rec go u prefix =
+    if u = n then [ Bbc.Config.of_lists n (Array.of_list (List.rev prefix)) ]
+    else List.concat_map (fun s -> go (u + 1) (s :: prefix)) candidates.(u)
+  in
+  go 0 []
+
+let search ?objective ~candidates ~limit ~max_profiles instance =
+  let rec go examined found = function
+    | _ when List.length found >= limit -> (examined, found, false)
+    | [] -> (examined, found, false)
+    | _ when examined >= max_profiles -> (examined, found, true)
+    | c :: rest ->
+        go (examined + 1)
+          (if Bbc.Stability.is_stable ?objective instance c then found @ [ c ] else found)
+          rest
+  in
+  let examined, equilibria, over = go 0 [] (profiles candidates) in
+  { Bbc.Exhaustive.equilibria; examined; complete = (not over) && List.length equilibria < limit }
+
+let analyze ?objective ~candidates instance =
+  let first_by better = function
+    | [] -> None
+    | x :: xs -> Some (List.fold_left (fun a b -> if better (fst b) (fst a) then b else a) x xs)
+  in
+  let all = List.map (fun c -> (Bbc.Eval.social_cost ?objective instance c, c)) (profiles candidates) in
+  let ne = List.filter (fun (_, c) -> Bbc.Stability.is_stable ?objective instance c) all in
+  Option.map
+    (fun (optimum, optimal_profile) ->
+      {
+        Bbc.Social_optimum.optimum;
+        optimal_profile;
+        best_equilibrium = first_by ( < ) ne;
+        worst_equilibrium = first_by ( > ) ne;
+        equilibria = List.length ne;
+        profiles = List.length all;
+      })
+    (first_by ( < ) all)
+
+let improvement_arcs ?(objective = Bbc.Objective.Sum) ~best_only ~candidates instance =
+  let all = Array.of_list (profiles candidates) in
+  let index = Hashtbl.create (Array.length all) in
+  Array.iteri (fun i c -> if not (Hashtbl.mem index c) then Hashtbl.add index c i) all;
+  let arcs = ref [] in
+  Array.iteri
+    (fun i c ->
+      List.iteri
+        (fun u strategies ->
+          let cost s = Bbc.Eval.node_cost ~objective instance (Bbc.Config.with_strategy c u s) u in
+          let current = cost (Bbc.Config.targets c u) in
+          let arc s =
+            Option.iter
+              (fun j -> arcs := (i, j) :: !arcs)
+              (Hashtbl.find_opt index (Bbc.Config.with_strategy c u s))
+          in
+          if best_only then begin
+            (* The first optimum in the plain subset DFS. *)
+            let best = ref None in
+            enumerate ~objective instance c u ~on_subset:(fun s v ->
+                (match !best with Some (_, b) when b <= v -> () | _ -> best := Some (List.sort compare s, v));
+                false);
+            match !best with
+            | Some (s, v) when v < current && List.mem s strategies -> arc s
+            | _ -> ()
+          end
+          else List.iter (fun s -> if cost s < current then arc s) strategies)
+        (Array.to_list candidates))
+    all;
+  List.rev !arcs
+
 let walk ?(objective = Bbc.Objective.Sum) ~policy ~on_step ~scheduler ~max_rounds instance
     config0 =
   let module D = Bbc.Dynamics in
@@ -210,8 +281,18 @@ let walk ?(objective = Bbc.Objective.Sum) ~policy ~on_step ~scheduler ~max_round
       { D.index; round; node; moved; strategy = C.targets config' node; cost_after };
     (config', moved)
   in
+  (* A repeat is a cycle only under a deterministic scheduler and
+     policy: no order draws, no sampled moves. *)
+  let deterministic =
+    match (scheduler, policy) with
+    | D.Random_order _, _ | _, D.Sampled_best_response _ -> false
+    | _ -> true
+  in
   let seen = ref [] in
-  let recurred config = List.find_map (fun (c, r) -> if C.equal c config then Some r else None) !seen in
+  let recurred config =
+    if deterministic then List.find_map (fun (c, r) -> if C.equal c config then Some r else None) !seen
+    else None
+  in
   match scheduler with
   | D.Max_cost_first ->
       let rec go config step deviations =
@@ -249,10 +330,9 @@ let walk ?(objective = Bbc.Objective.Sum) ~policy ~on_step ~scheduler ~max_round
         let stats = { D.rounds = round; steps; deviations } in
         if round >= max_rounds then D.Exhausted (config, stats)
         else
-          match (recurred config, scheduler) with
-          | Some prev, (D.Round_robin | D.Fixed_order _) ->
-              D.Cycled { config; period = round - prev; stats }
-          | _ ->
+          match recurred config with
+          | Some prev -> D.Cycled { config; period = round - prev; stats }
+          | None ->
               seen := (config, round) :: !seen;
               let order =
                 match scheduler with

@@ -51,6 +51,47 @@ val enumerate :
     library must produce the identical (strategy, cost) sequence on
     every row provider and on its uniform [k = 1] closed form. *)
 
+(** {1 Profile spaces}
+
+    The product of per-node candidate lists, visited as a plain list of
+    profiles in DFS order (node 0 most significant), each one checked
+    from scratch: the oracle of {!Bbc.Exhaustive}'s pruned block
+    engine and its consumers. *)
+
+val profiles : int list list array -> Bbc.Config.t list
+(** Every profile of the space, in DFS order. *)
+
+val search :
+  ?objective:Bbc.Objective.t ->
+  candidates:int list list array ->
+  limit:int ->
+  max_profiles:int ->
+  Bbc.Instance.t ->
+  Bbc.Exhaustive.result
+(** {!Bbc.Exhaustive.search} at one job: one [Stability.is_stable] per
+    profile, stopping at [limit] equilibria or before the profile past
+    the [max_profiles] budget. *)
+
+val analyze :
+  ?objective:Bbc.Objective.t ->
+  candidates:int list list array ->
+  Bbc.Instance.t ->
+  Bbc.Social_optimum.summary option
+(** {!Bbc.Social_optimum.analyze}: one [Eval.social_cost] and one
+    [Stability.is_stable] per profile; the first optimal, best and
+    worst profile in DFS order. *)
+
+val improvement_arcs :
+  ?objective:Bbc.Objective.t ->
+  best_only:bool ->
+  candidates:int list list array ->
+  Bbc.Instance.t ->
+  (int * int) list
+(** The arcs of {!Bbc.Potential.improvement_graph}, in insertion order
+    (profiles, then nodes, then candidates), each move priced by one
+    [Eval.node_cost]; with [best_only], the first optimum of {!enumerate}
+    when it is a candidate. *)
+
 val walk :
   ?objective:Bbc.Objective.t ->
   policy:Bbc.Dynamics.move_policy ->
@@ -64,6 +105,7 @@ val walk :
     snapshot built afresh from the profile it decides on
     ([Config.to_csr]), and finds [Max_cost_first]'s costs with one
     [Eval.node_cost] per node.  Same schedulers, policies, generator
-    draws, tie-breaks and cycle rule, so the library walk, which keeps
+    draws, tie-breaks and cycle rule (a repeat is a cycle only under a
+    deterministic scheduler and policy), so the library walk, which keeps
     one snapshot and replaces a row per move, must report the identical
     step stream and outcome. *)

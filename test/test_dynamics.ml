@@ -276,3 +276,31 @@ let test_k1_traces () =
     (K1_fixtures.inputs ())
 
 let suite = suite @ [ Alcotest.test_case "k=1 traces = reference walk" `Quick test_k1_traces ]
+
+(* Max_cost_first under a sampled policy: the scan's max-cost unstable
+   node may draw a sample without its improvement and stay, so the
+   profile repeats while the generator moves on.  That repeat is not a
+   cycle; the walk must go on until the exact scan finds no unstable
+   node or the step budget runs out. *)
+let test_max_cost_sampled_no_false_cycle () =
+  let params = { Bbc.Catalog.default_params with n = 30; k = 2; seed = 3 } in
+  let inst, c0 = Result.get_ok (Bbc.Catalog.build "random" params) in
+  List.iter
+    (fun (objective, expected) ->
+      let outcome =
+        D.run ~objective ~policy:(Sampled_best_response { sample = 4; seed = 3 })
+          ~scheduler:Max_cost_first ~max_rounds:200 inst c0
+      in
+      Alcotest.(check string) (Bbc.Objective.to_string objective) expected
+        (Format.asprintf "%a" D.pp_outcome outcome))
+    [
+      (Bbc.Objective.Sum, "exhausted (rounds=200 steps=200 deviations=95)");
+      (Bbc.Objective.Max, "exhausted (rounds=200 steps=200 deviations=34)");
+    ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "max-cost sampled: no false cycle" `Quick
+        test_max_cost_sampled_no_false_cycle;
+    ]

@@ -21,7 +21,7 @@ let test_sinks_are_equilibria () =
   let inst = I.uniform ~n:3 ~k:1 in
   match P.enumerate_space inst with
   | Some space ->
-      let g = P.improvement_graph inst space in
+      let g = P.improvement_graph inst in
       Alcotest.(check bool) "sinks <-> NEs" true
         (P.sinks_are_equilibria inst space g)
   | None -> Alcotest.fail "space should fit"
@@ -47,8 +47,8 @@ let test_best_only_subgraph () =
   let inst = I.uniform ~n:3 ~k:1 in
   match P.enumerate_space inst with
   | Some space ->
-      let full = P.improvement_graph inst space in
-      let best = P.improvement_graph ~best_only:true inst space in
+      let full = P.improvement_graph inst in
+      let best = P.improvement_graph ~best_only:true inst in
       Bbc_graph.Digraph.iter_edges best (fun i j _ ->
           Alcotest.(check bool) "subset" true (Bbc_graph.Digraph.mem_edge full i j));
       (* Unstable profiles have at least one best-response arc. *)
