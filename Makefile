@@ -30,8 +30,8 @@ check:
 # per-source sweeps and holding their 4x apsp floor over the BENCH_2
 # pre-batching baseline, the large-n engine's equivalence bits and ns/node
 # ceiling — the serving-layer soak (64 TCP connections x 50k requests
-# on 1-worker and 4-worker daemons, zero errors, cross-shard
-# consistency, graceful drains, multi-core speedup floor), the
+# on one daemon, zero errors, consistent answers, full request count,
+# graceful drain), the
 # campaign crash-resume gate (SIGKILL mid-campaign + resume and a
 # via-server leg must all render byte-identical report.json), and the
 # differential-fuzzing gate

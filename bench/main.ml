@@ -765,11 +765,9 @@ let print_bigbench equiv rows =
 (* Serving layer: a real `bbc serve --tcp` daemon spawned as a child
    process (the bench has live domains, so forking in-process is off
    the table — create_process is fork+exec, which is safe), hammered by
-   the event-loop load generator over TCP at 1 worker and N workers.
-   The 1-vs-N throughput ratio is the sharding speedup the CI soak gate
-   asserts; the generator's consistency cross-check (identical
-   read-only queries must get byte-identical answers, across shards)
-   rides along as the correctness bit. *)
+   the event-loop load generator over TCP.  The generator's consistency
+   cross-check (identical read-only queries must get byte-identical
+   answers) rides along as the correctness bit. *)
 
 (* The CLI binary sits next to the bench in the build tree
    (_build/default/{bench,bin}); BBC_CLI overrides for odd layouts. *)
@@ -780,17 +778,16 @@ let cli_binary () =
       let root = Filename.dirname (Filename.dirname Sys.executable_name) in
       Filename.concat (Filename.concat root "bin") "bbc_cli.exe"
 
-(* Spawn `bbc serve --tcp 127.0.0.1:0 --workers W` and parse the
-   resolved ephemeral port from its "listening on tcp:HOST:PORT"
-   stdout line. *)
-let start_server ~workers =
+(* Spawn `bbc serve --tcp 127.0.0.1:0` and parse the resolved
+   ephemeral port from its "listening on tcp:HOST:PORT" stdout line. *)
+let start_server () =
   let exe = cli_binary () in
   if not (Sys.file_exists exe) then Error (exe ^ " not built")
   else begin
     let out_r, out_w = Unix.pipe ~cloexec:false () in
     let pid =
       Unix.create_process exe
-        [| exe; "serve"; "--tcp"; "127.0.0.1:0"; "--workers"; string_of_int workers |]
+        [| exe; "serve"; "--tcp"; "127.0.0.1:0" |]
         Unix.stdin out_w Unix.stderr
     in
     Unix.close out_w;
@@ -829,49 +826,34 @@ let stop_server (pid, ic, endpoint) =
 let server_benchmarks ~full =
   let total = if full then 20_000 else 5_000 in
   let conns = 64 and sessions = 8 in
-  List.filter_map
-    (fun workers ->
-      match start_server ~workers with
+  match start_server () with
+  | Error e ->
+      Format.fprintf fmt "  serve bench: %s@." e;
+      []
+  | Ok ((_, _, endpoint) as srv) -> (
+      let r =
+        Bbc_server.Loadgen.run ~endpoint ~conns ~total ~sessions ~name:"ring" ~n:24 ()
+      in
+      let clean = stop_server srv in
+      match r with
+      | Ok s ->
+          if not clean then Format.fprintf fmt "  serve bench: unclean server exit@.";
+          [ (Printf.sprintf "serve/tcp ring(n=24) conns=%d" conns, s) ]
       | Error e ->
-          Format.fprintf fmt "  serve bench (workers=%d): %s@." workers e;
-          None
-      | Ok ((_, _, endpoint) as srv) -> (
-          let r =
-            Bbc_server.Loadgen.run ~endpoint ~conns ~total ~sessions ~name:"ring"
-              ~n:24 ()
-          in
-          let clean = stop_server srv in
-          match r with
-          | Ok s ->
-              if not clean then
-                Format.fprintf fmt
-                  "  serve bench (workers=%d): unclean server exit@." workers;
-              Some
-                ( Printf.sprintf "serve/tcp ring(n=24) workers=%d conns=%d" workers
-                    conns,
-                  workers,
-                  s )
-          | Error e ->
-              Format.fprintf fmt "  serve bench (workers=%d) failed: %s@." workers e;
-              None))
-    [ 1; 4 ]
+          Format.fprintf fmt "  serve bench failed: %s@." e;
+          [])
 
 let print_servers entries =
-  Format.fprintf fmt "@.%s@.Serving layer (bbc serve --tcp, sharded workers, TCP loadgen)@."
+  Format.fprintf fmt "@.%s@.Serving layer (bbc serve --tcp, TCP loadgen)@."
     (String.make 72 '=');
   List.iter
-    (fun (name, _, (s : Bbc_server.Loadgen.summary)) ->
+    (fun (name, (s : Bbc_server.Loadgen.summary)) ->
       Format.fprintf fmt
         "  %-40s %8.0f req/s  p50 %6.3f ms  p99 %6.3f ms  errors %d%s@." name
         s.req_per_s s.p50_ms s.p99_ms
         (s.errors + s.protocol_errors)
         (if s.consistent then "" else "  [INCONSISTENT]"))
     entries;
-  (match entries with
-  | [ (_, _, one); (_, _, many) ] when one.req_per_s > 0.0 ->
-      Format.fprintf fmt "  sharding speedup: %.2fx@."
-        (many.req_per_s /. one.req_per_s)
-  | _ -> ());
   Format.pp_print_flush fmt ()
 
 (* ------------------------------------------------------------------ *)
@@ -1142,13 +1124,13 @@ let write_json ~path ~micro ~kernels ~msbfs ~speedups ~overheads ~bigbench
   out "  },\n";
   out "  \"server\": [\n";
   List.iteri
-    (fun i (name, workers, (s : Bbc_server.Loadgen.summary)) ->
+    (fun i (name, (s : Bbc_server.Loadgen.summary)) ->
       out
-        "    {\"name\": %S, \"workers\": %d, \"conns\": %d, \"sessions\": %d, \
+        "    {\"name\": %S, \"conns\": %d, \"sessions\": %d, \
          \"requests\": %d, \"req_per_s\": %.1f, \"p50_ms\": %.4f, \
          \"p99_ms\": %.4f, \"errors\": %d, \"protocol_errors\": %d, \
          \"consistent\": %b}%s\n"
-        name workers s.conns s.sessions s.requests s.req_per_s s.p50_ms s.p99_ms
+        name s.conns s.sessions s.requests s.req_per_s s.p50_ms s.p99_ms
         s.errors s.protocol_errors s.consistent
         (if i = List.length servers - 1 then "" else ","))
     servers;

@@ -451,25 +451,24 @@ let serve_cmd =
     Arg.(value & flag & info [ "stdio" ] ~doc:"Serve one implicit connection on stdin/stdout instead of a socket (testing).")
   in
   let workers_opt =
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker processes.  1 (the default) runs one in-process engine inside the serving loop, with nothing forked; N > 1 forks N workers, each with its own engine and session store, and the same loop routes every request to the worker owning its session (hash sharding), so distinct sessions execute truly in parallel.")
+    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Must be 1 (the default): the sharded multi-worker tier was retired.  The daemon is one process with one engine; distinct sessions run in parallel on its --jobs domain pool.")
   in
   let queue_opt =
-    Arg.(value & opt int 256 & info [ "queue" ] ~docv:"N" ~doc:"Admission-queue bound; requests beyond it are rejected with an overloaded error (backpressure).  With --workers N the bound applies per worker.")
+    Arg.(value & opt int 256 & info [ "queue" ] ~docv:"N" ~doc:"Admission-queue bound; requests beyond it are rejected with an overloaded error (backpressure).")
   in
   let batch_opt =
     Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc:"Max requests executed per scheduler batch.")
   in
   let sessions_opt =
-    Arg.(value & opt int 1024 & info [ "max-sessions" ] ~docv:"N" ~doc:"Live-session bound (per worker with --workers N).")
+    Arg.(value & opt int 1024 & info [ "max-sessions" ] ~docv:"N" ~doc:"Live-session bound.")
   in
   let run () obs socket tcp stdio workers queue batch sessions =
     if stdio && (socket <> None || tcp <> None) then
       `Error (true, "--stdio is mutually exclusive with --socket/--tcp")
-    else if stdio && workers <> 1 then
-      `Error (true, "--stdio serves in-process; --workers requires a socket or TCP listener")
+    else if workers <> 1 then
+      `Error (true, "--workers must be 1: the sharded multi-worker tier was retired")
     else if (not stdio) && socket = None && tcp = None then
       `Error (true, "a listener is required: --socket PATH, --tcp HOST:PORT, or --stdio")
-    else if workers < 1 then `Error (true, "--workers must be >= 1")
     else if queue < 1 || batch < 1 || sessions < 1 then
       `Error (true, "--queue, --batch and --max-sessions must be positive")
     else begin
@@ -513,7 +512,7 @@ let serve_cmd =
                   (Bbc_server.Net.endpoint_to_string l.l_endpoint))
               listeners
           in
-          Bbc_server.Front.run ~on_ready:(fun _ -> announce ()) ~engine ~workers listeners
+          Bbc_server.Front.run ~on_ready:announce ~engine listeners
         end
       in
       match
@@ -534,8 +533,8 @@ let serve_cmd =
        ~doc:
          "Run the game-analysis service: line-delimited JSON requests (sessions, \
           cached costs, batching, deadlines, backpressure) over \
-          Unix-domain sockets and/or TCP, optionally sharded over worker \
-          processes (--workers), with graceful drain on SIGINT/SIGTERM.")
+          Unix-domain sockets and/or TCP, with graceful drain on \
+          SIGINT/SIGTERM.")
     Term.(
       ret
         (const run $ jobs_opt $ obs_opts $ socket_opt
@@ -651,7 +650,9 @@ let bigbench_cmd =
 let fuzz_cmd =
   let suite_opt =
     let doc =
-      "Differential suite to run: all (= csr, incr, br, server, campaign), or one of "
+      "Differential suite to run: all (= "
+      ^ String.concat ", " Bbc_fuzz.Diff.all_suites
+      ^ "), or one of "
       ^ String.concat ", " Bbc_fuzz.Diff.suite_names
       ^ ".  selfcheck is expected to fail: it fuzzes a deliberately broken \
          test-only oracle to prove the harness finds and shrinks planted bugs."

@@ -44,12 +44,7 @@ let request_line id trial =
        [
          ("id", Json.Int id);
          ("method", Json.Str "run_unit");
-         ( "params",
-           Json.Obj
-             [
-               ("session", Json.Str (Printf.sprintf "campaign-u%d" id));
-               ("trial", Bbc.Trial.to_json trial);
-             ] );
+         ("params", Json.Obj [ ("trial", Bbc.Trial.to_json trial) ]);
        ])
 
 let retryable_code = function

@@ -1,9 +1,9 @@
 (** Via-server execution: fan campaign units out over [bbc serve].
 
     Each of [threads] worker threads holds one connection to the
-    endpoint and drives synchronous [run_unit] RPCs; the [session]
-    param ["campaign-u<id>"] exists purely so a sharded front tier
-    spreads units across its workers.  Transport failures and
+    endpoint and drives synchronous [run_unit] RPCs; [run_unit] names
+    no session, so the daemon's engine runs the units of one batch in
+    parallel on its domain pool.  Transport failures and
     backpressure errors ([overloaded]/[timeout]/[shutting_down]) are
     retried with exponential backoff on a fresh connection; after
     [retries] extra attempts — or on any non-retryable server error —

@@ -1237,9 +1237,10 @@ let suites =
   ]
 
 let suite_names = List.map fst suites
+let all_suites = List.filter (fun name -> name <> "selfcheck") suite_names
 
 let expand_suites = function
-  | "all" -> Ok [ "csr"; "msbfs"; "br"; "server"; "campaign" ]
+  | "all" -> Ok all_suites
   | name when List.mem_assoc name suites -> Ok [ name ]
   | name ->
       Error

@@ -69,9 +69,13 @@ type prop_report = {
 val suite_names : string list
 (** [csr; msbfs; br; server; campaign; selfcheck]. *)
 
+val all_suites : string list
+(** What [--suite all] runs: every suite except [selfcheck], which is
+    expected to fail. *)
+
 val expand_suites : string -> (string list, string) result
 (** Resolve a [--suite] argument: a name from {!suite_names}, or [all]
-    (every suite except [selfcheck], which is expected to fail). *)
+    ({!all_suites}). *)
 
 val run_suite : options -> string -> (prop_report list, string) result
 (** Run every property of one suite.  [Error] only for an unknown suite

@@ -7,7 +7,6 @@ type config = {
   session_cap : int;
   session_ttl_ms : int;
   now : unit -> int;
-  assign_ids : bool;
 }
 
 let default_config () =
@@ -18,7 +17,6 @@ let default_config () =
     session_cap = 1024;
     session_ttl_ms = 600_000;
     now = Bbc_obs.now_ns;
-    assign_ids = false;
   }
 
 type pending_req = {
@@ -127,7 +125,7 @@ let env t =
     now = t.cfg.now;
     stats = (fun () -> stats_json t);
     request_shutdown = (fun () -> Atomic.set t.stop_requested true);
-    assign_ids = t.cfg.assign_ids;
+    assign_ids = false;
   }
 
 (* ---------------------------------------------------------------- *)

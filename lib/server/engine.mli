@@ -41,9 +41,6 @@ type config = {
       (** idle TTL for at-capacity session eviction (see {!Session.add});
           default 10 min, [0] disables eviction *)
   now : unit -> int;  (** monotonic ns; injectable for deadline tests *)
-  assign_ids : bool;
-      (** honor front-minted ["_session"] ids on session creation;
-          [false] (the default) everywhere except sharded workers *)
 }
 
 val default_config : unit -> config

@@ -71,17 +71,8 @@ let session_summary (s : Session.t) =
       ("feasible", Json.Bool (Bbc.Config.feasible s.instance s.config));
     ]
 
-(* In sharded mode the front tier mints the session id (so the shard
-   hash fixes worker placement up front) and smuggles it in as the
-   "_session" param; a worker honors it, a standalone server ignores it
-   — external clients never get to choose their own ids. *)
-let add_session env params instance config =
-  let id =
-    if env.assign_ids then
-      match Json.member "_session" params with Some (Json.Str s) -> Some s | _ -> None
-    else None
-  in
-  match Session.add ?id env.sessions ~now_ns:(env.now ()) instance config with
+let add_session env instance config =
+  match Session.add env.sessions ~now_ns:(env.now ()) instance config with
   | Ok s -> Ok (session_summary s)
   | Error msg -> fail Protocol.Session_limit msg
 
@@ -94,7 +85,7 @@ let gen env params =
   let* l = opt_int params "l" d.l in
   let* seed = opt_int params "seed" d.seed in
   match Bbc.Catalog.build name { n; k; h; l; seed } with
-  | Ok (instance, config) -> add_session env params instance config
+  | Ok (instance, config) -> add_session env instance config
   | Error msg -> fail Protocol.Bad_params msg
 
 let load_instance env params =
@@ -127,7 +118,7 @@ let load_instance env params =
                         "configuration size does not match instance"
                     else Ok c)
           in
-          add_session env params instance config))
+          add_session env instance config))
 
 (* ---------------------------------------------------------------- *)
 (* Queries                                                            *)

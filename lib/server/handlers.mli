@@ -9,9 +9,10 @@ type env = {
   stats : unit -> Bbc.Json.t;  (** scheduler counters, served live *)
   request_shutdown : unit -> unit;  (** the [shutdown] endpoint's hook *)
   assign_ids : bool;
-      (** honor the front tier's ["_session"] param on [gen] /
-          [load_instance] (sharded workers only — external clients must
-          never pick their own session ids, see {!Session.add}) *)
+      (** ignored: session ids are always minted by the store.  Kept
+          only because the benchmark harness in [bench/e2e] still
+          builds this record with it; it goes when that harness drops
+          the field. *)
 }
 
 val handle :

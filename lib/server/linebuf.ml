@@ -85,10 +85,6 @@ let rec flush t =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> drop t
 
-let flush_blocking t =
-  (try Unix.clear_nonblock t.fd with Unix.Unix_error (_, _, _) -> ());
-  flush t
-
 let newline_in n start =
   let rec go i =
     if i >= n then -1 else if Bytes.unsafe_get chunk i = '\n' then i else go (i + 1)

@@ -1,7 +1,6 @@
 (** Line-oriented buffered I/O over one non-blocking descriptor: the
-    one copy of split-lines / bounded-push / flush shared by the front's
-    client connections, its worker pipes, and the worker side of those
-    pipes.
+    split-lines / bounded-push / flush of every client connection of
+    the serving loop ({!Front}).
 
     Input: {!read} does one non-blocking read and hands every complete
     line (newline stripped) to a callback; the partial tail waits for
@@ -26,8 +25,8 @@ val fd : t -> Unix.file_descr
 val read : t -> (string -> unit) -> [ `More | `Eof | `Overlong ]
 (** One non-blocking read.  Calls [on_line] for each complete line, in
     order, stopping early once input has ended (the callback may end
-    it itself through {!push} tripping the bound, or {!drop}; it must
-    not call [read]).
+    it itself through {!push} tripping the bound; it must not call
+    [read]).
     [`Eof]: input has ended — peer closed, read error, or dropped.
     [`Overlong]: the partial line passed [max_line]; its bytes are
     discarded and input has ended.  [`More]: keep reading. *)
@@ -40,15 +39,6 @@ val flush : t -> unit
 (** Write as much pending output as the descriptor accepts without
     blocking.  A write error drops the connection. *)
 
-val flush_blocking : t -> unit
-(** Switch the descriptor to blocking mode and write all pending
-    output (errors end the attempt silently).  For drains, when losing
-    answers matters more than latency. *)
-
-val drop : t -> unit
-(** End input and discard all pending output; later pushes are
-    ignored. *)
-
 val shut_input : t -> unit
 (** End input but keep flushing what is pending. *)
 
@@ -59,4 +49,4 @@ val pending : t -> int
 (** Bytes of output not yet written. *)
 
 val dropped : t -> bool
-(** The connection was dropped (bound tripped, write error, {!drop}). *)
+(** The connection was dropped (bound tripped or write error). *)

@@ -122,9 +122,8 @@ let query ~session ~deadline_ms ~n ~id i =
 
 (* Consistency key: read-only queries over unmutated sessions that were
    all generated identically must answer identically — across clients,
-   across interleavings and, on a sharded server, across worker
-   processes.  The key deliberately omits the session id so the
-   cross-check spans shards. *)
+   across interleavings and across sessions.  The key deliberately
+   omits the session id so the cross-check spans sessions. *)
 let query_key ~n meth i =
   match meth with "stable" -> meth | _ -> Printf.sprintf "%s/%d" meth (i mod n)
 

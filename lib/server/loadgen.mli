@@ -2,9 +2,9 @@
     endpoints.
 
     A setup connection creates [sessions] identical sessions ([gen] on
-    the same {!Bbc.Catalog} construction — on a sharded server each
-    lands on its own worker, so multiple sessions spread load over the
-    shards).  The load phase then opens [conns] concurrent connections
+    the same {!Bbc.Catalog} construction — distinct sessions are
+    distinct groups of an engine batch, so multiple sessions spread
+    load over the server's domain pool).  The load phase then opens [conns] concurrent connections
     and drives them all from a {b single-threaded poll(2) event loop}
     — one OS thread regardless of connection count, which is what lets
     the generator hold thousands of connections open (a
@@ -15,7 +15,7 @@
     Besides throughput and latency quantiles, the run cross-checks
     {b consistency}: sessions are never mutated and built identically,
     so every response to the same (method, node) query — across all
-    connections, interleavings, and worker shards — must be
+    connections, interleavings, and sessions — must be
     byte-identical.  Any divergence (or any unparseable / misdelivered
     response) is a protocol error; the soak gate in
     scripts/check_server.sh requires zero. *)

@@ -68,49 +68,35 @@ let expire_idle_locked store ~now_ns =
     List.iter (Hashtbl.remove store.tbl) stale
   end
 
-let add ?id store ~now_ns instance config =
+let add store ~now_ns instance config =
   locked store (fun () ->
       if Hashtbl.length store.tbl >= store.capacity then
         (* Reclaim abandoned sessions before refusing, so clients
            that never close_session cannot exhaust the budget
            forever. *)
         expire_idle_locked store ~now_ns;
-      let minted =
-        if Hashtbl.length store.tbl >= store.capacity then
-          Error
-            (Printf.sprintf "session store at capacity (%d live sessions)"
-               store.capacity)
-        else
-          match id with
-          | Some id when Hashtbl.mem store.tbl id ->
-              (* Assigned ids come from the front tier's global counter
-                 and never collide; refusing (rather than replacing a
-                 live session) keeps a buggy or malicious assignment
-                 from hijacking someone else's state. *)
-              Error (Printf.sprintf "session id %S already in use" id)
-          | Some id -> Ok id
-          | None ->
-              let id = Printf.sprintf "s%d" store.next_id in
-              store.next_id <- store.next_id + 1;
-              Ok id
-      in
-      Result.map
-        (fun id ->
-          let s =
-            {
-              id;
-              instance;
-              config;
-              costs = [];
-              walk_index = 0;
-              walk_deviations = 0;
-              walk_quiet = 0;
-              last_used_ns = now_ns;
-            }
-          in
-          Hashtbl.replace store.tbl id s;
-          s)
-        minted)
+      if Hashtbl.length store.tbl >= store.capacity then
+        Error
+          (Printf.sprintf "session store at capacity (%d live sessions)"
+             store.capacity)
+      else begin
+        let id = Printf.sprintf "s%d" store.next_id in
+        store.next_id <- store.next_id + 1;
+        let s =
+          {
+            id;
+            instance;
+            config;
+            costs = [];
+            walk_index = 0;
+            walk_deviations = 0;
+            walk_quiet = 0;
+            last_used_ns = now_ns;
+          }
+        in
+        Hashtbl.replace store.tbl id s;
+        Ok s
+      end)
 
 let find store id = locked store (fun () -> Hashtbl.find_opt store.tbl id)
 

@@ -49,7 +49,6 @@ val create_store : ?capacity:int -> ?ttl_ns:int -> unit -> store
     explicit [close_session]. *)
 
 val add :
-  ?id:string ->
   store ->
   now_ns:int ->
   Bbc.Instance.t ->
@@ -58,12 +57,7 @@ val add :
 (** Mint a fresh session.  When the store is full, sessions idle longer
     than the TTL (by [last_used_ns]) are evicted first; [Error] only if
     the store is still at capacity afterwards, so abandoned sessions
-    cannot exhaust the budget forever.
-
-    [id] forces the session id instead of minting one — used by sharded
-    workers, where the front tier mints ids so that the {!Shard} hash
-    determines worker placement before the session exists.  [Error] if
-    the id is already live. *)
+    cannot exhaust the budget forever. *)
 
 val find : store -> string -> t option
 val remove : store -> string -> bool

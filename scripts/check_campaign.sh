@@ -11,15 +11,14 @@
 #     a different chunk size and jobs count, and require report.json to
 #     be byte-identical to the reference (and at least one unit to have
 #     been skipped from the checkpoints);
-#   - via-server: run the same campaign fanned out over a sharded
+#   - via-server: run the same campaign fanned out over a
 #     `bbc serve --tcp` daemon and require the same bytes again.
 #
 # Usage: scripts/check_campaign.sh
-#   (override SEEDS_PER_POINT/WORKERS/OUT_DIR)
+#   (override SEEDS_PER_POINT/OUT_DIR)
 set -eu
 
 SEEDS_PER_POINT=${SEEDS_PER_POINT:-100}
-WORKERS=${WORKERS:-2}
 OUT_DIR=${OUT_DIR:-bench/results}
 
 dune build bin/bbc_cli.exe
@@ -98,8 +97,8 @@ cmp "$tmpdir/ref/report.json" "$tmpdir/crash/report.json" || {
 }
 echo "check_campaign: crash-resume report byte-identical ($skipped units from checkpoints)"
 
-# Leg 3: the same campaign over a sharded serve daemon.
-"$bbc" serve --tcp 127.0.0.1:0 --workers "$WORKERS" > "$tmpdir/announce" &
+# Leg 3: the same campaign over a serve daemon.
+"$bbc" serve --tcp 127.0.0.1:0 > "$tmpdir/announce" &
 server=$!
 i=0
 while ! grep -q '^listening on tcp:' "$tmpdir/announce" 2>/dev/null; do
@@ -123,7 +122,7 @@ cmp "$tmpdir/ref/report.json" "$tmpdir/srv/report.json" || {
   echo "check_campaign: via-server report differs from in-process" >&2
   exit 1
 }
-echo "check_campaign: via-server report byte-identical (tcp:$endpoint, $WORKERS workers)"
+echo "check_campaign: via-server report byte-identical (tcp:$endpoint)"
 
 cp "$tmpdir/ref/report.json" "$OUT_DIR/campaign_report.json"
 

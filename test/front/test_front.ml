@@ -1,29 +1,22 @@
 (* End-to-end tests of the serving loop (lib/server/front.ml): a forked
-   child runs [Front.run] — with real worker processes, or with its
-   in-process engine when [workers = 1] — while this process talks to
-   it over TCP.  The front is forked rather than run in-process because
-   [Front.run] forks workers, and fork is only safe while the process
-   owns no domains — a dedicated child keeps that invariant independent
-   of what the test runner does.  The drain and fault-injection cases
-   run against both kinds of shard.
-
-   Session-to-worker affinity is proven behaviorally: session stores
-   are per-worker, so if routing were ever inconsistent a follow-up
-   query would land on a worker that never saw the session and come
-   back [unknown_session]. *)
+   child runs [Front.run] with its in-process engine while this process
+   talks to it over TCP.  The loop runs in a child rather than in this
+   process so the tests can signal it and check its exit status, and
+   fork is only safe while the process owns no domains — a dedicated
+   child keeps that invariant independent of what the test runner
+   does. *)
 
 module Json = Bbc.Json
 module Net = Bbc_server.Net
 module Front = Bbc_server.Front
 module Engine = Bbc_server.Engine
-module Shard = Bbc_server.Shard
 
 (* ---------------------------------------------------------------- *)
 (* Front child lifecycle *)
 
-type front = { pid : int; endpoint : Net.endpoint; pids : int list }
+type front = { pid : int; endpoint : Net.endpoint }
 
-let start_front ~workers =
+let start_front ?(engine = Engine.default_config ()) () =
   let l = Net.listen_tcp ~host:"127.0.0.1" ~port:0 () in
   let r, w = Unix.pipe () in
   match Unix.fork () with
@@ -31,36 +24,21 @@ let start_front ~workers =
       Unix.close r;
       (try
          Front.run
-           ~on_ready:(fun h ->
-             let line =
-               String.concat " "
-                 (List.map string_of_int (Front.worker_pids h))
-               ^ "\n"
-             in
-             let b = Bytes.of_string line in
-             ignore (Unix.write w b 0 (Bytes.length b));
+           ~on_ready:(fun () ->
+             ignore (Unix.write_substring w "ready\n" 0 6);
              Unix.close w)
-           ~engine:(Engine.default_config ())
-           ~workers [ l ]
+           ~engine [ l ]
        with _ -> Unix._exit 1);
       Unix._exit 0
   | pid ->
       Unix.close w;
       Net.close_listener l;
       let ic = Unix.in_channel_of_descr r in
-      let pids =
-        match input_line ic with
-        | line ->
-            List.filter_map int_of_string_opt (String.split_on_char ' ' line)
-        | exception End_of_file ->
-            Alcotest.fail "front child died before reporting worker pids"
-      in
+      (match input_line ic with
+      | _ -> ()
+      | exception End_of_file -> Alcotest.fail "front child died before it was ready");
       close_in ic;
-      let expected = if workers = 1 then 0 else workers in
-      if List.length pids <> expected then
-        Alcotest.failf "expected %d worker pids, got %d" expected
-          (List.length pids);
-      { pid; endpoint = l.Net.l_endpoint; pids }
+      { pid; endpoint = l.Net.l_endpoint }
 
 (* Wait for [pid] to exit, failing the test on timeout or abnormal
    status; returns the raw status for exit-code checks. *)
@@ -87,8 +65,8 @@ let kill_front f =
 (* Run [body] against a fresh front; the front is killed on any
    failure so a broken test can't leak process trees into later
    ones. *)
-let with_front ~workers body =
-  let f = start_front ~workers in
+let with_front ?engine body =
+  let f = start_front ?engine () in
   match body f with
   | v ->
       kill_front f;
@@ -159,71 +137,6 @@ let gen_session c ?(n = 8) () =
 
 let cost c sid = rpc c (req ("c-" ^ sid) "cost" [ ("session", Json.Str sid) ])
 
-let stats_int c field =
-  let p = ok_payload (rpc c (req "st" "stats" [])) in
-  match Option.bind (Json.member field p) Json.to_int with
-  | Some i -> i
-  | None -> Alcotest.failf "stats missing int field %S" field
-
-(* ---------------------------------------------------------------- *)
-
-(* Two workers, twenty sessions: the front mints s0..s19, which split
-   10/10 across the shards (pinned in test_shard), so both workers
-   hold live sessions.  Interleaved cost queries across two client
-   connections must all answer Ok — any routing inconsistency would
-   surface as unknown_session from the shard that never built the
-   session. *)
-let test_affinity () =
-  with_front ~workers:2 (fun f ->
-      let c = connect f.endpoint in
-      let sids = List.init 20 (fun _ -> gen_session c ()) in
-      let shards =
-        List.map (fun sid -> Shard.of_session ~workers:2 sid) sids
-      in
-      Alcotest.(check bool) "both shards populated" true
-        (List.mem 0 shards && List.mem 1 shards);
-      let c2 = connect f.endpoint in
-      for round = 1 to 3 do
-        List.iter
-          (fun sid ->
-            let cl = if round mod 2 = 0 then c2 else c in
-            ignore (ok_payload (cost cl sid)))
-          sids
-      done;
-      close_client c;
-      close_client c2)
-
-(* SIGKILL one worker mid-service.  Sessions on its shard are lost —
-   queries for them must answer with an error (internal if the death
-   raced an in-flight request, unknown_session from the respawned
-   worker afterwards), the other shard keeps answering, new sessions
-   still build, and stats reports the respawn. *)
-let test_worker_crash () =
-  with_front ~workers:2 (fun f ->
-      let c = connect f.endpoint in
-      let sids = List.init 20 (fun _ -> gen_session c ()) in
-      let by_shard s =
-        List.filter (fun sid -> Shard.of_session ~workers:2 sid = s) sids
-      in
-      let victim_shard = 0 in
-      let victim_pid = List.nth f.pids victim_shard in
-      Unix.kill victim_pid Sys.sigkill;
-      List.iter
-        (fun sid ->
-          let code = error_code (cost c sid) in
-          if code <> "unknown_session" && code <> "internal" then
-            Alcotest.failf "dead shard answered %S for %s" code sid)
-        (by_shard victim_shard);
-      List.iter
-        (fun sid -> ignore (ok_payload (cost c sid)))
-        (by_shard (1 - victim_shard));
-      (* The replacement worker serves its shard again. *)
-      let sid = gen_session c () in
-      ignore (ok_payload (cost c sid));
-      let respawns = stats_int c "respawns" in
-      if respawns < 1 then Alcotest.failf "expected respawns >= 1, got %d" respawns;
-      close_client c)
-
 let check_clean_exit f =
   match wait_exit f.pid with
   | Unix.WEXITED 0 -> ()
@@ -231,9 +144,9 @@ let check_clean_exit f =
   | Unix.WSIGNALED s -> Alcotest.failf "front killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "front stopped"
 
-(* A served shutdown request drains the workers and exits 0. *)
-let test_shutdown_request ~workers () =
-  with_front ~workers (fun f ->
+(* A served shutdown request drains the engine and exits 0. *)
+let test_shutdown_request () =
+  with_front (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       ignore (ok_payload (cost c sid));
@@ -241,22 +154,15 @@ let test_shutdown_request ~workers () =
       Alcotest.(check bool) "stopping acked" true
         (Json.member "stopping" ack = Some (Json.Bool true));
       close_client c;
-      check_clean_exit f;
-      (* Workers were reaped by the front, not left to init. *)
-      List.iter
-        (fun wpid ->
-          match Unix.kill wpid 0 with
-          | () -> Alcotest.failf "worker %d still alive after drain" wpid
-          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
-        f.pids)
+      check_clean_exit f)
 
 let sigterm_exits_clean f =
   Unix.kill f.pid Sys.sigterm;
   check_clean_exit f
 
 (* SIGTERM triggers the same graceful drain. *)
-let test_sigterm ~workers () =
-  with_front ~workers (fun f ->
+let test_sigterm () =
+  with_front (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       ignore (ok_payload (cost c sid));
@@ -291,8 +197,8 @@ let read_to_close c =
 
 (* One byte past the 8 MiB line bound, with no newline: answered
    bad_request, then the connection is closed. *)
-let test_oversized_line ~workers () =
-  with_front ~workers (fun f ->
+let test_oversized_line () =
+  with_front (fun f ->
       let c = connect f.endpoint in
       write_until_closed c (String.make ((8 * 1024 * 1024) + 1) 'x');
       (match read_to_close c with
@@ -303,8 +209,8 @@ let test_oversized_line ~workers () =
 
 (* A client pipelines 50 requests and vanishes without reading: its
    answers land after it is gone. *)
-let test_vanishing_client ~workers () =
-  with_front ~workers (fun f ->
+let test_vanishing_client () =
+  with_front (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       let lines =
@@ -320,8 +226,8 @@ let test_vanishing_client ~workers () =
 (* 20 MiB of malformed lines from a client that never reads: every
    line is answered immediately, so its pending output passes the
    256 MiB bound and it is dropped, while another client is served. *)
-let test_flood ~workers () =
-  with_front ~workers (fun f ->
+let test_flood () =
+  with_front (fun f ->
       let other = connect f.endpoint in
       let flood = connect f.endpoint in
       write_until_closed flood (String.concat "" (List.init (10 * 1024 * 1024) (fun _ -> "x\n")));
@@ -347,31 +253,11 @@ let answer_id r =
   | Some (Json.Str i) -> int_of_string i
   | _ -> Alcotest.failf "answer without a request id: %s" r
 
-(* SIGKILL a worker while a pipelined burst is in flight on both
-   shards: every request is still answered, in order — [ok] or the
-   crash policy's errors — and the front keeps serving. *)
-let test_kill_mid_batch () =
-  with_front ~workers:2 (fun f ->
-      let c = connect f.endpoint in
-      let sids = Array.init 8 (fun _ -> gen_session c ~n:40 ()) in
-      pipeline c 200 (fun i -> [ ("session", Json.Str sids.(i mod 8)) ]);
-      Unix.kill (List.hd f.pids) Sys.sigkill;
-      for i = 0 to 199 do
-        let r = input_line c.ic in
-        Alcotest.(check int) "in order" i (answer_id r);
-        if Json.member "ok" (parse r) = None then
-          match error_code r with
-          | "internal" | "unknown_session" -> ()
-          | code -> Alcotest.failf "request %d answered %S" i code
-      done;
-      close_client c;
-      still_serves f)
-
 (* A second SIGTERM while the first drain runs changes nothing: what
    was admitted is answered [ok], anything read after the drain began
    gets [shutting_down], each request at most once, and the exit is 0. *)
-let test_sigterm_during_drain ~workers () =
-  with_front ~workers (fun f ->
+let test_sigterm_during_drain () =
+  with_front (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c ~n:40 () in
       pipeline c 100 (fun _ -> [ ("session", Json.Str sid) ]);
@@ -390,37 +276,70 @@ let test_sigterm_during_drain ~workers () =
       close_client c;
       check_clean_exit f)
 
-(* The cases every shard kind must pass. *)
-let per_shard ~workers =
-  [
-    Alcotest.test_case "graceful drain on shutdown request" `Quick
-      (test_shutdown_request ~workers);
-    Alcotest.test_case "graceful drain on SIGTERM" `Quick (test_sigterm ~workers);
-    Alcotest.test_case "second SIGTERM during drain" `Quick
-      (test_sigterm_during_drain ~workers);
-    Alcotest.test_case "oversized line: bad_request, closed" `Quick
-      (test_oversized_line ~workers);
-    Alcotest.test_case "client vanishes with answers pending" `Quick
-      (test_vanishing_client ~workers);
-    Alcotest.test_case "malformed-line flood: dropped" `Quick (test_flood ~workers);
-  ]
+(* Two connections each pipeline 200 requests over 8 sessions built on
+   a third, every tenth line a request with no method.  On each
+   connection the queued answers come back in admission order, and each
+   malformed line is answered [bad_request] at once: its answer is never
+   behind one to a line admitted after it.  The queue bound is raised so
+   that no request is refused as overloaded. *)
+let test_pipelined_order () =
+  let engine = { (Engine.default_config ()) with queue_cap = 1024 } in
+  with_front ~engine (fun f ->
+      let setup = connect f.endpoint in
+      let sids = Array.init 8 (fun _ -> gen_session setup ~n:24 ()) in
+      close_client setup;
+      let malformed i = i mod 10 = 3 in
+      let line i =
+        if malformed i then
+          Json.to_string (Json.Obj [ ("id", Json.Str (string_of_int i)); ("params", Json.Obj []) ])
+        else req (string_of_int i) "stable" [ ("session", Json.Str sids.(i mod 8)) ]
+      in
+      let burst = String.concat "" (List.init 200 (fun i -> line i ^ "\n")) in
+      let conns = [ connect f.endpoint; connect f.endpoint ] in
+      List.iter
+        (fun c ->
+          output_string c.oc burst;
+          flush c.oc)
+        conns;
+      List.iter
+        (fun c ->
+          let last = ref (-1) in
+          for pos = 0 to 199 do
+            let r = input_line c.ic in
+            let i = answer_id r in
+            if malformed i then begin
+              Alcotest.(check string) "malformed line" "bad_request" (error_code r);
+              if pos > i then
+                Alcotest.failf "bad_request for line %d held back to position %d" i pos
+            end
+            else begin
+              ignore (ok_payload r);
+              if i <= !last then Alcotest.failf "answer %d after answer %d" i !last;
+              last := i
+            end
+          done;
+          close_client c)
+        conns;
+      still_serves f)
 
 let () =
   (* A client the server closed on must not kill the test runner. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "bbc-front"
     [
-      ( "front",
+      ( "inproc",
         [
-          Alcotest.test_case "session affinity across shards" `Quick
-            test_affinity;
-          Alcotest.test_case "worker crash: isolated errors + respawn" `Quick
-            test_worker_crash;
-          Alcotest.test_case "worker killed mid-batch: all answered" `Quick
-            test_kill_mid_batch;
-        ]
-        @ per_shard ~workers:2 );
-      (* Kept short: Alcotest sizes the label column to the longest
-         suite name and cuts test names that overflow 80 columns. *)
-      ("inproc", per_shard ~workers:1);
+          Alcotest.test_case "graceful drain on shutdown request" `Quick
+            test_shutdown_request;
+          Alcotest.test_case "graceful drain on SIGTERM" `Quick test_sigterm;
+          Alcotest.test_case "second SIGTERM during drain" `Quick
+            test_sigterm_during_drain;
+          Alcotest.test_case "oversized line: bad_request, closed" `Quick
+            test_oversized_line;
+          Alcotest.test_case "client vanishes with answers pending" `Quick
+            test_vanishing_client;
+          Alcotest.test_case "malformed-line flood: dropped" `Quick test_flood;
+          Alcotest.test_case "pipelined answers in admission order" `Quick
+            test_pipelined_order;
+        ] );
     ]

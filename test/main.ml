@@ -46,7 +46,6 @@ let () =
       ("bigbench", Test_bigbench.suite);
       ("server", Test_server.suite);
       ("linebuf", Test_linebuf.suite);
-      ("shard", Test_shard.suite);
       ("fuzz", Test_fuzz.suite);
       ("parsers", Test_parsers.suite);
       ("campaign", Test_campaign.suite);

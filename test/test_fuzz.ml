@@ -172,6 +172,19 @@ let test_diff_suites_pass () =
             reports)
     (Result.get_ok (Diff.expand_suites "all"))
 
+(* [all] is the one list behind both --suite all and its help text. *)
+let test_all_suites () =
+  Alcotest.(check (result (list string) string))
+    "expand all" (Ok Diff.all_suites) (Diff.expand_suites "all");
+  List.iter
+    (fun name ->
+      Alcotest.(check (result (list string) string))
+        ("known suite " ^ name) (Ok [ name ]) (Diff.expand_suites name))
+    Diff.all_suites;
+  Alcotest.(check bool) "selfcheck left out" false (List.mem "selfcheck" Diff.all_suites);
+  Alcotest.(check int) "every other suite in"
+    (List.length Diff.suite_names - 1) (List.length Diff.all_suites)
+
 let test_selfcheck_finds_planted_bug () =
   match Diff.run_suite { quick_opts with count = 20 } "selfcheck" with
   | Error e -> Alcotest.fail e
@@ -198,5 +211,6 @@ let suite =
     Alcotest.test_case "k=1 profiles functional" `Quick
       test_generated_k1_profiles_functional;
     Alcotest.test_case "differential suites pass" `Quick test_diff_suites_pass;
+    Alcotest.test_case "all runs every other suite" `Quick test_all_suites;
     Alcotest.test_case "selfcheck finds planted bug" `Quick test_selfcheck_finds_planted_bug;
   ]

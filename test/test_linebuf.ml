@@ -103,22 +103,10 @@ let test_bound_stops_admission () =
       Alcotest.(check int) "admitted until the bound" 11 !admitted;
       Alcotest.(check bool) "dropped" true (Linebuf.dropped io))
 
-let test_flush_blocking () =
-  with_pair (fun a b ->
-      let io = Linebuf.create a in
-      Linebuf.push io "one";
-      Linebuf.push io "two";
-      Linebuf.flush_blocking io;
-      Alcotest.(check int) "all written" 0 (Linebuf.pending io);
-      let buf = Bytes.create 64 in
-      let n = Unix.read b buf 0 64 in
-      Alcotest.(check string) "bytes" "one\ntwo\n" (Bytes.sub_string buf 0 n))
-
 let suite =
   [
     Alcotest.test_case "line reassembly" `Quick test_reassembly;
     Alcotest.test_case "overlong line" `Quick test_overlong;
     Alcotest.test_case "output bound vs unread peer" `Quick test_output_bound;
     Alcotest.test_case "bound stops admission" `Quick test_bound_stops_admission;
-    Alcotest.test_case "blocking flush" `Quick test_flush_blocking;
   ]

@@ -9,7 +9,6 @@ module SM = Bbc_prng.Splitmix
 module I = Bbc.Instance
 module C = Bbc.Config
 module Codec = Bbc.Codec
-module Frame = Bbc_server.Frame
 module Checkpoint = Bbc_campaign.Checkpoint
 
 let protocol_line =
@@ -56,10 +55,6 @@ let parsers () =
       ok Bbc.Json.of_string,
       [ {|{"a":[1,-2.5e3,"xé\n",true,false,null,{"b":{}}]}|}; protocol_line ] );
     ("Protocol.parse_request", ok Bbc_server.Protocol.parse_request, [ protocol_line ]);
-    ( "Frame.decode",
-      ok Frame.decode,
-      List.map Frame.encode
-        [ Frame.Query (12, protocol_line); Frame.Answer (3, {|{"id":1,"ok":5}|}); Frame.Stop ] );
     ( "Codec.instance_of_string",
       ok Codec.instance_of_string,
       [ Codec.instance_to_string (I.uniform ~n:5 ~k:2); Codec.instance_to_string (general_instance ()) ]

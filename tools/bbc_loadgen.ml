@@ -2,8 +2,8 @@
    (a single-threaded poll event loop, so N can reach the thousands)
    hammer identical sessions over a Unix-domain socket or TCP and
    report throughput, latency quantiles and the consistency verdict
-   (identical queries must get byte-identical answers, across worker
-   shards too).  Used by scripts/check_server.sh as the soak gate and
+   (identical queries must get byte-identical answers, across sessions
+   too).  Used by scripts/check_server.sh as the soak gate and
    by hand for capacity probing.
 
    Usage:
