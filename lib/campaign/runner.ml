@@ -53,9 +53,8 @@ let exec_chunk opts spec (chunk : int array) =
   match opts.mode with
   | In_process ->
       Array.to_list
-        (Bbc_parallel.parallel_map ?jobs:opts.jobs ~chunk:1
-           (fun id -> exec_unit opts.retries spec id)
-           chunk)
+        (Bbc_parallel.parallel_init ?jobs:opts.jobs ~chunk:1 (Array.length chunk) (fun i ->
+             exec_unit opts.retries spec chunk.(i)))
   | Via_server ep -> (
       match Client.endpoint_of_string ep with
       | Error m ->

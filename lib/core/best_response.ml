@@ -449,8 +449,6 @@ let decide ?(objective = Objective.Sum) ?csr ~search instance config u =
 let exact ?objective ?csr instance config u =
   (decide ?objective ?csr ~search:Exact instance config u).best
 
-let best_cost ?objective ?csr instance config u = (exact ?objective ?csr instance config u).cost
-
 let all_best ?objective ?csr instance config u =
   let best = ref max_int and acc = ref [] in
   enumerate ?objective ?csr instance config u ~on_subset:(fun chosen cost ->

@@ -33,9 +33,10 @@
     current profile, [Config.to_csr instance config].  Every function
     takes it as an optional shared argument ([?csr], trusted to equal
     that snapshot) and builds it itself when not given.  Results are
-    bit-identical either way; the point is that parallel fan-outs
+    bit-identical either way; the point is that whole-profile scans
     (stability scans, dynamics improving scans) share one read-only
-    snapshot ({!snapshot}) and stop contending on allocation, and that
+    snapshot ({!snapshot}) instead of building one per node — and a
+    parallel scan stops contending on allocation — and that
     a best-response walk keeps one snapshot for all its activations
     ({!Dynamics.run}). *)
 
@@ -79,15 +80,6 @@ val exact :
 (** Optimal strategy for [u], all other strategies fixed.  Deterministic:
     among optima, the first in the DFS order over increasing targets
     (subset-minimal first). *)
-
-val best_cost :
-  ?objective:Objective.t ->
-  ?csr:Bbc_graph.Csr.t ->
-  Instance.t ->
-  Config.t ->
-  int ->
-  int
-(** Cost of {!exact} without materializing the strategy. *)
 
 val all_best :
   ?objective:Objective.t ->

@@ -190,8 +190,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
   (* One snapshot for the whole walk, always that of the current
      profile: every activation decides on it, and a move replaces the
      mover's row ([Csr.with_row], O(n + m)) instead of rebuilding the
-     graph; a node that stays costs nothing.  Snapshots are immutable,
-     so the parallel improving scan shares it read-only. *)
+     graph; a node that stays costs nothing. *)
   let csr = ref (walk_snapshot ~policy instance config0) in
   let advance node (a : activation) =
     if a.moved then csr := Option.map (fun s -> Config.csr_with_row instance a.config s node) !csr
@@ -239,15 +238,13 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
           | None -> (
               if cycles then Config.Tbl.add seen config step;
               (* One first-improving decision per node on the walk's
-                 snapshot, fanned over the domain pool: its [current] is
-                 the node's cost and its [best] the witness of an
-                 unstable node, handed to [activate] so the enumeration
-                 never runs twice for the same step. *)
+                 snapshot, in node order: its [current] is the node's
+                 cost and its [best] the witness of an unstable node,
+                 handed to [activate] so the enumeration never runs
+                 twice for the same step. *)
               let decisions =
                 let csr = !csr in
-                Bbc_parallel.parallel_init
-                  ~jobs:(Bbc_parallel.jobs_for ~threshold:64 n) n
-                  (fun u ->
+                Array.init n (fun u ->
                     Best_response.decide ?objective ?csr ~search:First_improving instance config u)
               in
               let node = ref (-1) in

@@ -11,7 +11,7 @@
       (the adversarial schedules of the paper's Omega(n^2) argument);
     - [Max_cost_first]: each step activates the unstable node with the
       largest current cost (lowest id on ties) — the adaptive walk of the
-      paper's experimental remarks.  One scan per step runs a
+      paper's experimental remarks.  One sequential scan per step runs a
       first-improving {!Best_response.decide} for every node on the
       walk's snapshot; its [current] costs rank the nodes, and "unstable"
       always means the exact scan found an improvement.

@@ -162,29 +162,25 @@ let batched_costs ?objective instance csr ~emit lo hi =
    [batched_costs] windows it internally over one reused row set. *)
 let eval_chunk = Bbc_graph.Csr.batch_width
 
+(* Every node's cost into a fresh array, one window per pool pull. *)
+let costs_of_snapshot ?objective ~jobs instance csr =
+  let n = Instance.n instance in
+  let out = Array.make n 0 in
+  Bbc_parallel.parallel_for_chunks ~jobs ~chunk:eval_chunk 0 n
+    (batched_costs ?objective instance csr ~emit:(fun u c -> out.(u) <- c));
+  out
+
 let all_costs ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n in
   Bbc_obs.with_span "eval.all_costs"
     ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      let csr = Config.to_csr instance config in
-      let out = Array.make n 0 in
-      Bbc_parallel.parallel_for_chunks ~jobs ~chunk:eval_chunk 0 n
-        (batched_costs ?objective instance csr ~emit:(fun u c -> out.(u) <- c));
-      out)
+      costs_of_snapshot ?objective ~jobs instance (Config.to_csr instance config))
 
 let social_cost ?objective ?jobs instance config =
   let n = Instance.n instance in
   let jobs = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n in
   Bbc_obs.with_span "eval.social_cost"
     ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      let csr = Config.to_csr instance config in
-      (* Chunk-indexed partial sums folded in order: same total as the
-         sequential fold, whatever the scheduling. *)
-      let nchunks = if n = 0 then 0 else 1 + ((n - 1) / eval_chunk) in
-      let partial = Array.make (max nchunks 1) 0 in
-      Bbc_parallel.parallel_for_chunks ~jobs ~chunk:eval_chunk 0 n (fun lo hi ->
-          let acc = ref 0 in
-          batched_costs ?objective instance csr ~emit:(fun _ c -> acc := !acc + c) lo hi;
-          partial.(lo / eval_chunk) <- !acc);
-      Array.fold_left ( + ) 0 partial)
+      Array.fold_left ( + ) 0
+        (costs_of_snapshot ?objective ~jobs instance (Config.to_csr instance config)))

@@ -25,15 +25,16 @@ val all_costs :
     result is identical for every job count. *)
 
 val social_cost : ?objective:Objective.t -> ?jobs:int -> Instance.t -> Config.t -> int
-(** Sum over nodes of {!node_cost} — the paper's total social cost.
-    Parallelized like {!all_costs} (integer addition is associative, so
-    the chunked reduction is exact). *)
+(** Sum over nodes of {!node_cost} — the paper's total social cost:
+    the sum of the array {!all_costs} computes, swept the same way (its
+    own [eval.social_cost] span, no [eval.all_costs] span inside). *)
 
 val cost_of_distances :
   ?objective:Objective.t -> Instance.t -> int -> int array -> int
 (** [cost_of_distances instance u dist] folds a precomputed distance array
     (with {!Bbc_graph.Csr.unreachable} marking no-path) into [u]'s cost.
-    Exposed for the best-response enumerator. *)
+    Exposed for callers that hold their own distance rows
+    ([Social_optimum]'s local search, the fuzz reference oracle). *)
 
 val cost_of_distances32 :
   ?objective:Objective.t -> Instance.t -> int -> Bbc_graph.Csr.dist32 -> int

@@ -16,10 +16,9 @@ let resolve_jobs ?jobs n = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_thres
    heavy (microseconds to milliseconds) and uneven (it depends on the
    node's budget and candidate set).  The pool's default chunking
    (~range/8 per job) leaves stragglers holding several expensive nodes
-   and delays [parallel_find_first]/[parallel_exists] early abort to
-   chunk granularity; one-node chunks cost a single fetch-add per node —
-   noise next to the check itself — and give node-granular balance and
-   abort.  (The distance sweeps inside each check are batched anyway:
+   and delays [parallel_find_first]'s early abort to chunk granularity;
+   one-node chunks cost a single fetch-add per node — noise next to the
+   check itself — and give node-granular balance and abort.  (The distance sweeps inside each check are batched anyway:
    on unit-length snapshots [Best_response] prefetches a node's whole
    candidate row set through one bit-parallel [Csr.sssp_batch ~ban]
    traversal, so coarser chunks would add nothing there.) *)
@@ -55,9 +54,9 @@ let is_stable ?objective ?jobs instance config =
   Config.feasible instance config
   &&
   let csr = Best_response.snapshot instance config in
-  not
-    (Bbc_parallel.parallel_exists ~jobs ~chunk:br_chunk 0 n
-       (improvable ?objective ?csr instance config))
+  Option.is_none
+    (Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
+         Best_response.improving ?objective ?csr instance config u))
 
 let nodes_stable ?objective instance config nodes =
   Config.feasible instance config
@@ -65,22 +64,23 @@ let nodes_stable ?objective instance config nodes =
   let csr = Best_response.snapshot instance config in
   not (List.exists (improvable ?objective ?csr instance config) nodes)
 
-let unstable_nodes ?objective ?jobs instance config =
-  let n = Instance.n instance in
-  let jobs = resolve_jobs ?jobs n in
+(* The two whole-profile scans below are sequential: no workload or
+   gate reaches them with more than one job (DESIGN.md section 7). *)
+let unstable_nodes ?objective instance config =
   let csr = Best_response.snapshot instance config in
-  let unstable =
-    Bbc_parallel.parallel_init ~jobs ~chunk:br_chunk n (improvable ?objective ?csr instance config)
-  in
-  List.filter (fun u -> unstable.(u)) (List.init n Fun.id)
+  List.filter (improvable ?objective ?csr instance config) (List.init (Instance.n instance) Fun.id)
 
-let stability_gap ?objective ?jobs instance config =
-  let n = Instance.n instance in
-  let jobs = resolve_jobs ?jobs n in
+(* Each node's gap is [current - best.cost] of one exact decision, whose
+   current cost comes from the search's own rows.  An overspending node
+   can sit below every affordable strategy; the fold from 0 clips it. *)
+let stability_gap ?objective instance config =
   let csr = Best_response.snapshot instance config in
-  let costs = Eval.all_costs ?objective ~jobs instance config in
-  Bbc_parallel.parallel_reduce ~jobs ~chunk:br_chunk ~neutral:0 ~combine:max 0 n (fun u ->
-      costs.(u) - Best_response.best_cost ?objective ?csr instance config u)
+  let gap = ref 0 in
+  for u = 0 to Instance.n instance - 1 do
+    let d = Best_response.decide ?objective ?csr ~search:Exact instance config u in
+    gap := max !gap (d.current - d.best.cost)
+  done;
+  !gap
 
 let pp_deviation fmt d =
   Format.fprintf fmt "node %d: cost %d -> %d via [%a]" d.node d.current_cost

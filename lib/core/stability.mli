@@ -9,11 +9,13 @@
     profile and one full CSR snapshot of it (all immutable; the
     snapshot is built only when a check reads rows, see
     {!Best_response.snapshot}), honouring
-    the read-only-graph contract of {!Bbc_graph.Digraph}, so they fan
-    out over the {!Bbc_parallel} domain pool ([?jobs], default
-    {!Bbc_parallel.default_jobs} for n >= 64, sequential below; early
-    abort).  Every job count returns identical results — verdicts,
-    nodes, and costs. *)
+    the read-only-graph contract of {!Bbc_graph.Digraph}.  {!is_stable}
+    and {!find_deviation}, which serving and the CI gates call at
+    n >= 64, fan them out over the {!Bbc_parallel} domain pool ([?jobs],
+    default {!Bbc_parallel.default_jobs} for n >= 64, sequential below;
+    early abort).  Every job count returns identical results — verdicts,
+    nodes, and costs.  {!unstable_nodes} and {!stability_gap} scan
+    sequentially. *)
 
 type deviation = {
   node : int;
@@ -51,7 +53,6 @@ val find_deviation :
 
 val unstable_nodes :
   ?objective:Objective.t ->
-  ?jobs:int ->
   Instance.t ->
   Config.t ->
   int list
@@ -59,11 +60,13 @@ val unstable_nodes :
 
 val stability_gap :
   ?objective:Objective.t ->
-  ?jobs:int ->
   Instance.t ->
   Config.t ->
   int
-(** Max over nodes of [current_cost - best_response_cost]; 0 iff stable.
-    (The additive analogue of epsilon-equilibrium.) *)
+(** Max over nodes of [current_cost - best_response_cost], floored at 0
+    (an overspending node may cost less than any affordable strategy);
+    0 iff no node strictly improves.  Each node's pair comes from one
+    {!Best_response.decide} with [Exact].  (The additive analogue of
+    epsilon-equilibrium.) *)
 
 val pp_deviation : Format.formatter -> deviation -> unit

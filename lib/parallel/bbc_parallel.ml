@@ -206,39 +206,10 @@ let chunk_size ?chunk ~jobs lo hi =
   | Some c -> max 1 c
   | None -> max 1 (1 + ((len - 1) / (jobs * 8)))
 
-let parallel_for ?jobs ?chunk lo hi f =
-  let jobs = resolve_jobs jobs in
-  if hi <= lo then ()
-  else if jobs = 1 || hi - lo = 1 then
-    for i = lo to hi - 1 do
-      f i
-    done
-  else begin
-    let chunk = chunk_size ?chunk ~jobs lo hi in
-    let nchunks = 1 + ((hi - lo - 1) / chunk) in
-    let next = Atomic.make 0 in
-    let participants = Atomic.make 0 in
-    run ~jobs (fun () ->
-        if Atomic.fetch_and_add participants 1 < jobs then begin
-          let continue = ref true in
-          while !continue do
-            let c = Atomic.fetch_and_add next 1 in
-            if c >= nchunks then continue := false
-            else begin
-              let start = lo + (c * chunk) in
-              let stop = min hi (start + chunk) in
-              for i = start to stop - 1 do
-                f i
-              done
-            end
-          done
-        end)
-  end
-
 let parallel_for_chunks ?jobs ?chunk lo hi f =
   let jobs = resolve_jobs jobs in
   if hi <= lo then ()
-  else if jobs = 1 then f lo hi
+  else if jobs = 1 || hi - lo = 1 then f lo hi
   else begin
     let chunk = chunk_size ?chunk ~jobs lo hi in
     let nchunks = 1 + ((hi - lo - 1) / chunk) in
@@ -258,6 +229,12 @@ let parallel_for_chunks ?jobs ?chunk lo hi f =
         end)
   end
 
+let parallel_for ?jobs ?chunk lo hi f =
+  parallel_for_chunks ?jobs ?chunk lo hi (fun start stop ->
+      for i = start to stop - 1 do
+        f i
+      done)
+
 let parallel_init ?jobs ?chunk n f =
   if n < 0 then invalid_arg "Bbc_parallel.parallel_init: negative length";
   if n = 0 then [||]
@@ -265,36 +242,6 @@ let parallel_init ?jobs ?chunk n f =
     let out = Array.make n (f 0) in
     parallel_for ?jobs ?chunk 1 n (fun i -> out.(i) <- f i);
     out
-  end
-
-let parallel_map ?jobs ?chunk f arr =
-  parallel_init ?jobs ?chunk (Array.length arr) (fun i -> f arr.(i))
-
-let parallel_reduce ?jobs ?chunk ~neutral ~combine lo hi f =
-  let jobs = resolve_jobs jobs in
-  if hi <= lo then neutral
-  else if jobs = 1 then begin
-    let acc = ref neutral in
-    for i = lo to hi - 1 do
-      acc := combine !acc (f i)
-    done;
-    !acc
-  end
-  else begin
-    let chunk = chunk_size ?chunk ~jobs lo hi in
-    let nchunks = 1 + ((hi - lo - 1) / chunk) in
-    (* Per-chunk accumulators, folded in chunk order afterwards, keep the
-       combine order independent of scheduling. *)
-    let partial = Array.make nchunks neutral in
-    parallel_for ~jobs ~chunk:1 0 nchunks (fun c ->
-        let start = lo + (c * chunk) in
-        let stop = min hi (start + chunk) in
-        let acc = ref neutral in
-        for i = start to stop - 1 do
-          acc := combine !acc (f i)
-        done;
-        partial.(c) <- !acc);
-    Array.fold_left combine neutral partial
   end
 
 let parallel_find_first ?jobs ?chunk lo hi f =
@@ -355,7 +302,3 @@ let parallel_find_first ?jobs ?chunk lo hi f =
           | None, _ -> None)
         None results
   end
-
-let parallel_exists ?jobs ?chunk lo hi pred =
-  Option.is_some
-    (parallel_find_first ?jobs ?chunk lo hi (fun i -> if pred i then Some () else None))

@@ -15,14 +15,19 @@
 
     Every operation returns a result that is independent of the number of
     jobs and of scheduling:
-    - {!parallel_for} / {!parallel_init} / {!parallel_map} write disjoint
-      output slots;
-    - {!parallel_reduce} folds per-chunk partial results in chunk order
-      (equal to the sequential fold when [combine] is associative with
-      [neutral] as identity);
+    - {!parallel_for} / {!parallel_for_chunks} / {!parallel_init} write
+      disjoint output slots;
     - {!parallel_find_first} returns the hit with the {e lowest index},
       exactly as a sequential left-to-right scan would, while still
       aborting work at higher indices early.
+
+    {1 Call sites}
+
+    These seven values are the whole pool API.  Each library fan-out
+    sits at a call site that a benchmark workload or a CI gate actually
+    reaches with more than one job (DESIGN.md section 7 lists them with
+    their measured counts); per-node scans that nothing reaches in
+    parallel run as plain sequential loops instead.
 
     {1 Thread-safety contract}
 
@@ -59,47 +64,27 @@ val jobs_for : ?jobs:int -> threshold:int -> int -> int
     ones use {!default_jobs}.  Shared by the hot-path call sites so
     "small inputs stay sequential" is one policy, not many. *)
 
-val parallel_for : ?jobs:int -> ?chunk:int -> int -> int -> (int -> unit) -> unit
-(** [parallel_for lo hi f] runs [f i] for every [lo <= i < hi], fanned
-    out in index chunks of size [chunk] (default: range split into ~8
-    chunks per job).  [f] must be safe to call concurrently on distinct
-    indices. *)
-
 val parallel_for_chunks : ?jobs:int -> ?chunk:int -> int -> int -> (int -> int -> unit) -> unit
 (** [parallel_for_chunks lo hi f] covers [lo, hi) with disjoint chunk
-    ranges and runs [f start stop] once per chunk ([start <= i < stop]).
-    Unlike {!parallel_for}, the callee sees the whole chunk, so it can
-    amortize per-slice setup — acquire a workspace row once, sweep the
-    chunk, release once — instead of paying it per index.  With
-    [jobs = 1] the whole range arrives as a single chunk. *)
+    ranges of size [chunk] (default: range split into ~8 chunks per
+    job) and runs [f start stop] once per chunk ([start <= i < stop]),
+    concurrently on distinct chunks.  The callee sees the whole chunk,
+    so it can amortize per-slice setup — acquire a workspace row once,
+    sweep the chunk, release once — instead of paying it per index.
+    With [jobs = 1], or a range of one index, the whole range arrives as
+    a single chunk on the caller and the pool is not woken. *)
+
+val parallel_for : ?jobs:int -> ?chunk:int -> int -> int -> (int -> unit) -> unit
+(** [parallel_for lo hi f] runs [f i] for every [lo <= i < hi]: a loop
+    over each chunk of {!parallel_for_chunks}.  [f] must be safe to call
+    concurrently on distinct indices. *)
 
 val parallel_init : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f 0] is evaluated first on the caller (to
     seed the array), the rest in parallel. *)
-
-val parallel_map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]. *)
-
-val parallel_reduce :
-  ?jobs:int ->
-  ?chunk:int ->
-  neutral:'a ->
-  combine:('a -> 'a -> 'a) ->
-  int ->
-  int ->
-  (int -> 'a) ->
-  'a
-(** [parallel_reduce ~neutral ~combine lo hi f] folds [f i] over the
-    range.  Chunk-local folds run in parallel; partial results are then
-    combined in chunk order, so the result equals the sequential
-    left-to-right fold whenever [combine] is associative and [neutral]
-    its identity. *)
 
 val parallel_find_first : ?jobs:int -> ?chunk:int -> int -> int -> (int -> 'a option) -> 'a option
 (** [parallel_find_first lo hi f] is [f i] for the smallest [i] with
     [f i <> None], or [None].  Identical to the sequential scan, with
     early abort: once a hit is known at index [i], no work is started at
     indices [>= i]. *)
-
-val parallel_exists : ?jobs:int -> ?chunk:int -> int -> int -> (int -> bool) -> bool
-(** [parallel_exists lo hi p] — early-aborting parallel disjunction. *)

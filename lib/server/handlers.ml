@@ -141,16 +141,17 @@ let best_response env params =
   let* s = session env params in
   let* objective = objective params in
   let* u = node_in_range s params in
-  let r = Bbc.Best_response.exact ~objective s.instance s.config u in
-  let current = Session.node_cost ~objective s u in
+  (* The current cost comes from the decision's own rows, as in
+     [Dynamics.activate]; the session memo stays for [cost] reads. *)
+  let d = Bbc.Best_response.decide ~objective ~search:Exact s.instance s.config u in
   Ok
     (Json.Obj
        [
          ("node", Json.Int u);
-         ("strategy", Json.List (List.map (fun v -> Json.Int v) r.strategy));
-         ("cost", Json.Int r.cost);
-         ("current", Json.Int current);
-         ("improving", Json.Bool (r.cost < current));
+         ("strategy", Json.List (List.map (fun v -> Json.Int v) d.best.strategy));
+         ("cost", Json.Int d.best.cost);
+         ("current", Json.Int d.current);
+         ("improving", Json.Bool (d.best.cost < d.current));
        ])
 
 let stable env params =
@@ -207,15 +208,17 @@ let apply_move env params =
 
 (* One round-robin best-response activation, mirroring
    [Dynamics.activate] under [Exact_best_response]: the node rewires iff
-   the exact optimum strictly beats its current cost.  The step stream
+   the exact optimum strictly beats its current cost, both taken from
+   one exact decision (no session memo is filled).  The step stream
    (node order, move decisions, adopted strategies, costs) is
    bit-identical to [Dynamics.run ~scheduler:Round_robin] on the same
    start state — the differential test in test_server.ml checks this. *)
 let walk_step ~objective (s : Session.t) =
   let n = Bbc.Instance.n s.instance in
   let node = s.walk_index mod n in
-  let current = Session.node_cost ~objective s node in
-  let best = Bbc.Best_response.exact ~objective s.instance s.config node in
+  let { Bbc.Best_response.best; current } =
+    Bbc.Best_response.decide ~objective ~search:Exact s.instance s.config node
+  in
   let moved = best.cost < current in
   if moved then begin
     Session.set_config s (Bbc.Config.with_strategy s.config node best.strategy);
@@ -281,8 +284,7 @@ let close_session env params =
   Ok (Json.Obj [ ("closed", Json.Bool (Session.remove env.sessions id)) ])
 
 (* Stateless Monte-Carlo unit: decode a trial, run the whole walk, and
-   return its summary.  No session is created — the campaign client's
-   "session" param is only a shard-routing key for the front tier. *)
+   return its summary.  No session is created. *)
 let run_unit params =
   let* tv =
     match Json.member "trial" params with

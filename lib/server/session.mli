@@ -2,9 +2,10 @@
 
     A session owns one loaded/generated instance, its current
     configuration, and a memo of every node's cost per objective, so
-    repeated [cost] / [best_response] / [step_dynamics] requests against
-    an unchanged configuration evaluate it once.  {!set_config} drops
-    the memo.
+    repeated [cost] requests against an unchanged configuration
+    evaluate it once ([best_response] and [step_dynamics] price the
+    mover from their own decision instead).  {!set_config} drops the
+    memo.
 
     Sessions are single-domain mutable state; the scheduler therefore
     serializes all requests that name the same session onto one worker

@@ -192,14 +192,12 @@ let test_shard_merge_parallel () =
   (* Forced multi-domain fan-out: updates land in per-domain shards and
      must merge to exact totals. *)
   let out =
-    Bbc_parallel.parallel_map ~jobs:4
-      (fun i ->
+    Bbc_parallel.parallel_init ~jobs:4 n (fun i ->
         Obs.incr c;
         Obs.observe h 4;
         i)
-      (Array.init n Fun.id)
   in
-  Alcotest.(check int) "map untouched by instrumentation" n (Array.length out);
+  Alcotest.(check (array int)) "init untouched by instrumentation" (Array.init n Fun.id) out;
   Alcotest.(check int) "counter merges exactly" n (Obs.counter_value c);
   Alcotest.(check int) "histogram count merges exactly" n (Obs.histogram_count h);
   Alcotest.(check int) "histogram sum merges exactly" (4 * n) (Obs.histogram_sum h);

@@ -116,8 +116,8 @@ let suite =
     ]
 
 (* Uniform k = 1 functional inputs take the closed form: verdicts,
-   deviations and gaps must match the reference DFS's, at any job
-   count. *)
+   deviations and gaps must match the reference DFS's, and the pooled
+   scans must do so at any job count. *)
 let test_k1_closed_form () =
   List.iter
     (fun (name, inst, c) ->
@@ -138,21 +138,20 @@ let test_k1_closed_form () =
               (fun g u -> max g (current u - snd (K1_fixtures.exact ~objective inst c u)))
               0 (List.init n Fun.id)
           in
+          Alcotest.(check (list int)) (msg ^ ": unstable_nodes") unstable
+            (S.unstable_nodes ~objective inst c);
+          Alcotest.(check int) (msg ^ ": stability_gap") gap (S.stability_gap ~objective inst c);
           List.iter
             (fun jobs ->
               let msg = Printf.sprintf "%s jobs %d" msg jobs in
               Alcotest.(check bool) (msg ^ ": is_stable") (unstable = [])
                 (S.is_stable ~objective ~jobs inst c);
-              Alcotest.(check (list int)) (msg ^ ": unstable_nodes") unstable
-                (S.unstable_nodes ~objective ~jobs inst c);
               Alcotest.(check (option (triple int int (pair (list int) int))))
                 (msg ^ ": find_deviation") deviation
                 (Option.map
                    (fun (d : S.deviation) ->
                      (d.node, d.current_cost, (d.better.strategy, d.better.cost)))
-                   (S.find_deviation ~objective ~jobs inst c));
-              Alcotest.(check int) (msg ^ ": stability_gap") gap
-                (S.stability_gap ~objective ~jobs inst c))
+                   (S.find_deviation ~objective ~jobs inst c)))
             [ 1; 4 ])
         K1_fixtures.objectives)
     (K1_fixtures.inputs ())
