@@ -5,11 +5,34 @@ type deviation = {
 }
 
 (* Per-node best-response checks only read the shared instance,
-   profile and snapshot, so they fan out over the domain pool.  Below
-   this node count the checks run sequentially. *)
-let parallel_threshold = 64
+   profile and snapshot, so they fan out over the domain pool once the
+   scan's work reaches [parallel_work]: nodes times affordable subsets
+   per node, or n per node on the closed form (no snapshot).  Below it
+   a pool wake costs more than the checks it splits (crossover measured
+   in DESIGN.md section 7; on the closed form the cutoff is 64 nodes). *)
+let parallel_work = 4096
 
-let resolve_jobs ?jobs n = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n
+(* [u]'s affordable subsets, counted until they pass [parallel_work]:
+   C(c, i) sets of i of its c candidates for each i whose i cheapest
+   targets fit the budget (exact on unit costs). *)
+let affordable_subsets instance u =
+  let costs = List.sort compare (List.map (Instance.cost instance u) (Best_response.candidate_targets instance u)) in
+  let c = List.length costs in
+  let rec go i binom left = function
+    | x :: rest when x <= left && binom < parallel_work ->
+        let binom = binom * (c - i) / (i + 1) in
+        binom + go (i + 1) binom (left - x) rest
+    | _ -> 0
+  in
+  1 + go 0 1 (Instance.budget instance u) costs
+
+let resolve_jobs ?jobs instance csr =
+  let n = Instance.n instance in
+  let rec work u acc =
+    if u = n || acc >= parallel_work then acc
+    else work (u + 1) (acc + if Option.is_none csr then n else affordable_subsets instance u)
+  in
+  Bbc_parallel.jobs_for ?jobs ~threshold:parallel_work (work 0 0)
 
 (* One node per chunk pull.  A best-response check runs a full DFS over
    strategy space against the pooled CSR rows, so per-node work is both
@@ -28,7 +51,8 @@ let obs_stable_checks = Bbc_obs.counter "stability.is_stable"
 
 let find_deviation ?objective ?jobs instance config =
   let n = Instance.n instance in
-  let jobs = resolve_jobs ?jobs n in
+  let csr = Best_response.snapshot instance config in
+  let jobs = resolve_jobs ?jobs instance csr in
   Bbc_obs.with_span "stability.find_deviation"
     ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
       (* [parallel_find_first] returns the lowest-index hit, so the reported
@@ -38,7 +62,6 @@ let find_deviation ?objective ?jobs instance config =
          graphs and the domains stay off the shared allocator.  The
          snapshot is built before the fan-out, and only when some
          decision reads rows. *)
-      let csr = Best_response.snapshot instance config in
       Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
           let d = Best_response.decide ?objective ?csr ~search:First_improving instance config u in
           if d.best.cost < d.current then Some { node = u; current_cost = d.current; better = d.best }
@@ -48,14 +71,13 @@ let improvable ?objective ?csr instance config u =
   Option.is_some (Best_response.improving ?objective ?csr instance config u)
 
 let is_stable ?objective ?jobs instance config =
-  let n = Instance.n instance in
-  let jobs = resolve_jobs ?jobs n in
   Bbc_obs.incr obs_stable_checks;
   Config.feasible instance config
   &&
   let csr = Best_response.snapshot instance config in
+  let jobs = resolve_jobs ?jobs instance csr in
   Option.is_none
-    (Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
+    (Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 (Instance.n instance) (fun u ->
          Best_response.improving ?objective ?csr instance config u))
 
 let nodes_stable ?objective instance config nodes =

@@ -10,10 +10,13 @@
     snapshot is built only when a check reads rows, see
     {!Best_response.snapshot}), honouring
     the read-only-graph contract of {!Bbc_graph.Digraph}.  {!is_stable}
-    and {!find_deviation}, which serving and the CI gates call at
-    n >= 64, fan them out over the {!Bbc_parallel} domain pool ([?jobs],
-    default {!Bbc_parallel.default_jobs} for n >= 64, sequential below;
-    early abort).  Every job count returns identical results — verdicts,
+    and {!find_deviation} fan them out over the {!Bbc_parallel} domain
+    pool, with early abort, when the scan's work is large enough: nodes
+    times affordable subsets per node ([n] per node on the closed form)
+    of at least 4096.  So a 36-node [k = 4] check fans out and a 24-node
+    [k = 1] ring stays on the caller.  [?jobs] overrides the default
+    ({!Bbc_parallel.default_jobs} at or past the cutoff, sequential
+    below).  Every job count returns identical results — verdicts,
     nodes, and costs.  {!unstable_nodes} and {!stability_gap} scan
     sequentially. *)
 

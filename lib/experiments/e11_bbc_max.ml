@@ -16,33 +16,27 @@
    instead of a fabricated gadget. *)
 let theorem7_rows ~quick =
   let rng = Bbc_prng.Splitmix.create 2468 in
-  let sample ~n ~tries =
-    let with_ne = ref 0 and without = ref 0 in
-    for _ = 1 to tries do
-      let weight =
-        Array.init n (fun u ->
-            Array.init n (fun v ->
-                if u = v then 0
-                else if Bbc_prng.Splitmix.float rng 1.0 < 0.55 then 0
-                else 1 + Bbc_prng.Splitmix.int rng 3))
-      in
-      let instance = Bbc.Instance.of_weights ~k:1 weight in
-      match Bbc.Exhaustive.has_equilibrium ~objective:Bbc.Objective.Max instance with
-      | Some true -> incr with_ne
-      | Some false -> incr without
-      | None -> ()
-    done;
-    [
-      Printf.sprintf "random sparse n=%d (full space)" n;
-      Table.cell_int tries;
-      Table.cell_int !with_ne;
-      Table.cell_int !without;
-    ]
+  let game n =
+    Bbc.Instance.of_weights ~k:1
+      (Array.init n (fun u ->
+           Array.init n (fun v ->
+               if u = v then 0
+               else if Bbc_prng.Splitmix.float rng 1.0 < 0.55 then 0
+               else 1 + Bbc_prng.Splitmix.int rng 3)))
   in
-  [
-    sample ~n:4 ~tries:(if quick then 300 else 2000);
-    sample ~n:5 ~tries:(if quick then 100 else 500);
-  ]
+  let rows = [ (4, if quick then 300 else 2000); (5, if quick then 100 else 500) ] in
+  List.map
+    (fun ((n, tries), verdicts) ->
+      let count v = Array.fold_left (fun c w -> if w = Some v then c + 1 else c) 0 verdicts in
+      [
+        Printf.sprintf "random sparse n=%d (full space)" n;
+        Table.cell_int tries;
+        Table.cell_int (count true);
+        Table.cell_int (count false);
+      ])
+    (Trials.run
+       (List.map (fun ((n, tries) as row) -> (row, Array.init tries (fun _ -> game n))) rows)
+       (fun _ g -> Bbc.Exhaustive.has_equilibrium ~objective:Bbc.Objective.Max g))
 
 let theorem8_rows ~quick =
   let cases = if quick then [ (2, 6); (3, 4); (3, 8); (4, 5) ] else [ (2, 6); (2, 12); (3, 4); (3, 8); (3, 12); (4, 5); (4, 8) ] in

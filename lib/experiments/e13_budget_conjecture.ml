@@ -16,45 +16,23 @@ let random_budget_instance rng ~n ~max_budget =
   let budget = Array.init n (fun _ -> SM.int rng (max_budget + 1)) in
   Bbc.Instance.general ~weight ~cost:ones ~length:ones ~budget ()
 
-let exhaustive_row rng ~objective ~n ~max_budget ~trials =
-  let with_ne = ref 0 and without = ref 0 and aborted = ref 0 in
-  for _ = 1 to trials do
-    let instance = random_budget_instance rng ~n ~max_budget in
+(* One trial's verdict: a pure NE found (by complete enumeration, or a
+   walk that converged to a verified NE), certified absent, or neither
+   (an aborted search, a walk that did not converge).  Reads no rng. *)
+let trial ~objective ~exhaustive instance =
+  if exhaustive then
     match Bbc.Exhaustive.has_equilibrium ~objective ~max_profiles:2_000_000 instance with
-    | Some true -> incr with_ne
-    | Some false -> incr without
-    | None -> incr aborted
-  done;
-  [
-    Printf.sprintf "exhaustive n=%d b<=%d (%s)" n max_budget
-      (Bbc.Objective.to_string objective);
-    Table.cell_int trials;
-    Table.cell_int !with_ne;
-    Table.cell_int !without;
-    Table.cell_int !aborted;
-  ]
-
-let dynamics_row rng ~objective ~n ~max_budget ~trials =
-  let converged = ref 0 and other = ref 0 in
-  for _ = 1 to trials do
-    let instance = random_budget_instance rng ~n ~max_budget in
-    let start = Bbc.Config.empty n in
+    | Some true -> `Ne
+    | Some false -> `No_ne
+    | None -> `Other
+  else
+    let n = Bbc.Instance.n instance in
     match
-      Bbc.Dynamics.run ~objective ~scheduler:Bbc.Dynamics.Round_robin
-        ~max_rounds:(8 * n) instance start
+      Bbc.Dynamics.run ~objective ~scheduler:Bbc.Dynamics.Round_robin ~max_rounds:(8 * n)
+        instance (Bbc.Config.empty n)
     with
-    | Bbc.Dynamics.Converged (c, _) when Bbc.Stability.is_stable ~objective instance c ->
-        incr converged
-    | _ -> incr other
-  done;
-  [
-    Printf.sprintf "dynamics n=%d b<=%d (%s)" n max_budget
-      (Bbc.Objective.to_string objective);
-    Table.cell_int trials;
-    Table.cell_int !converged;
-    "-";
-    Table.cell_int !other;
-  ]
+    | Bbc.Dynamics.Converged (c, _) when Bbc.Stability.is_stable ~objective instance c -> `Ne
+    | _ -> `Other
 
 let run ?(quick = true) fmt =
   Table.section fmt "E13  Footnote-2 conjecture: budget-only non-uniformity keeps pure NE";
@@ -67,11 +45,34 @@ let run ?(quick = true) fmt =
   in
   let rng = SM.create 1313 in
   let sum = Bbc.Objective.Sum and max_o = Bbc.Objective.Max in
-  Table.add_row t (exhaustive_row rng ~objective:sum ~n:4 ~max_budget:3 ~trials:(if quick then 40 else 150));
-  Table.add_row t (exhaustive_row rng ~objective:sum ~n:5 ~max_budget:2 ~trials:(if quick then 10 else 40));
-  Table.add_row t (exhaustive_row rng ~objective:max_o ~n:4 ~max_budget:3 ~trials:(if quick then 40 else 150));
-  Table.add_row t (dynamics_row rng ~objective:sum ~n:12 ~max_budget:4 ~trials:(if quick then 15 else 50));
-  Table.add_row t (dynamics_row rng ~objective:sum ~n:20 ~max_budget:5 ~trials:(if quick then 5 else 20));
+  let rows =
+    [
+      (true, sum, 4, 3, if quick then 40 else 150);
+      (true, sum, 5, 2, if quick then 10 else 40);
+      (true, max_o, 4, 3, if quick then 40 else 150);
+      (false, sum, 12, 4, if quick then 15 else 50);
+      (false, sum, 20, 5, if quick then 5 else 20);
+    ]
+  in
+  List.iter
+    (fun ((exhaustive, objective, n, max_budget, trials), verdicts) ->
+      let count v = Array.fold_left (fun c w -> if w = v then c + 1 else c) 0 verdicts in
+      Table.add_row t
+        [
+          Printf.sprintf "%s n=%d b<=%d (%s)"
+            (if exhaustive then "exhaustive" else "dynamics")
+            n max_budget (Bbc.Objective.to_string objective);
+          Table.cell_int trials;
+          Table.cell_int (count `Ne);
+          (if exhaustive then Table.cell_int (count `No_ne) else "-");
+          Table.cell_int (count `Other);
+        ])
+    (Trials.run
+       (List.map
+          (fun ((_, _, n, max_budget, trials) as row) ->
+            (row, Array.init trials (fun _ -> random_budget_instance rng ~n ~max_budget)))
+          rows)
+       (fun (exhaustive, objective, _, _, _) -> trial ~objective ~exhaustive));
   Table.render fmt t;
   Table.note fmt
     "a 'no NE' entry above 0 would refute the conjecture; 'other' counts \

@@ -14,35 +14,29 @@ let wipe rng config ~count =
   let victims = SM.sample_without_replacement rng count n in
   List.fold_left (fun c v -> Bbc.Config.with_strategy c v []) config victims
 
-let churn_row rng ~name ~instance ~config ~wiped ~trials =
-  let original_cost = Bbc.Eval.social_cost instance config in
-  let rounds_acc = ref 0 and worst_rounds = ref 0 in
-  let drift_acc = ref 0.0 in
-  let recovered = ref 0 in
-  for _ = 1 to trials do
-    let perturbed = wipe rng config ~count:wiped in
-    match
-      D.run ~scheduler:D.Round_robin
-        ~max_rounds:(8 * Bbc.Instance.n instance)
-        instance perturbed
-    with
-    | D.Converged (final, stats) ->
-        incr recovered;
-        rounds_acc := !rounds_acc + stats.rounds;
-        if stats.rounds > !worst_rounds then worst_rounds := stats.rounds;
-        let c = Bbc.Eval.social_cost instance final in
-        drift_acc := !drift_acc +. (float_of_int c /. float_of_int original_cost)
-    | D.Cycled _ | D.Exhausted _ -> ()
-  done;
+(* One walk from a wiped profile: [Some (rounds, social cost)] when it
+   re-stabilizes.  The walks of all rows run together as pool tasks. *)
+let recover instance perturbed =
+  match
+    D.run ~scheduler:D.Round_robin ~max_rounds:(8 * Bbc.Instance.n instance) instance perturbed
+  with
+  | D.Converged (final, stats) -> Some (stats.rounds, Bbc.Eval.social_cost instance final)
+  | D.Cycled _ | D.Exhausted _ -> None
+
+(* Folded in trial order: the drift is a float sum. *)
+let churn_row ~name ~instance ~config ~wiped outcomes =
+  let original_cost = float_of_int (Bbc.Eval.social_cost instance config) in
+  let ok = List.filter_map Fun.id (Array.to_list outcomes) in
+  let recovered = List.length ok in
+  let mean f = List.fold_left (fun acc x -> acc +. f x) 0.0 ok /. float_of_int recovered in
   [
     name;
     Table.cell_int wiped;
-    Printf.sprintf "%d/%d" !recovered trials;
-    (if !recovered = 0 then "-"
-     else Table.cell_float (float_of_int !rounds_acc /. float_of_int !recovered));
-    (if !recovered = 0 then "-" else Table.cell_int !worst_rounds);
-    (if !recovered = 0 then "-"
-     else Table.cell_float ~decimals:3 (!drift_acc /. float_of_int !recovered));
+    Printf.sprintf "%d/%d" recovered (Array.length outcomes);
+    (if recovered = 0 then "-" else Table.cell_float (mean (fun (rounds, _) -> float_of_int rounds)));
+    (if recovered = 0 then "-" else Table.cell_int (List.fold_left (fun m (rounds, _) -> max m rounds) 0 ok));
+    (if recovered = 0 then "-"
+     else Table.cell_float ~decimals:3 (mean (fun (_, c) -> float_of_int c /. original_cost)));
   ]
 
 let run ?(quick = true) fmt =
@@ -72,20 +66,27 @@ let run ?(quick = true) fmt =
       ]
   in
   let trials = if quick then 5 else 15 in
-  List.iter
-    (fun ((name, instance, config), wipe_counts) ->
-      List.iter
-        (fun wiped -> Table.add_row t (churn_row rng ~name ~instance ~config ~wiped ~trials))
-        wipe_counts)
-    cases;
   (* A ring under churn: the minimal k = 1 equilibrium is fragile in a
      different way — a single wipe disconnects it, but recovery is fast. *)
-  let n = 12 in
-  let ring_inst = Bbc.Instance.uniform ~n ~k:1 in
-  let ring = Bbc.Config.of_graph (Bbc_graph.Generators.directed_ring n) in
-  Table.add_row t
-    (churn_row rng ~name:"(12,1) directed ring" ~instance:ring_inst ~config:ring
-       ~wiped:1 ~trials);
+  let ring =
+    let n = 12 in
+    ( ("(12,1) directed ring", Bbc.Instance.uniform ~n ~k:1,
+       Bbc.Config.of_graph (Bbc_graph.Generators.directed_ring n)),
+      [ 1 ] )
+  in
+  let rows =
+    List.concat_map
+      (fun ((name, instance, config), wipe_counts) ->
+        List.map
+          (fun wiped ->
+            ((name, instance, config, wiped), Array.init trials (fun _ -> wipe rng config ~count:wiped)))
+          wipe_counts)
+      (cases @ [ ring ])
+  in
+  List.iter
+    (fun ((name, instance, config, wiped), outcomes) ->
+      Table.add_row t (churn_row ~name ~instance ~config ~wiped outcomes))
+    (Trials.run rows (fun (_, instance, _, _) -> recover instance));
   Table.render fmt t;
   Table.note fmt
     "all walks restart from the wiped profile with round-robin \

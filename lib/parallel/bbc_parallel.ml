@@ -237,12 +237,11 @@ let parallel_for ?jobs ?chunk lo hi f =
 
 let parallel_init ?jobs ?chunk n f =
   if n < 0 then invalid_arg "Bbc_parallel.parallel_init: negative length";
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f 0) in
-    parallel_for ?jobs ?chunk 1 n (fun i -> out.(i) <- f i);
-    out
-  end
+  (* Every index, index 0 included, runs on the pool: seeding the array
+     with [f 0] on the caller would leave the other domains idle for it. *)
+  let out = Array.make n None in
+  parallel_for ?jobs ?chunk 0 n (fun i -> out.(i) <- Some (f i));
+  Array.map Option.get out
 
 let parallel_find_first ?jobs ?chunk lo hi f =
   let jobs = resolve_jobs jobs in

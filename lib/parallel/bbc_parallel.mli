@@ -80,8 +80,8 @@ val parallel_for : ?jobs:int -> ?chunk:int -> int -> int -> (int -> unit) -> uni
     concurrently on distinct indices. *)
 
 val parallel_init : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init].  [f 0] is evaluated first on the caller (to
-    seed the array), the rest in parallel. *)
+(** Parallel [Array.init]: every index, [0] included, is claimed like
+    any other by {!parallel_for}. *)
 
 val parallel_find_first : ?jobs:int -> ?chunk:int -> int -> int -> (int -> 'a option) -> 'a option
 (** [parallel_find_first lo hi f] is [f i] for the smallest [i] with

@@ -201,9 +201,13 @@ let apply_move env params =
         (* A manual rewire restarts convergence detection for the
            session's round-robin walk. *)
         s.walk_quiet <- 0;
+        (* One node's cost: one sweep, not the memo's n. *)
         Ok
           (Json.Obj
-             [ ("applied", Json.Bool true); ("cost", Json.Int (Session.node_cost s u)) ])
+             [
+               ("applied", Json.Bool true);
+               ("cost", Json.Int (Bbc.Eval.node_cost s.instance config' u));
+             ])
       end
 
 (* One round-robin best-response activation, mirroring

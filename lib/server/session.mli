@@ -4,8 +4,9 @@
     configuration, and a memo of every node's cost per objective, so
     repeated [cost] requests against an unchanged configuration
     evaluate it once ([best_response] and [step_dynamics] price the
-    mover from their own decision instead).  {!set_config} drops the
-    memo.
+    mover from their own decision, [apply_move] with one
+    {!Bbc.Eval.node_cost}, so none of them fills it).  {!set_config} drops
+    the memo.
 
     Sessions are single-domain mutable state; the scheduler therefore
     serializes all requests that name the same session onto one worker

@@ -66,6 +66,22 @@ let test_nested_calls_degrade () =
     (Array.init 8 (fun i -> (50 * i) + 1225))
     outer
 
+(* Index 0 runs on the pool like any other: each [f i] waits (up to
+   5 s) for the other to arrive, which only succeeds when both indices
+   run at once, not when the caller evaluates [f 0] before the pool
+   wakes. *)
+let test_init_all_indices_concurrent () =
+  let arrived = Atomic.make 0 in
+  let f _ =
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get arrived >= 2
+  in
+  Alcotest.(check (array bool)) "both met" [| true; true |] (P.parallel_init ~jobs:2 2 f)
+
 let test_jobs_for () =
   Alcotest.(check int) "explicit wins" 4 (P.jobs_for ~jobs:4 ~threshold:1000 10);
   Alcotest.(check int) "explicit floored" 1 (P.jobs_for ~jobs:0 ~threshold:0 10);
@@ -240,10 +256,10 @@ let test_k1_dynamics_jobs_invariant () =
       Alcotest.(check bool) "same final config" true (C.equal c1 c4))
     [ Bbc.Dynamics.Exact_best_response; Bbc.Dynamics.First_improvement ]
 
-(* Which scans wake the pool, at default jobs 2 and n past every
-   threshold: the whole-profile scans that workloads and CI gates run
-   in parallel fan out; Max_cost_first, [unstable_nodes] and
-   [stability_gap] run on the caller only.  [pool.runs] counts real
+(* Which scans wake the pool, at default jobs 2: the whole-profile
+   scans that workloads and CI gates run in parallel fan out past their
+   thresholds; Max_cost_first, [unstable_nodes] and [stability_gap] run
+   on the caller only.  [pool.runs] counts real
    fan-outs (jobs > 1, not nested). *)
 let test_fanout_sites () =
   let runs = Bbc_obs.counter "pool.runs" in
@@ -272,7 +288,16 @@ let test_fanout_sites () =
       none "stability_gap" (fun () -> Bbc.Stability.stability_gap inst config);
       some "find_deviation" (fun () -> Bbc.Stability.find_deviation inst config);
       some "is_stable" (fun () -> Bbc.Stability.is_stable inst config);
-      some "all_costs" (fun () -> Bbc.Eval.all_costs inst config))
+      some "all_costs" (fun () -> Bbc.Eval.all_costs inst config);
+      (* Stability scans are sized by work, not node count: 36 nodes
+         with ~60k affordable subsets each fan out; a 24-node k = 1 ring
+         on the closed form (n per node) does not. *)
+      let fig6_inst, fig6_cfg = Bbc.Constructions.max_anarchy ~k:4 ~l:5 in
+      some "is_stable fig-6 k=4 (36 nodes)" (fun () ->
+          Bbc.Stability.is_stable ~objective:Max fig6_inst fig6_cfg);
+      none "find_deviation k=1 ring (24 nodes)" (fun () ->
+          Bbc.Stability.find_deviation (I.uniform ~n:24 ~k:1)
+            (C.of_graph (Bbc_graph.Generators.directed_ring 24))))
 
 let suite =
   [
@@ -280,6 +305,7 @@ let suite =
     Alcotest.test_case "find_first returns lowest index" `Quick test_find_first_is_sequential_winner;
     Alcotest.test_case "exceptions propagate, pool survives" `Quick test_exceptions_propagate;
     Alcotest.test_case "nested calls degrade to sequential" `Quick test_nested_calls_degrade;
+    Alcotest.test_case "parallel_init runs every index on the pool" `Quick test_init_all_indices_concurrent;
     Alcotest.test_case "jobs_for policy" `Quick test_jobs_for;
     Alcotest.test_case "all_costs jobs-invariant" `Quick test_all_costs_jobs_invariant;
     Alcotest.test_case "all_costs max objective jobs-invariant" `Quick test_all_costs_max_objective_jobs_invariant;

@@ -223,6 +223,29 @@ let test_bit_identity () =
     | None -> Alcotest.fail "strategy not an int list"
   done
 
+(* apply_move prices the mover with one Eval.node_cost on the new
+   profile and leaves the session's cost memo empty. *)
+let test_apply_move_cost () =
+  let engine = mk_engine () in
+  let sid = gen_session engine ~name:"random" ~n:10 () in
+  let s = Option.get (Bbc_server.Session.find (Engine.sessions engine) sid) in
+  ignore (Bbc_server.Session.all_costs s);
+  let u = 3 and targets = [ 0; 7 ] in
+  let config' = Bbc.Config.with_strategy s.config u targets in
+  let p =
+    ok_payload
+      (ask engine
+         (req "m" "apply_move"
+            [
+              ("session", Json.Str sid);
+              ("node", Json.Int u);
+              ("targets", Json.List (List.map (fun v -> Json.Int v) targets));
+            ]))
+  in
+  Alcotest.(check bool) "session holds the new profile" true (Bbc.Config.equal config' s.config);
+  Alcotest.(check int) "cost" (Bbc.Eval.node_cost s.instance config' u) (int_field "cost" p);
+  Alcotest.(check bool) "memo left empty" true (s.costs = [])
+
 (* step_dynamics is Dynamics.run under Round_robin/Exact_best_response,
    one activation at a time: walking a session to convergence must
    reproduce the library walk's final configuration and deviation
@@ -378,6 +401,7 @@ let suite =
     Alcotest.test_case "shutdown request" `Quick test_shutdown_request;
     Alcotest.test_case "bit identity vs library" `Quick test_bit_identity;
     Alcotest.test_case "step_dynamics differential" `Quick test_step_dynamics_differential;
+    Alcotest.test_case "apply_move prices one node" `Quick test_apply_move_cost;
     Alcotest.test_case "batch interleaving" `Quick test_batch_interleaving;
     Alcotest.test_case "concurrent session churn" `Quick test_concurrent_session_churn;
     Alcotest.test_case "idle session expiry" `Quick test_session_expiry;
