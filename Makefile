@@ -1,42 +1,38 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check ci bench bench-full bench-json experiments examples clean doc
+.PHONY: all build test check ci experiments examples clean doc
 
 all: build
 
 # Pre-commit gate (documented in README): full build, test suite, and a
 # smoke bench --json into the git-ignored bench/results/ (exercises the
-# speedup + kernel + observability-overhead + serving-layer sections and
+# micro, speedup, msbfs, observability-overhead and large-n sections and
 # the JSON writer).
 check:
 	dune build @all
 	dune runtest
 	@mkdir -p bench/results && \
-	dune exec bench/main.exe -- --timing-only --json bench/results/BENCH_smoke.json \
+	dune exec bench/main.exe -- --json bench/results/BENCH_smoke.json \
 	  > bench/results/bench_smoke.log 2>&1 && \
 	grep -q '"obs_overhead"' bench/results/BENCH_smoke.json && \
 	grep -q '"msbfs"' bench/results/BENCH_smoke.json && \
 	grep -q '"bigbench"' bench/results/BENCH_smoke.json && \
-	grep -q '"server"' bench/results/BENCH_smoke.json && \
-	grep -q '"campaign"' bench/results/BENCH_smoke.json && \
 	echo "check: ok (smoke bench in bench/results/)" || \
 	{ cat bench/results/bench_smoke.log; exit 1; }
 
 # Everything CI runs, in the same order (see .github/workflows/ci.yml):
 # build, tests, smoke bench, then the regression gates on its JSON —
-# observability overhead within budget, CSR kernels bit-identical to the
-# list-graph references and the hot path holding its floors over the
-# BENCH_1 baseline, the bit-parallel batch kernels bit-identical to
-# per-source sweeps and holding their 4x apsp floor over the BENCH_2
-# pre-batching baseline, the large-n engine's equivalence bits and ns/node
-# ceiling — the serving-layer soak (64 TCP connections x 50k requests
-# on one daemon, zero errors, consistent answers, full request count,
-# graceful drain), the
-# campaign crash-resume gate (SIGKILL mid-campaign + resume and a
-# via-server leg must all render byte-identical report.json), and the
-# differential-fuzzing gate
-# (every engine pair mismatch-free under a fixed seed, plus the
-# selfcheck planted bug caught and shrunk to n <= 8).
+# observability overhead within budget (obs_overhead), the hot path
+# holding its floors over the BENCH_1 baseline (micro), the bit-parallel
+# batch kernels bit-identical to per-source sweeps and holding their 4x
+# apsp floor over the BENCH_2 pre-batching baseline (msbfs, speedup),
+# the large-n engine's equivalence bits and ns/node ceiling (bigbench) —
+# then the serving-layer soak (64 TCP connections x 50k requests on one
+# daemon, zero errors, consistent answers, full request count, graceful
+# drain), the campaign crash-resume gate (SIGKILL mid-campaign + resume
+# and a via-server leg must all render byte-identical report.json), and
+# the differential-fuzzing gate (every engine pair mismatch-free under a
+# fixed seed, plus the selfcheck planted bug caught and shrunk to n <= 8).
 ci: check
 	scripts/check_obs_overhead.sh bench/results/BENCH_smoke.json
 	scripts/check_kernels.sh bench/results/BENCH_smoke.json
@@ -54,22 +50,6 @@ test:
 test-capture:
 	@mkdir -p bench/results
 	dune runtest --force --no-buffer 2>&1 | tee bench/results/test_output.txt
-
-bench:
-	dune exec bench/main.exe
-
-bench-capture:
-	@mkdir -p bench/results
-	dune exec bench/main.exe 2>&1 | tee bench/results/bench_output.txt
-
-bench-full:
-	dune exec bench/main.exe -- --full --ablations
-
-# Quick Bechamel pass + sequential-vs-parallel + kernel speedups,
-# machine-readable (first free bench/results/BENCH_N.json;
-# format in DESIGN.md).  Honours BBC_JOBS / --jobs.
-bench-json:
-	dune exec bench/main.exe -- --timing-only --json
 
 experiments:
 	dune exec bin/bbc_cli.exe -- experiment

@@ -449,17 +449,6 @@ let decide ?(objective = Objective.Sum) ?csr ~search instance config u =
 let exact ?objective ?csr instance config u =
   (decide ?objective ?csr ~search:Exact instance config u).best
 
-let all_best ?objective ?csr instance config u =
-  let best = ref max_int and acc = ref [] in
-  enumerate ?objective ?csr instance config u ~on_subset:(fun chosen cost ->
-      if cost < !best then begin
-        best := cost;
-        acc := [ List.sort compare chosen ]
-      end
-      else if cost = !best then acc := List.sort compare chosen :: !acc;
-      false);
-  List.rev_map (fun strategy -> { strategy; cost = !best }) !acc
-
 let improvement d = if d.best.cost < d.current then Some d.best else None
 
 let improving ?objective ?csr instance config u =
@@ -468,33 +457,3 @@ let improving ?objective ?csr instance config u =
 let sampled ?objective ?csr ~rng ~sample instance config u =
   improvement (decide ?objective ?csr ~search:(Sampled { rng; sample }) instance config u)
 
-let greedy ?(objective = Objective.Sum) ?csr instance config u =
-  let candidates = Array.of_list (candidate_targets instance u) in
-  let rows = scratch_rows ?csr instance config u ~srcs:candidates in
-  with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
-      let k = fr.k in
-      (* [cur] is the chosen links' merged row, updated in place. *)
-      let cur = Workspace.acquire ws (Instance.n instance) in
-      Array.blit fr.empty 0 cur 0 k;
-      let rec grow chosen budget cost =
-        let best = ref (-1) and best_cost = ref max_int in
-        Array.iteri
-          (fun j v ->
-            if (not (List.mem v chosen)) && Instance.cost instance u v <= budget then begin
-              let c = score ~objective cur (frow ws instance u rows fr j) k in
-              if c < !best_cost then begin
-                best := j;
-                best_cost := c
-              end
-            end)
-          candidates;
-        if !best >= 0 && !best_cost < cost then begin
-          let v = candidates.(!best) in
-          min_into ~dst:cur cur fr.frows.(!best) k;
-          grow (v :: chosen) (budget - Instance.cost instance u v) !best_cost
-        end
-        else { strategy = List.sort compare chosen; cost }
-      in
-      let r = grow [] (Instance.budget instance u) (score ~objective fr.empty fr.empty k) in
-      release_prefix ws cur k;
-      r)

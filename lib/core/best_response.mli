@@ -24,8 +24,8 @@
     the empty set and the singletons, and each singleton's cost is a
     closed form in the length of the target's walk in [G_{-u}], all of
     which come from one O(n) pass over the successor array (DESIGN.md
-    section 9).  Every entry point except {!greedy} and the sampled
-    searches ({!sampled}, {!decide} with [Sampled]) takes that path
+    section 9).  Every entry point except the sampled searches
+    ({!sampled}, {!decide} with [Sampled]) takes that path
     whenever {!Instance.uniform_k} is [Some 1] and {!Config.successors}
     is [Some _]; the results are the ones the rows would give.
 
@@ -80,17 +80,6 @@ val exact :
 (** Optimal strategy for [u], all other strategies fixed.  Deterministic:
     among optima, the first in the DFS order over increasing targets
     (subset-minimal first). *)
-
-val all_best :
-  ?objective:Objective.t ->
-  ?csr:Bbc_graph.Csr.t ->
-  Instance.t ->
-  Config.t ->
-  int ->
-  result list
-(** Every optimal strategy (all achieve the same [cost]), in DFS order.
-    Used when enumerating equilibrium multiplicity; can be exponentially
-    many for large budgets. *)
 
 (** {2 One decision}
 
@@ -172,12 +161,3 @@ val sampled :
     The current cost comes from the same rows ({!decide} with
     [Sampled]). *)
 
-val greedy :
-  ?objective:Objective.t ->
-  ?csr:Bbc_graph.Csr.t ->
-  Instance.t ->
-  Config.t ->
-  int ->
-  result
-(** Heuristic for large instances: repeatedly add the affordable link with
-    the largest cost reduction.  Not guaranteed optimal. *)

@@ -1,7 +1,7 @@
 (** Plain-text table rendering for the experiment harness.
 
     Every experiment prints its results as an aligned table with a title
-    and a "paper says" header line, so `bench/main.exe` output can be
+    and a "paper says" header line, so `bbc experiment` output can be
     diffed against EXPERIMENTS.md. *)
 
 type t

@@ -11,7 +11,7 @@
     flag and returns immediately when it is off, so instrumented code
     pays a single load-and-branch per call site.  The bench harness
     measures this against uninstrumented copies of the [eval] and [apsp]
-    hot paths (the "observability overhead" section of [BENCH_N.json]).
+    hot paths (the [obs_overhead] section of [bench/main.exe --json]).
 
     {1 Sharding}
 

@@ -51,11 +51,6 @@ let exact ?objective inst cfg u =
     (fun (bs, bc) (s, c) -> if c < bc then (s, c) else (bs, bc))
     ([], max_int) (sequence ?objective inst cfg u)
 
-let all_best ?objective inst cfg u =
-  let seq = sequence ?objective inst cfg u in
-  let best = List.fold_left (fun b (_, c) -> min b c) max_int seq in
-  List.filter (fun (_, c) -> c = best) seq
-
 (* First subset strictly below the current cost, as
    Best_response.improving. *)
 let improving ?objective inst cfg u =

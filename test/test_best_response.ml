@@ -127,20 +127,6 @@ let test_budget_respected () =
   (* Node 0 can afford only one link (each costs 2, budget 3). *)
   Alcotest.(check int) "single link" 1 (List.length r.strategy)
 
-let test_greedy_reasonable () =
-  let rng = Bbc_prng.Splitmix.create 60 in
-  for _ = 1 to 10 do
-    let n = 8 in
-    let inst = I.uniform ~n ~k:2 in
-    let c = C.of_graph (Bbc_graph.Generators.random_k_out rng ~n ~k:2) in
-    let u = Bbc_prng.Splitmix.int rng n in
-    let g = BR.greedy inst c u in
-    let e = BR.exact inst c u in
-    Alcotest.(check bool) "greedy >= exact" true (g.cost >= e.cost);
-    Alcotest.(check bool) "greedy is realizable" true
-      (g.cost = E.node_cost inst (C.with_strategy c u g.strategy) u)
-  done
-
 let suite =
   [
     Alcotest.test_case "candidate targets" `Quick test_candidate_targets;
@@ -154,32 +140,7 @@ let suite =
     Alcotest.test_case "improving: none at optimum" `Quick test_improving_none_at_optimum;
     Alcotest.test_case "improving: strict improvement" `Quick test_improving_finds_strict;
     Alcotest.test_case "budget respected" `Quick test_budget_respected;
-    Alcotest.test_case "greedy sanity" `Quick test_greedy_reasonable;
   ]
-
-
-let test_all_best () =
-  let rng = Bbc_prng.Splitmix.create 61 in
-  for _ = 1 to 10 do
-    let n = 7 in
-    let inst = I.uniform ~n ~k:2 in
-    let c = C.of_graph (Bbc_graph.Generators.random_k_out rng ~n ~k:2) in
-    let u = Bbc_prng.Splitmix.int rng n in
-    let e = BR.exact inst c u in
-    let all = BR.all_best inst c u in
-    Alcotest.(check bool) "exact's strategy among all_best" true
-      (List.exists (fun (r : BR.result) -> r.strategy = e.strategy) all);
-    List.iter
-      (fun (r : BR.result) ->
-        Alcotest.(check int) "same optimal cost" e.cost r.cost;
-        Alcotest.(check int) "realized" r.cost
-          (E.node_cost inst (C.with_strategy c u r.strategy) u))
-      all;
-    Alcotest.(check int) "no duplicates" (List.length all)
-      (List.length (List.sort_uniq compare (List.map (fun (r : BR.result) -> r.strategy) all)))
-  done
-
-let suite = suite @ [ Alcotest.test_case "all_best" `Quick test_all_best ]
 
 (* Uniform k = 1 functional inputs take the closed form: every answer
    must be the reference DFS's. *)
@@ -214,18 +175,7 @@ let test_k1_closed_form () =
       Alcotest.(check (option (pair (list int) int)))
         (msg ^ ": improving")
         (K1_fixtures.improving ~objective inst cfg u)
-        (Option.map project (BR.improving ~objective inst cfg u));
-      (* With one link to buy, the greedy pick is the optimum. *)
-      Alcotest.(check (pair (list int) int))
-        (msg ^ ": greedy") exact
-        (project (BR.greedy ~objective inst cfg u)))
-
-let test_k1_all_best () =
-  for_k1_inputs (fun msg objective inst cfg u ->
-      Alcotest.(check (list (pair (list int) int)))
-        (msg ^ ": all_best")
-        (K1_fixtures.all_best ~objective inst cfg u)
-        (List.map project (BR.all_best ~objective inst cfg u)))
+        (Option.map project (BR.improving ~objective inst cfg u)))
 
 let test_k1_current_cost () =
   for_k1_inputs (fun msg objective inst cfg u ->
@@ -295,7 +245,6 @@ let suite =
   suite
   @ [
       Alcotest.test_case "k=1 closed form = reference" `Quick test_k1_closed_form;
-      Alcotest.test_case "k=1 all_best = reference" `Quick test_k1_all_best;
       Alcotest.test_case "k=1 current cost = Eval" `Quick test_k1_current_cost;
       Alcotest.test_case "weighted mover: ban sweep = reference" `Quick test_weighted_mover_only;
       Alcotest.test_case "snapshot only off the closed form" `Quick test_snapshot_shape;

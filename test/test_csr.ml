@@ -452,6 +452,38 @@ let test_pooled_best_response_jobs_invariant () =
       (Bbc.Eval.all_costs ~jobs:4 inst c)
   done
 
+(* Fixed fixtures larger than the random cases above: BFS and Dijkstra
+   on n = 2000, APSP on n = 256, and the pooled best response on an
+   n = 40 game, each against its list-graph reference (the best
+   response's is the cheapest subset of [Reference.enumerate]). *)
+let test_fixed_fixtures () =
+  let g = G.random_k_out (SM.create 2) ~n:2000 ~k:3 in
+  Alcotest.(check (array int)) "bfs (n=2000,k=3)" (R.bfs g 0) (fresh_sweep (Csr.of_digraph g) 0);
+  (* The same topology with lengths 1..4, so Dijkstra runs the heap
+     kernel rather than BFS. *)
+  let gw =
+    let rng = SM.create 11 in
+    let h = D.create (D.n g) in
+    D.iter_edges g (fun u v _ -> D.add_edge h u v (1 + SM.int rng 4));
+    h
+  in
+  Alcotest.(check (array int))
+    "dijkstra (n=2000,k=3,weighted)" (R.dijkstra gw 0)
+    (fresh_sweep (Csr.of_digraph gw) 0);
+  let apsp_graph = G.random_k_out (SM.create 7) ~n:256 ~k:3 in
+  Alcotest.(check (array (array int)))
+    "apsp (n=256,k=3)" (R.floyd_warshall apsp_graph)
+    (Bbc_graph.Apsp.matrix (Bbc_graph.Apsp.compute apsp_graph));
+  let inst = Bbc.Instance.uniform ~n:40 ~k:2 in
+  let config = Bbc.Config.of_graph (G.random_k_out (SM.create 1) ~n:40 ~k:2) in
+  let best = ref max_int in
+  R.enumerate inst config 0 ~on_subset:(fun _ c ->
+      best := min !best c;
+      false);
+  Alcotest.(check int)
+    "best_response/exact (n=40,k=2)" !best
+    (Bbc.Best_response.exact inst config 0).cost
+
 let suite =
   [
     Alcotest.test_case "bfs matches reference" `Quick test_bfs_matches_reference;
@@ -475,4 +507,5 @@ let suite =
     Alcotest.test_case "batch reuse + clean pool" `Quick test_batch_reuse_and_clean_pool;
     Alcotest.test_case "pooled best response jobs-invariant" `Quick
       test_pooled_best_response_jobs_invariant;
+    Alcotest.test_case "fixed fixtures match references" `Quick test_fixed_fixtures;
   ]
