@@ -28,9 +28,13 @@ let ( let* ) = Result.bind
 (* ---------------------------------------------------------------- *)
 (* Grid expansion                                                    *)
 
-let unit_count t =
-  List.length t.points * List.length t.inits * List.length t.schedulers
-  * List.length t.policies * List.length t.objectives * t.seeds_per_point
+let axis_lengths t =
+  [
+    List.length t.points; List.length t.inits; List.length t.schedulers;
+    List.length t.policies; List.length t.objectives; t.seeds_per_point;
+  ]
+
+let unit_count t = List.fold_left ( * ) 1 (axis_lengths t)
 
 let unit_seed base i =
   let g = Splitmix.create base in
@@ -89,8 +93,14 @@ let validate t =
   else if t.schedulers = [] then Error "campaign: schedulers must be non-empty"
   else if t.policies = [] then Error "campaign: policies must be non-empty"
   else if t.objectives = [] then Error "campaign: objectives must be non-empty"
-  else if unit_count t > max_units then
-    err "campaign: grid expands to %d units (limit %d)" (unit_count t) max_units
+  else if
+    (* Factor by factor, so a product past max_int cannot wrap below the
+       limit. *)
+    List.fold_left
+      (fun units f -> if units > max_units / f then max_units + 1 else units * f)
+      1 (axis_lengths t)
+    > max_units
+  then err "campaign: grid expands to more than %d units (the limit)" max_units
   else
     (* Validate every point x init x policy combination structurally;
        schedulers and objectives carry no constraints of their own. *)

@@ -26,6 +26,13 @@ let maximal_strategies instance u =
            candidates))
     (all_strategies instance u)
 
+let forced_candidates instance =
+  let n = Instance.n instance in
+  Array.init n (fun u ->
+      match List.filter (fun v -> v <> u && Instance.weight instance u v > 0) (List.init n Fun.id) with
+      | [ t ] -> [ [ t ] ]
+      | _ -> all_strategies instance u)
+
 let space_size candidates =
   Array.fold_left (fun acc l -> acc *. float_of_int (List.length l)) 1.0 candidates
 

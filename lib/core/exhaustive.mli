@@ -31,6 +31,19 @@ val maximal_strategies : Instance.t -> int -> int list list
     one's own cost, so every node has a maximal best response — a
     sound candidate restriction for {e existence} searches. *)
 
+val forced_candidates : Instance.t -> int list list array
+(** Every node with exactly one positive preference [t] gets the single
+    candidate [[t]]; every other node gets {!all_strategies}.
+
+    Sound for NE existence in a game where each link has unit length and
+    one link exhausts the buyer's budget ({!Instance.of_weights} with
+    [~k:1]).  Such a node [u]'s cost, under Sum or Max, is
+    [w(u,t) * d(u,t)]: the link [u -> t] makes [d(u,t) = 1] and no
+    other strategy does, so it is [u]'s unique strict best response
+    against every profile, and every pure NE has [u] on [[t]].  An
+    equilibrium of the restricted space is checked against all
+    deviations (see above), so "no equilibrium here" is "no pure NE". *)
+
 val space_size : int list list array -> float
 (** Product of candidate-list sizes (float to avoid overflow). *)
 

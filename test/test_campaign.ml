@@ -266,10 +266,19 @@ let test_runner_resume_identical () =
       Alcotest.(check bool) "drift error mentions spec" true
         (String.length m > 0)
 
+(* The grid limit (10^9 units) holds even when the unchecked product of
+   the axis lengths wraps past max_int (8 * max_int is -8). *)
+let test_grid_limit () =
+  let ok s = Result.is_ok (Spec.validate s) in
+  Alcotest.(check bool) "at the limit" true (ok { spec with seeds_per_point = 125_000_000 });
+  Alcotest.(check bool) "over the limit" false (ok { spec with seeds_per_point = 125_000_001 });
+  Alcotest.(check bool) "past max_int" false (ok { spec with seeds_per_point = max_int })
+
 let suite =
   [
     Alcotest.test_case "grid expansion" `Quick test_grid_expansion;
     Alcotest.test_case "spec codec" `Quick test_spec_codec;
+    Alcotest.test_case "grid limit without overflow" `Quick test_grid_limit;
     Alcotest.test_case "trial matches dynamics" `Quick test_trial_matches_dynamics;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "aggregate order independence" `Quick

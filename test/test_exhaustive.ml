@@ -79,6 +79,31 @@ let test_count_equilibria_small () =
   let inst = I.uniform ~n:2 ~k:1 in
   Alcotest.(check (option int)) "unique NE" (Some 1) (X.count_equilibria inst)
 
+(* Pinning each single-preference node to its one preferred link loses
+   no equilibrium at k = 1: over seeded games with such nodes, the pinned
+   space has exactly the full space's equilibria under Max. *)
+let test_forced_candidates_sound () =
+  let rng = Bbc_prng.Splitmix.create 7 in
+  for _ = 1 to 50 do
+    let n = 4 + Bbc_prng.Splitmix.int rng 2 in
+    let weight = Array.make_matrix n n 0 in
+    for u = 0 to n - 1 do
+      let count = if u = 0 || Bbc_prng.Splitmix.bool rng then 1 else Bbc_prng.Splitmix.int rng 4 in
+      List.iter
+        (fun t -> weight.(u).(if t >= u then t + 1 else t) <- 1 + Bbc_prng.Splitmix.int rng 3)
+        (Bbc_prng.Splitmix.sample_without_replacement rng count (n - 1))
+    done;
+    let inst = I.of_weights ~k:1 weight in
+    let candidates = X.forced_candidates inst in
+    Alcotest.(check bool) "some node pinned" true (Array.exists (fun c -> List.length c = 1) candidates);
+    Alcotest.(check (option bool)) "has_equilibrium"
+      (X.has_equilibrium ~objective:Max inst)
+      (X.has_equilibrium ~objective:Max ~candidates inst);
+    Alcotest.(check (option int)) "count_equilibria"
+      (X.count_equilibria ~objective:Max inst)
+      (X.count_equilibria ~objective:Max ~candidates inst)
+  done
+
 let suite =
   [
     Alcotest.test_case "all_strategies counts" `Quick test_all_strategies_count;
@@ -91,4 +116,5 @@ let suite =
     Alcotest.test_case "candidate restriction" `Quick test_candidate_restriction;
     Alcotest.test_case "has_equilibrium" `Quick test_has_equilibrium;
     Alcotest.test_case "count equilibria n=2" `Quick test_count_equilibria_small;
+    Alcotest.test_case "forced pinning keeps every Max NE" `Quick test_forced_candidates_sound;
   ]
