@@ -238,21 +238,6 @@ let msbfs_benchmarks () =
     Csr.sssp_batch ?ban csr s ~srcs ~rows:dist;
     dist
   in
-  let fresh32 () = Array.init n (fun _ -> Csr.create_dist32 n) in
-  let scalar_matrix32 () =
-    let s = scratch () in
-    let dist = fresh32 () in
-    for src = 0 to n - 1 do
-      Csr.sssp32 csr s ~src ~dist:dist.(src)
-    done;
-    dist
-  in
-  let batched_matrix32 () =
-    let s = scratch () in
-    let dist = fresh32 () in
-    Csr.sssp_batch32 csr s ~srcs ~rows:dist;
-    dist
-  in
   let inst2000 = Bbc.Instance.uniform ~n:2000 ~k:3 in
   let cfg2000 = Bbc.Config.of_graph (Lazy.force big_graph_fixture) in
   let ecsr = Bbc.Config.to_csr inst2000 cfg2000 in
@@ -277,10 +262,6 @@ let msbfs_benchmarks () =
         (fun () -> ignore (scalar_matrix ~ban:0 ())),
         (fun () -> ignore (batched_matrix ~ban:0 ())),
         fun () -> scalar_matrix ~ban:0 () = batched_matrix ~ban:0 () );
-      ( "msbfs/apsp32 (n=512,k=3)", 5,
-        (fun () -> ignore (scalar_matrix32 ())),
-        (fun () -> ignore (batched_matrix32 ())),
-        fun () -> scalar_matrix32 () = batched_matrix32 () );
       ( "msbfs/eval.all_costs (n=2000,k=3)", 3,
         (fun () -> ignore (scalar_costs ())),
         (fun () -> ignore (batched_costs ())),

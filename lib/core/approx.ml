@@ -2,7 +2,6 @@
 
 module SM = Bbc_prng.Splitmix
 module Csr = Bbc_graph.Csr
-module Workspace = Bbc_graph.Workspace
 
 type estimate = {
   value : float;
@@ -13,57 +12,25 @@ type estimate = {
 
 let parallel_threshold = 64
 
-(* Sum of node costs (and sum of their squares) over [sources], via
-   pooled int32 sweeps of the shared snapshot — bit-parallel
-   [Csr.batch_width]-landmark windows on unit-length snapshots, scalar
-   sweeps otherwise (mirrors [Eval.batched_costs]).  Each pool pull
-   claims one window; chunk-indexed partial accumulators folded in
-   order keep the integer total independent of scheduling and job
-   count. *)
+(* Sum of node costs (and sum of their squares) over [sources]: a fold
+   over [Eval.batched_costs].  Each pool pull claims [Csr.pull_min_width]
+   landmarks and sweeps them as one window of that many pooled int rows
+   — the narrowest window that still takes the bottom-up step, and a
+   quarter of the rows a [Csr.batch_width] window keeps live (DESIGN.md
+   section 12.2).  Chunk-indexed partial accumulators folded in order
+   keep the integer total independent of scheduling and job count. *)
 let sampled_sums ?objective ~jobs instance csr sources =
-  let n = Instance.n instance in
   let l = Array.length sources in
-  let chunk = Csr.batch_width in
-  let nchunks = if l = 0 then 0 else 1 + ((l - 1) / chunk) in
-  let sum = Array.make (max nchunks 1) 0 in
-  let sumsq = Array.make (max nchunks 1) 0.0 in
+  let chunk = Csr.pull_min_width in
+  let nchunks = max 1 ((l + chunk - 1) / chunk) in
+  let sum = Array.make nchunks 0 in
+  let sumsq = Array.make nchunks 0.0 in
   Bbc_parallel.parallel_for_chunks ~jobs ~chunk 0 l (fun lo hi ->
-      let ws = Workspace.get () in
-      let scratch = Workspace.scratch ws in
       let s = ref 0 and sq = ref 0.0 in
-      let tally u (row : Csr.dist32) =
-        let c = Eval.cost_of_distances32 ?objective instance u row in
-        s := !s + c;
-        sq := !sq +. (float_of_int c *. float_of_int c)
-      in
-      if Csr.unit_lengths csr then begin
-        let width = min Csr.batch_width (hi - lo) in
-        let rows = Workspace.acquire_many32 ws n width in
-        let pos = ref lo in
-        while !pos < hi do
-          let base = !pos in
-          let k = min width (hi - base) in
-          let srcs = Array.sub sources base k in
-          let rows_k = if k = width then rows else Array.sub rows 0 k in
-          Csr.sssp_batch32 csr scratch ~srcs ~rows:rows_k;
-          for i = 0 to k - 1 do
-            tally srcs.(i) rows.(i)
-          done;
-          Csr.reset_rows32 scratch ~rows:rows_k;
-          pos := base + k
-        done;
-        Workspace.release_clean_many32 ws rows
-      end
-      else begin
-        let row = Workspace.acquire32 ws n in
-        for i = lo to hi - 1 do
-          let u = sources.(i) in
-          Csr.sssp32 csr scratch ~src:u ~dist:row;
-          tally u row;
-          Csr.reset32 scratch row
-        done;
-        Workspace.release_clean32 ws row
-      end;
+      Eval.batched_costs ?objective ~width:chunk instance csr sources lo hi
+        ~emit:(fun _ c ->
+          s := !s + c;
+          sq := !sq +. (float_of_int c *. float_of_int c));
       sum.(lo / chunk) <- !s;
       sumsq.(lo / chunk) <- !sq);
   (Array.fold_left ( + ) 0 sum, Array.fold_left ( +. ) 0.0 sumsq)

@@ -3,9 +3,10 @@
     The exact social cost is one SSSP per node — O(n (n + m)) — which is
     the wall that keeps the exact engines below a few thousand nodes.
     This estimator samples [landmarks] source nodes uniformly without
-    replacement, runs one pooled compact-row sweep per landmark against
-    a shared {!Bbc_graph.Csr.t} snapshot, and scales the sampled mean
-    node cost by [n].
+    replacement, sweeps them against a shared {!Bbc_graph.Csr.t}
+    snapshot through {!Eval.batched_costs} in windows of
+    {!Bbc_graph.Csr.pull_min_width} pooled rows, and scales the sampled
+    mean node cost by [n].
 
     The sample mean is an unbiased estimator of the mean node cost, so
     [value] is unbiased for the social cost.  [bound] is six standard
@@ -21,8 +22,9 @@
     Determinism: the landmark set is drawn from a {!Bbc_prng.Splitmix}
     generator seeded with [seed], and [value] is an exactly-summed
     integer scaled once, so repeated runs agree bit for bit for a fixed
-    job count (only [bound]'s float accumulation can wiggle in the last
-    bits across different [jobs]). *)
+    job count (only [bound]'s float accumulation, folded per
+    16-landmark chunk, can wiggle in the last bits across different
+    [jobs]). *)
 
 type estimate = {
   value : float;  (** Estimated social cost (exact total when [exact]). *)
@@ -44,6 +46,6 @@ val social_cost :
     [Config.to_csr]).  With [landmarks >= n] the estimator degenerates
     to the exact social cost ([bound = 0]) — the differential tests pin
     it to {!Eval.social_cost} there.  Sweeps use the {!Bbc_graph.Workspace}
-    int32 row pool and fan out over the domain pool ([jobs] as in
-    {!Eval.all_costs}).  Raises [Invalid_argument] if [landmarks < 2] or
+    row pool and fan out over the domain pool, one 16-landmark chunk per
+    pull ([jobs] as in {!Eval.all_costs}).  Raises [Invalid_argument] if [landmarks < 2] or
     the snapshot size disagrees with the instance. *)

@@ -85,8 +85,8 @@ let release_rows ws rows =
    substituting it before the min changes no result.  A strategy S costs
    the sum (Sum) or max (Max) over i of min_{v in S} F_v.(i), and the
    empty strategy is the row w * M.  [Instance] keeps
-   (n - 1) * max_weight * M below 2^62, so every entry and every sum fits
-   the branch-free min below.  All rows are pooled full-length rows of
+   n * (n - 1) * max_weight * M below 2^62, so every entry and every sum
+   fits the branch-free min below.  All rows are pooled full-length rows of
    which only the prefix [0, k) is used. *)
 type frame = {
   k : int;  (** |C_u| *)

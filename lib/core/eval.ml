@@ -43,52 +43,6 @@ let cost_of_distances ?(objective = Objective.Sum) instance u dist =
       done;
       !acc
 
-(* The same fold over a compact int32 row (see csr.mli): the large-n
-   estimator keeps distances 4 bytes wide, so the per-landmark cost fold
-   reads the Bigarray directly instead of widening the whole row. *)
-let cost_of_distances32 ?(objective = Objective.Sum) instance u
-    (dist : Bbc_graph.Csr.dist32) =
-  let n = Instance.n instance in
-  let m = Instance.penalty instance in
-  let inf = Bbc_graph.Csr.unreachable32 in
-  match objective with
-  | Objective.Sum -> (
-      match Instance.weight_row instance u with
-      | None ->
-          let acc = ref 0 in
-          for v = 0 to n - 1 do
-            if v <> u then begin
-              let d = Bigarray.Array1.unsafe_get dist v in
-              acc := !acc + (if d = inf then m else Int32.to_int d)
-            end
-          done;
-          !acc
-      | Some wrow ->
-          let acc = ref 0 in
-          for v = 0 to n - 1 do
-            if v <> u then begin
-              let w = wrow.(v) in
-              if w > 0 then begin
-                let d = Bigarray.Array1.unsafe_get dist v in
-                acc := !acc + (w * if d = inf then m else Int32.to_int d)
-              end
-            end
-          done;
-          !acc)
-  | Objective.Max ->
-      let acc = ref 0 in
-      for v = 0 to n - 1 do
-        if v <> u then begin
-          let w = Instance.weight instance u v in
-          if w > 0 then begin
-            let d = Bigarray.Array1.unsafe_get dist v in
-            let d = if d = inf then m else Int32.to_int d in
-            if w * d > !acc then acc := w * d
-          end
-        end
-      done;
-      !acc
-
 (* One SSSP per source: below this node count the pool fan-out costs
    more than the row of BFS/Dijkstra runs it saves. *)
 let parallel_threshold = 64
@@ -115,39 +69,38 @@ let csr_node_cost ?objective instance csr u =
 let node_cost ?objective instance config u =
   csr_node_cost ?objective instance (Config.to_csr instance config) u
 
-(* Costs of sources [lo, hi) under the shared snapshot, fed to [emit].
-   Unit-length snapshots sweep up to [Csr.batch_width] sources per
-   bit-parallel window into pooled rows, fold each row, and restore the
-   whole window through the dirty list; weighted snapshots keep the
-   scalar one-row loop (Dijkstra has no batched path, and one live row
-   keeps the O(visited) per-sweep reset).  Workers share the flat CSR
-   read-only and rows never escape the chunk, so parallel domains never
-   meet on the allocator. *)
-let batched_costs ?objective instance csr ~emit lo hi =
+(* Costs of [srcs.(lo .. hi-1)] under the shared snapshot, each handed
+   to [emit] with its source.  Unit-length snapshots sweep windows of at
+   most [width] sources through [Csr.sssp_batch] into pooled rows, fold
+   each row, and restore the whole window through the dirty list;
+   weighted snapshots keep the scalar one-row loop (Dijkstra has no
+   batched path, and one live row keeps the O(visited) per-sweep
+   reset).  Workers share the flat CSR read-only and rows never escape
+   the call, so parallel domains never meet on the allocator. *)
+let batched_costs ?objective ~width instance csr srcs ~emit lo hi =
+  if width < 1 then invalid_arg "Eval.batched_costs: width must be >= 1";
   let n = Instance.n instance in
   let ws = Bbc_graph.Workspace.get () in
   let scratch = Bbc_graph.Workspace.scratch ws in
   if Bbc_graph.Csr.unit_lengths csr then begin
-    let width = min Bbc_graph.Csr.batch_width (hi - lo) in
+    let width = min width (hi - lo) in
     let rows = Bbc_graph.Workspace.acquire_many ws n width in
     let pos = ref lo in
     while !pos < hi do
-      let base = !pos in
-      let k = min width (hi - base) in
-      let srcs = Array.init k (fun i -> base + i) in
+      let k = min width (hi - !pos) in
+      let window = Array.sub srcs !pos k in
       let rows_k = if k = width then rows else Array.sub rows 0 k in
-      Bbc_graph.Csr.sssp_batch csr scratch ~srcs ~rows:rows_k;
-      for i = 0 to k - 1 do
-        emit (base + i) (cost_of_distances ?objective instance (base + i) rows.(i))
-      done;
+      Bbc_graph.Csr.sssp_batch csr scratch ~srcs:window ~rows:rows_k;
+      Array.iteri (fun i u -> emit u (cost_of_distances ?objective instance u rows.(i))) window;
       Bbc_graph.Csr.reset_rows scratch ~rows:rows_k;
-      pos := base + k
+      pos := !pos + k
     done;
     Bbc_graph.Workspace.release_clean_many ws rows
   end
   else begin
     let row = Bbc_graph.Workspace.acquire ws n in
-    for u = lo to hi - 1 do
+    for i = lo to hi - 1 do
+      let u = srcs.(i) in
       Bbc_graph.Csr.sssp csr scratch ~src:u ~dist:row;
       emit u (cost_of_distances ?objective instance u row);
       Bbc_graph.Csr.reset scratch row
@@ -167,7 +120,9 @@ let costs_of_snapshot ?objective ~jobs instance csr =
   let n = Instance.n instance in
   let out = Array.make n 0 in
   Bbc_parallel.parallel_for_chunks ~jobs ~chunk:eval_chunk 0 n
-    (batched_costs ?objective instance csr ~emit:(fun u c -> out.(u) <- c));
+    (batched_costs ?objective ~width:Bbc_graph.Csr.batch_width instance csr
+       (Array.init n Fun.id)
+       ~emit:(fun u c -> out.(u) <- c));
   out
 
 let all_costs ?objective ?jobs instance config =

@@ -14,10 +14,11 @@ val node_cost : ?objective:Objective.t -> Instance.t -> Config.t -> int -> int
 
 val all_costs :
   ?objective:Objective.t -> ?jobs:int -> Instance.t -> Config.t -> int array
-(** Cost of every node (one shortest-path computation per node).  On
-    unit-length realizations the sweeps run [Csr.batch_width] sources at
-    a time through the bit-parallel MS-BFS kernel, and each pool pull
-    claims one such window.  The per-source computations are independent
+(** Cost of every node (one shortest-path computation per node), swept
+    by {!batched_costs} with [width = Csr.batch_width]: on unit-length
+    realizations [Csr.batch_width] sources at a time go through the
+    bit-parallel MS-BFS kernel, and each pool pull claims one such
+    window.  The per-source computations are independent
     — workers share the realized graph {e read-only} and own their
     pooled distance rows — so they are fanned out over the
     {!Bbc_parallel} domain pool.  [jobs] defaults to
@@ -36,11 +37,29 @@ val cost_of_distances :
     Exposed for callers that hold their own distance rows
     ([Social_optimum]'s local search, the fuzz reference oracle). *)
 
-val cost_of_distances32 :
-  ?objective:Objective.t -> Instance.t -> int -> Bbc_graph.Csr.dist32 -> int
-(** {!cost_of_distances} over a compact int32 row
-    ({!Bbc_graph.Csr.unreachable32} marking no-path) — the fold used by
-    the large-n landmark estimator. *)
+val batched_costs :
+  ?objective:Objective.t ->
+  width:int ->
+  Instance.t ->
+  Bbc_graph.Csr.t ->
+  int array ->
+  emit:(int -> int -> unit) ->
+  int ->
+  int ->
+  unit
+(** [batched_costs ~width instance csr srcs ~emit lo hi] calls
+    [emit u c] for each source [u = srcs.(i)], [lo <= i < hi], in that
+    order, with [c] [u]'s cost under [csr] (trusted to be the realized
+    snapshot).  Unit-length snapshots sweep windows of at most [width]
+    sources through {!Bbc_graph.Csr.sssp_batch} into that many pooled
+    {!Bbc_graph.Workspace} rows; weighted ones run one pooled row with
+    the O(visited) reset per source.  This is the one sweep loop behind
+    {!all_costs}, {!social_cost} ([width = Csr.batch_width]) and
+    {!Approx.social_cost} ([width = Csr.pull_min_width]): [width] bounds
+    the live rows, so it trades the resident footprint against how many
+    sources share a traversal.  Runs on the calling domain; callers fan
+    out by handing disjoint [lo, hi) ranges to pool workers.  Raises
+    [Invalid_argument] when [width < 1]. *)
 
 val csr_node_cost : ?objective:Objective.t -> Instance.t -> Bbc_graph.Csr.t -> int -> int
 (** [csr_node_cost instance csr u] is [u]'s cost under a prebuilt CSR

@@ -19,23 +19,27 @@ let check_table name n table =
         invalid_arg (Printf.sprintf "Instance.general: ragged %s table" name))
     table
 
-(* Every cost the library folds is at most (n - 1) * max_weight * M (n - 1
-   weighted terms, each distance at most M), and Best_response's
-   branch-free min/max need all of them in [0, 2^62).  OCaml's max_int is
-   2^62 - 1, so the product must not exceed it; the test divides instead
-   of multiplying, which would overflow. *)
+(* Every node cost the library folds is at most (n - 1) * max_weight * M
+   (n - 1 weighted terms, each distance at most M), and a social cost
+   sums n of them.  So n * (n - 1) * max_weight * M must not exceed
+   OCaml's max_int (2^62 - 1): social costs cannot wrap, and node costs
+   stay in [0, 2^62) for Best_response's branch-free min/max.  The test
+   divides instead of multiplying, which would overflow. *)
 let check_cost_bound name n max_weight penalty =
   if
     max_weight > 0
-    && (max_weight > max_int / (n - 1) || penalty > max_int / ((n - 1) * max_weight))
+    && (n - 1 > max_int / n
+       || max_weight > max_int / (n * (n - 1))
+       || penalty > max_int / (n * (n - 1) * max_weight))
   then
     invalid_arg
-      (Printf.sprintf "Instance.%s: (n - 1) * max weight * penalty = %d * %d * %d reaches 2^62"
-         name (n - 1) max_weight penalty)
+      (Printf.sprintf
+         "Instance.%s: n * (n - 1) * max weight * penalty = %d * %d * %d * %d reaches 2^62"
+         name n (n - 1) max_weight penalty)
 
-(* Unit weights and the default penalty M = 4n: every cost is at most
-   (n - 1) * 4n, so n itself is bounded (near 2^30).  4n must fit before
-   the bound can test it. *)
+(* Unit weights and the default penalty M = 4n: every social cost is at
+   most n * (n - 1) * 4n, so n itself is bounded (by 2^20).  4n must fit
+   before the bound can test it. *)
 let uniform ~n ~k =
   if n < 2 then invalid_arg "Instance.uniform: n must be >= 2";
   if k < 1 || k > n - 1 then invalid_arg "Instance.uniform: need 1 <= k <= n - 1";

@@ -18,8 +18,8 @@ type t
 
 val uniform : n:int -> k:int -> t
 (** The [(n, k)]-uniform game.  Requires [n >= 2], [1 <= k <= n - 1],
-    and [(n - 1) * 4n < 2^62] (so [n <= 2^30]), the cost bound that
-    {!general} enforces.  Penalty defaults to [4 * n]. *)
+    and [n * (n - 1) * 4n < 2^62] (so [n <= 2^20]), the social-cost
+    bound that {!general} enforces.  Penalty defaults to [4 * n]. *)
 
 val general :
   ?penalty:int ->
@@ -33,9 +33,10 @@ val general :
     [n x n] (resp. length [n]); diagonal entries are ignored.  Weights,
     costs and budgets must be non-negative; lengths positive.  [penalty]
     defaults to [2 * n * max_length + 1], satisfying [M > n * max l].
-    Raises [Invalid_argument] when [(n - 1) * max_weight * M >= 2^62]:
-    every node cost must fit the library's integer folds (DESIGN.md
-    section 18). *)
+    Raises [Invalid_argument] when [n * (n - 1) * max_weight * M >= 2^62]:
+    a social cost sums [n] node costs of at most
+    [(n - 1) * max_weight * M] each, and must fit the library's integer
+    folds (DESIGN.md section 18). *)
 
 val of_weights : ?penalty:int -> k:int -> int array array -> t
 (** Common non-uniform shape: unit costs and lengths, uniform budget [k],
@@ -65,6 +66,6 @@ val max_length : t -> int
 
 val with_penalty : t -> int -> t
 (** Replace the penalty.  Raises [Invalid_argument] unless
-    [n * max_length < M] and [(n - 1) * max_weight * M < 2^62]. *)
+    [n * max_length < M] and [n * (n - 1) * max_weight * M < 2^62]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -116,31 +116,6 @@ let prop_ban_vs_skip (inst, cfg) =
         (nodes inst))
     (nodes inst)
 
-let prop_int32_rows (inst, cfg) =
-  let n = I.n inst in
-  let csr = C.to_csr inst cfg in
-  let scratch = Csr.create_scratch () in
-  let dist32 = Csr.create_dist32 n in
-  check_all
-    (fun src ->
-      let reference = sweep csr src in
-      Csr.sssp32 csr scratch ~src ~dist:dist32 ;
-      let r =
-        check_all
-          (fun v ->
-            let d32 = Bigarray.Array1.get dist32 v in
-            let widened =
-              if Int32.equal d32 Csr.unreachable32 then Csr.unreachable
-              else Int32.to_int d32
-            in
-            if widened = reference.(v) then ok
-            else failf "src %d: int32 row disagrees with int row at %d" src v)
-          (nodes inst)
-      in
-      Csr.reset32 scratch dist32;
-      r)
-    (nodes inst)
-
 (* A walk of rewires, one snapshot carried along by
    [Config.csr_with_row]: after every move it must equal the snapshot
    rebuilt from the new profile, and the one it replaced must be
@@ -173,7 +148,6 @@ let csr_suite =
     Packed { name = "paths_vs_csr"; gen = ic_csr; prop = prop_paths_vs_csr; render };
     Packed { name = "apsp_vs_floyd"; gen = ic_csr; prop = prop_apsp_vs_floyd; render };
     Packed { name = "ban_vs_skip"; gen = ic_csr; prop = prop_ban_vs_skip; render };
-    Packed { name = "int32_rows"; gen = ic_csr; prop = prop_int32_rows; render };
     Packed
       {
         name = "with_row_vs_rebuild";
@@ -235,27 +209,6 @@ let prop_batch_ban_vs_scalar (inst, cfg) =
       in
       check_rows ~what:(Printf.sprintf "sssp_batch ~ban:%d" ban) srcs reference rows)
     (List.sort_uniq compare [ 0; n / 2; n - 1 ])
-
-let prop_batch32_vs_batch (inst, cfg) =
-  let n = I.n inst in
-  let csr = C.to_csr inst cfg in
-  let srcs = Array.init n Fun.id in
-  let rows32 = Array.init n (fun _ -> Csr.create_dist32 n) in
-  Csr.sssp_batch32 csr (Csr.create_scratch ()) ~srcs ~rows:rows32;
-  let reference = scalar_reference csr srcs in
-  check_all
-    (fun src ->
-      check_all
-        (fun v ->
-          let d32 = Bigarray.Array1.get rows32.(src) v in
-          let widened =
-            if Int32.equal d32 Csr.unreachable32 then Csr.unreachable
-            else Int32.to_int d32
-          in
-          if widened = reference.(src).(v) then ok
-          else failf "sssp_batch32: src %d disagrees at node %d" src v)
-        (nodes inst))
-    (nodes inst)
 
 let prop_batch_source_subset (inst, cfg) =
   (* Non-contiguous, shuffled, duplicated sources: every row must still
@@ -320,8 +273,6 @@ let msbfs_suite =
         prop = prop_batch_ban_vs_scalar;
         render;
       };
-    Packed
-      { name = "batch32_vs_batch"; gen = ic_msbfs; prop = prop_batch32_vs_batch; render };
     Packed
       {
         name = "batch_source_subset";

@@ -8,12 +8,11 @@
     Engine pairs covered:
     - [csr] — list-graph oracles ({!Reference.shortest},
       {!Reference.floyd_warshall}) vs flat CSR kernels, including
-      [~ban:u] sweeps vs the oracle on the profile without [u]'s links,
-      and int32 vs int rows;
-    - [msbfs] — bit-parallel [Csr.sssp_batch]/[sssp_batch32] vs
-      per-source sweeps on instances crossing the [Csr.batch_width]
-      window boundary (ragged tails, [~ban], shuffled/duplicated
-      source subsets, scratch reuse with [reset_rows]);
+      [~ban:u] sweeps vs the oracle on the profile without [u]'s links;
+    - [msbfs] — bit-parallel [Csr.sssp_batch] vs per-source sweeps on
+      instances crossing the [Csr.batch_width] window boundary (ragged
+      tails, [~ban], shuffled/duplicated source subsets, scratch reuse
+      with [reset_rows]);
     - [br] — [Best_response.exact] vs exhaustive strategy enumeration
       on tiny instances; the full [Best_response.enumerate]
       (strategy, cost) sequence and [improving]'s verdict with and

@@ -233,94 +233,6 @@ let sssp ?ban t s ~src ~dist =
   if t.unit_lengths then bfs ?ban t s ~src ~dist else dijkstra ?ban t s ~src ~dist
 
 (* ------------------------------------------------------------------ *)
-(* Compact int32 rows.
-
-   Same kernels, distances stored in an int32 Bigarray — half the
-   resident footprint of a boxed-free [int array] row on 64-bit, which
-   is what lets an n = 10^5 landmark sweep keep several rows in cache.
-   [unreachable32] ([Int32.max_int]) is the clean sentinel; any real
-   distance reaching it is an overflow and raises. *)
-
-type dist32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let unreachable32 = Int32.max_int
-
-(* The sentinel as an int, for overflow checks in 63-bit arithmetic. *)
-let inf32 = Int32.to_int Int32.max_int
-
-let create_dist32 n =
-  let a = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout n in
-  Bigarray.Array1.fill a unreachable32;
-  a
-
-let fill32 (dist : dist32) = Bigarray.Array1.fill dist unreachable32
-
-let reset32 s (dist : dist32) =
-  for i = 0 to s.ntouched - 1 do
-    Bigarray.Array1.unsafe_set dist s.touched.(i) unreachable32
-  done;
-  s.ntouched <- 0
-
-let bfs32 ?(ban = -1) t s ~src ~(dist : dist32) =
-  ensure s t.n;
-  if t.n >= inf32 then invalid_arg "Csr.bfs32: hop distance could overflow int32";
-  let queue = s.queue in
-  let cap = Array.length queue in
-  let offsets = t.offsets and targets = t.targets in
-  Bigarray.Array1.unsafe_set dist src 0l;
-  touch s src;
-  queue.(0) <- src;
-  let head = ref 0 and tail = ref 1 in
-  while !head <> !tail do
-    let u = queue.(!head) in
-    head := (!head + 1) mod cap;
-    if u <> ban then begin
-      let du = Int32.add (Bigarray.Array1.unsafe_get dist u) 1l in
-      for e = offsets.(u) to offsets.(u + 1) - 1 do
-        let v = targets.(e) in
-        if Bigarray.Array1.unsafe_get dist v = unreachable32 then begin
-          Bigarray.Array1.unsafe_set dist v du;
-          touch s v;
-          queue.(!tail) <- v;
-          tail := (!tail + 1) mod cap
-        end
-      done
-    end
-  done
-
-let dijkstra32 ?(ban = -1) t s ~src ~(dist : dist32) =
-  ensure s t.n;
-  let heap = s.heap in
-  Binary_heap.clear heap;
-  let offsets = t.offsets and targets = t.targets and lengths = t.lengths in
-  Bigarray.Array1.unsafe_set dist src 0l;
-  touch s src;
-  Binary_heap.push heap 0 src;
-  let continue = ref true in
-  while !continue do
-    match Binary_heap.pop heap with
-    | None -> continue := false
-    | Some (d, u) ->
-        if d = Int32.to_int (Bigarray.Array1.unsafe_get dist u) && u <> ban then
-          for e = offsets.(u) to offsets.(u + 1) - 1 do
-            let v = targets.(e) in
-            let nd = d + lengths.(e) in
-            (* The heap carries int distances, so [nd] is exact; it only
-               has to fit the row.  >= keeps the sentinel unambiguous. *)
-            if nd >= inf32 then
-              invalid_arg "Csr.dijkstra32: distance overflows int32";
-            if nd < Int32.to_int (Bigarray.Array1.unsafe_get dist v) then begin
-              if Bigarray.Array1.unsafe_get dist v = unreachable32 then touch s v;
-              Bigarray.Array1.unsafe_set dist v (Int32.of_int nd);
-              Binary_heap.push heap nd v
-            end
-          done
-  done
-
-let sssp32 ?ban t s ~src ~dist =
-  if t.unit_lengths then bfs32 ?ban t s ~src ~dist else dijkstra32 ?ban t s ~src ~dist
-
-(* ------------------------------------------------------------------ *)
 (* Multi-source bit-parallel BFS (MS-BFS).
 
    Unit-length sweeps from up to [batch_width] sources share one
@@ -516,129 +428,6 @@ let msbfs_window ~ban t s ~srcs ~soff ~k ~rows ~roff =
     seen.(s.touched.(i)) <- 0
   done
 
-(* Same window over int32 rows. *)
-let msbfs_window32 ~ban t s ~srcs ~soff ~k ~(rows : dist32 array) ~roff =
-  let n = t.n in
-  let offsets = t.offsets and targets = t.targets in
-  let m = offsets.(n) in
-  let seen = s.seen in
-  let full = if k = batch_width then max_int else (1 lsl k) - 1 in
-  let pull = k >= pull_min_width in
-  let fr = ref s.front and nf = ref s.next_front in
-  let cl = ref s.cur_list and nl = ref s.next_list in
-  let cn = ref 0 and ce = ref 0 in
-  for b = 0 to k - 1 do
-    let v = srcs.(soff + b) in
-    let bit = 1 lsl b in
-    if seen.(v) = 0 then touch s v;
-    seen.(v) <- seen.(v) lor bit;
-    if (!fr).(v) = 0 then begin
-      (!cl).(!cn) <- v;
-      incr cn;
-      ce := !ce + offsets.(v + 1) - offsets.(v)
-    end;
-    (!fr).(v) <- (!fr).(v) lor bit;
-    Bigarray.Array1.unsafe_set rows.(roff + b) v 0l
-  done;
-  let d = ref 0 in
-  while !cn > 0 do
-    let d' = !d + 1 in
-    let d32 = Int32.of_int d' in
-    let frA = !fr and nfA = !nf and clA = !cl and nlA = !nl in
-    let nn = ref 0 and ne = ref 0 in
-    if pull && !ce * 8 > m then begin
-      ensure_rev t s;
-      let roffs = s.rev_offsets and rtgts = s.rev_targets in
-      for w = 0 to n - 1 do
-        let miss = full land lnot seen.(w) in
-        if miss <> 0 then begin
-          let acc = ref 0 in
-          let e = ref roffs.(w) in
-          let stop = roffs.(w + 1) in
-          while !e < stop && !acc land miss <> miss do
-            let v = rtgts.(!e) in
-            if v <> ban then acc := !acc lor frA.(v);
-            incr e
-          done;
-          let add = !acc land miss in
-          if add <> 0 then begin
-            if seen.(w) = 0 then touch s w;
-            seen.(w) <- seen.(w) lor add;
-            nfA.(w) <- add;
-            nlA.(!nn) <- w;
-            incr nn;
-            ne := !ne + offsets.(w + 1) - offsets.(w);
-            let mm = ref add in
-            while !mm <> 0 do
-              let bit = !mm land - !mm in
-              Bigarray.Array1.unsafe_set rows.(roff + bit_index.(bit mod 67)) w d32;
-              mm := !mm lxor bit
-            done
-          end
-        end
-      done
-    end
-    else
-      for i = 0 to !cn - 1 do
-        let u = clA.(i) in
-        if u <> ban then begin
-          let fu = frA.(u) in
-          for e = offsets.(u) to offsets.(u + 1) - 1 do
-            let w = targets.(e) in
-            let add = fu land lnot seen.(w) in
-            if add <> 0 then begin
-              if seen.(w) = 0 then touch s w;
-              seen.(w) <- seen.(w) lor add;
-              if nfA.(w) = 0 then begin
-                nlA.(!nn) <- w;
-                incr nn;
-                ne := !ne + offsets.(w + 1) - offsets.(w)
-              end;
-              nfA.(w) <- nfA.(w) lor add;
-              let mm = ref add in
-              while !mm <> 0 do
-                let bit = !mm land - !mm in
-                Bigarray.Array1.unsafe_set rows.(roff + bit_index.(bit mod 67)) w d32;
-                mm := !mm lxor bit
-              done
-            end
-          done
-        end
-      done;
-    for i = 0 to !cn - 1 do
-      frA.(clA.(i)) <- 0
-    done;
-    fr := nfA;
-    nf := frA;
-    cl := nlA;
-    nl := clA;
-    cn := !nn;
-    ce := !ne;
-    d := d'
-  done;
-  for i = 0 to s.ntouched - 1 do
-    seen.(s.touched.(i)) <- 0
-  done
-
-let msbfs ?(ban = -1) t s ~srcs ~rows =
-  let k = Array.length srcs in
-  if k > batch_width then invalid_arg "Csr.msbfs: more sources than batch_width";
-  if not t.unit_lengths then invalid_arg "Csr.msbfs: unit-length snapshots only";
-  if Array.length rows < k then invalid_arg "Csr.msbfs: fewer rows than sources";
-  ensure_batch s t.n;
-  if k > 0 then msbfs_window ~ban t s ~srcs ~soff:0 ~k ~rows ~roff:0;
-  s.dl_covers_batch <- true
-
-let msbfs32 ?(ban = -1) t s ~srcs ~(rows : dist32 array) =
-  let k = Array.length srcs in
-  if k > batch_width then invalid_arg "Csr.msbfs32: more sources than batch_width";
-  if not t.unit_lengths then invalid_arg "Csr.msbfs32: unit-length snapshots only";
-  if Array.length rows < k then invalid_arg "Csr.msbfs32: fewer rows than sources";
-  if t.n >= inf32 then invalid_arg "Csr.msbfs32: hop distance could overflow int32";
-  ensure_batch s t.n;
-  if k > 0 then msbfs_window32 ~ban t s ~srcs ~soff:0 ~k ~rows ~roff:0;
-  s.dl_covers_batch <- true
-
 let sssp_batch ?(ban = -1) t s ~srcs ~rows =
   let k = Array.length srcs in
   if Array.length rows < k then invalid_arg "Csr.sssp_batch: fewer rows than sources";
@@ -662,27 +451,6 @@ let sssp_batch ?(ban = -1) t s ~srcs ~rows =
     s.dl_covers_batch <- k <= 1
   end
 
-let sssp_batch32 ?(ban = -1) t s ~srcs ~(rows : dist32 array) =
-  let k = Array.length srcs in
-  if Array.length rows < k then invalid_arg "Csr.sssp_batch32: fewer rows than sources";
-  if t.unit_lengths && k > 1 then begin
-    if t.n >= inf32 then invalid_arg "Csr.sssp_batch32: hop distance could overflow int32";
-    ensure_batch s t.n;
-    let nwin = (k + batch_width - 1) / batch_width in
-    for w = 0 to nwin - 1 do
-      let soff = w * batch_width in
-      if w > 0 then s.ntouched <- 0;
-      msbfs_window32 ~ban t s ~srcs ~soff ~k:(min batch_width (k - soff)) ~rows ~roff:soff
-    done;
-    s.dl_covers_batch <- nwin = 1
-  end
-  else begin
-    for i = 0 to k - 1 do
-      sssp32 ~ban t s ~src:srcs.(i) ~dist:rows.(i)
-    done;
-    s.dl_covers_batch <- k <= 1
-  end
-
 let reset_rows s ~rows =
   if s.dl_covers_batch then begin
     for r = 0 to Array.length rows - 1 do
@@ -696,21 +464,5 @@ let reset_rows s ~rows =
   end
   else begin
     Array.iter (fun row -> Array.fill row 0 (Array.length row) unreachable) rows;
-    s.ntouched <- 0
-  end
-
-let reset_rows32 s ~(rows : dist32 array) =
-  if s.dl_covers_batch then begin
-    for r = 0 to Array.length rows - 1 do
-      let row = rows.(r) in
-      for i = 0 to s.ntouched - 1 do
-        Bigarray.Array1.unsafe_set row s.touched.(i) unreachable32
-      done
-    done;
-    s.ntouched <- 0;
-    s.dl_covers_batch <- false
-  end
-  else begin
-    Array.iter fill32 rows;
     s.ntouched <- 0
   end

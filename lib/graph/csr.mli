@@ -109,8 +109,8 @@ val reset : scratch -> int array -> unit
     Unit-length sweeps from up to {!batch_width} sources share one
     traversal (the MS-BFS technique): per-vertex source bitmaps replace
     the visited flag, so each adjacency row is read once per {e batch}
-    instead of once per source.  In windows of at least 16 sources,
-    dense frontiers flip to a bottom-up pull pass over a transpose that
+    instead of once per source.  In windows of at least
+    {!pull_min_width} sources, dense frontiers flip to a bottom-up pull pass over a transpose that
     is built on first use and cached in the scratch for that snapshot
     (direction-optimizing BFS); narrower windows always expand top-down
     and never build the transpose, so a few-source sweep of a fresh
@@ -130,6 +130,12 @@ val batch_width : int
 (** Sources per bit-parallel window: [Sys.int_size - 1] (62 on 64-bit —
     the sign bit stays clear so source masks are non-negative). *)
 
+val pull_min_width : int
+(** The narrowest window that may take a bottom-up step (16).  A caller
+    that keeps fewer rows live per window than {!batch_width} — to hold
+    its resident footprint down — loses nothing of the pull pass as long
+    as its windows are at least this wide. *)
+
 val sssp_batch :
   ?ban:int -> t -> scratch -> srcs:int array -> rows:int array array -> unit
 (** Distances from every [srcs.(i)] into [rows.(i)].  Unit-length
@@ -137,55 +143,7 @@ val sssp_batch :
     ⌈k/{!batch_width}⌉ windows; otherwise each source runs {!sssp}.
     Equivalent to k independent [sssp] sweeps, bit for bit. *)
 
-val msbfs :
-  ?ban:int -> t -> scratch -> srcs:int array -> rows:int array array -> unit
-(** One bit-parallel window: hop distances from at most {!batch_width}
-    sources (raises above that, and on non-unit snapshots).  Prefer
-    {!sssp_batch} unless the caller manages windows itself. *)
-
 val reset_rows : scratch -> rows:int array array -> unit
 (** Restore every row of the most recent batched call on this scratch
     to clean.  Uses the dirty list when it covers the whole batch
     (single window), full fills otherwise. *)
-
-(** {1 Compact int32 rows}
-
-    The same kernels over distance rows stored as an int32 [Bigarray] —
-    4 bytes per entry instead of 8, halving the resident footprint of a
-    sweep at n = 10^5.  The sentinel is {!unreachable32}; a computed
-    distance that does not fit below it raises [Invalid_argument]
-    (hop-count sweeps check once up front, weighted sweeps check per
-    relaxation). *)
-
-type dist32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val unreachable32 : int32
-(** Sentinel distance for int32 rows ([Int32.max_int]). *)
-
-val create_dist32 : int -> dist32
-(** A fresh clean row: every entry {!unreachable32}. *)
-
-val fill32 : dist32 -> unit
-(** Restore a row to clean with one O(n) fill (the int32 analogue of
-    [Array.fill _ _ _ unreachable]). *)
-
-val bfs32 : ?ban:int -> t -> scratch -> src:int -> dist:dist32 -> unit
-val dijkstra32 : ?ban:int -> t -> scratch -> src:int -> dist:dist32 -> unit
-
-val sssp32 : ?ban:int -> t -> scratch -> src:int -> dist:dist32 -> unit
-(** {!bfs32} when {!unit_lengths}, {!dijkstra32} otherwise. *)
-
-val reset32 : scratch -> dist32 -> unit
-(** {!reset} for int32 rows: O(visited) restore to clean. *)
-
-val sssp_batch32 :
-  ?ban:int -> t -> scratch -> srcs:int array -> rows:dist32 array -> unit
-(** {!sssp_batch} over int32 rows (raises if a hop count could reach
-    {!unreachable32}). *)
-
-val msbfs32 :
-  ?ban:int -> t -> scratch -> srcs:int array -> rows:dist32 array -> unit
-(** {!msbfs} over int32 rows. *)
-
-val reset_rows32 : scratch -> rows:dist32 array -> unit
-(** {!reset_rows} for int32 rows. *)

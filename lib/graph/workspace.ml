@@ -4,9 +4,6 @@ type t = {
   mutable row_len : int;
   mutable free : int array array; (* stack of clean rows, [0 .. nfree) live *)
   mutable nfree : int;
-  mutable row_len32 : int;
-  mutable free32 : Csr.dist32 array; (* stack of clean int32 rows *)
-  mutable nfree32 : int;
   scratch : Csr.scratch;
 }
 
@@ -19,9 +16,6 @@ let key : t Domain.DLS.key =
         row_len = 0;
         free = [||];
         nfree = 0;
-        row_len32 = 0;
-        free32 = [||];
-        nfree32 = 0;
         scratch = Csr.create_scratch ();
       })
 
@@ -68,41 +62,3 @@ let pooled ws = ws.nfree
 
 let acquire_many ws n k = Array.init k (fun _ -> acquire ws n)
 let release_clean_many ws rows = Array.iter (release_clean ws) rows
-
-(* int32 rows: same pool discipline, same counters (an acquisition is an
-   acquisition whatever the element width). *)
-
-let acquire32 ws n =
-  Bbc_obs.incr obs_acquires;
-  if ws.row_len32 <> n then begin
-    ws.free32 <- [||];
-    ws.nfree32 <- 0;
-    ws.row_len32 <- n
-  end;
-  if ws.nfree32 > 0 then begin
-    ws.nfree32 <- ws.nfree32 - 1;
-    ws.free32.(ws.nfree32)
-  end
-  else begin
-    Bbc_obs.incr obs_alloc;
-    Csr.create_dist32 n
-  end
-
-let release_clean32 ws row =
-  if Bigarray.Array1.dim row = ws.row_len32 then begin
-    if ws.nfree32 = Array.length ws.free32 then begin
-      let grown = Array.make (max 8 (2 * ws.nfree32)) row in
-      Array.blit ws.free32 0 grown 0 ws.nfree32;
-      ws.free32 <- grown
-    end;
-    ws.free32.(ws.nfree32) <- row;
-    ws.nfree32 <- ws.nfree32 + 1
-  end
-
-let release32 ws row =
-  Csr.fill32 row;
-  release_clean32 ws row
-
-let pooled32 ws = ws.nfree32
-let acquire_many32 ws n k = Array.init k (fun _ -> acquire32 ws n)
-let release_clean_many32 ws rows = Array.iter (release_clean32 ws) rows

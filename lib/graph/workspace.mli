@@ -52,31 +52,3 @@ val acquire_many : t -> int -> int -> int array array
 val release_clean_many : t -> int array array -> unit
 (** Return a batch of rows already restored to clean (e.g. via
     {!Csr.reset_rows}). *)
-
-(** {1 Compact int32 rows}
-
-    A second free stack holding {!Csr.dist32} rows, behind the same
-    acquire/release discipline and the same counters.  The two pools are
-    independent — a workload can mix exact [int array] sweeps and
-    compact int32 sweeps without thrashing either stack. *)
-
-val acquire32 : t -> int -> Csr.dist32
-(** [acquire32 ws n] is a clean length-[n] int32 row: every entry
-    [Csr.unreachable32]. *)
-
-val release32 : t -> Csr.dist32 -> unit
-(** Return an int32 row in any state (re-cleaned with one fill). *)
-
-val release_clean32 : t -> Csr.dist32 -> unit
-(** Return an int32 row already restored to clean (e.g. via
-    {!Csr.reset32}). *)
-
-val pooled32 : t -> int
-(** Number of int32 rows on the free stack. *)
-
-val acquire_many32 : t -> int -> int -> Csr.dist32 array
-(** {!acquire_many} for int32 rows. *)
-
-val release_clean_many32 : t -> Csr.dist32 array -> unit
-(** {!release_clean_many} for int32 rows (pairs with
-    {!Csr.reset_rows32}). *)

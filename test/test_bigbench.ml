@@ -1,9 +1,8 @@
-(* The large-n engine: streaming builders vs the Digraph route, int32
-   kernels vs int kernels, banned sweeps vs skip snapshots, the landmark
-   estimator vs the exact social cost, and sampled best response. *)
+(* The large-n engine: streaming builders vs the Digraph route, banned
+   sweeps vs skip snapshots, the landmark estimator vs the exact social
+   cost, and sampled best response. *)
 
 module Csr = Bbc_graph.Csr
-module W = Bbc_graph.Workspace
 module SM = Bbc_prng.Splitmix
 open Bbc
 
@@ -95,7 +94,7 @@ let test_streaming_circulant_matches_cayley () =
     grid
 
 (* ------------------------------------------------------------------ *)
-(* int32 kernels.                                                      *)
+(* Banned sweeps.                                                      *)
 
 let random_weighted rng ~n ~max_len =
   let g = Bbc_graph.Digraph.create n in
@@ -107,41 +106,6 @@ let random_weighted rng ~n ~max_len =
     done
   done;
   g
-
-let check_rows_agree msg n (dist : int array) (dist32 : Csr.dist32) =
-  for v = 0 to n - 1 do
-    let d32 = Bigarray.Array1.get dist32 v in
-    let widened = if d32 = Csr.unreachable32 then Csr.unreachable else Int32.to_int d32 in
-    if widened <> dist.(v) then
-      Alcotest.failf "%s: vertex %d: int row %d, int32 row %ld" msg v dist.(v) d32
-  done
-
-let test_int32_kernels_match_int () =
-  let rng = SM.create 514 in
-  for case = 1 to 40 do
-    let n = 2 + SM.int rng 50 in
-    let g =
-      if case mod 2 = 0 then
-        Bbc_graph.Generators.random_k_out rng ~n ~k:(min (n - 1) (1 + SM.int rng 3))
-      else random_weighted rng ~n ~max_len:5
-    in
-    let csr = Csr.of_digraph g in
-    let src = SM.int rng n in
-    let ban = if SM.bool rng then SM.int rng n else -1 in
-    let dist = Array.make n Csr.unreachable in
-    let dist32 = Csr.create_dist32 n in
-    let s = Csr.create_scratch () in
-    Csr.sssp ~ban csr s ~src ~dist;
-    let s32 = Csr.create_scratch () in
-    Csr.sssp32 ~ban csr s32 ~src ~dist:dist32;
-    check_rows_agree (Printf.sprintf "case %d (ban %d)" case ban) n dist dist32;
-    (* reset32 restores a clean row (sentinel everywhere). *)
-    Csr.reset32 s32 dist32;
-    for v = 0 to n - 1 do
-      if Bigarray.Array1.get dist32 v <> Csr.unreachable32 then
-        Alcotest.failf "case %d: reset32 left vertex %d dirty" case v
-    done
-  done
 
 let test_ban_equals_skip_snapshot () =
   let rng = SM.create 99 in
@@ -162,26 +126,6 @@ let test_ban_equals_skip_snapshot () =
     Alcotest.(check (array int)) "ban sweep = skip snapshot" b a;
     Alcotest.(check (array int)) "ban sweep = oracle" (Bbc_fuzz.Reference.shortest pruned src) a
   done
-
-let test_workspace_int32_pool () =
-  let ws = W.get () in
-  let r1 = W.acquire32 ws 17 in
-  let r2 = W.acquire32 ws 17 in
-  Bigarray.Array1.set r1 3 5l;
-  W.release32 ws r1;
-  W.release_clean32 ws r2;
-  let before = W.pooled32 ws in
-  let r3 = W.acquire32 ws 17 in
-  Alcotest.(check int) "acquire pops the stack" (before - 1) (W.pooled32 ws);
-  for v = 0 to 16 do
-    if Bigarray.Array1.get r3 v <> Csr.unreachable32 then
-      Alcotest.failf "pooled row dirty at %d" v
-  done;
-  W.release_clean32 ws r3;
-  (* Switching sizes drops the stale stack. *)
-  let r4 = W.acquire32 ws 9 in
-  Alcotest.(check int) "resize drops pool" 0 (W.pooled32 ws);
-  W.release32 ws r4
 
 (* ------------------------------------------------------------------ *)
 (* Landmark estimator.                                                 *)
@@ -214,6 +158,48 @@ let test_landmark_exact_at_full_sample () =
             [ Objective.Sum; Objective.Max ])
         grid)
     families
+
+(* A general game, lengths 1..3 and weights 0..9: the realized snapshot
+   is weighted, so the sweeps take the scalar Dijkstra leg, and every
+   cost folds a weight row.  With all lengths 1 the same game sweeps
+   through bit-parallel windows instead.  n = 70 spans several
+   landmark chunks, so jobs 2 really fans out. *)
+let weighted_game rng ~n ~max_len =
+  let table f = Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else f ())) in
+  let weight = table (fun () -> SM.int rng 10) in
+  let length = table (fun () -> 1 + SM.int rng max_len) in
+  let cost = table (fun () -> 1) in
+  let inst = Instance.general ~weight ~cost ~length ~budget:(Array.make n 2) () in
+  let config =
+    Config.of_lists n
+      (Array.init n (fun u ->
+           List.sort_uniq compare
+             (List.filter (( <> ) u) (List.init (SM.int rng 3) (fun _ -> SM.int rng n)))))
+  in
+  (inst, config)
+
+let test_landmark_exact_weighted () =
+  let rng = SM.create 4711 in
+  List.iter
+    (fun max_len ->
+      let inst, config = weighted_game rng ~n:70 ~max_len in
+      let csr = Config.to_csr inst config in
+      Alcotest.(check bool)
+        (Printf.sprintf "max length %d: unit snapshot" max_len)
+        (max_len = 1) (Csr.unit_lengths csr);
+      List.iter
+        (fun objective ->
+          let exact = Eval.social_cost ~objective ~jobs:1 inst config in
+          List.iter
+            (fun jobs ->
+              let e = Approx.social_cost ~objective ~jobs ~landmarks:70 ~seed:3 inst csr in
+              Alcotest.(check bool) "flagged exact" true e.exact;
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "max length %d, jobs %d: L = n = Eval.social_cost" max_len jobs)
+                (float_of_int exact) e.value)
+            [ 1; 2 ])
+        [ Objective.Sum; Objective.Max ])
+    [ 3; 1 ]
 
 let test_landmark_bound_contains_exact () =
   (* Statistical, but deterministic given the seeds: for every family,
@@ -335,10 +321,9 @@ let suite =
     ("streaming willows = Willows.build", `Quick, test_streaming_willows_matches_module);
     ("streaming random = Generators.random_k_out", `Quick, test_streaming_random_matches_generator);
     ("streaming circulant = Cayley circulant", `Quick, test_streaming_circulant_matches_cayley);
-    ("int32 kernels match int kernels", `Quick, test_int32_kernels_match_int);
     ("ban sweep = skip snapshot", `Quick, test_ban_equals_skip_snapshot);
-    ("workspace int32 pool", `Quick, test_workspace_int32_pool);
     ("landmarks: L = n is exact", `Quick, test_landmark_exact_at_full_sample);
+    ("landmarks: L = n exact on weighted games", `Quick, test_landmark_exact_weighted);
     ("landmarks: bound contains exact", `Quick, test_landmark_bound_contains_exact);
     ("landmarks: value independent of jobs", `Quick, test_landmark_jobs_invariant);
     ("sampled BR: improving only", `Quick, test_sampled_br_improving_only);

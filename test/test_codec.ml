@@ -78,10 +78,10 @@ let test_errors () =
   Alcotest.(check bool) "bad instance" true
     (Result.is_error (Codec.instance_of_string "bbc-instance v1\nn 2\npenalty 9\nuniform 5\n"))
 
-(* An instance whose (n - 1) * max_weight * M reaches 2^62 is a parse
-   error in both formats, one weight unit above an accepted one. *)
+(* An instance whose n * (n - 1) * max_weight * M reaches 2^62 is a
+   parse error in both formats, one weight unit above an accepted one. *)
 let test_cost_bound_errors () =
-  let under = max_int / 27 in
+  let under = max_int / 108 in
   let weight w = Array.init 4 (fun u -> Array.init 4 (fun v -> if v = 3 && u <> 3 then w else 1)) in
   let inst = I.of_weights ~k:1 (weight under) in
   (* Raise the first occurrence of the heavy weight by one. *)
@@ -103,11 +103,11 @@ let test_cost_bound_errors () =
   Alcotest.(check bool) "json just over rejected" true
     (Result.is_error (Codec.instance_of_any_string (over json)))
 
-(* A uniform game's (n - 1) * 4n bound is a parse error too: n = 2^30
-   round-trips, one node more is rejected in both formats (whatever
-   the declared penalty). *)
+(* A uniform game's n * (n - 1) * 4n bound is a parse error too:
+   n = 2^20 round-trips, one node more is rejected in both formats
+   (whatever the declared penalty). *)
 let test_uniform_bound_errors () =
-  let n = 1 lsl 30 in
+  let n = 1 lsl 20 in
   let inst = I.uniform ~n ~k:1 in
   let bump s =
     let w = string_of_int n in
@@ -118,12 +118,12 @@ let test_uniform_bound_errors () =
   in
   let text = Codec.instance_to_string inst in
   let json = Bbc.Json.to_string (Codec.instance_to_json inst) in
-  Alcotest.(check bool) "text n = 2^30 parses" true (Result.is_ok (Codec.instance_of_string text));
-  Alcotest.(check bool) "json n = 2^30 parses" true
+  Alcotest.(check bool) "text n = 2^20 parses" true (Result.is_ok (Codec.instance_of_string text));
+  Alcotest.(check bool) "json n = 2^20 parses" true
     (Result.is_ok (Codec.instance_of_any_string json));
-  Alcotest.(check bool) "text n = 2^30 + 1 rejected" true
+  Alcotest.(check bool) "text n = 2^20 + 1 rejected" true
     (Result.is_error (Codec.instance_of_string (bump text)));
-  Alcotest.(check bool) "json n = 2^30 + 1 rejected" true
+  Alcotest.(check bool) "json n = 2^20 + 1 rejected" true
     (Result.is_error (Codec.instance_of_any_string (bump json)))
 
 let test_file_roundtrip () =

@@ -243,7 +243,7 @@ let test_msbfs_matches_scalar () =
        independent sweeps. *)
     let srcs = Array.init k (fun _ -> SM.int rng n) in
     let rows = Array.init k (fun _ -> Array.make n Csr.unreachable) in
-    Csr.msbfs csr (Csr.create_scratch ()) ~srcs ~rows;
+    Csr.sssp_batch csr (Csr.create_scratch ()) ~srcs ~rows;
     Array.iteri
       (fun i src ->
         Alcotest.(check (array int))
@@ -262,7 +262,7 @@ let test_msbfs_ban_matches_scalar () =
     let k = min n Csr.batch_width in
     let srcs = Array.init k (fun i -> i mod n) in
     let rows = Array.init k (fun _ -> Array.make n Csr.unreachable) in
-    Csr.msbfs ~ban:u csr (Csr.create_scratch ()) ~srcs ~rows;
+    Csr.sssp_batch ~ban:u csr (Csr.create_scratch ()) ~srcs ~rows;
     Array.iteri
       (fun i src ->
         let expect = Array.make n Csr.unreachable in
@@ -309,7 +309,7 @@ let test_sssp_batch_windows () =
    narrowest width that may pull (16): a sparse k-out graph, where few
    levels are dense, and a dense one, where wide windows flip to
    bottom-up from the first level.  Every row, with and without a ban,
-   int and int32, must equal its scalar [bfs]. *)
+   must equal its scalar [bfs]. *)
 let test_msbfs_direction_widths () =
   let rng = SM.create 1616 in
   let graphs =
@@ -326,9 +326,7 @@ let test_msbfs_direction_widths () =
           for w = 1 to Csr.batch_width do
             let srcs = Array.init w (fun i -> ((i * 7) + 3) mod n) in
             let rows = Array.init w (fun _ -> Array.make n Csr.unreachable) in
-            let rows32 = Array.init w (fun _ -> Csr.create_dist32 n) in
             Csr.sssp_batch ?ban csr scratch ~srcs ~rows;
-            Csr.sssp_batch32 ?ban csr (Csr.create_scratch ()) ~srcs ~rows:rows32;
             Array.iteri
               (fun i src ->
                 Csr.bfs ?ban csr (Csr.create_scratch ()) ~src ~dist;
@@ -337,42 +335,12 @@ let test_msbfs_direction_widths () =
                     (Option.value ~default:(-1) ban) w i
                 in
                 Alcotest.(check (array int)) what dist rows.(i);
-                Alcotest.(check (array int))
-                  (what ^ " int32")
-                  dist
-                  (Array.init n (fun v ->
-                       let d = Bigarray.Array1.get rows32.(i) v in
-                       if d = Csr.unreachable32 then Csr.unreachable else Int32.to_int d));
                 Array.fill dist 0 n Csr.unreachable)
               srcs;
             Csr.reset_rows scratch ~rows
           done)
         [ None; Some 3 ])
     graphs
-
-let test_msbfs32_matches_int () =
-  let rng = SM.create 3232 in
-  for _ = 1 to 15 do
-    let n = 2 + SM.int rng 50 in
-    let g = random_unit rng ~n in
-    let csr = Csr.of_digraph g in
-    let k = 1 + SM.int rng (min n Csr.batch_width) in
-    let srcs = Array.init k (fun _ -> SM.int rng n) in
-    let rows32 = Array.init k (fun _ -> Csr.create_dist32 n) in
-    Csr.sssp_batch32 csr (Csr.create_scratch ()) ~srcs ~rows:rows32;
-    Array.iteri
-      (fun i src ->
-        let expect = R.bfs g src in
-        for v = 0 to n - 1 do
-          let got = Bigarray.Array1.get rows32.(i) v in
-          let want =
-            if expect.(v) = Csr.unreachable then Csr.unreachable32
-            else Int32.of_int expect.(v)
-          in
-          if got <> want then Alcotest.failf "int32 row %d diverges at v=%d" i v
-        done)
-      srcs
-  done
 
 let test_sssp_batch_weighted_dispatch () =
   (* Non-unit snapshots must route through per-source Dijkstra. *)
@@ -500,7 +468,6 @@ let suite =
     Alcotest.test_case "msbfs matches scalar bfs" `Quick test_msbfs_matches_scalar;
     Alcotest.test_case "msbfs with ban" `Quick test_msbfs_ban_matches_scalar;
     Alcotest.test_case "sssp_batch windows + ragged tail" `Quick test_sssp_batch_windows;
-    Alcotest.test_case "msbfs32 matches int rows" `Quick test_msbfs32_matches_int;
     Alcotest.test_case "msbfs window widths, both directions" `Quick test_msbfs_direction_widths;
     Alcotest.test_case "sssp_batch weighted dispatch" `Quick
       test_sssp_batch_weighted_dispatch;

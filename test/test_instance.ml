@@ -82,9 +82,9 @@ let test_with_penalty () =
        false
      with Invalid_argument _ -> true)
 
-(* (n - 1) * max_weight * M must stay below 2^62 = max_int + 1.  With
-   n = 4 and the default M = 2 * 4 + 1 = 9, the largest admissible
-   weight is max_int / 27. *)
+(* n * (n - 1) * max_weight * M must stay below 2^62 = max_int + 1.
+   With n = 4 and the default M = 2 * 4 + 1 = 9, the largest admissible
+   weight is max_int / 108. *)
 let heavy_column w = Array.init 4 (fun u -> Array.init 4 (fun v -> if v = 3 && u <> 3 then w else 1))
 
 let rejected f =
@@ -98,7 +98,7 @@ let test_cost_bound () =
   let general w =
     I.general ~weight:(heavy_column w) ~cost:(ones ()) ~length:(ones ()) ~budget:(Array.make 4 1) ()
   in
-  let under = max_int / 27 in
+  let under = max_int / 108 in
   let t = general under in
   Alcotest.(check int) "default penalty" 9 (I.penalty t);
   let r = Bbc.Best_response.exact t (Bbc.Config.empty 4) 0 in
@@ -112,19 +112,35 @@ let test_cost_bound () =
   Alcotest.(check bool) "of_weights just over" true
     (rejected (fun () -> I.of_weights ~k:1 (heavy_column (under + 1))));
   let u = I.uniform ~n:4 ~k:1 in
-  Alcotest.(check int) "with_penalty just under" (max_int / 3)
-    (I.penalty (I.with_penalty u (max_int / 3)));
+  Alcotest.(check int) "with_penalty just under" (max_int / 12)
+    (I.penalty (I.with_penalty u (max_int / 12)));
   Alcotest.(check bool) "with_penalty just over" true
-    (rejected (fun () -> I.with_penalty u ((max_int / 3) + 1)));
+    (rejected (fun () -> I.with_penalty u ((max_int / 12) + 1)));
   Alcotest.(check bool) "with_penalty keeps the weight bound" true
     (rejected (fun () -> I.with_penalty t 10))
 
-(* Uniform games: (n - 1) * 4n < 2^62 holds up to n = 2^30 and fails
-   one node later; n so large that 4n overflows is rejected too. *)
+(* A social cost sums n node costs: with n = 2 and M = 3 each node
+   cost may reach max_int, so their sum would wrap (to -2 at weight
+   max_int / 3).  The largest admissible weight is max_int / 6. *)
+let test_social_cost_bound () =
+  let game w =
+    I.general ~penalty:3 ~weight:[| [| 0; w |]; [| w; 0 |] |]
+      ~cost:[| [| 0; 1 |]; [| 1; 0 |] |] ~length:[| [| 1; 1 |]; [| 1; 1 |] |]
+      ~budget:[| 1; 1 |] ()
+  in
+  Alcotest.(check bool) "node cost max_int rejected" true
+    (rejected (fun () -> game 1537228672809129301));
+  Alcotest.(check bool) "one unit over rejected" true (rejected (fun () -> game ((max_int / 6) + 1)));
+  let t = game (max_int / 6) in
+  Alcotest.(check int) "social cost of the empty profile" (6 * (max_int / 6))
+    (Bbc.Eval.social_cost t (Bbc.Config.empty 2))
+
+(* Uniform games: n * (n - 1) * 4n < 2^62 holds up to n = 2^20 and
+   fails one node later; n so large that 4n overflows is rejected too. *)
 let test_uniform_cost_bound () =
-  let n = 1 lsl 30 in
-  Alcotest.(check int) "n = 2^30 accepted" (4 * n) (I.penalty (I.uniform ~n ~k:1));
-  Alcotest.(check bool) "n = 2^30 + 1 rejected" true
+  let n = 1 lsl 20 in
+  Alcotest.(check int) "n = 2^20 accepted" (4 * n) (I.penalty (I.uniform ~n ~k:1));
+  Alcotest.(check bool) "n = 2^20 + 1 rejected" true
     (rejected (fun () -> I.uniform ~n:(n + 1) ~k:1));
   Alcotest.(check bool) "4n overflows" true (rejected (fun () -> I.uniform ~n:(max_int / 2) ~k:1))
 
@@ -138,4 +154,5 @@ let suite =
     Alcotest.test_case "with_penalty" `Quick test_with_penalty;
     Alcotest.test_case "cost overflow bound" `Quick test_cost_bound;
     Alcotest.test_case "uniform cost bound" `Quick test_uniform_cost_bound;
+    Alcotest.test_case "social cost bound" `Quick test_social_cost_bound;
   ]

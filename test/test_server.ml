@@ -105,6 +105,25 @@ let test_malformed () =
   Alcotest.(check string) "nesting bomb" "bad_request"
     (error_code (ask engine (String.make 100_000 '[')))
 
+(* n = 2, M = 3 and weights 1537228672809129301 put each node cost at
+   exactly max_int, so the social cost (their sum) would wrap to -2.
+   The instance is rejected before a session exists. *)
+let test_social_cost_bound () =
+  let engine = mk_engine () in
+  let text w =
+    Printf.sprintf
+      "bbc-instance v1\nn 2\npenalty 3\nbudgets 1 1\nweights\n0 %d\n%d 0\ncosts\n0 1\n1 0\nlengths\n1 1\n1 1\n"
+      w w
+  in
+  let load w = ask engine (req "l" "load_instance" [ ("instance", Json.Str (text w)) ]) in
+  Alcotest.(check string) "wrapping social cost rejected" "bad_params"
+    (error_code (load 1537228672809129301));
+  let p = ok_payload (load (max_int / 6)) in
+  let sid = match field "session" p with Json.Str s -> s | _ -> Alcotest.fail "no session" in
+  let costs = ok_payload (ask engine (req "c" "cost" [ ("session", Json.Str sid) ])) in
+  Alcotest.(check int) "largest admissible social cost" (6 * (max_int / 6))
+    (int_field "social" costs)
+
 let test_deadline_expiry () =
   let clock = ref 0 in
   let engine = mk_engine ~now:(fun () -> !clock) () in
@@ -395,6 +414,7 @@ let suite =
   [
     Alcotest.test_case "session lifecycle" `Quick test_lifecycle;
     Alcotest.test_case "malformed requests" `Quick test_malformed;
+    Alcotest.test_case "social cost bound" `Quick test_social_cost_bound;
     Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
     Alcotest.test_case "overload rejection" `Quick test_overload;
     Alcotest.test_case "drain on shutdown" `Quick test_drain_on_shutdown;
