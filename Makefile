@@ -29,8 +29,9 @@ check:
 # the large-n engine's equivalence bits and ns/node ceiling (bigbench) —
 # then the serving-layer soak (64 TCP connections x 50k requests on one
 # daemon, zero errors, consistent answers, full request count, graceful
-# drain), the campaign crash-resume gate (SIGKILL mid-campaign + resume
-# and a via-server leg must all render byte-identical report.json), and
+# drain), the campaign crash-resume gate (a reference run and a SIGKILL
+# mid-campaign + resume must render byte-identical report.json, and
+# `bbc campaign report` must recompute it from each directory), and
 # the differential-fuzzing gate (every engine pair mismatch-free under a
 # fixed seed, plus the selfcheck planted bug caught and shrunk to n <= 8).
 ci: check

@@ -764,33 +764,11 @@ let campaign_out_opt =
            first spec run in it.")
 
 let campaign_common =
-  let via_server =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "via-server" ] ~docv:"ENDPOINT"
-          ~doc:
-            "Execute units over a running $(b,bbc serve) instead of the \
-             in-process pool: $(b,unix:PATH), $(b,tcp:HOST:PORT), or \
-             $(b,HOST:PORT).  Results are identical either way.")
-  in
   let checkpoint_every =
     Arg.(
       value & opt int 256
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Units per checkpoint chunk (atomic JSONL shard).")
-  in
-  let retries =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Extra attempts per unit before quarantining it.")
-  in
-  let backoff_ms =
-    Arg.(
-      value & opt int 100
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base of the exponential retry backoff (via-server mode).")
+          ~doc:"Units per checkpoint chunk (atomic JSONL shard); at least 1.")
   in
   let progress =
     Arg.(
@@ -798,20 +776,11 @@ let campaign_common =
       & info [ "progress" ] ~doc:"Report per-chunk progress on stderr.")
   in
   Term.(
-    const (fun via_server checkpoint_every retries backoff_ms progress ->
-        (via_server, checkpoint_every, retries, backoff_ms, progress))
-    $ via_server $ checkpoint_every $ retries $ backoff_ms $ progress)
+    const (fun checkpoint_every progress -> (checkpoint_every, progress))
+    $ checkpoint_every $ progress)
 
-let exec_campaign obs spec ~out (via_server, checkpoint_every, retries, backoff_ms, progress)
-    =
-  let mode =
-    match via_server with
-    | None -> Bbc_campaign.Runner.In_process
-    | Some ep -> Bbc_campaign.Runner.Via_server ep
-  in
-  let opts =
-    { Bbc_campaign.Runner.jobs = None; checkpoint_every; retries; backoff_ms; mode }
-  in
+let exec_campaign obs spec ~out (checkpoint_every, progress) =
+  let opts = { Bbc_campaign.Runner.jobs = None; checkpoint_every } in
   let on_chunk ~done_units ~total =
     if progress then Format.eprintf "campaign: %d/%d units@." done_units total
   in
@@ -884,8 +853,8 @@ let campaign_cmd =
        ~doc:
          "Checkpointed, resumable Monte-Carlo sweeps: a JSON spec expands to \
           a deterministic grid of dynamics trials, executed on the domain \
-          pool or over bbc serve, with crash-safe JSONL checkpoints and a \
-          streaming aggregate report.")
+          pool, with crash-safe JSONL checkpoints and a streaming aggregate \
+          report.")
     [ campaign_run_cmd; campaign_resume_cmd; campaign_report_cmd ]
 
 let () =

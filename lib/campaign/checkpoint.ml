@@ -93,7 +93,7 @@ let append_chunk ~dir ~index entries =
   write_atomic ~path (Buffer.contents buf);
   path
 
-let load ~dir =
+let load ~dir ~units =
   let names =
     match Sys.readdir dir with
     | names -> Array.to_list names
@@ -119,9 +119,15 @@ let load ~dir =
                      if String.trim line = "" then Ok ()
                      else
                        let* e = entry_of_line line in
-                       if not (Hashtbl.mem tbl e.unit_id) then
-                         Hashtbl.replace tbl e.unit_id e.payload;
-                       Ok ())
+                       if e.unit_id < 0 || e.unit_id >= units then
+                         Error
+                           (Printf.sprintf "checkpoint: unit %d out of range [0,%d)"
+                              e.unit_id units)
+                       else begin
+                         if not (Hashtbl.mem tbl e.unit_id) then
+                           Hashtbl.replace tbl e.unit_id e.payload;
+                         Ok ()
+                       end)
                    (Ok ())
               |> Result.map_error (fun m -> path ^ ": " ^ m)
           | exception Sys_error m -> Error m

@@ -12,7 +12,7 @@
 
 type payload =
   | Done of Bbc.Trial.summary
-  | Failed of string  (** quarantined after retries; the last error *)
+  | Failed of string  (** quarantined: the trial's error or exception *)
 
 type entry = { unit_id : int; payload : payload }
 
@@ -36,8 +36,9 @@ val append_chunk : dir:string -> index:int -> entry list -> string
 (** Write [chunk-<index padded to 8>.jsonl] atomically; returns its
     path. *)
 
-val load : dir:string -> ((int, payload) Hashtbl.t * int, string) result
+val load : dir:string -> units:int -> ((int, payload) Hashtbl.t * int, string) result
 (** Scan the directory's chunks in name order.  Returns the completed
     units (first occurrence per id wins) and the next free chunk index.
-    A malformed chunk line is an error — checkpoints are ours, so
-    corruption should stop the campaign, not skew it. *)
+    A malformed chunk line, or a unit id outside [\[0, units)], is an
+    error — checkpoints are ours, so corruption should stop the
+    campaign, not skew it. *)

@@ -3,26 +3,20 @@
     render the aggregate report.
 
     Determinism contract: the final [report.json] is a pure function of
-    the spec — independent of jobs, chunk size, execution mode,
-    interruption and resume — because every unit's walk depends only on
+    the spec — independent of jobs, chunk size, interruption and
+    resume — because every unit's walk depends only on
     (campaign seed, unit index) and the aggregate is order-independent
     ({!Aggregate}).  A campaign directory is bound to its spec: [run]
     writes the canonical spec rendering on first use and refuses to
     resume over a different one. *)
 
-type mode = In_process | Via_server of string  (** endpoint spec *)
-
 type opts = {
   jobs : int option;  (** [None]: the {!Bbc_parallel} default *)
-  checkpoint_every : int;  (** units per chunk; clamped to >= 1 *)
-  retries : int;  (** extra attempts before quarantine *)
-  backoff_ms : int;  (** base of the exponential backoff *)
-  mode : mode;
+  checkpoint_every : int;  (** units per chunk; must be >= 1 *)
 }
 
 val default_opts : opts
-(** In-process, default jobs, checkpoint every 256 units, 2 retries,
-    100ms backoff. *)
+(** Default jobs, checkpoint every 256 units. *)
 
 type outcome = {
   total : int;  (** units in the grid *)
@@ -38,8 +32,14 @@ val run :
   dir:string ->
   Spec.t ->
   (outcome, string) result
-(** Run (or resume) the campaign in [dir].  [on_chunk] fires after each
-    checkpointed chunk with cumulative progress. *)
+(** Run (or resume) the campaign in [dir]: each chunk is the next
+    [checkpoint_every] unchecked unit ids in ascending order, run as
+    {!Bbc.Trial.run} calls on the {!Bbc_parallel} pool.  A unit whose
+    trial fails or raises is quarantined on its first attempt (trials
+    are pure, so a retry would fail the same way).  [on_chunk] fires
+    after each checkpointed chunk with cumulative progress.  [Error] on
+    [checkpoint_every < 1], an invalid spec, a directory bound to
+    another spec, or a malformed checkpoint. *)
 
 val report : dir:string -> (Bbc.Json.t, string) result
 (** Recompute the aggregate report from [dir]'s spec and checkpoints

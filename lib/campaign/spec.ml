@@ -2,8 +2,8 @@
    parts are the fixed axis order (points, inits, schedulers, policies,
    objectives, seeds — seeds innermost, so consecutive unit ids share a
    grid point) and the per-unit seed, a pure mix of campaign seed and
-   unit index: resume, re-sharding, and via-server fan-out can execute
-   units in any order without perturbing any walk. *)
+   unit index: resume and the pool can execute units in any order
+   without perturbing any walk. *)
 
 module Json = Bbc.Json
 module Trial = Bbc.Trial

@@ -271,7 +271,7 @@ let run ?on_step t =
 
 (* ---------------------------------------------------------------- *)
 (* JSON — canonical field order on encode; decode accepts exactly the
-   encoded shape (round-trips are the fuzz suite's property).          *)
+   encoded shape (the spec round-trip fuzz property covers them).     *)
 
 let generator_to_json = function
   | Catalog name -> Json.Obj [ ("kind", Json.Str "catalog"); ("name", Json.Str name) ]
@@ -356,63 +356,6 @@ let policy_of_json = function
       | None -> Error "trial: policy object must have a \"sampled\" field")
   | Json.Str s -> Error (Printf.sprintf "trial: unknown policy %S" s)
   | _ -> Error "trial: policy must be a string or {\"sampled\":N}"
-
-let to_json t =
-  Json.Obj
-    [
-      ("type", Json.Str "bbc-trial");
-      ("version", Json.Int 1);
-      ("generator", generator_to_json t.generator);
-      ("n", Json.Int t.n);
-      ("k", Json.Int t.k);
-      ("h", Json.Int t.h);
-      ("l", Json.Int t.l);
-      ("init", Json.Str (init_name t.init));
-      ("scheduler", Json.Str (sched_name t.scheduler));
-      ("policy", policy_to_json t.policy);
-      ("objective", Json.Str (objective_name t.objective));
-      ("max_rounds", Json.Int t.max_rounds);
-      ("seed", Json.Int t.seed);
-    ]
-
-let of_json v =
-  (match Json.member "type" v with
-  | Some (Json.Str "bbc-trial") -> Ok ()
-  | _ -> Error "trial: expected \"type\":\"bbc-trial\"")
-  |> fun typ ->
-  let* () = typ in
-  let* version = int_field "version" v in
-  if version <> 1 then Error (Printf.sprintf "trial: unsupported version %d" version)
-  else
-    let* gv = field "generator" v in
-    let* generator = generator_of_json gv in
-    let* n = int_field "n" v in
-    let* k = int_field "k" v in
-    let* h = int_field "h" v in
-    let* l = int_field "l" v in
-    let* init_s = str_field "init" v in
-    let* init =
-      match init_of_name init_s with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "trial: unknown init %S" init_s)
-    in
-    let* sched_s = str_field "scheduler" v in
-    let* scheduler =
-      match sched_of_name sched_s with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "trial: unknown scheduler %S" sched_s)
-    in
-    let* pv = field "policy" v in
-    let* policy = policy_of_json pv in
-    let* obj_s = str_field "objective" v in
-    let* objective =
-      match objective_of_name obj_s with
-      | Some o -> Ok o
-      | None -> Error (Printf.sprintf "trial: unknown objective %S" obj_s)
-    in
-    let* max_rounds = int_field "max_rounds" v in
-    let* seed = int_field "seed" v in
-    Ok { generator; n; k; h; l; init; scheduler; policy; objective; max_rounds; seed }
 
 let outcome_name = function
   | Converged -> "converged"

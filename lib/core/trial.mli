@@ -7,14 +7,14 @@
     consumes (instance tables, random start, random-order schedules,
     sampled candidates) is derived deterministically.  Two executions of
     the same trial, anywhere, produce bit-identical walks; that is the
-    contract the campaign layer ({!Bbc_campaign}) and the server's
-    [run_unit] endpoint build on, and the [campaign] fuzz suite checks
-    it against a direct {!Dynamics.run}.
+    contract the campaign layer ({!Bbc_campaign}) builds on, and the
+    [campaign] fuzz suite checks it against a direct {!Dynamics.run}.
 
-    The JSON encoding ([{"type":"bbc-trial","version":1,...}]) is
-    canonical: decoding an encoded trial and re-encoding it is the
-    identity on the rendered string, which lets checkpoints and specs be
-    compared bytewise. *)
+    A trial has no JSON form of its own: a campaign spec names a grid of
+    trials, and only the spec and each unit's {!summary} are written to
+    disk.  Their component codecs below are canonical — re-encoding a
+    decoded value is the identity on the rendered string — which lets a
+    campaign directory compare its spec bytewise. *)
 
 (** Instance source.  [Catalog] names a {!Catalog} construction (its
     randomized members consume [seed] directly); [Family] names a
@@ -98,10 +98,9 @@ val label : t -> string
 (** {1 JSON}
 
     Canonical encodings (fixed field order; re-encoding a decoded value
-    is the identity on the rendered string). *)
+    is the identity on the rendered string) of a unit's summary, for
+    checkpoints, and of the trial components a spec names. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 val summary_to_json : summary -> Json.t
 val summary_of_json : Json.t -> (summary, string) result
 

@@ -972,7 +972,7 @@ let selfcheck_suite =
   ]
 
 (* ---------------------------------------------------------------- *)
-(* Suite campaign: spec/trial codecs round-trip, and a campaign unit
+(* Suite campaign: the spec codec round-trips, and a campaign unit
    replays the exact walk a direct Dynamics.run produces.             *)
 
 module Trial = Bbc.Trial
@@ -1047,17 +1047,6 @@ let spec_gen : Spec.t Gen.t =
   let+ seed = int_bound 10_000 in
   { Spec.name = "fuzz"; seed; seeds_per_point; max_rounds; points; inits; schedulers; policies; objectives }
 
-let prop_trial_roundtrip t =
-  let rendered = Json.to_string (Trial.to_json t) in
-  match Trial.of_json (Trial.to_json t) with
-  | Error e -> failf "trial decode failed: %s" e
-  | Ok t' ->
-      if t' <> t then failf "trial decode changed the value (%s)" rendered
-      else
-        let re = Json.to_string (Trial.to_json t') in
-        if re <> rendered then failf "trial rendering not canonical: %s vs %s" rendered re
-        else ok
-
 let prop_spec_roundtrip s =
   let rendered = Json.to_string (Spec.to_json s) in
   match Spec.of_json (Spec.to_json s) with
@@ -1074,25 +1063,26 @@ let prop_spec_roundtrip s =
           | Ok _ -> failf "of_string changed the value"
           | Error e -> failf "of_string rejected a rendered spec: %s" e)
 
+(* The 1-unit campaign whose grid is exactly [t]'s axes. *)
+let one_unit_spec t =
+  {
+    Spec.name = "fuzz";
+    seed = t.Trial.seed;
+    seeds_per_point = 1;
+    max_rounds = t.Trial.max_rounds;
+    points =
+      [ { Spec.generator = t.Trial.generator; n = t.Trial.n; k = t.Trial.k; h = 2; l = 3 } ];
+    inits = [ t.Trial.init ];
+    schedulers = [ t.Trial.scheduler ];
+    policies = [ t.Trial.policy ];
+    objectives = [ t.Trial.objective ];
+  }
+
 (* A 1-unit campaign executes Spec.unit 0 through Trial.run — its
    activation trace must be bit-identical to a direct Dynamics.run on
    the same materialized inputs. *)
 let prop_unit_trace_vs_dynamics t =
-  let spec =
-    {
-      Spec.name = "fuzz";
-      seed = t.Trial.seed;
-      seeds_per_point = 1;
-      max_rounds = t.Trial.max_rounds;
-      points =
-        [ { Spec.generator = t.Trial.generator; n = t.Trial.n; k = t.Trial.k; h = 2; l = 3 } ];
-      inits = [ t.Trial.init ];
-      schedulers = [ t.Trial.scheduler ];
-      policies = [ t.Trial.policy ];
-      objectives = [ t.Trial.objective ];
-    }
-  in
-  let u = Spec.unit spec 0 in
+  let u = Spec.unit (one_unit_spec t) 0 in
   let trace run_fn =
     let steps = ref [] in
     let on_step (s : Bbc.Dynamics.step) =
@@ -1140,24 +1130,16 @@ let prop_unit_trace_vs_dynamics t =
         in
         if via_trial <> direct_summary then failf "summaries differ" else ok
 
-let trial_render t =
-  match Trial.build t with
-  | Ok (inst, cfg) -> (inst, Some cfg, Json.to_string (Trial.to_json t))
-  | Error _ -> (I.uniform ~n:2 ~k:1, None, Json.to_string (Trial.to_json t))
+(* A campaign counterexample renders as its spec, which
+   [bbc campaign run --spec] loads, beside unit 0's instance. *)
+let spec_render s =
+  let detail = Json.to_string (Spec.to_json s) in
+  match Trial.build (Spec.unit s 0) with
+  | Ok (inst, cfg) -> (inst, Some cfg, detail)
+  | Error _ -> (I.uniform ~n:2 ~k:1, None, detail)
 
 let campaign_suite =
-  let spec_render s =
-    trial_render (Spec.unit s 0)
-    |> fun (inst, cfg, _) -> (inst, cfg, Json.to_string (Spec.to_json s))
-  in
   [
-    Packed
-      {
-        name = "trial_json_roundtrip";
-        gen = trial_gen;
-        prop = prop_trial_roundtrip;
-        render = trial_render;
-      };
     Packed
       {
         name = "spec_json_roundtrip";
@@ -1170,7 +1152,7 @@ let campaign_suite =
         name = "unit_vs_dynamics";
         gen = trial_gen;
         prop = prop_unit_trace_vs_dynamics;
-        render = trial_render;
+        render = (fun t -> spec_render (one_unit_spec t));
       };
   ]
 

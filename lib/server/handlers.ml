@@ -287,21 +287,6 @@ let close_session env params =
   let* id = req_str params "session" in
   Ok (Json.Obj [ ("closed", Json.Bool (Session.remove env.sessions id)) ])
 
-(* Stateless Monte-Carlo unit: decode a trial, run the whole walk, and
-   return its summary.  No session is created. *)
-let run_unit params =
-  let* tv =
-    match Json.member "trial" params with
-    | Some v -> Ok v
-    | None -> fail Protocol.Bad_params "missing param \"trial\""
-  in
-  let* trial =
-    Result.map_error (fun m -> (Protocol.Bad_params, m)) (Bbc.Trial.of_json tv)
-  in
-  match Bbc.Trial.run trial with
-  | Ok s -> Ok (Bbc.Trial.summary_to_json s)
-  | Error m -> fail Protocol.Bad_params m
-
 (* ---------------------------------------------------------------- *)
 
 let dispatch env (r : Protocol.request) =
@@ -321,7 +306,6 @@ let dispatch env (r : Protocol.request) =
   | "apply_move" -> apply_move env r.params
   | "step_dynamics" -> step_dynamics env r.params
   | "close_session" -> close_session env r.params
-  | "run_unit" -> run_unit r.params
   | "stats" -> Ok (env.stats ())
   | "shutdown" ->
       env.request_shutdown ();

@@ -40,7 +40,6 @@ let methods =
     "instance";
     "load_instance";
     "ping";
-    "run_unit";
     "shutdown";
     "stable";
     "stats";

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Crash-resume determinism gate on the campaign runner (DESIGN.md
 # section 15): the final report.json must be a pure function of the
-# spec — independent of jobs, chunk size, execution mode, and
-# interruption.  Three legs over one fixed ~800-unit spec:
+# spec — independent of jobs, chunk size and interruption.  Two legs
+# over one fixed ~800-unit spec:
 #   - reference: run to completion in-process, then require
 #     `bbc campaign report` to recompute byte-identical output from the
 #     checkpoints alone;
@@ -10,9 +10,8 @@
 #     it once a few chunk files exist (no report.json yet), resume with
 #     a different chunk size and jobs count, and require report.json to
 #     be byte-identical to the reference (and at least one unit to have
-#     been skipped from the checkpoints);
-#   - via-server: run the same campaign fanned out over a
-#     `bbc serve --tcp` daemon and require the same bytes again.
+#     been skipped from the checkpoints), and `bbc campaign report` to
+#     recompute the same bytes from the resumed checkpoints.
 #
 # Usage: scripts/check_campaign.sh
 #   (override SEEDS_PER_POINT/OUT_DIR)
@@ -26,17 +25,12 @@ dune build bin/bbc_cli.exe
 bbc=_build/default/bin/bbc_cli.exe
 
 tmpdir=$(mktemp -d /tmp/bbc-check-campaign-XXXXXX)
-server=
-cleanup() {
-  if [ -n "$server" ]; then kill "$server" 2>/dev/null || true; fi
-  rm -rf "$tmpdir"
-}
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$tmpdir"' EXIT INT TERM
 mkdir -p "$OUT_DIR"
 
 # 2 points x 2 inits x 2 schedulers x SEEDS_PER_POINT seeds = 8 cells,
 # 8 * SEEDS_PER_POINT units: big enough that a prompt SIGKILL lands
-# mid-campaign, small enough to finish three legs in CI seconds.
+# mid-campaign, small enough to finish both legs in CI seconds.
 cat > "$tmpdir/spec.json" <<SPEC
 {"type":"bbc-campaign","name":"check-campaign","seed":2008,
  "seeds_per_point":$SEEDS_PER_POINT,"max_rounds":60,
@@ -95,34 +89,11 @@ cmp "$tmpdir/ref/report.json" "$tmpdir/crash/report.json" || {
   echo "check_campaign: crash-resume report differs from reference" >&2
   exit 1
 }
+"$bbc" campaign report --out "$tmpdir/crash" | cmp - "$tmpdir/crash/report.json" || {
+  echo "check_campaign: 'campaign report' disagrees with the resumed report.json" >&2
+  exit 1
+}
 echo "check_campaign: crash-resume report byte-identical ($skipped units from checkpoints)"
-
-# Leg 3: the same campaign over a serve daemon.
-"$bbc" serve --tcp 127.0.0.1:0 > "$tmpdir/announce" &
-server=$!
-i=0
-while ! grep -q '^listening on tcp:' "$tmpdir/announce" 2>/dev/null; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "check_campaign: serve daemon never announced its port" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-endpoint=$(sed -n 's/^listening on tcp://p' "$tmpdir/announce" | head -n 1)
-"$bbc" campaign run --spec "$tmpdir/spec.json" --out "$tmpdir/srv" \
-  --via-server "tcp:$endpoint" --checkpoint-every 32 > "$tmpdir/srv.log"
-kill -TERM "$server"
-wait "$server" || {
-  echo "check_campaign: serve daemon exited non-zero on SIGTERM" >&2
-  exit 1
-}
-server=
-cmp "$tmpdir/ref/report.json" "$tmpdir/srv/report.json" || {
-  echo "check_campaign: via-server report differs from in-process" >&2
-  exit 1
-}
-echo "check_campaign: via-server report byte-identical (tcp:$endpoint)"
 
 cp "$tmpdir/ref/report.json" "$OUT_DIR/campaign_report.json"
 
@@ -130,9 +101,9 @@ if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
   {
     echo "### Campaign crash-resume gate ($total units, 8 cells)"
     echo ""
-    echo "- reference / crash-resume / via-server reports: byte-identical"
+    echo "- reference / crash-resume reports and their \`campaign report\` recomputations: byte-identical"
     echo "- chunks checkpointed before SIGKILL: $chunks; units resumed from disk: $skipped"
   } >> "$GITHUB_STEP_SUMMARY"
 fi
 
-echo "check_campaign: ok ($total units x 3 legs, reports byte-identical)"
+echo "check_campaign: ok ($total units x 2 legs, reports byte-identical)"

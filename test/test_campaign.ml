@@ -176,7 +176,7 @@ let test_checkpoint_roundtrip () =
   Out_channel.with_open_bin
     (Filename.concat dir ".tmp-chunk-00000002.jsonl-999")
     (fun oc -> output_string oc "torn");
-  match Checkpoint.load ~dir with
+  match Checkpoint.load ~dir ~units:2 with
   | Error m -> Alcotest.fail m
   | Ok (tbl, next) ->
       Alcotest.(check int) "next chunk index" 2 next;
@@ -228,9 +228,7 @@ let test_aggregate_order_independent () =
    different chunk size and job count.  Reports must match bytewise. *)
 let test_runner_resume_identical () =
   let a = temp_dir () and b = temp_dir () in
-  let opts_a =
-    { Runner.default_opts with checkpoint_every = 7; jobs = Some 2 }
-  in
+  let opts_a = { Runner.jobs = Some 2; checkpoint_every = 7 } in
   let out_a =
     match Runner.run opts_a ~dir:a spec with Ok o -> o | Error m -> Alcotest.fail m
   in
@@ -245,9 +243,7 @@ let test_runner_resume_identical () =
   in
   copy "spec.json";
   copy "chunk-00000000.jsonl";
-  let opts_b =
-    { Runner.default_opts with checkpoint_every = 11; jobs = Some 1 }
-  in
+  let opts_b = { Runner.jobs = Some 1; checkpoint_every = 11 } in
   let out_b =
     match Runner.run opts_b ~dir:b spec with Ok o -> o | Error m -> Alcotest.fail m
   in
@@ -265,6 +261,73 @@ let test_runner_resume_identical () =
   | Error m ->
       Alcotest.(check bool) "drift error mentions spec" true
         (String.length m > 0)
+
+(* One ring point, [seeds] units, every other axis a singleton. *)
+let ring_spec seeds =
+  {
+    spec with
+    seeds_per_point = seeds;
+    points = [ { generator = Trial.Catalog "ring"; n = 6; k = 1; h = 2; l = 3 } ];
+    inits = [ Trial.Empty ];
+    schedulers = [ Trial.Round_robin ];
+  }
+
+(* Pending ids are drawn per chunk, not materialized up front: a 10^7-unit
+   campaign stopped after its first 16-unit chunk allocates far less
+   than the 240 MB a list of every id would take. *)
+let test_runner_streams_pending () =
+  let dir = temp_dir () in
+  let before = Gc.allocated_bytes () in
+  let on_chunk ~done_units ~total =
+    Alcotest.(check (pair int int)) "first chunk" (16, 10_000_000) (done_units, total);
+    raise Exit
+  in
+  (match
+     Runner.run ~on_chunk { Runner.jobs = Some 1; checkpoint_every = 16 } ~dir
+       (ring_spec 10_000_000)
+   with
+  | exception Exit -> ()
+  | Ok _ -> Alcotest.fail "ran past the first chunk"
+  | Error m -> Alcotest.fail m);
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes < 64 MB" allocated)
+    true (allocated < 64e6)
+
+(* A checkpointed unit id outside the grid is a clean error from both
+   run and report, not an exception from Spec.unit. *)
+let test_checkpoint_unit_range () =
+  let dir = temp_dir () in
+  let small = ring_spec 3 in
+  let opts = { Runner.jobs = Some 1; checkpoint_every = 2 } in
+  (match Runner.run opts ~dir small with
+  | Ok o -> Alcotest.(check int) "executed" 3 o.Runner.executed
+  | Error m -> Alcotest.fail m);
+  (* Chunks 0 and 1 hold the three units; chunk 2 is the corrupt one. *)
+  List.iter
+    (fun id ->
+      let path =
+        Checkpoint.append_chunk ~dir ~index:2
+          [ { Checkpoint.unit_id = id; payload = Checkpoint.Failed "x" } ]
+      in
+      let expect = Printf.sprintf "%s: checkpoint: unit %d out of range [0,3)" path id in
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "run, unit %d" id) (Error expect)
+        (Result.map ignore (Runner.run opts ~dir small));
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "report, unit %d" id) (Error expect)
+        (Result.map ignore (Runner.report ~dir)))
+    [ -5; 3 ]
+
+let test_checkpoint_every_positive () =
+  List.iter
+    (fun checkpoint_every ->
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "checkpoint_every %d" checkpoint_every)
+        (Error "campaign: checkpoint_every must be at least 1")
+        (Result.map ignore
+           (Runner.run { Runner.jobs = Some 1; checkpoint_every } ~dir:(temp_dir ()) spec)))
+    [ 0; -3 ]
 
 (* The grid limit (10^9 units) holds even when the unchecked product of
    the axis lengths wraps past max_int (8 * max_int is -8). *)
@@ -285,4 +348,8 @@ let suite =
       test_aggregate_order_independent;
     Alcotest.test_case "runner resume byte-identity" `Quick
       test_runner_resume_identical;
+    Alcotest.test_case "runner streams pending ids" `Quick test_runner_streams_pending;
+    Alcotest.test_case "checkpoint unit out of range" `Quick test_checkpoint_unit_range;
+    Alcotest.test_case "checkpoint_every at least 1" `Quick
+      test_checkpoint_every_positive;
   ]
