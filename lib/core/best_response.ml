@@ -267,95 +267,34 @@ let price ~objective ws instance u ~rows fr targets =
   release_prefix ws cur k;
   c
 
-(* Uniform k = 1 on a functional profile (DESIGN.md section 9).  With
-   every node buying at most one unit link, G_{-u} is a successor array
-   in which [u] has no successor, and the walk from [v] visits distinct
-   vertices until it stops at [u], stops at a node that buys nothing, or
-   closes a cycle.  Let T_v be the number of those vertices other than
-   [u].  The strategy {v} reaches exactly them, at distances 1..T_v, and
-   pays the penalty for the other n - 1 - T_v nodes, so it costs
-   T_v (T_v + 1) / 2 + (n - 1 - T_v) M (Max: n - 1 when T_v = n - 1,
-   else M).  [u]'s current cost is that of its current target, or of
-   the empty strategy when it has none.
-
-   [walk_counts succ u] gives every T_v in one O(n) pass: each vertex is
-   pushed on [path] once, and its count is the count of the vertex it
-   leads to plus one, or the cycle length for the vertices of a cycle
-   the walk closes.  While a vertex sits on the path, [t] holds
-   -2 - its position. *)
-let walk_counts succ u =
-  let n = Array.length succ in
-  let t = Array.make n (-1) in
-  let path = Array.make n 0 in
-  t.(u) <- 0;
-  for s = 0 to n - 1 do
-    if t.(s) = -1 then begin
-      let len = ref 0 and x = ref s in
-      while !x >= 0 && t.(!x) = -1 do
-        t.(!x) <- -2 - !len;
-        path.(!len) <- !x;
-        incr len;
-        x := succ.(!x)
-      done;
-      let base =
-        if !x < 0 then 0
-        else if t.(!x) >= 0 then t.(!x)
-        else begin
-          let p = -2 - t.(!x) in
-          let c = !len - p in
-          for i = p to !len - 1 do
-            t.(path.(i)) <- c
-          done;
-          len := p;
-          c
-        end
-      in
-      for i = !len - 1 downto 0 do
-        t.(path.(i)) <- base + !len - i
-      done
-    end
-  done;
-  t
-
-(* The successor array when the closed form applies to every node's
-   decision on [config]. *)
-let closed_form_input instance config =
-  if Instance.uniform_k instance <> Some 1 then None else Config.successors config
-
-(* [Some (succ, T)] when the closed form applies to [u]'s decision. *)
+(* Uniform k = 1 on a functional profile (DESIGN.md section 9): every
+   strategy of [u] is the empty set or a singleton {v}, which costs
+   [Functional.cost] of v's walk count T_v in G_{-u}, all of which come
+   from one O(n) pass.  [u]'s current cost is that of its current
+   target, or of the empty strategy when it has none.  [Some (succ, T)]
+   when the closed form applies to [u]'s decision. *)
 let closed_form instance config u =
-  Option.map (fun succ -> (succ, walk_counts succ u)) (closed_form_input instance config)
+  Option.map (fun succ -> (succ, Functional.walk_counts succ u)) (Functional.input instance config)
 
 let snapshot instance config =
-  match closed_form_input instance config with
+  match Functional.input instance config with
   | Some _ -> None
   | None -> Some (Config.to_csr instance config)
 
-let empty_cost ~objective instance =
-  let n = Instance.n instance and m = Instance.penalty instance in
-  match objective with Objective.Sum -> (n - 1) * m | Objective.Max -> m
-
-let singleton_cost ~objective instance t =
-  let n = Instance.n instance and m = Instance.penalty instance in
-  match objective with
-  | Objective.Sum -> (t * (t + 1) / 2) + ((n - 1 - t) * m)
-  | Objective.Max -> if t = n - 1 then t else m
-
 let closed_current ~objective instance (succ, t) u =
-  if succ.(u) < 0 then empty_cost ~objective instance
-  else singleton_cost ~objective instance t.(succ.(u))
+  Functional.cost ~objective instance (if succ.(u) < 0 then 0 else t.(succ.(u)))
 
 (* The affordable subsets are exactly the empty set and the singletons,
    visited in the order the DFS would use. *)
 let closed_enumerate ~objective instance (_, t) u ~on_subset =
   let subsets = ref 1 in
-  if not (on_subset [] (empty_cost ~objective instance)) then begin
+  if not (on_subset [] (Functional.cost ~objective instance 0)) then begin
     let rec go v =
       if v < Instance.n instance then
         if v = u then go (v + 1)
         else begin
           incr subsets;
-          if not (on_subset [ v ] (singleton_cost ~objective instance t.(v))) then go (v + 1)
+          if not (on_subset [ v ] (Functional.cost ~objective instance t.(v))) then go (v + 1)
         end
     in
     go 0

@@ -23,11 +23,14 @@
     most one link) need no rows at all: the affordable strategies are
     the empty set and the singletons, and each singleton's cost is a
     closed form in the length of the target's walk in [G_{-u}], all of
-    which come from one O(n) pass over the successor array (DESIGN.md
-    section 9).  Every entry point except the sampled searches
-    ({!sampled}, {!decide} with [Sampled]) takes that path
-    whenever {!Instance.uniform_k} is [Some 1] and {!Config.successors}
-    is [Some _]; the results are the ones the rows would give.
+    which come from one O(n) pass over the successor array
+    ({!Functional.walk_counts}, DESIGN.md section 9).  Every entry point
+    except the sampled searches ({!sampled}, {!decide} with [Sampled])
+    takes that path whenever {!Functional.input} is [Some _]; the
+    results are the ones the rows would give.  Whole-profile scans on
+    those inputs skip per-node decisions altogether
+    ({!Functional.scan}, used by {!Stability}, {!Eval} and
+    [Dynamics]' [Max_cost_first]).
 
     The [G_{-u}] rows are [~ban:u] sweeps of one full snapshot of the
     current profile, [Config.to_csr instance config].  Every function

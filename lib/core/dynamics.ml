@@ -58,7 +58,7 @@ type activation = { config : Config.t; moved : bool; before : int; after : int }
    otherwise.  Nothing re-evaluates a node's cost per activation.
 
    [known] is the first-improving decision of a node a scheduler
-   already found unstable (Max_cost_first decides every node per step),
+   already found unstable (Max_cost_first's scan decides its winner),
    so the enumeration is not repeated here: its [current] is the cost
    before and its [best] an improving witness.
 
@@ -159,6 +159,41 @@ let walk_snapshot ~policy instance config =
   | Sampled_best_response _ -> Some (Config.to_csr instance config)
   | Exact_best_response | First_improvement -> Best_response.snapshot instance config
 
+(* The unstable node of max cost (lowest index on ties) and its
+   first-improving decision, handed to the activation so its
+   enumeration never runs twice for the same step; [None] when every
+   node is stable.  On a uniform k = 1 functional profile one
+   [Functional.scan] gives every verdict and cost and only the winner is
+   decided; otherwise one decision per node on the walk's snapshot, in
+   node order: its [current] is the node's cost and its [best] the
+   witness of an unstable node. *)
+let max_cost_unstable ?(objective = Objective.Sum) ~csr instance config =
+  let n = Instance.n instance in
+  let decide u = Best_response.decide ~objective ?csr ~search:First_improving instance config u in
+  let pick unstable cost =
+    let node = ref (-1) in
+    for u = 0 to n - 1 do
+      if unstable u && (!node < 0 || cost u > cost !node) then node := u
+    done;
+    !node
+  in
+  match Functional.input instance config with
+  | Some succ ->
+      let s = Functional.scan succ in
+      let node =
+        pick (Functional.improves ~objective instance s) (fun u ->
+            Functional.cost ~objective instance s.current.(u))
+      in
+      if node < 0 then None else Some (node, decide node)
+  | None ->
+      let decisions = Array.init n decide in
+      let node =
+        pick
+          (fun u -> decisions.(u).best.cost < decisions.(u).current)
+          (fun u -> decisions.(u).current)
+      in
+      if node < 0 then None else Some (node, decisions.(node))
+
 (* A repeated profile (compared whole, so a hash collision is never a
    repeat) is a cycle only when the rest of the walk is a function of
    the profile: no scheduler draw and no sampled move. *)
@@ -237,28 +272,11 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
                 }
           | None -> (
               if cycles then Config.Tbl.add seen config step;
-              (* One first-improving decision per node on the walk's
-                 snapshot, in node order: its [current] is the node's
-                 cost and its [best] the witness of an unstable node,
-                 handed to [activate] so the enumeration never runs
-                 twice for the same step. *)
-              let decisions =
-                let csr = !csr in
-                Array.init n (fun u ->
-                    Best_response.decide ?objective ?csr ~search:First_improving instance config u)
-              in
-              let node = ref (-1) in
-              Array.iteri
-                (fun u (d : Best_response.decision) ->
-                  if d.best.cost < d.current && (!node < 0 || d.current > decisions.(!node).current)
-                  then node := u)
-                decisions;
-              match !node with
-              | -1 -> Converged (config, { rounds = step; steps = step; deviations })
-              | node ->
+              match max_cost_unstable ?objective ~csr:!csr instance config with
+              | None -> Converged (config, { rounds = step; steps = step; deviations })
+              | Some (node, known) ->
                   let a =
-                    activate ?objective ?rng:brng ~known:decisions.(node) ?csr:!csr ~policy instance
-                      config node
+                    activate ?objective ?rng:brng ~known ?csr:!csr ~policy instance config node
                   in
                   advance node a;
                   emit ~prev:config step step node a;

@@ -14,7 +14,9 @@
       paper's experimental remarks.  One sequential scan per step runs a
       first-improving {!Best_response.decide} for every node on the
       walk's snapshot; its [current] costs rank the nodes, and "unstable"
-      always means the exact scan found an improvement.
+      always means the exact scan found an improvement.  On uniform
+      [k = 1] functional profiles one {!Functional.scan} gives the same
+      verdicts and costs, and only the chosen node is decided.
 
     {b Cycles.}  A repeated profile (at a round boundary; every step
     under [Max_cost_first]) is reported as [Cycled] only when the rest

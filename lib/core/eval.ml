@@ -125,17 +125,24 @@ let costs_of_snapshot ?objective ~jobs instance csr =
        ~emit:(fun u c -> out.(u) <- c));
   out
 
-let all_costs ?objective ?jobs instance config =
+(* Every node's cost, handed to [f] inside [span]: on a uniform k = 1
+   functional profile from its own walk ([Functional.costs], one O(n)
+   pass on the caller, no sweep), otherwise from sweeps of one snapshot
+   on the pool.  The span records the jobs that ran. *)
+let with_costs ~span ?(objective = Objective.Sum) ?jobs instance config f =
   let n = Instance.n instance in
-  let jobs = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n in
-  Bbc_obs.with_span "eval.all_costs"
-    ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      costs_of_snapshot ?objective ~jobs instance (Config.to_csr instance config))
+  let closed = Functional.input instance config in
+  let jobs =
+    if Option.is_some closed then 1 else Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n
+  in
+  Bbc_obs.with_span span ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
+      f
+        (match closed with
+        | Some succ -> Functional.costs ~objective instance succ
+        | None -> costs_of_snapshot ~objective ~jobs instance (Config.to_csr instance config)))
+
+let all_costs ?objective ?jobs instance config =
+  with_costs ~span:"eval.all_costs" ?objective ?jobs instance config Fun.id
 
 let social_cost ?objective ?jobs instance config =
-  let n = Instance.n instance in
-  let jobs = Bbc_parallel.jobs_for ?jobs ~threshold:parallel_threshold n in
-  Bbc_obs.with_span "eval.social_cost"
-    ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      Array.fold_left ( + ) 0
-        (costs_of_snapshot ?objective ~jobs instance (Config.to_csr instance config)))
+  with_costs ~span:"eval.social_cost" ?objective ?jobs instance config (Array.fold_left ( + ) 0)

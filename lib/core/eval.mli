@@ -23,12 +23,16 @@ val all_costs :
     pooled distance rows — so they are fanned out over the
     {!Bbc_parallel} domain pool.  [jobs] defaults to
     {!Bbc_parallel.default_jobs} for n >= 64 and to 1 below that; the
-    result is identical for every job count. *)
+    result is identical for every job count.  On a uniform [k = 1]
+    functional profile ({!Functional.input}) every cost comes from the
+    node's own walk instead ({!Functional.costs}: one O(n) pass on the
+    caller, no sweep), inside the same [eval.all_costs] span. *)
 
 val social_cost : ?objective:Objective.t -> ?jobs:int -> Instance.t -> Config.t -> int
 (** Sum over nodes of {!node_cost} — the paper's total social cost:
     the sum of the array {!all_costs} computes, swept the same way (its
-    own [eval.social_cost] span, no [eval.all_costs] span inside). *)
+    own [eval.social_cost] span, no [eval.all_costs] span inside; the
+    same one-pass closed form on uniform [k = 1] functional profiles). *)
 
 val cost_of_distances :
   ?objective:Objective.t -> Instance.t -> int -> int array -> int

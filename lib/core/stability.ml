@@ -7,9 +7,8 @@ type deviation = {
 (* Per-node best-response checks only read the shared instance,
    profile and snapshot, so they fan out over the domain pool once the
    scan's work reaches [parallel_work]: nodes times affordable subsets
-   per node, or n per node on the closed form (no snapshot).  Below it
-   a pool wake costs more than the checks it splits (crossover measured
-   in DESIGN.md section 7; on the closed form the cutoff is 64 nodes). *)
+   per node.  Below it a pool wake costs more than the checks it splits
+   (crossover measured in DESIGN.md section 7). *)
 let parallel_work = 4096
 
 (* [u]'s affordable subsets, counted until they pass [parallel_work]:
@@ -26,11 +25,10 @@ let affordable_subsets instance u =
   in
   1 + go 0 1 (Instance.budget instance u) costs
 
-let resolve_jobs ?jobs instance csr =
+let resolve_jobs ?jobs instance =
   let n = Instance.n instance in
   let rec work u acc =
-    if u = n || acc >= parallel_work then acc
-    else work (u + 1) (acc + if Option.is_none csr then n else affordable_subsets instance u)
+    if u = n || acc >= parallel_work then acc else work (u + 1) (acc + affordable_subsets instance u)
   in
   Bbc_parallel.jobs_for ?jobs ~threshold:parallel_work (work 0 0)
 
@@ -47,39 +45,66 @@ let resolve_jobs ?jobs instance csr =
    traversal, so coarser chunks would add nothing there.) *)
 let br_chunk = 1
 
+(* The lowest node for which [check] answers [Some _].  Node 0 is
+   decided on the caller first, so a scan that stops there wakes no
+   pool; otherwise [parallel_find_first] returns the lowest-index hit of
+   1 .. n-1, the node the sequential scan would find.  All workers share
+   one immutable full snapshot ([~ban] sweeps give each node its G_{-u}
+   rows), so the fan-out builds no per-node graphs and the domains stay
+   off the shared allocator. *)
+let first_hit ~jobs instance check =
+  match check 0 with
+  | Some _ as hit -> hit
+  | None -> Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 1 (Instance.n instance) check
+
 let obs_stable_checks = Bbc_obs.counter "stability.is_stable"
 
-let find_deviation ?objective ?jobs instance config =
+let deviation ~objective ?csr instance config u =
+  let d = Best_response.decide ~objective ?csr ~search:First_improving instance config u in
+  if d.best.cost < d.current then Some { node = u; current_cost = d.current; better = d.best }
+  else None
+
+(* On a uniform k = 1 functional profile one [Functional.scan] answers
+   for every node (DESIGN.md section 9.2): the nodes it finds unstable,
+   in node order.  A scan that reports a deviation runs the reported
+   node's decision only, so it reports what the per-node scan would. *)
+let closed_unstable ~objective instance succ =
+  let s = Functional.scan succ in
+  List.filter (Functional.improves ~objective instance s) (List.init (Instance.n instance) Fun.id)
+
+let find_deviation ?(objective = Objective.Sum) ?jobs instance config =
   let n = Instance.n instance in
-  let csr = Best_response.snapshot instance config in
-  let jobs = resolve_jobs ?jobs instance csr in
+  let closed = Functional.input instance config in
+  let jobs = if Option.is_some closed then 1 else resolve_jobs ?jobs instance in
   Bbc_obs.with_span "stability.find_deviation"
     ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      (* [parallel_find_first] returns the lowest-index hit, so the reported
-         deviation is the same node the sequential scan would find.  All
-         workers share one immutable full snapshot ([~ban] sweeps give
-         each node its G_{-u} rows), so the fan-out builds no per-node
-         graphs and the domains stay off the shared allocator.  The
-         snapshot is built before the fan-out, and only when some
-         decision reads rows. *)
-      Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
-          let d = Best_response.decide ?objective ?csr ~search:First_improving instance config u in
-          if d.best.cost < d.current then Some { node = u; current_cost = d.current; better = d.best }
-          else None))
+      match closed with
+      | Some succ -> (
+          match closed_unstable ~objective instance succ with
+          | u :: _ -> deviation ~objective instance config u
+          | [] -> None)
+      | None ->
+          let csr = Config.to_csr instance config in
+          first_hit ~jobs instance (deviation ~objective ~csr instance config))
 
 let improvable ?objective ?csr instance config u =
   Option.is_some (Best_response.improving ?objective ?csr instance config u)
 
-let is_stable ?objective ?jobs instance config =
+let is_stable ?(objective = Objective.Sum) ?jobs instance config =
   Bbc_obs.incr obs_stable_checks;
   Config.feasible instance config
   &&
-  let csr = Best_response.snapshot instance config in
-  let jobs = resolve_jobs ?jobs instance csr in
-  Option.is_none
-    (Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 (Instance.n instance) (fun u ->
-         Best_response.improving ?objective ?csr instance config u))
+  match Functional.input instance config with
+  | Some succ -> closed_unstable ~objective instance succ = []
+  | None ->
+      let csr = Config.to_csr instance config in
+      let jobs = resolve_jobs ?jobs instance in
+      Option.is_none
+        (first_hit ~jobs instance (Best_response.improving ~objective ~csr instance config))
 
+(* Per-node decisions even on the closed form: [Exhaustive] checks
+   partial profiles node by node through this, and its counters count
+   those decisions. *)
 let nodes_stable ?objective instance config nodes =
   Config.feasible instance config
   &&
@@ -88,20 +113,33 @@ let nodes_stable ?objective instance config nodes =
 
 (* The two whole-profile scans below are sequential: no workload or
    gate reaches them with more than one job (DESIGN.md section 7). *)
-let unstable_nodes ?objective instance config =
-  let csr = Best_response.snapshot instance config in
-  List.filter (improvable ?objective ?csr instance config) (List.init (Instance.n instance) Fun.id)
+let unstable_nodes ?(objective = Objective.Sum) instance config =
+  match Functional.input instance config with
+  | Some succ -> closed_unstable ~objective instance succ
+  | None ->
+      let csr = Config.to_csr instance config in
+      List.filter (improvable ~objective ~csr instance config) (List.init (Instance.n instance) Fun.id)
 
 (* Each node's gap is [current - best.cost] of one exact decision, whose
-   current cost comes from the search's own rows.  An overspending node
+   current cost comes from the search's own rows; on the closed form it
+   is cost C(u) - cost B(u), the same two numbers.  An overspending node
    can sit below every affordable strategy; the fold from 0 clips it. *)
-let stability_gap ?objective instance config =
-  let csr = Best_response.snapshot instance config in
+let stability_gap ?(objective = Objective.Sum) instance config =
+  let n = Instance.n instance in
   let gap = ref 0 in
-  for u = 0 to Instance.n instance - 1 do
-    let d = Best_response.decide ?objective ?csr ~search:Exact instance config u in
-    gap := max !gap (d.current - d.best.cost)
-  done;
+  (match Functional.input instance config with
+  | Some succ ->
+      let s = Functional.scan succ in
+      let cost = Functional.cost ~objective instance in
+      for u = 0 to n - 1 do
+        gap := Int.max !gap (cost s.current.(u) - cost s.best.(u))
+      done
+  | None ->
+      let csr = Config.to_csr instance config in
+      for u = 0 to n - 1 do
+        let d = Best_response.decide ~objective ~csr ~search:Exact instance config u in
+        gap := max !gap (d.current - d.best.cost)
+      done);
   !gap
 
 let pp_deviation fmt d =

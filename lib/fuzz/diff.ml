@@ -387,6 +387,71 @@ let prop_k1_walk_vs_reference (inst, cfg, ms) =
   in
   go cfg ms
 
+(* The whole-profile closed form on every profile of the same walks:
+   [Functional.scan]'s B and C against the per-node walk counts, the
+   scans built on it ([Stability]'s verdicts, reported deviation and
+   gap, [Eval.all_costs]) against one decision per node and
+   [Eval.node_cost]'s sweeps, for Sum and Max. *)
+let scan_vs_walk_counts inst cfg =
+  let succ = Option.get (C.successors cfg) in
+  let s = Bbc.Functional.scan succ in
+  check_all
+    (fun u ->
+      let t = Bbc.Functional.walk_counts succ u in
+      let best = Array.fold_left max 0 t and current = if succ.(u) < 0 then 0 else t.(succ.(u)) in
+      if s.best.(u) <> best || s.current.(u) <> current then
+        failf "node %d: scan gives B %d C %d, walk counts B %d C %d" u s.best.(u) s.current.(u) best
+          current
+      else ok)
+    (nodes inst)
+
+let scans_vs_per_node inst cfg objective =
+  let module S = Bbc.Stability in
+  let obj = Bbc.Objective.to_string objective in
+  let decisions = Array.init (I.n inst) (BR.decide ~objective ~search:First_improving inst cfg) in
+  let unstable = List.filter (fun u -> decisions.(u).best.cost < decisions.(u).current) (nodes inst) in
+  let deviation =
+    List.nth_opt unstable 0 |> Option.map (fun u -> (u, decisions.(u).current, decisions.(u).best))
+  in
+  let gap =
+    List.fold_left
+      (fun g u ->
+        let d = BR.decide ~objective ~search:Exact inst cfg u in
+        max g (d.current - d.best.cost))
+      0 (nodes inst)
+  in
+  let got_deviation =
+    S.find_deviation ~objective ~jobs:1 inst cfg
+    |> Option.map (fun (d : S.deviation) -> (d.node, d.current_cost, d.better))
+  in
+  let got_gap = S.stability_gap ~objective inst cfg in
+  if S.unstable_nodes ~objective inst cfg <> unstable then
+    failf "%s: unstable_nodes differ from per-node decisions" obj
+  else if S.is_stable ~objective ~jobs:1 inst cfg <> (unstable = []) then
+    failf "%s: is_stable differs from per-node decisions" obj
+  else if got_deviation <> deviation then failf "%s: find_deviation differs from per-node decisions" obj
+  else if got_gap <> gap then failf "%s: stability_gap %d, per-node %d" obj got_gap gap
+  else
+    match
+      array_mismatch
+        (E.all_costs ~objective ~jobs:1 inst cfg)
+        (Array.init (I.n inst) (E.node_cost ~objective inst cfg))
+    with
+    | Some u -> failf "%s: all_costs differs from node_cost at node %d" obj u
+    | None -> ok
+
+let prop_k1_scan_vs_per_node (inst, cfg, ms) =
+  let check cfg =
+    Result.bind (scan_vs_walk_counts inst cfg) (fun () ->
+        check_all (scans_vs_per_node inst cfg) [ Bbc.Objective.Sum; Bbc.Objective.Max ])
+  in
+  let rec go cfg ms =
+    match (check cfg, ms) with
+    | Ok (), (u, s) :: rest -> go (C.with_strategy cfg u s) rest
+    | result, _ -> result
+  in
+  go cfg ms
+
 let prop_improving_iff (inst, cfg) =
   check_all
     (fun u ->
@@ -708,6 +773,13 @@ let br_suite =
         name = "closed_form_vs_ref";
         gen = k1_walk;
         prop = prop_k1_walk_vs_reference;
+        render = (fun (inst, cfg, ms) -> (inst, Some cfg, moves_to_string ms));
+      };
+    Packed
+      {
+        name = "k1_scan_vs_per_node";
+        gen = k1_walk;
+        prop = prop_k1_scan_vs_per_node;
         render = (fun (inst, cfg, ms) -> (inst, Some cfg, moves_to_string ms));
       };
     Packed

@@ -110,7 +110,6 @@ let with_row t u ~targets ~lengths =
 (* Kernels.                                                            *)
 
 type scratch = {
-  mutable queue : int array; (* BFS ring buffer; capacity >= n *)
   heap : Binary_heap.t;
   mutable touched : int array; (* vertices written by the last sweep *)
   mutable ntouched : int;
@@ -139,7 +138,6 @@ type scratch = {
 
 let create_scratch () =
   {
-    queue = [||];
     heap = Binary_heap.create ~capacity:16 ();
     touched = [||];
     ntouched = 0;
@@ -155,10 +153,7 @@ let create_scratch () =
   }
 
 let ensure s n =
-  if Array.length s.queue < n then begin
-    s.queue <- Array.make n 0;
-    s.touched <- Array.make n 0
-  end;
+  if Array.length s.touched < n then s.touched <- Array.make n 0;
   s.ntouched <- 0;
   s.dl_covers_batch <- false
 
@@ -177,27 +172,26 @@ let reset s dist =
    distances of G_{-u} — the best-response shape — without building a
    per-node CSR. *)
 
+(* The dirty list is the BFS queue: [ensure] empties it, and every
+   vertex is appended once, when its distance is set, so the sweep
+   visits [touched.(0 .. ntouched-1)] in order and never wraps. *)
 let bfs ?(ban = -1) t s ~src ~dist =
   ensure s t.n;
-  let queue = s.queue in
-  let cap = Array.length queue in
+  let queue = s.touched in
   let offsets = t.offsets and targets = t.targets in
   dist.(src) <- 0;
   touch s src;
-  queue.(0) <- src;
-  let head = ref 0 and tail = ref 1 in
-  while !head <> !tail do
+  let head = ref 0 in
+  while !head < s.ntouched do
     let u = queue.(!head) in
-    head := (!head + 1) mod cap;
+    incr head;
     if u <> ban then begin
       let du = dist.(u) + 1 in
       for e = offsets.(u) to offsets.(u + 1) - 1 do
         let v = targets.(e) in
         if dist.(v) = unreachable then begin
           dist.(v) <- du;
-          touch s v;
-          queue.(!tail) <- v;
-          tail := (!tail + 1) mod cap
+          touch s v
         end
       done
     end

@@ -22,6 +22,7 @@ let () =
       ("config", Test_config.suite);
       ("eval", Test_eval.suite);
       ("best-response", Test_best_response.suite);
+      ("functional", Test_functional.suite);
       ("stability", Test_stability.suite);
       ("exhaustive", Test_exhaustive.suite);
       ("dynamics", Test_dynamics.suite);
