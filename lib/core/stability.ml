@@ -45,18 +45,6 @@ let resolve_jobs ?jobs instance =
    traversal, so coarser chunks would add nothing there.) *)
 let br_chunk = 1
 
-(* The lowest node for which [check] answers [Some _].  Node 0 is
-   decided on the caller first, so a scan that stops there wakes no
-   pool; otherwise [parallel_find_first] returns the lowest-index hit of
-   1 .. n-1, the node the sequential scan would find.  All workers share
-   one immutable full snapshot ([~ban] sweeps give each node its G_{-u}
-   rows), so the fan-out builds no per-node graphs and the domains stay
-   off the shared allocator. *)
-let first_hit ~jobs instance check =
-  match check 0 with
-  | Some _ as hit -> hit
-  | None -> Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 1 (Instance.n instance) check
-
 let obs_stable_checks = Bbc_obs.counter "stability.is_stable"
 
 let deviation ~objective ?csr instance config u =
@@ -84,8 +72,15 @@ let find_deviation ?(objective = Objective.Sum) ?jobs instance config =
           | u :: _ -> deviation ~objective instance config u
           | [] -> None)
       | None ->
+          (* [parallel_find_first] returns the lowest-index hit, so the
+             reported deviation is the same node the sequential scan
+             would find.  All workers share one immutable full snapshot
+             ([~ban] sweeps give each node its G_{-u} rows), so the
+             fan-out builds no per-node graphs and the domains stay off
+             the shared allocator. *)
           let csr = Config.to_csr instance config in
-          first_hit ~jobs instance (deviation ~objective ~csr instance config))
+          Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n
+            (deviation ~objective ~csr instance config))
 
 let improvable ?objective ?csr instance config u =
   Option.is_some (Best_response.improving ?objective ?csr instance config u)
@@ -100,7 +95,8 @@ let is_stable ?(objective = Objective.Sum) ?jobs instance config =
       let csr = Config.to_csr instance config in
       let jobs = resolve_jobs ?jobs instance in
       Option.is_none
-        (first_hit ~jobs instance (Best_response.improving ~objective ~csr instance config))
+        (Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 (Instance.n instance)
+           (Best_response.improving ~objective ~csr instance config))
 
 (* Per-node decisions even on the closed form: [Exhaustive] checks
    partial profiles node by node through this, and its counters count
@@ -113,33 +109,20 @@ let nodes_stable ?objective instance config nodes =
 
 (* The two whole-profile scans below are sequential: no workload or
    gate reaches them with more than one job (DESIGN.md section 7). *)
-let unstable_nodes ?(objective = Objective.Sum) instance config =
-  match Functional.input instance config with
-  | Some succ -> closed_unstable ~objective instance succ
-  | None ->
-      let csr = Config.to_csr instance config in
-      List.filter (improvable ~objective ~csr instance config) (List.init (Instance.n instance) Fun.id)
+let unstable_nodes ?objective instance config =
+  let csr = Best_response.snapshot instance config in
+  List.filter (improvable ?objective ?csr instance config) (List.init (Instance.n instance) Fun.id)
 
 (* Each node's gap is [current - best.cost] of one exact decision, whose
-   current cost comes from the search's own rows; on the closed form it
-   is cost C(u) - cost B(u), the same two numbers.  An overspending node
+   current cost comes from the search's own rows.  An overspending node
    can sit below every affordable strategy; the fold from 0 clips it. *)
-let stability_gap ?(objective = Objective.Sum) instance config =
-  let n = Instance.n instance in
+let stability_gap ?objective instance config =
+  let csr = Best_response.snapshot instance config in
   let gap = ref 0 in
-  (match Functional.input instance config with
-  | Some succ ->
-      let s = Functional.scan succ in
-      let cost = Functional.cost ~objective instance in
-      for u = 0 to n - 1 do
-        gap := Int.max !gap (cost s.current.(u) - cost s.best.(u))
-      done
-  | None ->
-      let csr = Config.to_csr instance config in
-      for u = 0 to n - 1 do
-        let d = Best_response.decide ~objective ~csr ~search:Exact instance config u in
-        gap := max !gap (d.current - d.best.cost)
-      done);
+  for u = 0 to Instance.n instance - 1 do
+    let d = Best_response.decide ?objective ?csr ~search:Exact instance config u in
+    gap := max !gap (d.current - d.best.cost)
+  done;
   !gap
 
 let pp_deviation fmt d =

@@ -7,25 +7,22 @@
 
     {b Uniform [k = 1].}  On a uniform [k = 1] functional profile (the
     closed form of {!Best_response}) one O(n) {!Functional.scan} gives
-    every node's verdict and both costs, so {!is_stable},
-    {!unstable_nodes} and {!stability_gap} run no decision at all and
+    every node's verdict, so {!is_stable} runs no decision at all and
     {!find_deviation} runs one, for the node it reports.  Results are
-    those of the per-node scan; nothing fans out.  {!nodes_stable}
-    keeps one decision per listed node.
+    those of the per-node scan; nothing fans out.
 
     {b Parallelism.}  Elsewhere, per-node checks only read the shared
     instance, profile and one full CSR snapshot of it (all immutable),
     honouring the read-only-graph contract of {!Bbc_graph.Digraph}.
-    {!is_stable} and {!find_deviation} decide node 0 on the caller,
-    then fan the other nodes out over the {!Bbc_parallel} domain pool,
-    with early abort, when the scan's work is large enough: nodes times
-    affordable subsets per node of at least 4096.  So a 36-node
-    [k = 4] check fans out, and a scan that stops at node 0 wakes no
-    pool.  [?jobs] overrides
-    the default ({!Bbc_parallel.default_jobs} at or past the cutoff,
-    sequential below).  Every job count returns identical results —
-    verdicts, nodes, and costs.  {!unstable_nodes} and
-    {!stability_gap} scan sequentially. *)
+    {!is_stable} and {!find_deviation} fan them out over the
+    {!Bbc_parallel} domain pool, with early abort, when the scan's work
+    is large enough: nodes times affordable subsets per node of at
+    least 4096.  So a 36-node [k = 4] check fans out.  [?jobs]
+    overrides the default ({!Bbc_parallel.default_jobs} at or past the
+    cutoff, sequential below).  Every job count returns identical
+    results — verdicts, nodes, and costs.  {!unstable_nodes},
+    {!stability_gap} and {!nodes_stable} decide every node they cover
+    (on the closed form too), sequentially. *)
 
 type deviation = {
   node : int;
@@ -76,8 +73,7 @@ val stability_gap :
 (** Max over nodes of [current_cost - best_response_cost], floored at 0
     (an overspending node may cost less than any affordable strategy);
     0 iff no node strictly improves.  Each node's pair comes from one
-    {!Best_response.decide} with [Exact], or on uniform [k = 1]
-    functional profiles from the scan, with the same values.  (The
-    additive analogue of epsilon-equilibrium.) *)
+    {!Best_response.decide} with [Exact].  (The additive analogue of
+    epsilon-equilibrium.) *)
 
 val pp_deviation : Format.formatter -> deviation -> unit

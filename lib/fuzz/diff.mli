@@ -20,7 +20,7 @@
       closed form vs
       {!Reference.enumerate} (Sum and Max); on the same [k = 1] walks,
       [Functional.scan] vs per-node walk counts and the scans built on
-      it ([Stability]'s verdicts, deviation and gap, [Eval.all_costs])
+      it ([Stability]'s verdicts and deviation, [Eval.all_costs])
       vs one decision per node and [Eval.node_cost]; every
       [Best_response.decide] search's current and best cost, and every
       [Dynamics] step's [cost_after] (three policies, round-robin and
