@@ -28,18 +28,18 @@ let candidate_targets instance u =
    walks from building one per decision; otherwise this decision builds
    its own.
 
-   On unit-length snapshots every source's row is fetched up front with
-   one bit-parallel [Csr.sssp_batch ~ban] traversal instead of one
-   scalar sweep each.  An enumeration that runs to completion touches
-   every candidate row at DFS depth 1 anyway, so the batch does the
-   same work for ~one sweep's worth of graph reads; early-aborting
+   With two or more sources every row is fetched up front by one
+   [Csr.sssp_batch ~ban] call, which picks the bit-parallel kernel for
+   the snapshot's lengths.  An enumeration that runs to completion
+   touches every candidate row at DFS depth 1 anyway, so the batch does
+   the same work for ~one sweep's worth of graph reads; early-aborting
    callers pay at most one window of extra traversal. *)
 type rows = { snap : Csr.t; u : int; srcs : int array; bufs : int array array }
 
 let scratch_rows ?csr instance config u ~srcs =
   let snap = match csr with Some full -> full | None -> Config.to_csr instance config in
   let bufs =
-    if Array.length srcs > 1 && Csr.unit_lengths snap then begin
+    if Array.length srcs > 1 then begin
       let ws = Workspace.get () in
       let bufs = Array.map (fun _ -> Workspace.acquire ws (Csr.n snap)) srcs in
       Csr.sssp_batch ~ban:u snap (Workspace.scratch ws) ~srcs ~rows:bufs;
@@ -195,6 +195,16 @@ let with_frame instance u ~ncand ~rows f =
       release_rows ws rows)
     (fun () -> f ws fr)
 
+(* [min_cost_from costs] holds at [j] the cheapest of [costs.(j ..)]
+   ([max_int] past the end): O(1) "is this subset a DFS leaf?" checks. *)
+let min_cost_from costs =
+  let c = Array.length costs in
+  let m = Array.make (c + 1) max_int in
+  for j = c - 1 downto 0 do
+    m.(j) <- Int.min costs.(j) m.(j + 1)
+  done;
+  m
+
 (* DFS over affordable subsets of [candidates] on an open frame.
    [on_subset strategy_rev cost] is called for every feasible subset
    (including the empty one); it returns [true] to abort the search
@@ -202,12 +212,7 @@ let with_frame instance u ~ncand ~rows f =
 let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
   let ncand = Array.length candidates in
   let costs = Array.map (fun v -> Instance.cost instance u v) candidates in
-  (* Cheapest candidate among j..ncand-1: O(1) "is this subset a DFS
-     leaf?" checks below. *)
-  let min_cost_from = Array.make (ncand + 1) max_int in
-  for j = ncand - 1 downto 0 do
-    min_cost_from.(j) <- min costs.(j) min_cost_from.(j + 1)
-  done;
+  let min_cost_from = min_cost_from costs in
   let n = Instance.n instance in
   let stop = ref false in
   let subsets = ref 1 in
@@ -242,6 +247,86 @@ let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
   go 0 [] (Instance.budget instance u) fr.empty;
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
+
+(* Whether [Exact] runs [bounded] for [u]: only where the budget buys
+   at least three of the cheapest candidate links.  With two the
+   subtrees are too shallow for a bound to pay for itself (DESIGN.md
+   section 19.1). *)
+let bounded_pays instance u candidates =
+  Array.length candidates > 0
+  &&
+  let cheapest = Array.fold_left (fun m v -> Int.min m (Instance.cost instance u v)) max_int candidates in
+  Instance.budget instance u >= 3 * cheapest
+
+(* The first optimum of [dfs] without visiting every subset.  Candidates
+   are tried in increasing order of their singleton score, so good
+   subsets come early, and at DFS position [p] the columnwise min of
+   the F rows of every candidate from [p] on, [lb.(p)], bounds every
+   subset the rest of the loop can reach: adding candidates only lowers
+   entries towards it, so [score cur lb.(p)] is at most the cost of any
+   of them.  The bound grows with [p], so once it is strictly above the
+   best cost the loop stops.  Equal costs go to the subset that comes
+   first in [dfs]'s order, so the answer is [dfs]'s first minimum: a
+   skipped subset costs more than the best one.  Returns that subset's
+   targets and cost. *)
+let bounded ~objective ws instance u ~rows fr ~candidates =
+  let ncand = Array.length candidates in
+  let k = fr.k and n = Instance.n instance in
+  let fs = Array.init ncand (frow ws instance u rows fr) in
+  let single = Array.map (fun f -> score ~objective fr.empty f k) fs in
+  let order = Array.init ncand Fun.id in
+  Array.stable_sort (fun a b -> Int.compare single.(a) single.(b)) order;
+  let costs = Array.map (fun j -> Instance.cost instance u candidates.(j)) order in
+  let min_cost_from = min_cost_from costs in
+  let lb = Array.make ncand [||] in
+  for p = ncand - 1 downto 0 do
+    let row = Workspace.acquire ws n in
+    (* Every F row lies below the empty strategy's. *)
+    min_into ~dst:row (if p = ncand - 1 then fr.empty else lb.(p + 1)) fs.(order.(p)) k;
+    lb.(p) <- row
+  done;
+  let best_cost = ref (score ~objective fr.empty fr.empty k) in
+  let best = ref [] in
+  let subsets = ref 1 in
+  let rec go p chosen budget cur =
+    let q = ref p in
+    while !q < ncand do
+      let p = !q in
+      if score ~objective cur lb.(p) k > !best_cost then q := ncand
+      else begin
+        let c = costs.(p) in
+        if c <= budget then begin
+          let j = order.(p) in
+          let f = fs.(j) in
+          let chosen' = j :: chosen in
+          incr subsets;
+          let cost = score ~objective cur f k in
+          if cost < !best_cost then begin
+            best_cost := cost;
+            best := List.sort Int.compare chosen'
+          end
+          else if cost = !best_cost then begin
+            (* [dfs] visits subsets in lexicographic order of their
+               increasing candidate indices, a prefix first. *)
+            let sorted = List.sort Int.compare chosen' in
+            if List.compare Int.compare sorted !best < 0 then best := sorted
+          end;
+          if min_cost_from.(p + 1) <= budget - c then begin
+            let cur' = Workspace.acquire ws n in
+            min_into ~dst:cur' cur f k;
+            go (p + 1) chosen' (budget - c) cur';
+            release_prefix ws cur' k
+          end
+        end;
+        q := p + 1
+      end
+    done
+  in
+  go 0 [] (Instance.budget instance u) fr.empty;
+  Array.iter (fun row -> release_prefix ws row k) lb;
+  Bbc_obs.incr obs_enumerations;
+  Bbc_obs.add obs_subsets !subsets;
+  (List.map (fun j -> candidates.(j)) !best, !best_cost)
 
 (* [u]'s cost under its current [targets], all of them sources of
    [rows]: the min-fold of their F rows, scored like any subset.  A
@@ -342,9 +427,9 @@ let pool ~search instance u =
   picked
 
 (* One row set prices both sides of the decision: the current targets
-   join the candidates' prefetch (one [sssp_batch] window on unit
-   lengths), [price] folds their F rows, and the DFS scores the
-   candidates' subsets against that cost. *)
+   join the candidates' prefetch (one [sssp_batch] call), [price] folds
+   their F rows, and the DFS, or for [Exact] where it pays the bounded
+   search, scores the candidates' subsets against that cost. *)
 let scratch_decide ~objective ?csr ~search instance config u ~on_subset =
   let candidates = pool ~search instance u in
   let targets = Config.targets config u in
@@ -354,7 +439,12 @@ let scratch_decide ~objective ?csr ~search instance config u ~on_subset =
   in
   with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
       let current = price ~objective ws instance u ~rows fr targets in
-      dfs ~objective ws instance u ~rows fr ~candidates ~on_subset:(on_subset current);
+      let on_subset = on_subset current in
+      (match search with
+      | Exact when bounded_pays instance u candidates ->
+          let strategy, cost = bounded ~objective ws instance u ~rows fr ~candidates in
+          ignore (on_subset strategy cost)
+      | Exact | First_improving | Sampled _ -> dfs ~objective ws instance u ~rows fr ~candidates ~on_subset);
       current)
 
 let decide ?(objective = Objective.Sum) ?csr ~search instance config u =
@@ -383,7 +473,7 @@ let decide ?(objective = Objective.Sum) ?csr ~search instance config u =
         current
     | None -> scratch_decide ~objective ?csr ~search instance config u ~on_subset
   in
-  { best = { !best with strategy = List.sort compare !best.strategy }; current }
+  { best = { !best with strategy = List.sort Int.compare !best.strategy }; current }
 
 let exact ?objective ?csr instance config u =
   (decide ?objective ?csr ~search:Exact instance config u).best

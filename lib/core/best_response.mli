@@ -91,14 +91,23 @@ val exact :
     rows: a shortest path from [u] leaves [u] once, so [u]'s current
     cost is the score of its current target set, folded from those
     targets' F rows exactly like any enumerated subset.  The current
-    targets join the candidates' prefetch (one bit-parallel window on
-    unit lengths); a target that is not a candidate — outside the
+    targets join the candidates' prefetch (one {!Bbc_graph.Csr.sssp_batch}
+    call, bit-parallel on unit lengths and on lengths up to
+    {!Bbc_graph.Csr.ring_max_length}); a target that is not a candidate — outside the
     sample, or over budget in an infeasible profile — has its row
     fetched and folded but never enters the DFS.  On the closed-form
     path the current cost is the walk-count formula at [u]'s target. *)
 
 type search =
-  | Exact  (** Full DFS: the first optimum in DFS order. *)
+  | Exact
+      (** The first optimum in DFS order.  Where [u]'s budget is at least
+          three times its cheapest candidate's cost, a bounded search
+          finds it: candidates in increasing order of their singleton
+          cost, a subtree skipped when the columnwise min of the F rows
+          still available prices every subset in it strictly above the
+          best cost so far, and equal costs settled by DFS order over
+          increasing targets.  The result is the full DFS's, with fewer
+          subsets scored (DESIGN.md section 19.1). *)
   | First_improving
       (** DFS that stops at the first subset strictly below the current
           cost. *)

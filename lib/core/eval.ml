@@ -70,43 +70,30 @@ let node_cost ?objective instance config u =
   csr_node_cost ?objective instance (Config.to_csr instance config) u
 
 (* Costs of [srcs.(lo .. hi-1)] under the shared snapshot, each handed
-   to [emit] with its source.  Unit-length snapshots sweep windows of at
-   most [width] sources through [Csr.sssp_batch] into pooled rows, fold
-   each row, and restore the whole window through the dirty list;
-   weighted snapshots keep the scalar one-row loop (Dijkstra has no
-   batched path, and one live row keeps the O(visited) per-sweep
-   reset).  Workers share the flat CSR read-only and rows never escape
-   the call, so parallel domains never meet on the allocator. *)
+   to [emit] with its source: windows of at most [width] sources go
+   through [Csr.sssp_batch] into pooled rows (the kernel is the
+   snapshot's to pick), each row is folded, and the whole window is
+   restored through [reset_rows].  Workers share the flat CSR read-only
+   and rows never escape the call, so parallel domains never meet on
+   the allocator. *)
 let batched_costs ?objective ~width instance csr srcs ~emit lo hi =
   if width < 1 then invalid_arg "Eval.batched_costs: width must be >= 1";
   let n = Instance.n instance in
   let ws = Bbc_graph.Workspace.get () in
   let scratch = Bbc_graph.Workspace.scratch ws in
-  if Bbc_graph.Csr.unit_lengths csr then begin
-    let width = min width (hi - lo) in
-    let rows = Bbc_graph.Workspace.acquire_many ws n width in
-    let pos = ref lo in
-    while !pos < hi do
-      let k = min width (hi - !pos) in
-      let window = Array.sub srcs !pos k in
-      let rows_k = if k = width then rows else Array.sub rows 0 k in
-      Bbc_graph.Csr.sssp_batch csr scratch ~srcs:window ~rows:rows_k;
-      Array.iteri (fun i u -> emit u (cost_of_distances ?objective instance u rows.(i))) window;
-      Bbc_graph.Csr.reset_rows scratch ~rows:rows_k;
-      pos := !pos + k
-    done;
-    Bbc_graph.Workspace.release_clean_many ws rows
-  end
-  else begin
-    let row = Bbc_graph.Workspace.acquire ws n in
-    for i = lo to hi - 1 do
-      let u = srcs.(i) in
-      Bbc_graph.Csr.sssp csr scratch ~src:u ~dist:row;
-      emit u (cost_of_distances ?objective instance u row);
-      Bbc_graph.Csr.reset scratch row
-    done;
-    Bbc_graph.Workspace.release_clean ws row
-  end;
+  let width = min width (hi - lo) in
+  let rows = Bbc_graph.Workspace.acquire_many ws n width in
+  let pos = ref lo in
+  while !pos < hi do
+    let k = min width (hi - !pos) in
+    let window = Array.sub srcs !pos k in
+    let rows_k = if k = width then rows else Array.sub rows 0 k in
+    Bbc_graph.Csr.sssp_batch csr scratch ~srcs:window ~rows:rows_k;
+    Array.iteri (fun i u -> emit u (cost_of_distances ?objective instance u rows.(i))) window;
+    Bbc_graph.Csr.reset_rows scratch ~rows:rows_k;
+    pos := !pos + k
+  done;
+  Bbc_graph.Workspace.release_clean_many ws rows;
   Bbc_obs.add obs_sssp (hi - lo)
 
 (* One bit-parallel window per pool pull: coarse enough for jobs >= 2

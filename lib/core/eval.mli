@@ -15,10 +15,10 @@ val node_cost : ?objective:Objective.t -> Instance.t -> Config.t -> int -> int
 val all_costs :
   ?objective:Objective.t -> ?jobs:int -> Instance.t -> Config.t -> int array
 (** Cost of every node (one shortest-path computation per node), swept
-    by {!batched_costs} with [width = Csr.batch_width]: on unit-length
-    realizations [Csr.batch_width] sources at a time go through the
-    bit-parallel MS-BFS kernel, and each pool pull claims one such
-    window.  The per-source computations are independent
+    by {!batched_costs} with [width = Csr.batch_width]:
+    [Csr.batch_width] sources at a time go through one
+    {!Bbc_graph.Csr.sssp_batch} window, and each pool pull claims one
+    such window.  The per-source computations are independent
     — workers share the realized graph {e read-only} and own their
     pooled distance rows — so they are fanned out over the
     {!Bbc_parallel} domain pool.  [jobs] defaults to
@@ -54,10 +54,9 @@ val batched_costs :
 (** [batched_costs ~width instance csr srcs ~emit lo hi] calls
     [emit u c] for each source [u = srcs.(i)], [lo <= i < hi], in that
     order, with [c] [u]'s cost under [csr] (trusted to be the realized
-    snapshot).  Unit-length snapshots sweep windows of at most [width]
-    sources through {!Bbc_graph.Csr.sssp_batch} into that many pooled
-    {!Bbc_graph.Workspace} rows; weighted ones run one pooled row with
-    the O(visited) reset per source.  This is the one sweep loop behind
+    snapshot).  Windows of at most [width] sources go through
+    {!Bbc_graph.Csr.sssp_batch}, which picks the kernel for the
+    snapshot, into that many pooled {!Bbc_graph.Workspace} rows.  This is the one sweep loop behind
     {!all_costs}, {!social_cost} ([width = Csr.batch_width]) and
     {!Approx.social_cost} ([width = Csr.pull_min_width]): [width] bounds
     the live rows, so it trades the resident footprint against how many

@@ -40,9 +40,9 @@ let resolve_jobs ?jobs instance =
    and delays [parallel_find_first]'s early abort to chunk granularity;
    one-node chunks cost a single fetch-add per node — noise next to the
    check itself — and give node-granular balance and abort.  (The distance sweeps inside each check are batched anyway:
-   on unit-length snapshots [Best_response] prefetches a node's whole
-   candidate row set through one bit-parallel [Csr.sssp_batch ~ban]
-   traversal, so coarser chunks would add nothing there.) *)
+   [Best_response] prefetches a node's whole candidate row set through
+   one [Csr.sssp_batch ~ban] call, so coarser chunks would add nothing
+   there.) *)
 let br_chunk = 1
 
 let obs_stable_checks = Bbc_obs.counter "stability.is_stable"

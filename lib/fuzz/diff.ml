@@ -158,11 +158,13 @@ let csr_suite =
   ]
 
 (* ---------------------------------------------------------------- *)
-(* Suite msbfs: bit-parallel multi-source BFS vs per-source sweeps.
+(* Suite msbfs: bit-parallel multi-source sweeps vs per-source sweeps.
    Instances up to n = 70 cross the batch_width = 62 window boundary,
    so ragged tails and multi-window batches are generated, not just
-   hand-picked; general (weighted) instances exercise the scalar
-   dispatch leg of [sssp_batch] through the same properties.          *)
+   hand-picked; general instances (lengths 1..3) run the bucketed
+   weighted windows through the same properties, and
+   [weighted_batch_vs_scalar] adds zero-length edges and lengths past
+   [Csr.ring_max_length], where [sssp_batch] falls back to Dijkstra. *)
 
 let ic_msbfs = Domain_gen.instance_config ~max_n:70 ()
 
@@ -261,6 +263,50 @@ let prop_batch_reuse_reset (inst, cfg) =
       in
       check_rows ~what:"reused-scratch banned batch" srcs reference rows
 
+(* A digraph of up to 70 vertices whose edges get lengths drawn from
+   [0, max_len]: mostly short (the ring fits), sometimes past
+   the ring bound.  Zero lengths are legal in a digraph, never in an
+   instance. *)
+let weighted_graph =
+  let open Gen in
+  let* g = Domain_gen.graph ~max_n:70 ~max_k:4 () in
+  let* max_len = frequency [ (2, int_bound 6); (1, int_bound (Csr.ring_max_length + 8)) ] in
+  let+ seed = int_bound 0xFFFF in
+  let rng = Bbc_prng.Splitmix.create seed in
+  let h = Bbc_graph.Digraph.create (Bbc_graph.Digraph.n g) in
+  Bbc_graph.Digraph.iter_edges g (fun u v _ ->
+      Bbc_graph.Digraph.add_edge h u v (Bbc_prng.Splitmix.int rng (max_len + 1)));
+  h
+
+(* Shuffled, duplicated sources over two windows: rows against the
+   list-graph oracle, banned rows against their scalar sweeps, and every
+   row clean after [reset_rows]. *)
+let prop_weighted_batch_vs_scalar g =
+  let n = Bbc_graph.Digraph.n g in
+  let csr = Csr.of_digraph g in
+  let k = n + (n / 2) in
+  let srcs = Array.init k (fun i -> ((i * 13) + 5) mod n) in
+  let scratch = Csr.create_scratch () in
+  let rows = Array.init k (fun _ -> Array.make n Csr.unreachable) in
+  Csr.sssp_batch csr scratch ~srcs ~rows;
+  let plain = check_rows ~what:"weighted sssp_batch" srcs (Array.map (Reference.shortest g) srcs) rows in
+  Result.bind plain @@ fun () ->
+  Csr.reset_rows scratch ~rows;
+  match Array.find_index (Array.exists (( <> ) Csr.unreachable)) rows with
+  | Some i -> failf "reset_rows left row %d dirty" i
+  | None ->
+      let ban = n / 2 in
+      Csr.sssp_batch ~ban csr scratch ~srcs ~rows;
+      check_rows
+        ~what:(Printf.sprintf "weighted sssp_batch ~ban:%d" ban)
+        srcs
+        (Array.map (sweep ~ban csr) srcs)
+        rows
+
+let show_edges g =
+  String.concat " "
+    (List.map (fun (u, v, l) -> Printf.sprintf "%d->%d:%d" u v l) (Bbc_graph.Digraph.edges g))
+
 let msbfs_suite =
   let render (inst, cfg) = (inst, Some cfg, "") in
   [
@@ -286,6 +332,17 @@ let msbfs_suite =
         gen = ic_msbfs;
         prop = prop_batch_reuse_reset;
         render;
+      };
+    Packed
+      {
+        name = "weighted_batch_vs_scalar";
+        gen = weighted_graph;
+        prop = prop_weighted_batch_vs_scalar;
+        (* The edges carry the counterexample; the instance only names n. *)
+        render =
+          (fun g ->
+            let n = Int.max 2 (Bbc_graph.Digraph.n g) in
+            (I.uniform ~n ~k:1, None, show_edges g));
       };
   ]
 
@@ -745,6 +802,56 @@ let prop_engine_vs_reference inst =
       ("maximal", Array.init (I.n inst) (X.maximal_strategies inst));
     ]
 
+(* General games with budgets up to 5 against costs of 1 or 2, and
+   weights and lengths of at most 2, so many subsets tie: most nodes can
+   buy three links, where [Exact] runs its bounded search. *)
+let ic_budgets =
+  let open Gen in
+  let* n = int_range 2 8 in
+  let table lo hi =
+    let+ cells = tuple_list (List.init (n * n) (fun _ -> int_range lo hi)) in
+    let a = Array.of_list cells in
+    Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else a.((u * n) + v)))
+  in
+  let* weight = table 0 2 in
+  let* cost = table 1 2 in
+  let* length = table 1 2 in
+  let* budget = tuple_list (List.init n (fun _ -> int_bound 5)) in
+  let inst = I.general ~weight ~cost ~length ~budget:(Array.of_list budget) () in
+  let+ cfg = Domain_gen.config_for inst in
+  (inst, cfg)
+
+(* [Exact]'s decision, bounded or not, against the plain DFS: the first
+   minimum of [enumerate]'s sequence, and [Eval]'s current cost. *)
+let prop_bounded_vs_exact (inst, cfg) =
+  let csr = C.to_csr inst cfg in
+  check_all
+    (fun objective ->
+      let obj = Bbc.Objective.to_string objective in
+      check_all
+        (fun u ->
+          let best_s, best_c =
+            List.fold_left
+              (fun (bs, bc) (s, c) -> if c < bc then (List.sort compare s, c) else (bs, bc))
+              ([], max_int)
+              (sequence (BR.enumerate ~objective inst cfg u))
+          in
+          let current = E.node_cost ~objective inst cfg u in
+          check_all
+            (fun (provider, csr) ->
+              let d = BR.decide ~objective ?csr ~search:Exact inst cfg u in
+              if d.best.strategy = best_s && d.best.cost = best_c && d.current = current then ok
+              else
+                failf "%s node %d, %s: decide gives %s current %d, plain DFS %s current %d" obj u
+                  provider
+                  (show_verdict (Some (d.best.strategy, d.best.cost)))
+                  d.current
+                  (show_verdict (Some (best_s, best_c)))
+                  current)
+            [ ("scratch", None); ("csr", Some csr) ])
+        (nodes inst))
+    [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+
 let br_suite =
   let render (inst, cfg) = (inst, Some cfg, "") in
   [
@@ -773,6 +880,7 @@ let br_suite =
       };
     Packed
       { name = "improving_iff"; gen = ic_tiny; prop = prop_improving_iff; render };
+    Packed { name = "bounded_vs_exact"; gen = ic_budgets; prop = prop_bounded_vs_exact; render };
     Packed
       {
         name = "activation_cost_vs_eval";

@@ -12,13 +12,16 @@
     - [msbfs] — bit-parallel [Csr.sssp_batch] vs per-source sweeps on
       instances crossing the [Csr.batch_width] window boundary (ragged
       tails, [~ban], shuffled/duplicated source subsets, scratch reuse
-      with [reset_rows]);
+      with [reset_rows]), and on digraphs with zero-length edges and
+      lengths past [Csr.ring_max_length] vs the list-graph oracle;
     - [br] — [Best_response.exact] vs exhaustive strategy enumeration
       on tiny instances; the full [Best_response.enumerate]
       (strategy, cost) sequence and [improving]'s verdict with and
       without a shared [?csr] snapshot and on the uniform [k = 1]
       closed form vs
-      {!Reference.enumerate} (Sum and Max); on the same [k = 1] walks,
+      {!Reference.enumerate} (Sum and Max); [decide ~search:Exact],
+      bounded where the budget buys three links, vs the first minimum of
+      [enumerate] and [Eval.node_cost] on games with budgets up to 5; on the same [k = 1] walks,
       [Functional.scan] vs per-node walk counts and the scans built on
       it ([Stability]'s verdicts and deviation, [Eval.all_costs])
       vs one decision per node and [Eval.node_cost]; every

@@ -28,21 +28,18 @@ let dijkstra g src =
   let heap = Heap.create ~capacity:n () in
   dist.(src) <- 0;
   Heap.push heap 0 src;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        (* Lazy deletion: skip entries that were superseded. *)
-        if d = dist.(u) then
-          Digraph.iter_out g u (fun v len ->
-              let nd = d + len in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Heap.push heap nd v
-              end);
-        drain ()
-  in
-  drain ();
+  while not (Heap.is_empty heap) do
+    let d = Heap.min_priority heap in
+    let u = Heap.pop_min heap in
+    (* Lazy deletion: skip entries that were superseded. *)
+    if d = dist.(u) then
+      Digraph.iter_out g u (fun v len ->
+          let nd = d + len in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            Heap.push heap nd v
+          end)
+  done;
   dist
 
 let shortest g src = if Digraph.all_unit_lengths g then bfs g src else dijkstra g src

@@ -5,8 +5,8 @@ let parallel_threshold = 128
 
 let obs_sweeps = Bbc_obs.counter "apsp.sweeps"
 
-(* Batched CSR sweeps: O(n (m + n)) on unit graphs, and unit-length
-   snapshots run the bit-parallel MS-BFS kernel — one traversal per
+(* Batched CSR sweeps: O(n (m + n)) on unit graphs, and every snapshot
+   [Csr.sssp_batch] can window runs one bit-parallel traversal per
    [Csr.batch_width] sources, reading the adjacency once per window
    instead of once per row.  Each pool pull claims one window, so
    parallel domains split the matrix into batch-sized row bands; rows

@@ -53,17 +53,19 @@ let push h priority payload =
   h.len <- h.len + 1;
   sift_up h (h.len - 1)
 
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let p = h.prio.(0) and v = h.load.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.prio.(0) <- h.prio.(h.len);
-      h.load.(0) <- h.load.(h.len);
-      sift_down h 0
-    end;
-    Some (p, v)
-  end
+let min_priority h =
+  if h.len = 0 then invalid_arg "Binary_heap.min_priority: empty heap";
+  h.prio.(0)
+
+let pop_min h =
+  if h.len = 0 then invalid_arg "Binary_heap.pop_min: empty heap";
+  let v = h.load.(0) in
+  h.len <- h.len - 1;
+  if h.len > 0 then begin
+    h.prio.(0) <- h.prio.(h.len);
+    h.load.(0) <- h.load.(h.len);
+    sift_down h 0
+  end;
+  v
 
 let clear h = h.len <- 0

@@ -1,5 +1,5 @@
 (** Minimal binary min-heap of [(priority, payload)] pairs with integer
-    priorities, used by Dijkstra and min-cost-flow.  Lazy deletion is the
+    priorities, used by Dijkstra.  Lazy deletion is the
     caller's concern (push duplicates, skip stale pops). *)
 
 type t
@@ -13,8 +13,13 @@ val size : t -> int
 val push : t -> int -> int -> unit
 (** [push h priority payload]. *)
 
-val pop : t -> (int * int) option
-(** Remove and return the [(priority, payload)] pair with the smallest
-    priority, or [None] if the heap is empty. *)
+val min_priority : t -> int
+(** The smallest priority in the heap.  Raises [Invalid_argument] if the
+    heap is empty. *)
+
+val pop_min : t -> int
+(** Remove the pair with the smallest priority ({!min_priority}) and
+    return its payload, allocating nothing.  Raises [Invalid_argument]
+    if the heap is empty. *)
 
 val clear : t -> unit

@@ -6,6 +6,7 @@ type t = {
   targets : int array;
   lengths : int array;
   unit_lengths : bool;
+  max_length : int; (* longest edge, 0 on an edgeless snapshot *)
 }
 
 let n t = t.n
@@ -13,7 +14,7 @@ let edge_count t = t.offsets.(t.n)
 let unit_lengths t = t.unit_lengths
 
 let equal a b =
-  a.n = b.n && a.unit_lengths = b.unit_lengths && a.offsets = b.offsets
+  a.n = b.n && a.unit_lengths = b.unit_lengths && a.max_length = b.max_length && a.offsets = b.offsets
   && a.targets = b.targets && a.lengths = b.lengths
 
 (* ------------------------------------------------------------------ *)
@@ -27,6 +28,7 @@ type builder = {
   mutable b_cur : int; (* current source row *)
   mutable b_pos : int; (* next free edge slot *)
   mutable b_unit : bool;
+  mutable b_max : int;
 }
 
 let builder ~n ~m =
@@ -40,12 +42,14 @@ let builder ~n ~m =
     b_cur = 0;
     b_pos = 0;
     b_unit = true;
+    b_max = 0;
   }
 
 let add b u v len =
   if u < b.b_cur then invalid_arg "Csr.add: sources must be non-decreasing";
   if u >= b.b_n || v < 0 || v >= b.b_n then invalid_arg "Csr.add: vertex out of range";
   if b.b_pos >= Array.length b.b_targets then invalid_arg "Csr.add: more edges than declared";
+  if len < 0 then invalid_arg "Csr.add: negative length";
   while b.b_cur < u do
     b.b_cur <- b.b_cur + 1;
     b.b_offsets.(b.b_cur) <- b.b_pos
@@ -53,7 +57,8 @@ let add b u v len =
   b.b_targets.(b.b_pos) <- v;
   b.b_lengths.(b.b_pos) <- len;
   b.b_pos <- b.b_pos + 1;
-  if len <> 1 then b.b_unit <- false
+  if len <> 1 then b.b_unit <- false;
+  if len > b.b_max then b.b_max <- len
 
 let finish b =
   while b.b_cur < b.b_n do
@@ -64,7 +69,7 @@ let finish b =
     if b.b_pos = Array.length b.b_targets then (b.b_targets, b.b_lengths)
     else (Array.sub b.b_targets 0 b.b_pos, Array.sub b.b_lengths 0 b.b_pos)
   in
-  { n = b.b_n; offsets = b.b_offsets; targets; lengths; unit_lengths = b.b_unit }
+  { n = b.b_n; offsets = b.b_offsets; targets; lengths; unit_lengths = b.b_unit; max_length = b.b_max }
 
 let of_digraph g =
   let n = Digraph.n g in
@@ -83,6 +88,7 @@ let with_row t u ~targets ~lengths =
   let d = Array.length targets in
   if Array.length lengths <> d then invalid_arg "Csr.with_row: targets and lengths differ in length";
   Array.iter (fun v -> if v < 0 || v >= n then invalid_arg "Csr.with_row: vertex out of range") targets;
+  Array.iter (fun l -> if l < 0 then invalid_arg "Csr.with_row: negative length") lengths;
   let lo = t.offsets.(u) and hi = t.offsets.(u + 1) in
   let m = t.offsets.(n) in
   let shift = d - (hi - lo) in
@@ -104,7 +110,12 @@ let with_row t u ~targets ~lengths =
      a weighted one may have lost its last non-unit edge with the old
      row, so every length is checked again. *)
   let unit_lengths = if t.unit_lengths then is_unit lengths else is_unit lengths' in
-  { n; offsets; targets = splice t.targets targets; lengths = lengths'; unit_lengths }
+  (* Likewise the old row may have held the longest edge. *)
+  let row_max = Array.fold_left Int.max 0 lengths in
+  let max_length =
+    if row_max >= t.max_length then row_max else Array.fold_left Int.max 0 lengths'
+  in
+  { n; offsets; targets = splice t.targets targets; lengths = lengths'; unit_lengths; max_length }
 
 (* ------------------------------------------------------------------ *)
 (* Kernels.                                                            *)
@@ -124,6 +135,14 @@ type scratch = {
   mutable next_front : int array;
   mutable cur_list : int array;
   mutable next_list : int array;
+  (* The arrival ring of weighted windows (see the bucketed kernel
+     below): per slot, a per-vertex source bitmap and the list of
+     vertices whose bitmap is non-zero.  All bitmaps are zero and all
+     lists empty between sweeps. *)
+  mutable ring_pend : int array array;
+  mutable ring_list : int array array;
+  mutable ring_len : int array;
+  mutable ring_spare : int array; (* the list a drained slot swaps in *)
   mutable dl_covers_batch : bool;
       (* whether the dirty list covers every row of the last batched
          call (false after a scalar or multi-window batch, where only
@@ -146,6 +165,10 @@ let create_scratch () =
     next_front = [||];
     cur_list = [||];
     next_list = [||];
+    ring_pend = [||];
+    ring_list = [||];
+    ring_len = [||];
+    ring_spare = [||];
     dl_covers_batch = false;
     rev_key = None;
     rev_offsets = [||];
@@ -205,22 +228,20 @@ let dijkstra ?(ban = -1) t s ~src ~dist =
   dist.(src) <- 0;
   touch s src;
   Binary_heap.push heap 0 src;
-  let continue = ref true in
-  while !continue do
-    match Binary_heap.pop heap with
-    | None -> continue := false
-    | Some (d, u) ->
-        (* Lazy deletion: skip entries that were superseded. *)
-        if d = dist.(u) && u <> ban then
-          for e = offsets.(u) to offsets.(u + 1) - 1 do
-            let v = targets.(e) in
-            let nd = d + lengths.(e) in
-            if nd < dist.(v) then begin
-              if dist.(v) = unreachable then touch s v;
-              dist.(v) <- nd;
-              Binary_heap.push heap nd v
-            end
-          done
+  while not (Binary_heap.is_empty heap) do
+    let d = Binary_heap.min_priority heap in
+    let u = Binary_heap.pop_min heap in
+    (* Lazy deletion: skip entries that were superseded. *)
+    if d = dist.(u) && u <> ban then
+      for e = offsets.(u) to offsets.(u + 1) - 1 do
+        let v = targets.(e) in
+        let nd = d + lengths.(e) in
+        if nd < dist.(v) then begin
+          if dist.(v) = unreachable then touch s v;
+          dist.(v) <- nd;
+          Binary_heap.push heap nd v
+        end
+      done
   done
 
 let sssp ?ban t s ~src ~dist =
@@ -250,9 +271,7 @@ let sssp ?ban t s ~src ~dist =
    one narrow window (a best-response prefetch on a walk's snapshot)
    would pay the whole transpose for it.
 
-   Weighted graphs keep the scalar Dijkstra path: bit-parallelism
-   requires all sources to agree on the expansion order, which only
-   uniform hop counts guarantee. *)
+   Weighted snapshots get the bucketed variant further down. *)
 
 let batch_width = Sys.int_size - 1
 
@@ -422,19 +441,133 @@ let msbfs_window ~ban t s ~srcs ~soff ~k ~rows ~roff =
     seen.(s.touched.(i)) <- 0
   done
 
+(* ------------------------------------------------------------------ *)
+(* Multi-source bit-parallel sweeps on weighted snapshots.
+
+   Sources of one window advance one shared clock (Dial's bucketed
+   Dijkstra, one bit per source).  Settling vertex [w] at time [t] for
+   the source set [m] sends [m] minus the sources that already settled
+   [x] along every edge [(w, x, l)], to arrive at time [t + l].  Every
+   pending arrival lies within [t, t + max_length], so a ring of
+   [max_length + 1] slots holds them: slot [i] holds, per vertex, the
+   sources arriving there at the one time congruent to [i], and the list
+   of vertices with a non-zero bitmap.  Each source's bits follow Dial's
+   algorithm exactly (a vertex is settled by a source at the earliest
+   time one of its arrivals comes due), so every row equals its scalar
+   sweep bit for bit.
+
+   Zero-length edges are legal: an arrival can land in the slot being
+   drained, so a slot is drained until it stays empty.  The slot's list
+   is swapped out for a spare one before each pass, so a vertex sits at
+   most once in a list and every list fits in n entries.
+
+   Sources share a traversal only while they arrive together, and the
+   clock visits every time step up to the window's largest distance, so
+   the kernel pays only for short edges; longer-edged snapshots keep
+   the scalar sweeps (DESIGN.md section 16.3 has the measured
+   crossover). *)
+
+let ring_max_length = 32
+
+(* Every bitmap and list of the ring, the spare included, has the same
+   length, so the spare's stands for all of them. *)
+let ensure_ring s ~n ~slots =
+  if Array.length s.ring_len < slots || Array.length s.ring_spare < n then begin
+    let slots = Int.max slots (Array.length s.ring_len) in
+    let n = Int.max n (Array.length s.ring_spare) in
+    s.ring_pend <- Array.init slots (fun _ -> Array.make n 0);
+    s.ring_list <- Array.init slots (fun _ -> Array.make n 0);
+    s.ring_len <- Array.make slots 0;
+    s.ring_spare <- Array.make n 0
+  end
+
+(* One window, as [msbfs_window] but on any lengths up to
+   [ring_max_length].  Assumes [ensure_batch] and [ensure_ring] ran. *)
+let bucket_window ~ban t s ~srcs ~soff ~k ~rows ~roff =
+  let offsets = t.offsets and targets = t.targets and lengths = t.lengths in
+  let slots = t.max_length + 1 in
+  let pend = s.ring_pend and lists = s.ring_list and lens = s.ring_len in
+  let seen = s.seen in
+  (* Pending entries over all slots. *)
+  let live = ref 0 in
+  let p0 = pend.(0) in
+  for b = 0 to k - 1 do
+    let v = srcs.(soff + b) in
+    if p0.(v) = 0 then begin
+      lists.(0).(lens.(0)) <- v;
+      lens.(0) <- lens.(0) + 1;
+      incr live
+    end;
+    p0.(v) <- p0.(v) lor (1 lsl b)
+  done;
+  let time = ref 0 and sl = ref 0 in
+  while !live > 0 do
+    let sl0 = !sl and d = !time in
+    let p = pend.(sl0) in
+    while lens.(sl0) > 0 do
+      let cnt = lens.(sl0) in
+      let l = lists.(sl0) in
+      lists.(sl0) <- s.ring_spare;
+      s.ring_spare <- l;
+      lens.(sl0) <- 0;
+      live := !live - cnt;
+      for i = 0 to cnt - 1 do
+        let w = l.(i) in
+        let sw = seen.(w) in
+        let m = p.(w) land lnot sw in
+        p.(w) <- 0;
+        if m <> 0 then begin
+          if sw = 0 then touch s w;
+          seen.(w) <- sw lor m;
+          let mm = ref m in
+          while !mm <> 0 do
+            let bit = !mm land - !mm in
+            rows.(roff + bit_index.(bit mod 67)).(w) <- d;
+            mm := !mm lxor bit
+          done;
+          if w <> ban then
+            for e = offsets.(w) to offsets.(w + 1) - 1 do
+              let x = targets.(e) in
+              let a = m land lnot seen.(x) in
+              if a <> 0 then begin
+                let sl' = sl0 + lengths.(e) in
+                let sl' = if sl' >= slots then sl' - slots else sl' in
+                let p' = pend.(sl') in
+                let px = p'.(x) in
+                if px = 0 then begin
+                  lists.(sl').(lens.(sl')) <- x;
+                  lens.(sl') <- lens.(sl') + 1;
+                  incr live
+                end;
+                p'.(x) <- px lor a
+              end
+            done
+        end
+      done
+    done;
+    time := d + 1;
+    sl := if sl0 + 1 = slots then 0 else sl0 + 1
+  done;
+  for i = 0 to s.ntouched - 1 do
+    seen.(s.touched.(i)) <- 0
+  done
+
 let sssp_batch ?(ban = -1) t s ~srcs ~rows =
   let k = Array.length srcs in
   if Array.length rows < k then invalid_arg "Csr.sssp_batch: fewer rows than sources";
-  if t.unit_lengths && k > 1 then begin
+  if k > 1 && (t.unit_lengths || t.max_length <= ring_max_length) then begin
     ensure_batch s t.n;
+    if not t.unit_lengths then ensure_ring s ~n:t.n ~slots:(t.max_length + 1);
     let nwin = (k + batch_width - 1) / batch_width in
     for w = 0 to nwin - 1 do
       let soff = w * batch_width in
+      let k = Int.min batch_width (k - soff) in
       (* The dirty list has capacity n, enough for one window; later
          windows restart it, so only a single-window batch leaves it
          covering every row. *)
       if w > 0 then s.ntouched <- 0;
-      msbfs_window ~ban t s ~srcs ~soff ~k:(min batch_width (k - soff)) ~rows ~roff:soff
+      if t.unit_lengths then msbfs_window ~ban t s ~srcs ~soff ~k ~rows ~roff:soff
+      else bucket_window ~ban t s ~srcs ~soff ~k ~rows ~roff:soff
     done;
     s.dl_covers_batch <- nwin = 1
   end

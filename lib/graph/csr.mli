@@ -55,8 +55,8 @@ val with_row : t -> int -> targets:int array -> lengths:int array -> t
     edges [u -> targets.(i)] of length [lengths.(i)], in that order.
     Three blits, O(n + m); {!unit_lengths} is recomputed.  [t] is left
     as it was, so sweeps that still hold it stay valid.  Raises
-    [Invalid_argument] when [u] or a target is out of range, or the
-    two arrays differ in length.  A walk that moves one node at a time
+    [Invalid_argument] when [u] or a target is out of range, a length
+    is negative, or the two arrays differ in length.  A walk that moves one node at a time
     keeps one snapshot this way instead of rebuilding it per step. *)
 
 (** {1 Direct construction}
@@ -71,8 +71,9 @@ val builder : n:int -> m:int -> builder
 (** A builder for a graph on [n] vertices with at most [m] edges. *)
 
 val add : builder -> int -> int -> int -> unit
-(** [add b u v len] appends the edge [u -> v].  Sources must arrive in
-    non-decreasing order; raises [Invalid_argument] otherwise. *)
+(** [add b u v len] appends the edge [u -> v] of length [len >= 0].
+    Sources must arrive in non-decreasing order; raises
+    [Invalid_argument] otherwise, or on a negative length. *)
 
 val finish : builder -> t
 (** Seal the builder.  The builder must not be reused. *)
@@ -104,27 +105,35 @@ val reset : scratch -> int array -> unit
     the entries the {e most recent} sweep through this scratch wrote:
     O(visited), not O(n). *)
 
-(** {1 Multi-source bit-parallel BFS}
+(** {1 Multi-source bit-parallel sweeps}
 
-    Unit-length sweeps from up to {!batch_width} sources share one
-    traversal (the MS-BFS technique): per-vertex source bitmaps replace
-    the visited flag, so each adjacency row is read once per {e batch}
-    instead of once per source.  In windows of at least
-    {!pull_min_width} sources, dense frontiers flip to a bottom-up pull pass over a transpose that
-    is built on first use and cached in the scratch for that snapshot
-    (direction-optimizing BFS); narrower windows always expand top-down
-    and never build the transpose, so a few-source sweep of a fresh
-    snapshot (a best-response prefetch) costs no O(n + m) set-up.
-    Weighted snapshots fall back to per-source {!dijkstra} —
-    bit-parallelism needs all sources to agree on the expansion order,
-    which only uniform hop counts guarantee.
+    Sweeps from up to {!batch_width} sources share one traversal (the
+    MS-BFS technique): per-vertex source bitmaps replace the visited
+    flag, so each adjacency row is read once per {e window} of sources
+    instead of once per source.
+
+    Unit-length snapshots advance the window level by level.  In
+    windows of at least {!pull_min_width} sources, dense frontiers flip
+    to a bottom-up pull pass over a transpose that is built on first use
+    and cached in the scratch for that snapshot (direction-optimizing
+    BFS); narrower windows always expand top-down and never build the
+    transpose, so a few-source sweep of a fresh snapshot (a
+    best-response prefetch) costs no O(n + m) set-up.
+
+    Weighted snapshots whose longest edge is at most {!ring_max_length}
+    (zero-length edges included) advance the window on one shared clock:
+    arrivals wait in a ring of [max length + 1] time slots of per-vertex
+    source bitmaps, and a vertex is settled for every source whose
+    arrival comes due first (Dial's algorithm, one bit per source).
+    Longer-edged snapshots fall back to one {!dijkstra} per source.  The
+    rule reads only the snapshot.
 
     {!sssp_batch} is the single entry point: it windows any number of
-    sources internally, picks MS-BFS vs scalar per snapshot, and keeps
-    the {!bfs} [?ban] semantics ([G_{-u}] sweeps).  Rows must be clean
-    on entry, one per source, each of length >= [n]; {!reset_rows}
-    restores the whole batch to clean afterwards — O(batch reach) when
-    the batch fit one window, one fill per row otherwise. *)
+    sources internally, picks the kernel per snapshot, and keeps the
+    {!bfs} [?ban] semantics ([G_{-u}] sweeps).  Rows must be clean on
+    entry, one per source, each of length >= [n]; {!reset_rows} restores
+    the whole batch to clean afterwards — O(batch reach) when the batch
+    fit one window, one fill per row otherwise. *)
 
 val batch_width : int
 (** Sources per bit-parallel window: [Sys.int_size - 1] (62 on 64-bit —
@@ -136,10 +145,16 @@ val pull_min_width : int
     its resident footprint down — loses nothing of the pull pass as long
     as its windows are at least this wide. *)
 
+val ring_max_length : int
+(** The longest edge (32) a weighted snapshot may have for {!sssp_batch}
+    to sweep it in bit-parallel windows; DESIGN.md section 16.3 has the
+    measured crossover. *)
+
 val sssp_batch :
   ?ban:int -> t -> scratch -> srcs:int array -> rows:int array array -> unit
-(** Distances from every [srcs.(i)] into [rows.(i)].  Unit-length
-    snapshots with more than one source take the bit-parallel path in
+(** Distances from every [srcs.(i)] into [rows.(i)].  With more than
+    one source, unit-length snapshots and weighted ones whose longest
+    edge is at most {!ring_max_length} take the bit-parallel path in
     ⌈k/{!batch_width}⌉ windows; otherwise each source runs {!sssp}.
     Equivalent to k independent [sssp] sweeps, bit for bit. *)
 

@@ -231,6 +231,55 @@ let test_weighted_mover_only () =
       Alcotest.check triple (msg ^ ": decide ~csr") want (decision ~csr:full ()))
     [ Bbc.Objective.Sum; Bbc.Objective.Max ]
 
+(* [Exact] runs a bounded search where the budget buys three or more of
+   the cheapest links.  It must report what the plain DFS does: the
+   first minimum of [enumerate]'s sequence, and [u]'s cost from
+   [Eval].  Small weights and lengths make many subsets tie; costs of 1
+   or 2 against budgets up to 5 put most nodes inside the rule and some
+   outside it, and random target sets (over budget included) exercise
+   the current cost. *)
+let test_bounded_exact_matches_dfs () =
+  let rng = Bbc_prng.Splitmix.create 3131 in
+  let int lo hi = lo + Bbc_prng.Splitmix.int rng (hi - lo + 1) in
+  let bounded = ref 0 in
+  for _ = 1 to 60 do
+    let n = int 3 9 in
+    let table lo hi = Array.init n (fun u -> Array.init n (fun v -> if u = v then 0 else int lo hi)) in
+    let weight = table 0 2 and cost = table 1 2 and length = table 1 2 in
+    let budget = Array.init n (fun _ -> int 0 5) in
+    let inst = I.general ~weight ~cost ~length ~budget () in
+    let cfg =
+      C.of_lists n
+        (Array.init n (fun u ->
+             List.sort_uniq compare
+               (List.filter (( <> ) u) (List.init (int 0 3) (fun _ -> int 0 (n - 1))))))
+    in
+    let csr = C.to_csr inst cfg in
+    for u = 0 to n - 1 do
+      let cands = BR.candidate_targets inst u in
+      if cands <> [] && budget.(u) >= 3 * List.fold_left (fun m v -> min m cost.(u).(v)) max_int cands
+      then incr bounded;
+      List.iter
+        (fun objective ->
+          let first_min = ref ([], max_int) in
+          BR.enumerate ~objective inst cfg u ~on_subset:(fun s c ->
+              if c < snd !first_min then first_min := (List.sort compare s, c);
+              false);
+          let want = (fst !first_min, snd !first_min, E.node_cost ~objective inst cfg u) in
+          List.iter
+            (fun (provider, csr) ->
+              let d = BR.decide ~objective ?csr ~search:Exact inst cfg u in
+              Alcotest.(check (triple (list int) int int))
+                (Printf.sprintf "%s node %d budget %d (%s)" (Bbc.Objective.to_string objective) u
+                   budget.(u) provider)
+                want
+                (d.best.strategy, d.best.cost, d.current))
+            [ ("scratch", None); ("csr", Some csr) ])
+        [ Bbc.Objective.Sum; Bbc.Objective.Max ]
+    done
+  done;
+  Alcotest.(check bool) "some decisions take the bounded search" true (!bounded > 50)
+
 (* A scan's shared snapshot is built only when some decision reads
    rows: never on uniform k = 1 functional profiles. *)
 let test_snapshot_shape () =
@@ -248,4 +297,5 @@ let suite =
       Alcotest.test_case "k=1 current cost = Eval" `Quick test_k1_current_cost;
       Alcotest.test_case "weighted mover: ban sweep = reference" `Quick test_weighted_mover_only;
       Alcotest.test_case "snapshot only off the closed form" `Quick test_snapshot_shape;
+      Alcotest.test_case "bounded exact = plain DFS" `Quick test_bounded_exact_matches_dfs;
     ]

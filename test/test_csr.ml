@@ -342,24 +342,84 @@ let test_msbfs_direction_widths () =
         [ None; Some 3 ])
     graphs
 
+(* Every row of a batch against its own scalar sweep (and so against
+   [dijkstra] or [bfs] with the same [ban]), then [reset_rows] must
+   leave the whole batch clean. *)
+let check_batch_vs_scalar ~what ?ban csr scratch srcs =
+  let n = Csr.n csr in
+  let rows = Array.map (fun _ -> Array.make n Csr.unreachable) srcs in
+  Csr.sssp_batch ?ban csr scratch ~srcs ~rows;
+  Array.iteri
+    (fun i src ->
+      let expect = Array.make n Csr.unreachable in
+      Csr.sssp ?ban csr (Csr.create_scratch ()) ~src ~dist:expect;
+      Alcotest.(check (array int)) (Printf.sprintf "%s row %d (src %d)" what i src) expect rows.(i))
+    srcs;
+  Csr.reset_rows scratch ~rows;
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun v d ->
+          if d <> Csr.unreachable then Alcotest.failf "%s: reset_rows left row %d entry %d dirty" what i v)
+        row)
+    rows
+
+(* Weighted snapshots up to [Csr.ring_max_length] sweep bit-parallel
+   windows; longer-edged ones fall back to per-source Dijkstra.  Both
+   sides of that rule, zero-length edges and vertices no source reaches
+   ([random_weighted] draws both), duplicate sources, one- and
+   two-window batches, with and without a ban, on one scratch that
+   unit-length snapshots share in between: every row must equal the
+   list-graph reference, and its scalar sweep. *)
 let test_sssp_batch_weighted_dispatch () =
-  (* Non-unit snapshots must route through per-source Dijkstra. *)
   let rng = SM.create 909 in
-  for _ = 1 to 10 do
-    let n = 3 + SM.int rng 30 in
-    let g = random_weighted rng ~n ~max_len:4 in
+  let scratch = Csr.create_scratch () in
+  let bound = Csr.ring_max_length in
+  (* A larger unit-length snapshot shares the scratch between weighted
+     batches. *)
+  let big_unit = Csr.of_digraph (random_unit rng ~n:120) in
+  for iter = 1 to 24 do
+    let n = 3 + SM.int rng 80 in
+    let max_len = List.nth [ 0; 1; 4; bound; bound + 1; 3 * bound ] (iter mod 6) in
+    let g = random_weighted rng ~n ~max_len in
     let csr = Csr.of_digraph g in
-    let k = 1 + SM.int rng (min n 8) in
+    let k = 1 + SM.int rng (min (2 * n) (2 * Csr.batch_width)) in
     let srcs = Array.init k (fun _ -> SM.int rng n) in
     let rows = Array.init k (fun _ -> Array.make n Csr.unreachable) in
-    Csr.sssp_batch csr (Csr.create_scratch ()) ~srcs ~rows;
+    Csr.sssp_batch csr scratch ~srcs ~rows;
     Array.iteri
       (fun i src ->
         Alcotest.(check (array int))
-          (Printf.sprintf "weighted batch row %d = dijkstra" i)
+          (Printf.sprintf "max_len %d, %d sources: row %d = dijkstra" max_len k i)
           (R.dijkstra g src) rows.(i))
-      srcs
+      srcs;
+    Csr.reset_rows scratch ~rows;
+    let what = Printf.sprintf "max_len %d, %d sources" max_len k in
+    check_batch_vs_scalar ~what:(what ^ " ban") ~ban:(SM.int rng n) csr scratch srcs;
+    check_batch_vs_scalar ~what:(what ^ " then unit") big_unit scratch srcs
   done
+
+(* Every window width from 1 to [batch_width] on weighted snapshots with
+   zero-length edges, isolated vertices and lengths up to the ring
+   bound, with and without a ban. *)
+let test_weighted_window_widths () =
+  let rng = SM.create 6161 in
+  let scratch = Csr.create_scratch () in
+  List.iter
+    (fun max_len ->
+      let g = random_weighted rng ~n:90 ~max_len in
+      let csr = Csr.of_digraph g in
+      Alcotest.(check bool) "weighted" false (Csr.unit_lengths csr);
+      List.iter
+        (fun ban ->
+          for w = 1 to Csr.batch_width do
+            let srcs = Array.init w (fun i -> ((i * 7) + 3) mod 90) in
+            check_batch_vs_scalar
+              ~what:(Printf.sprintf "max_len %d ban %d width %d" max_len (Option.value ~default:(-1) ban) w)
+              ?ban csr scratch srcs
+          done)
+        [ None; Some 3 ])
+    [ 1; 3; Csr.ring_max_length ]
 
 let test_batch_reuse_and_clean_pool () =
   (* One scratch across many graphs and sizes (the self-cleaning bitmap
@@ -471,6 +531,7 @@ let suite =
     Alcotest.test_case "msbfs window widths, both directions" `Quick test_msbfs_direction_widths;
     Alcotest.test_case "sssp_batch weighted dispatch" `Quick
       test_sssp_batch_weighted_dispatch;
+    Alcotest.test_case "weighted window widths" `Quick test_weighted_window_widths;
     Alcotest.test_case "batch reuse + clean pool" `Quick test_batch_reuse_and_clean_pool;
     Alcotest.test_case "pooled best response jobs-invariant" `Quick
       test_pooled_best_response_jobs_invariant;
