@@ -308,12 +308,19 @@ let test_sssp_batch_windows () =
 (* Every window width from 1 to [batch_width], on both sides of the
    narrowest width that may pull (16): a sparse k-out graph, where few
    levels are dense, and a dense one, where wide windows flip to
-   bottom-up from the first level.  Every row, with and without a ban,
-   must equal its scalar [bfs]. *)
+   bottom-up from the first level; and two weighted graphs with
+   zero-length edges and isolated vertices, which take the bucketed
+   windows.  Every row, with and without a ban, must equal its scalar
+   [sssp]. *)
 let test_msbfs_direction_widths () =
   let rng = SM.create 1616 in
   let graphs =
-    [ ("sparse", G.random_k_out rng ~n:150 ~k:2); ("dense", G.random_k_out rng ~n:90 ~k:45) ]
+    [
+      ("sparse", G.random_k_out rng ~n:150 ~k:2);
+      ("dense", G.random_k_out rng ~n:90 ~k:45);
+      ("weighted, lengths 0..3", random_weighted rng ~n:90 ~max_len:3);
+      ("weighted, lengths to the ring bound", random_weighted rng ~n:90 ~max_len:Csr.ring_max_length);
+    ]
   in
   List.iter
     (fun (shape, g) ->
@@ -329,7 +336,7 @@ let test_msbfs_direction_widths () =
             Csr.sssp_batch ?ban csr scratch ~srcs ~rows;
             Array.iteri
               (fun i src ->
-                Csr.bfs ?ban csr (Csr.create_scratch ()) ~src ~dist;
+                Csr.sssp ?ban csr (Csr.create_scratch ()) ~src ~dist;
                 let what =
                   Printf.sprintf "%s ban=%d width %d row %d" shape
                     (Option.value ~default:(-1) ban) w i
@@ -398,28 +405,6 @@ let test_sssp_batch_weighted_dispatch () =
     check_batch_vs_scalar ~what:(what ^ " ban") ~ban:(SM.int rng n) csr scratch srcs;
     check_batch_vs_scalar ~what:(what ^ " then unit") big_unit scratch srcs
   done
-
-(* Every window width from 1 to [batch_width] on weighted snapshots with
-   zero-length edges, isolated vertices and lengths up to the ring
-   bound, with and without a ban. *)
-let test_weighted_window_widths () =
-  let rng = SM.create 6161 in
-  let scratch = Csr.create_scratch () in
-  List.iter
-    (fun max_len ->
-      let g = random_weighted rng ~n:90 ~max_len in
-      let csr = Csr.of_digraph g in
-      Alcotest.(check bool) "weighted" false (Csr.unit_lengths csr);
-      List.iter
-        (fun ban ->
-          for w = 1 to Csr.batch_width do
-            let srcs = Array.init w (fun i -> ((i * 7) + 3) mod 90) in
-            check_batch_vs_scalar
-              ~what:(Printf.sprintf "max_len %d ban %d width %d" max_len (Option.value ~default:(-1) ban) w)
-              ?ban csr scratch srcs
-          done)
-        [ None; Some 3 ])
-    [ 1; 3; Csr.ring_max_length ]
 
 let test_batch_reuse_and_clean_pool () =
   (* One scratch across many graphs and sizes (the self-cleaning bitmap
@@ -531,7 +516,6 @@ let suite =
     Alcotest.test_case "msbfs window widths, both directions" `Quick test_msbfs_direction_widths;
     Alcotest.test_case "sssp_batch weighted dispatch" `Quick
       test_sssp_batch_weighted_dispatch;
-    Alcotest.test_case "weighted window widths" `Quick test_weighted_window_widths;
     Alcotest.test_case "batch reuse + clean pool" `Quick test_batch_reuse_and_clean_pool;
     Alcotest.test_case "pooled best response jobs-invariant" `Quick
       test_pooled_best_response_jobs_invariant;
