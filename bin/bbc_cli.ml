@@ -552,8 +552,8 @@ let bigbench_cmd =
       value & opt int 64
       & info [ "landmarks" ] ~docv:"L"
           ~doc:
-            "Landmark sources for the social-cost estimate ($(docv) >= n runs \
-             the exact sweep).")
+            "Landmark sources for the social-cost estimate, at least 2 ($(docv) \
+             >= n runs the exact sweep).")
   in
   let rounds_opt =
     Arg.(
@@ -568,7 +568,7 @@ let bigbench_cmd =
     Arg.(
       value & opt int 8
       & info [ "sample" ] ~docv:"S"
-          ~doc:"Candidate targets sampled per activation when --rounds > 0.")
+          ~doc:"Candidate targets sampled per activation when --rounds > 0; at least 1.")
   in
   let timings_opt =
     Arg.(
@@ -579,61 +579,64 @@ let bigbench_cmd =
              (off by default so the output stays reproducible).")
   in
   let run () obs family n k seed landmarks rounds sample objective timings =
-    let params = { Bbc.Catalog.default_params with n; k; seed } in
-    (* Time the streaming build itself: allocation delta over the catalog
-       call is the builder's footprint (CSR arrays + instance). *)
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    match Bbc.Catalog.build_streaming family params with
-    | Error e -> `Error (false, e)
-    | Ok (instance, csr) ->
-        let t1 = Unix.gettimeofday () in
-        let a1 = Gc.allocated_bytes () in
-        with_obs obs @@ fun () ->
-        let nn = Bbc.Instance.n instance in
-        Format.fprintf fmt "family:    %s (n=%d, k=%d, seed=%d)@." family nn k seed;
-        Format.fprintf fmt "edges:     %d@." (Bbc_graph.Csr.edge_count csr);
-        if timings then
-          Format.fprintf fmt "build:     %.1f ms  (%.0f ns/node, %.1f words/node allocated)@."
-            ((t1 -. t0) *. 1e3)
-            ((t1 -. t0) *. 1e9 /. float_of_int nn)
-            ((a1 -. a0) /. 8.0 /. float_of_int nn);
-        let t2 = Unix.gettimeofday () in
-        let e = Bbc.Approx.social_cost ~objective ~landmarks ~seed instance csr in
-        let t3 = Unix.gettimeofday () in
-        Format.fprintf fmt "landmarks: %d of %d@." e.Bbc.Approx.landmarks nn;
-        if e.Bbc.Approx.exact then
-          Format.fprintf fmt "social cost (%a): %.0f (exact)@." Bbc.Objective.pp
-            objective e.Bbc.Approx.value
-        else
-          Format.fprintf fmt "social cost (%a): %.1f +- %.1f (estimated)@."
-            Bbc.Objective.pp objective e.Bbc.Approx.value e.Bbc.Approx.bound;
-        if timings then
-          Format.fprintf fmt "sweep:     %.1f ms  (%.2f ms/landmark)@."
-            ((t3 -. t2) *. 1e3)
-            ((t3 -. t2) *. 1e3 /. float_of_int (max 1 e.Bbc.Approx.landmarks));
-        if rounds > 0 then begin
-          match Bbc.Catalog.build_streaming_reference family params with
-          | Error e -> `Error (false, e)
-          | Ok (instance, config) ->
-              let outcome =
-                Bbc.Dynamics.run ~objective
-                  ~policy:(Bbc.Dynamics.Sampled_best_response { sample; seed })
-                  ~scheduler:Bbc.Dynamics.Round_robin ~max_rounds:rounds instance
-                  config
-              in
-              Format.fprintf fmt "dynamics:  %a@." Bbc.Dynamics.pp_outcome outcome;
-              let final = Bbc.Dynamics.final_config outcome in
-              let fcsr = Bbc.Config.to_csr instance final in
-              let e = Bbc.Approx.social_cost ~objective ~landmarks ~seed instance fcsr in
-              if e.Bbc.Approx.exact then
-                Format.fprintf fmt "final social cost: %.0f (exact)@." e.Bbc.Approx.value
-              else
-                Format.fprintf fmt "final social cost: %.1f +- %.1f (estimated)@."
-                  e.Bbc.Approx.value e.Bbc.Approx.bound;
-              `Ok ()
-        end
-        else `Ok ()
+    if landmarks < 2 then `Error (false, "--landmarks must be at least 2")
+    else if rounds > 0 && sample < 1 then `Error (false, "--sample must be at least 1")
+    else
+      let params = { Bbc.Catalog.default_params with n; k; seed } in
+      (* Time the streaming build itself: allocation delta over the catalog
+         call is the builder's footprint (CSR arrays + instance). *)
+      let a0 = Gc.allocated_bytes () in
+      let t0 = Unix.gettimeofday () in
+      match Bbc.Catalog.build_streaming family params with
+      | Error e -> `Error (false, e)
+      | Ok (instance, csr) ->
+          let t1 = Unix.gettimeofday () in
+          let a1 = Gc.allocated_bytes () in
+          with_obs obs @@ fun () ->
+          let nn = Bbc.Instance.n instance in
+          Format.fprintf fmt "family:    %s (n=%d, k=%d, seed=%d)@." family nn k seed;
+          Format.fprintf fmt "edges:     %d@." (Bbc_graph.Csr.edge_count csr);
+          if timings then
+            Format.fprintf fmt "build:     %.1f ms  (%.0f ns/node, %.1f words/node allocated)@."
+              ((t1 -. t0) *. 1e3)
+              ((t1 -. t0) *. 1e9 /. float_of_int nn)
+              ((a1 -. a0) /. 8.0 /. float_of_int nn);
+          let t2 = Unix.gettimeofday () in
+          let e = Bbc.Approx.social_cost ~objective ~landmarks ~seed instance csr in
+          let t3 = Unix.gettimeofday () in
+          Format.fprintf fmt "landmarks: %d of %d@." e.Bbc.Approx.landmarks nn;
+          if e.Bbc.Approx.exact then
+            Format.fprintf fmt "social cost (%a): %.0f (exact)@." Bbc.Objective.pp
+              objective e.Bbc.Approx.value
+          else
+            Format.fprintf fmt "social cost (%a): %.1f +- %.1f (estimated)@."
+              Bbc.Objective.pp objective e.Bbc.Approx.value e.Bbc.Approx.bound;
+          if timings then
+            Format.fprintf fmt "sweep:     %.1f ms  (%.2f ms/landmark)@."
+              ((t3 -. t2) *. 1e3)
+              ((t3 -. t2) *. 1e3 /. float_of_int (max 1 e.Bbc.Approx.landmarks));
+          if rounds > 0 then begin
+            match Bbc.Catalog.build_streaming_reference family params with
+            | Error e -> `Error (false, e)
+            | Ok (instance, config) ->
+                let outcome =
+                  Bbc.Dynamics.run ~objective
+                    ~policy:(Bbc.Dynamics.Sampled_best_response { sample; seed })
+                    ~scheduler:Bbc.Dynamics.Round_robin ~max_rounds:rounds instance
+                    config
+                in
+                Format.fprintf fmt "dynamics:  %a@." Bbc.Dynamics.pp_outcome outcome;
+                let final = Bbc.Dynamics.final_config outcome in
+                let fcsr = Bbc.Config.to_csr instance final in
+                let e = Bbc.Approx.social_cost ~objective ~landmarks ~seed instance fcsr in
+                if e.Bbc.Approx.exact then
+                  Format.fprintf fmt "final social cost: %.0f (exact)@." e.Bbc.Approx.value
+                else
+                  Format.fprintf fmt "final social cost: %.1f +- %.1f (estimated)@."
+                    e.Bbc.Approx.value e.Bbc.Approx.bound;
+                `Ok ()
+          end
+          else `Ok ()
   in
   Cmd.v
     (Cmd.info "bigbench"

@@ -48,10 +48,6 @@ val unit : t -> int -> Bbc.Trial.t
 (** The [i]-th unit of the grid ([0 <= i < unit_count]).  Pure: depends
     only on the spec and [i].  Raises [Invalid_argument] out of range. *)
 
-val unit_seed : int -> int -> int
-(** [unit_seed campaign_seed i] — the derived per-unit seed (exposed for
-    tests; {!unit} applies it). *)
-
 val to_json : t -> Bbc.Json.t
 val of_json : Bbc.Json.t -> (t, string) result
 (** Decoding applies defaults: [name] "campaign", [seed] 1,

@@ -79,8 +79,6 @@ let snapshot t = Array.map Array.copy t
 
 let equal (a : t) (b : t) = a = b
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-
 let hash t =
   (* FNV-style polynomial hash over the flattened profile. *)
   let h = ref 0x811c9dc5 in

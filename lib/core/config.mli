@@ -35,9 +35,6 @@ val with_strategy : t -> int -> int list -> t
 (** Functional update of one node's strategy (validated as in
     {!of_lists}).  The profile is persistent: the original is unchanged. *)
 
-val spend : Instance.t -> t -> int -> int
-(** Total link cost spent by a node under its current strategy. *)
-
 val feasible : Instance.t -> t -> bool
 (** Every node's spend is within its budget. *)
 
@@ -55,8 +52,6 @@ val csr_with_row : Instance.t -> t -> Bbc_graph.Csr.t -> int -> Bbc_graph.Csr.t
     by [u]'s strategy in [config] ({!Bbc_graph.Csr.with_row}).  When
     [snap] is [to_csr] of a profile that differs from [config] at most
     in [u]'s strategy, the result equals [to_csr instance config]. *)
-
-val edge_count : t -> int
 
 (** {2 Trusted construction (hot paths)}
 
@@ -83,7 +78,6 @@ val snapshot : t -> t
     {!unsafe_of_arrays} from its underlying mutable buffer. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 module Tbl : Hashtbl.S with type key = t

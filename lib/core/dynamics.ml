@@ -138,10 +138,7 @@ let trace_outcome outcome =
 let round_order scheduler rng n =
   match scheduler with
   | Round_robin -> Array.init n Fun.id
-  | Fixed_order order ->
-      if Array.length order <> n then
-        invalid_arg "Dynamics: Fixed_order must be a permutation of all nodes";
-      order
+  | Fixed_order order -> order
   | Random_order _ ->
       let order = Array.init n Fun.id in
       Splitmix.shuffle (Option.get rng) order;
@@ -203,9 +200,20 @@ let detects_cycles ~scheduler ~policy =
   | (Round_robin | Fixed_order _ | Max_cost_first), (Exact_best_response | First_improvement) ->
       true
 
+(* Once, before the walk: a [Fixed_order] lists every node exactly once. *)
+let check_order scheduler n =
+  match scheduler with
+  | Fixed_order order ->
+      let seen = Array.make n false in
+      let fresh v = v >= 0 && v < n && (not seen.(v)) && (seen.(v) <- true; true) in
+      if Array.length order <> n || not (Array.for_all fresh order) then
+        invalid_arg "Dynamics: Fixed_order must be a permutation of all nodes"
+  | Round_robin | Random_order _ | Max_cost_first -> ()
+
 let run ?objective ?(policy = Exact_best_response) ?on_step ~scheduler
     ~max_rounds instance config0 =
   let n = Instance.n instance in
+  check_order scheduler n;
   Bbc_obs.with_span "dynamics.run"
     ~attrs:
       [

@@ -101,7 +101,10 @@ val run :
     after a move the mover's row is replaced
     ({!Bbc_graph.Csr.with_row}, O(n + m)) instead of rebuilding the
     graph; a node that stays costs nothing.  Step stream and outcome
-    are those of a walk that builds a fresh snapshot per decision. *)
+    are those of a walk that builds a fresh snapshot per decision.
+
+    @raise Invalid_argument if a [Fixed_order] is not a permutation of
+    the nodes. *)
 
 val first_strong_connectivity :
   ?objective:Objective.t ->

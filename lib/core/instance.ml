@@ -99,8 +99,6 @@ let budget t u = match t.data with Uniform { k } -> k | General g -> g.budget.(u
 
 let penalty t = t.penalty
 
-let is_uniform t = match t.data with Uniform _ -> true | General _ -> false
-
 let uniform_k t = match t.data with Uniform { k } -> Some k | General _ -> None
 
 let max_length t =

@@ -57,12 +57,8 @@ val length : t -> int -> int -> int
 val budget : t -> int -> int
 val penalty : t -> int
 
-val is_uniform : t -> bool
-
 val uniform_k : t -> int option
 (** [Some k] when the instance was built with {!uniform}. *)
-
-val max_length : t -> int
 
 val with_penalty : t -> int -> t
 (** Replace the penalty.  Raises [Invalid_argument] unless

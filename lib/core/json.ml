@@ -273,7 +273,6 @@ let to_int = function
   | _ -> None
 
 let to_float = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None
-let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 

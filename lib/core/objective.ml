@@ -1,9 +1,5 @@
 type t = Sum | Max
 
-let fold obj acc term = match obj with Sum -> acc + term | Max -> max acc term
-
-let identity _ = 0
-
 let to_string = function Sum -> "sum" | Max -> "max"
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -7,14 +7,6 @@
 
 type t = Sum | Max
 
-val fold : t -> int -> int -> int
-(** [fold obj acc term] combines one weighted-distance term into the
-    running aggregate ([acc + term] or [max acc term]). *)
-
-val identity : t -> int
-(** Neutral aggregate start value (0 for both objectives, since all terms
-    are non-negative). *)
-
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

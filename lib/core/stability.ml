@@ -15,7 +15,10 @@ let parallel_work = 4096
    C(c, i) sets of i of its c candidates for each i whose i cheapest
    targets fit the budget (exact on unit costs). *)
 let affordable_subsets instance u =
-  let costs = List.sort compare (List.map (Instance.cost instance u) (Best_response.candidate_targets instance u)) in
+  let costs =
+    List.sort Int.compare
+      (List.map (Instance.cost instance u) (Best_response.candidate_targets instance u))
+  in
   let c = List.length costs in
   let rec go i binom left = function
     | x :: rest when x <= left && binom < parallel_work ->
@@ -25,12 +28,16 @@ let affordable_subsets instance u =
   in
   1 + go 0 1 (Instance.budget instance u) costs
 
-let resolve_jobs ?jobs instance =
-  let n = Instance.n instance in
-  let rec work u acc =
-    if u = n || acc >= parallel_work then acc else work (u + 1) (acc + affordable_subsets instance u)
-  in
-  Bbc_parallel.jobs_for ?jobs ~threshold:parallel_work (work 0 0)
+(* Jobs for the scan: one on the closed form, which decides no node. *)
+let resolve_jobs ?jobs instance = function
+  | Some _ -> 1
+  | None ->
+      let n = Instance.n instance in
+      let rec work u acc =
+        if u = n || acc >= parallel_work then acc
+        else work (u + 1) (acc + affordable_subsets instance u)
+      in
+      Bbc_parallel.jobs_for ?jobs ~threshold:parallel_work (work 0 0)
 
 (* One node per chunk pull.  A best-response check runs a full DFS over
    strategy space against the pooled CSR rows, so per-node work is both
@@ -52,51 +59,50 @@ let deviation ~objective ?csr instance config u =
   if d.best.cost < d.current then Some { node = u; current_cost = d.current; better = d.best }
   else None
 
-(* On a uniform k = 1 functional profile one [Functional.scan] answers
-   for every node (DESIGN.md section 9.2): the nodes it finds unstable,
-   in node order.  A scan that reports a deviation runs the reported
-   node's decision only, so it reports what the per-node scan would. *)
-let closed_unstable ~objective instance succ =
-  let s = Functional.scan succ in
-  List.filter (Functional.improves ~objective instance s) (List.init (Instance.n instance) Fun.id)
+(* The one scan behind [is_stable] and [find_deviation]: the lowest
+   unstable node, if any, as a thunk that yields its deviation, so that
+   [is_stable] forces nothing.  On a uniform k = 1 functional profile
+   ([closed]) one [Functional.scan] answers for every node (DESIGN.md
+   section 9.2), and the thunk runs the reported node's decision only,
+   so it reports what the per-node scan would.  Elsewhere
+   [parallel_find_first] returns the lowest-index hit, the node the
+   sequential scan would find.  All workers share one immutable full
+   snapshot ([~ban] sweeps give each node its G_{-u} rows), so the
+   fan-out builds no per-node graphs and the domains stay off the
+   shared allocator. *)
+let first_unstable ~objective ~jobs instance config closed =
+  let n = Instance.n instance in
+  match closed with
+  | Some succ ->
+      let s = Functional.scan succ in
+      let rec from u =
+        if u = n then None
+        else if Functional.improves ~objective instance s u then
+          Some (fun () -> deviation ~objective instance config u)
+        else from (u + 1)
+      in
+      from 0
+  | None ->
+      let csr = Config.to_csr instance config in
+      Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n (fun u ->
+          Option.map (fun d () -> Some d) (deviation ~objective ~csr instance config u))
 
 let find_deviation ?(objective = Objective.Sum) ?jobs instance config =
-  let n = Instance.n instance in
   let closed = Functional.input instance config in
-  let jobs = if Option.is_some closed then 1 else resolve_jobs ?jobs instance in
+  let jobs = resolve_jobs ?jobs instance closed in
   Bbc_obs.with_span "stability.find_deviation"
-    ~attrs:[ ("n", Bbc_obs.Int n); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
-      match closed with
-      | Some succ -> (
-          match closed_unstable ~objective instance succ with
-          | u :: _ -> deviation ~objective instance config u
-          | [] -> None)
-      | None ->
-          (* [parallel_find_first] returns the lowest-index hit, so the
-             reported deviation is the same node the sequential scan
-             would find.  All workers share one immutable full snapshot
-             ([~ban] sweeps give each node its G_{-u} rows), so the
-             fan-out builds no per-node graphs and the domains stay off
-             the shared allocator. *)
-          let csr = Config.to_csr instance config in
-          Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 n
-            (deviation ~objective ~csr instance config))
-
-let improvable ?objective ?csr instance config u =
-  Option.is_some (Best_response.improving ?objective ?csr instance config u)
+    ~attrs:[ ("n", Bbc_obs.Int (Instance.n instance)); ("jobs", Bbc_obs.Int jobs) ] (fun () ->
+      match first_unstable ~objective ~jobs instance config closed with
+      | Some deviation -> deviation ()
+      | None -> None)
 
 let is_stable ?(objective = Objective.Sum) ?jobs instance config =
   Bbc_obs.incr obs_stable_checks;
   Config.feasible instance config
   &&
-  match Functional.input instance config with
-  | Some succ -> closed_unstable ~objective instance succ = []
-  | None ->
-      let csr = Config.to_csr instance config in
-      let jobs = resolve_jobs ?jobs instance in
-      Option.is_none
-        (Bbc_parallel.parallel_find_first ~jobs ~chunk:br_chunk 0 (Instance.n instance)
-           (Best_response.improving ~objective ~csr instance config))
+  let closed = Functional.input instance config in
+  let jobs = resolve_jobs ?jobs instance closed in
+  Option.is_none (first_unstable ~objective ~jobs instance config closed)
 
 (* Per-node decisions even on the closed form: [Exhaustive] checks
    partial profiles node by node through this, and its counters count
@@ -105,25 +111,9 @@ let nodes_stable ?objective instance config nodes =
   Config.feasible instance config
   &&
   let csr = Best_response.snapshot instance config in
-  not (List.exists (improvable ?objective ?csr instance config) nodes)
-
-(* The two whole-profile scans below are sequential: no workload or
-   gate reaches them with more than one job (DESIGN.md section 7). *)
-let unstable_nodes ?objective instance config =
-  let csr = Best_response.snapshot instance config in
-  List.filter (improvable ?objective ?csr instance config) (List.init (Instance.n instance) Fun.id)
-
-(* Each node's gap is [current - best.cost] of one exact decision, whose
-   current cost comes from the search's own rows.  An overspending node
-   can sit below every affordable strategy; the fold from 0 clips it. *)
-let stability_gap ?objective instance config =
-  let csr = Best_response.snapshot instance config in
-  let gap = ref 0 in
-  for u = 0 to Instance.n instance - 1 do
-    let d = Best_response.decide ?objective ?csr ~search:Exact instance config u in
-    gap := max !gap (d.current - d.best.cost)
-  done;
-  !gap
+  List.for_all
+    (fun u -> Option.is_none (Best_response.improving ?objective ?csr instance config u))
+    nodes
 
 let pp_deviation fmt d =
   Format.fprintf fmt "node %d: cost %d -> %d via [%a]" d.node d.current_cost

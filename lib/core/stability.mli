@@ -1,9 +1,10 @@
 (** Nash-equilibrium verification (polynomial in the instance size).
 
-    A profile is stable (a pure Nash equilibrium) when no node has a
-    feasible strategy with strictly smaller cost, all other strategies
-    fixed.  Verification runs one exact best-response computation per
-    node; [is_stable] short-circuits on the first unstable node.
+    A profile is stable (a pure Nash equilibrium) when it is feasible
+    and no node has a feasible strategy with strictly smaller cost, all
+    other strategies fixed.  {!is_stable} and {!find_deviation} share
+    one scan for the lowest unstable node: [is_stable] asks only
+    whether it exists, [find_deviation] reports its deviation.
 
     {b Uniform [k = 1].}  On a uniform [k = 1] functional profile (the
     closed form of {!Best_response}) one O(n) {!Functional.scan} gives
@@ -11,18 +12,17 @@
     {!find_deviation} runs one, for the node it reports.  Results are
     those of the per-node scan; nothing fans out.
 
-    {b Parallelism.}  Elsewhere, per-node checks only read the shared
-    instance, profile and one full CSR snapshot of it (all immutable),
-    honouring the read-only-graph contract of {!Bbc_graph.Digraph}.
-    {!is_stable} and {!find_deviation} fan them out over the
-    {!Bbc_parallel} domain pool, with early abort, when the scan's work
-    is large enough: nodes times affordable subsets per node of at
+    {b Parallelism.}  Elsewhere the scan runs one exact best-response
+    check per node.  The checks only read the shared instance, profile
+    and one full CSR snapshot of it (all immutable), honouring the
+    read-only-graph contract of {!Bbc_graph.Digraph}, and fan out over
+    the {!Bbc_parallel} domain pool, with early abort, when the scan's
+    work is large enough: nodes times affordable subsets per node of at
     least 4096.  So a 36-node [k = 4] check fans out.  [?jobs]
     overrides the default ({!Bbc_parallel.default_jobs} at or past the
     cutoff, sequential below).  Every job count returns identical
-    results — verdicts, nodes, and costs.  {!unstable_nodes},
-    {!stability_gap} and {!nodes_stable} decide every node they cover
-    (on the closed form too), sequentially. *)
+    results — verdicts, nodes, and costs.  {!nodes_stable} decides
+    every node it covers (on the closed form too), sequentially. *)
 
 type deviation = {
   node : int;
@@ -57,23 +57,5 @@ val find_deviation :
 (** First improving deviation in node order, if any.  The parallel scan
     still reports the {e lowest} unstable node, exactly like the
     sequential one. *)
-
-val unstable_nodes :
-  ?objective:Objective.t ->
-  Instance.t ->
-  Config.t ->
-  int list
-(** All nodes that currently have an improving deviation. *)
-
-val stability_gap :
-  ?objective:Objective.t ->
-  Instance.t ->
-  Config.t ->
-  int
-(** Max over nodes of [current_cost - best_response_cost], floored at 0
-    (an overspending node may cost less than any affordable strategy);
-    0 iff no node strictly improves.  Each node's pair comes from one
-    {!Best_response.decide} with [Exact].  (The additive analogue of
-    epsilon-equilibrium.) *)
 
 val pp_deviation : Format.formatter -> deviation -> unit

@@ -36,8 +36,6 @@ let root p i = i * section_size p
 
 let roots p = List.init p.k (root p)
 
-let section_of p v = v / section_size p
-
 (* Node ids within section [i] (base = i * section_size):
    - tree nodes occupy local ids [0, tree_size) in BFS order
      (children of local [t] are [k*t + 1 .. k*t + k]);

@@ -48,9 +48,6 @@ val root : params -> int -> int
 
 val roots : params -> int list
 
-val section_of : params -> int -> int
-(** Which section a node id belongs to. *)
-
 val representative_nodes : params -> int list
 (** One node per symmetry orbit of the initial configuration: the
     construction is invariant under relabeling sections (composed with a

@@ -60,15 +60,10 @@ let add_arc net ~src ~dst ~capacity ~cost =
   let _bwd = push_raw net ~src:dst ~dst:src ~capacity:0. ~cost:(-.cost) in
   fwd
 
-let arc_count net = net.count
-
 let src net a = net.srcs.(a)
 let dst net a = net.dsts.(a)
 let cost net a = net.costs.(a)
 let residual net a = net.res.(a)
-let twin _net a = a lxor 1
-let is_forward _net a = a land 1 = 0
-
 let flow net a =
   if a land 1 <> 0 then invalid_arg "Network.flow: not a forward arc";
   (* Residual of the twin equals the flow pushed forward. *)

@@ -1,6 +1,6 @@
 (** Residual flow networks with fractional (float) capacities.
 
-    Shared substrate for {!Maxflow} and {!Mincost}.  Arcs are stored in
+    Substrate of {!Mincost}.  Arcs are stored in
     forward/backward pairs: pushing flow along an arc increases the residual
     capacity of its twin.  Capacities may be [infinity] (used by the
     fractional BBC model for the penalty arcs that guarantee feasibility). *)
@@ -21,17 +21,10 @@ val add_arc : t -> src:int -> dst:int -> capacity:float -> cost:float -> int
     forward arc's index.  Capacity must be non-negative (may be
     [infinity]); cost must be finite. *)
 
-val arc_count : t -> int
-(** Total number of stored arcs (forward + reverse). *)
-
 val src : t -> int -> int
 val dst : t -> int -> int
 val cost : t -> int -> float
 val residual : t -> int -> float
-val twin : t -> int -> int
-
-val is_forward : t -> int -> bool
-(** Whether an arc index denotes an original (forward) arc. *)
 
 val flow : t -> int -> float
 (** Flow currently pushed through a forward arc. *)

@@ -184,5 +184,3 @@ let such_that ?(max_tries = 100) pred g rng =
       if pred (root t) then filter_tree pred t else attempt (tries - 1)
   in
   attempt max_tries
-
-let no_shrink g rng = Tree (root (g rng), Seq.empty)

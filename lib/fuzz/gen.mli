@@ -54,7 +54,6 @@ val bool : bool t
 (** {1 Combinators} *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
-val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 (** Monadic composition with integrated shrinking: shrink candidates
@@ -102,7 +101,3 @@ val such_that : ?max_tries:int -> ('a -> bool) -> 'a t -> 'a t
 (** Retry (fresh split states, up to [max_tries], default 100) until the
     predicate holds; raises {!Discard} otherwise.  The shrink tree is
     filtered, so shrinking never leaves the predicate. *)
-
-val no_shrink : 'a t -> 'a t
-(** Drop all shrink candidates (for values whose shrinking is
-    meaningless, e.g. seeds). *)

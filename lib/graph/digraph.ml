@@ -40,34 +40,9 @@ let add_edge g u v len =
   in
   replace [] g.adj.(u)
 
-let remove_edge g u v =
-  check_vertex g u "remove_edge";
-  check_vertex g v "remove_edge";
-  (* Single tail-recursive pass; an absent edge leaves the list intact
-     (no rebuild). *)
-  let rec remove prefix = function
-    | [] -> ()
-    | (v', len) :: rest when v' = v ->
-        g.adj.(u) <- List.rev_append prefix rest;
-        g.edges <- g.edges - 1;
-        g.non_unit <- g.non_unit - count_non_unit len
-    | e :: rest -> remove (e :: prefix) rest
-  in
-  remove [] g.adj.(u)
-
-let remove_out_edges g u =
-  check_vertex g u "remove_out_edges";
-  g.edges <- g.edges - List.length g.adj.(u);
-  List.iter (fun (_, len) -> g.non_unit <- g.non_unit - count_non_unit len) g.adj.(u);
-  g.adj.(u) <- []
-
 let mem_edge g u v =
   check_vertex g u "mem_edge";
   List.exists (fun (v', _) -> v' = v) g.adj.(u)
-
-let edge_length g u v =
-  check_vertex g u "edge_length";
-  List.assoc_opt v g.adj.(u)
 
 let out_edges g u =
   check_vertex g u "out_edges";
@@ -109,8 +84,3 @@ let of_edges n es =
 let of_unit_edges n es = of_edges n (List.map (fun (u, v) -> (u, v, 1)) es)
 
 let equal g1 g2 = g1.size = g2.size && edges g1 = edges g2
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>digraph(%d vertices, %d edges)" g.size g.edges;
-  List.iter (fun (u, v, len) -> Format.fprintf fmt "@,  %d -> %d (len %d)" u v len) (edges g);
-  Format.fprintf fmt "@]"

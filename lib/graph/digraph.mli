@@ -9,12 +9,11 @@
     {b Read-only-graph contract (multicore).}  A graph that is not
     mutated is safe to read from any number of domains concurrently: all
     queries ([n], [edge_count], [all_unit_lengths], [mem_edge],
-    [edge_length], [out_edges], [iter_out], [iter_edges], ...) only read.
-    The parallel engine ({!Bbc_parallel}) relies on this — workers share
-    one realized graph and keep their own scratch (distance arrays,
-    graph copies for [G_{-u}]).  Interleaving a mutation ([add_edge],
-    [remove_edge], [remove_out_edges]) with concurrent readers is a data
-    race and is forbidden. *)
+    [out_edges], [iter_out], [iter_edges], ...) only read.  The parallel
+    engine ({!Bbc_parallel}) relies on this — workers share one realized
+    graph and keep their own scratch (distance arrays).  Interleaving a
+    mutation ([add_edge]) with concurrent readers is a data race and is
+    forbidden. *)
 
 type t
 
@@ -29,8 +28,8 @@ val edge_count : t -> int
 
 val all_unit_lengths : t -> bool
 (** Whether every edge has length 1, in O(1): the graph maintains a
-    count of non-unit edges, updated on every insertion, replacement and
-    removal, so a BFS vs Dijkstra dispatch never rescans the edge
+    count of non-unit edges, updated on every insertion and replacement,
+    so a BFS vs Dijkstra dispatch never rescans the edge
     set. *)
 
 val add_edge : t -> int -> int -> int -> unit
@@ -38,17 +37,8 @@ val add_edge : t -> int -> int -> int -> unit
     [len].  Raises [Invalid_argument] on out-of-range vertices, negative
     length, or a self-loop. *)
 
-val remove_edge : t -> int -> int -> unit
-(** [remove_edge g u v] removes the edge [u -> v] if present. *)
-
-val remove_out_edges : t -> int -> unit
-(** [remove_out_edges g u] deletes all edges leaving [u]. *)
-
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v] is [true] iff the edge [u -> v] is present. *)
-
-val edge_length : t -> int -> int -> int option
-(** Length of the edge [u -> v], if present. *)
 
 val out_edges : t -> int -> (int * int) list
 (** [out_edges g u] is the list of [(v, length)] pairs for edges leaving
@@ -80,5 +70,3 @@ val of_unit_edges : int -> (int * int) list -> t
 
 val equal : t -> t -> bool
 (** Structural equality: same vertex count, same edge set with lengths. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ let boolean_cube d =
   create (List.init d (fun _ -> 2))
 
 let order g = g.order
-let rank g = Array.length g.moduli
 let moduli g = Array.to_list g.moduli
 
 let identity _g = 0
@@ -47,8 +46,3 @@ let element_order g x =
   if x = 0 then 1 else go x 1
 
 let elements g = List.init g.order Fun.id
-
-let pp_element g fmt x =
-  Format.fprintf fmt "(%a)"
-    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ",") Format.pp_print_int)
-    (to_coords g x)

@@ -21,10 +21,6 @@ val boolean_cube : int -> t
     hypercube). *)
 
 val order : t -> int
-val rank : t -> int
-(** Number of cyclic factors. *)
-
-val moduli : t -> int list
 
 val identity : t -> element
 
@@ -42,5 +38,3 @@ val element_order : t -> element -> int
 
 val elements : t -> element list
 (** All elements, in encoding order (identity first). *)
-
-val pp_element : t -> Format.formatter -> element -> unit

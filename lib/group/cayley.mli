@@ -12,10 +12,6 @@ type t = private {
   graph : Bbc_graph.Digraph.t;
 }
 
-val make : Abelian.t -> Abelian.element list -> t
-(** Raises [Invalid_argument] if a generator is the identity (self-loop)
-    or repeated. *)
-
 val circulant : n:int -> offsets:int list -> t
 (** The "regular graph" of the paper: Cayley graph of [Z_n] with the given
     offsets (each taken mod n, must be non-zero mod n and distinct). *)

@@ -20,8 +20,6 @@ let num_vars f = f.num_vars
 let clauses f = f.clauses
 let num_clauses f = List.length f.clauses
 
-let is_three_sat f = List.for_all (fun c -> List.length c <= 3) f.clauses
-
 let var lit = abs lit
 
 let literal_satisfied lit assignment =

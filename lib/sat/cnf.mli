@@ -20,9 +20,6 @@ val num_vars : t -> int
 val clauses : t -> clause list
 val num_clauses : t -> int
 
-val is_three_sat : t -> bool
-(** Every clause has at most three literals. *)
-
 val var : literal -> int
 (** Variable of a literal (absolute value). *)
 

@@ -61,14 +61,3 @@ let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse text
   | exception Sys_error m -> Error m
-
-let print f =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "p cnf %d %d\n" (Cnf.num_vars f) (Cnf.num_clauses f));
-  List.iter
-    (fun clause ->
-      List.iter (fun lit -> Buffer.add_string buf (string_of_int lit ^ " ")) clause;
-      Buffer.add_string buf "0\n")
-    (Cnf.clauses f);
-  Buffer.contents buf

@@ -7,6 +7,3 @@ val parse : string -> (Cnf.t, string) result
     spanning multiple lines.  The declared clause count is checked. *)
 
 val parse_file : string -> (Cnf.t, string) result
-
-val print : Cnf.t -> string
-(** Render in DIMACS format. *)

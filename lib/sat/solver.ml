@@ -97,23 +97,3 @@ let solve f =
     Sat witness
   end
   else Unsat
-
-let is_satisfiable f = match solve f with Sat _ -> true | Unsat -> false
-
-let count_models f =
-  let num_vars = Cnf.num_vars f in
-  let assignment = Array.make (num_vars + 1) false in
-  let count = ref 0 in
-  let rec go v =
-    if v > num_vars then begin
-      if Cnf.eval f assignment then incr count
-    end
-    else begin
-      assignment.(v) <- false;
-      go (v + 1);
-      assignment.(v) <- true;
-      go (v + 1)
-    end
-  in
-  go 1;
-  !count

@@ -9,10 +9,3 @@ type outcome =
   | Unsat
 
 val solve : Cnf.t -> outcome
-
-val is_satisfiable : Cnf.t -> bool
-
-val count_models : Cnf.t -> int
-(** Number of satisfying assignments (exhaustive over [2^num_vars];
-    intended for formulas with at most ~20 variables, used to cross-check
-    the DPLL solver in tests). *)

@@ -91,7 +91,6 @@ let create cfg =
 let sessions t = t.store
 let pending t = Queue.length t.queue
 let begin_shutdown t = t.stopping <- true
-let draining t = t.stopping
 let shutdown_requested t = Atomic.get t.stop_requested
 
 let endpoint t meth = List.assoc meth t.endpoints

@@ -65,8 +65,6 @@ val begin_shutdown : t -> unit
 (** Stop admitting: subsequent {!submit}s get [shutting_down].  Queued
     work is kept — drain it with {!drain} or repeated {!run_batch}. *)
 
-val draining : t -> bool
-
 val shutdown_requested : t -> bool
 (** True once a [shutdown] request was executed (the endpoint's hook);
     the transport loop polls this to begin its graceful exit. *)
@@ -76,8 +74,3 @@ val drain : t -> (int * string) list
     order).  Used on graceful shutdown. *)
 
 val sessions : t -> Session.store
-
-val stats_json : t -> Bbc.Json.t
-(** The [stats] endpoint's payload: live session count, queue depth,
-    per-endpoint served counts, timeouts, overload rejections, error
-    count, batches executed. *)

@@ -29,8 +29,6 @@ type error_code =
   | Shutting_down
   | Internal
 
-val code_string : error_code -> string
-
 type request = {
   id : Bbc.Json.t;  (** echoed verbatim; [Null] when absent *)
   meth : string;

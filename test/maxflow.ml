@@ -1,3 +1,9 @@
+(* Maximum flow (Edmonds–Karp: BFS augmenting paths on the residual
+   network), the oracle that cross-checks Bbc_flow.Mincost's feasibility
+   answers.  The network's flows are left in the final state. *)
+
+module Network = Bbc_flow.Network
+
 let solve net ~source ~sink =
   if source = sink then invalid_arg "Maxflow.solve: source = sink";
   let n = Network.n net in

@@ -115,8 +115,9 @@ let test_ban_equals_skip_snapshot () =
     let full = Csr.of_digraph g in
     let u = SM.int rng n in
     (* The G_{-u} snapshot, built from a copy without u's out-edges. *)
-    let pruned = Bbc_graph.Digraph.copy g in
-    Bbc_graph.Digraph.remove_out_edges pruned u;
+    let pruned =
+      Bbc_graph.Digraph.of_edges n (List.filter (fun (a, _, _) -> a <> u) (Bbc_graph.Digraph.edges g))
+    in
     let skipped = Csr.of_digraph pruned in
     let src = SM.int rng n in
     let a = Array.make n Csr.unreachable in

@@ -5,14 +5,12 @@ module D = Bbc_graph.Digraph
 let test_empty () =
   let c = C.empty 4 in
   Alcotest.(check int) "n" 4 (C.n c);
-  Alcotest.(check int) "no edges" 0 (C.edge_count c);
   Alcotest.(check (list int)) "empty strategy" [] (C.targets c 2)
 
 let test_of_lists_sorted () =
   let c = C.of_lists 4 [| [ 3; 1 ]; []; [ 0 ]; [] |] in
   Alcotest.(check (list int)) "sorted targets" [ 1; 3 ] (C.targets c 0);
-  Alcotest.(check int) "strategy size" 2 (C.strategy_size c 0);
-  Alcotest.(check int) "edge count" 3 (C.edge_count c)
+  Alcotest.(check int) "strategy size" 2 (C.strategy_size c 0)
 
 let test_validation () =
   let expect_invalid f =
@@ -45,8 +43,8 @@ let test_to_graph_lengths () =
   let inst = I.general ~weight:w ~cost ~length:len ~budget:[| 2; 2; 2 |] () in
   let c = C.of_lists 3 [| [ 1 ]; [ 2 ]; [] |] in
   let g = C.to_graph inst c in
-  Alcotest.(check (option int)) "length carried" (Some 5) (D.edge_length g 0 1);
-  Alcotest.(check (option int)) "length carried" (Some 2) (D.edge_length g 1 2)
+  Alcotest.(check (option int)) "length carried" (Some 5) (List.assoc_opt 1 (D.out_edges g 0));
+  Alcotest.(check (option int)) "length carried" (Some 2) (List.assoc_opt 2 (D.out_edges g 1))
 
 let test_of_graph_roundtrip () =
   let inst = I.uniform ~n:5 ~k:2 in
@@ -60,7 +58,6 @@ let test_spend_and_feasible () =
   let ones = Array.make_matrix 3 3 1 in
   let inst = I.general ~weight:w ~cost ~length:ones ~budget:[| 4; 1; 0 |] () in
   let c = C.of_lists 3 [| [ 1; 2 ]; [ 0 ]; [] |] in
-  Alcotest.(check int) "spend 0" 5 (C.spend inst c 0);
   Alcotest.(check bool) "infeasible" false (C.feasible inst c);
   let c' = C.with_strategy c 0 [ 1 ] in
   Alcotest.(check bool) "feasible" true (C.feasible inst c')

@@ -13,34 +13,15 @@ let test_add_and_query () =
   Alcotest.(check int) "edge count" 2 (D.edge_count g);
   Alcotest.(check bool) "mem 0->1" true (D.mem_edge g 0 1);
   Alcotest.(check bool) "not mem 1->0" false (D.mem_edge g 1 0);
-  Alcotest.(check (option int)) "length" (Some 5) (D.edge_length g 0 1);
-  Alcotest.(check (option int)) "absent" None (D.edge_length g 2 0)
+  Alcotest.(check (option int)) "length" (Some 5) (List.assoc_opt 1 (D.out_edges g 0));
+  Alcotest.(check (option int)) "absent" None (List.assoc_opt 0 (D.out_edges g 2))
 
 let test_replace_edge () =
   let g = D.create 3 in
   D.add_edge g 0 1 5;
   D.add_edge g 0 1 9;
   Alcotest.(check int) "still one edge" 1 (D.edge_count g);
-  Alcotest.(check (option int)) "updated length" (Some 9) (D.edge_length g 0 1)
-
-let test_remove () =
-  let g = D.create 3 in
-  D.add_edge g 0 1 1;
-  D.add_edge g 0 2 1;
-  D.remove_edge g 0 1;
-  Alcotest.(check int) "one left" 1 (D.edge_count g);
-  Alcotest.(check bool) "gone" false (D.mem_edge g 0 1);
-  D.remove_edge g 0 1;
-  Alcotest.(check int) "idempotent" 1 (D.edge_count g)
-
-let test_remove_out_edges () =
-  let g = D.create 4 in
-  D.add_edge g 0 1 1;
-  D.add_edge g 0 2 1;
-  D.add_edge g 1 2 1;
-  D.remove_out_edges g 0;
-  Alcotest.(check int) "only 1->2 remains" 1 (D.edge_count g);
-  Alcotest.(check int) "degree 0" 0 (D.out_degree g 0)
+  Alcotest.(check (option int)) "updated length" (Some 9) (List.assoc_opt 1 (D.out_edges g 0))
 
 let test_self_loop_rejected () =
   let g = D.create 2 in
@@ -76,7 +57,7 @@ let test_transpose () =
 
 let test_of_unit_edges () =
   let g = D.of_unit_edges 3 [ (0, 1); (2, 0) ] in
-  Alcotest.(check (option int)) "unit" (Some 1) (D.edge_length g 2 0)
+  Alcotest.(check (option int)) "unit" (Some 1) (List.assoc_opt 0 (D.out_edges g 2))
 
 let test_equal () =
   let g = D.of_edges 3 [ (0, 1, 1); (1, 2, 2) ] in
@@ -104,8 +85,6 @@ let suite =
     Alcotest.test_case "empty graph" `Quick test_empty;
     Alcotest.test_case "add and query" `Quick test_add_and_query;
     Alcotest.test_case "replace edge" `Quick test_replace_edge;
-    Alcotest.test_case "remove edge" `Quick test_remove;
-    Alcotest.test_case "remove out edges" `Quick test_remove_out_edges;
     Alcotest.test_case "self loop rejected" `Quick test_self_loop_rejected;
     Alcotest.test_case "negative length rejected" `Quick test_negative_length_rejected;
     Alcotest.test_case "out of range rejected" `Quick test_out_of_range;

@@ -304,3 +304,22 @@ let suite =
       Alcotest.test_case "max-cost sampled: no false cycle" `Quick
         test_max_cost_sampled_no_false_cycle;
     ]
+
+(* A [Fixed_order] that repeats or skips a node, or names one outside
+   the game, is rejected before the walk: a repeated node once let a
+   walk report [Converged] on an unstable profile. *)
+let test_fixed_order_must_be_permutation () =
+  let inst = I.uniform ~n:6 ~k:1 in
+  List.iter
+    (fun order ->
+      Alcotest.check_raises "not a permutation"
+        (Invalid_argument "Dynamics: Fixed_order must be a permutation of all nodes")
+        (fun () -> ignore (D.run ~scheduler:(Fixed_order order) ~max_rounds:20 inst (C.empty 6))))
+    [ Array.make 6 0; [| 0; 1; 2; 3; 4; 99 |]; [| 0; 1; 2; 3; 4; -1 |]; [| 0; 1; 2 |] ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "fixed order is a permutation" `Quick
+        test_fixed_order_must_be_permutation;
+    ]

@@ -1,6 +1,6 @@
 module N = Bbc_flow.Network
 module MC = Bbc_flow.Mincost
-module MF = Bbc_flow.Maxflow
+module MF = Maxflow
 
 let feps = Alcotest.float 1e-6
 

@@ -4,7 +4,7 @@ module I = Bbc.Instance
 let test_core_shape () =
   let core = G.core () in
   Alcotest.(check int) "core size" G.core_size (I.n core);
-  Alcotest.(check bool) "uniform costs carried as general" false (I.is_uniform core);
+  Alcotest.(check bool) "uniform costs carried as general" false (I.uniform_k core <> None);
   for u = 0 to G.core_size - 1 do
     Alcotest.(check int) "budget 1" 1 (I.budget core u);
     for v = 0 to G.core_size - 1 do

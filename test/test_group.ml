@@ -14,7 +14,6 @@ let test_cyclic_arithmetic () =
 let test_product_coords () =
   let g = A.create [ 3; 4 ] in
   Alcotest.(check int) "order" 12 (A.order g);
-  Alcotest.(check int) "rank" 2 (A.rank g);
   let x = A.of_coords g [ 2; 3 ] in
   Alcotest.(check (list int)) "roundtrip" [ 2; 3 ] (A.to_coords g x);
   let y = A.of_coords g [ 1; 2 ] in

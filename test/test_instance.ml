@@ -3,7 +3,6 @@ module I = Bbc.Instance
 let test_uniform () =
   let t = I.uniform ~n:10 ~k:3 in
   Alcotest.(check int) "n" 10 (I.n t);
-  Alcotest.(check bool) "uniform" true (I.is_uniform t);
   Alcotest.(check (option int)) "k" (Some 3) (I.uniform_k t);
   Alcotest.(check int) "weight" 1 (I.weight t 0 5);
   Alcotest.(check int) "cost" 1 (I.cost t 2 7);
@@ -28,12 +27,10 @@ let test_general () =
   let c = [| [| 0; 3 |]; [| 1; 0 |] |] in
   let l = [| [| 1; 4 |]; [| 2; 1 |] |] in
   let t = I.general ~weight:w ~cost:c ~length:l ~budget:[| 3; 1 |] () in
-  Alcotest.(check bool) "not uniform" false (I.is_uniform t);
   Alcotest.(check (option int)) "no uniform k" None (I.uniform_k t);
   Alcotest.(check int) "weight" 2 (I.weight t 0 1);
   Alcotest.(check int) "cost" 3 (I.cost t 0 1);
   Alcotest.(check int) "length" 2 (I.length t 1 0);
-  Alcotest.(check int) "max length" 4 (I.max_length t);
   Alcotest.(check bool) "default penalty > n * maxlen" true (I.penalty t > 2 * 4)
 
 let test_general_validation () =

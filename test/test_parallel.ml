@@ -258,8 +258,8 @@ let test_k1_dynamics_jobs_invariant () =
 
 (* Which scans wake the pool, at default jobs 2: the whole-profile
    scans that workloads and CI gates run in parallel fan out past their
-   thresholds; Max_cost_first, [unstable_nodes], [stability_gap] and
-   the uniform k = 1 closed form run on the caller only.  [pool.runs]
+   thresholds; Max_cost_first, [nodes_stable] and the uniform k = 1
+   closed form run on the caller only.  [pool.runs]
    counts real fan-outs (jobs > 1, not nested). *)
 let test_fanout_sites () =
   let runs = Bbc_obs.counter "pool.runs" in
@@ -284,8 +284,8 @@ let test_fanout_sites () =
       in
       none "max-cost walk" (fun () ->
           Bbc.Dynamics.run ~scheduler:Bbc.Dynamics.Max_cost_first ~max_rounds:50 ring_inst ring_cfg);
-      none "unstable_nodes" (fun () -> Bbc.Stability.unstable_nodes inst config);
-      none "stability_gap" (fun () -> Bbc.Stability.stability_gap inst config);
+      none "nodes_stable" (fun () ->
+          Bbc.Stability.nodes_stable inst config (List.init (I.n inst) Fun.id));
       some "find_deviation" (fun () -> Bbc.Stability.find_deviation inst config);
       some "is_stable" (fun () -> Bbc.Stability.is_stable inst config);
       some "all_costs" (fun () -> Bbc.Eval.all_costs inst config);

@@ -119,7 +119,7 @@ let test_unsat_pair_and_larger () =
     Cnf.make ~num_vars:2
       [ [ 1; 2; 2 ]; [ 1; -2; -2 ]; [ -1; 2; 2 ]; [ -1; -2; -2 ] ]
   in
-  Alcotest.(check bool) "unsat" false (Solver.is_satisfiable f);
+  Alcotest.(check bool) "unsat" false (Sat_reference.is_satisfiable f);
   let t = R.build f in
   let candidates = R.candidate_strategies t in
   match Bbc.Exhaustive.has_equilibrium ~candidates t.instance with

@@ -10,7 +10,7 @@ let test_representatives_shape () =
   Alcotest.(check int) "h+1 levels + l tail depths" (3 + 1 + 2) (List.length reps);
   Alcotest.(check bool) "root first" true (List.hd reps = 0);
   List.iter
-    (fun v -> Alcotest.(check int) "all in section 0" 0 (W.section_of p v))
+    (fun v -> Alcotest.(check int) "all in section 0" 0 (v / W.section_size p))
     reps
 
 let test_sampled_agrees_with_full_on_stable () =
