@@ -107,7 +107,7 @@ let seed_opt = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.")
 
 let objective_opt =
   let objective_conv =
-    Arg.enum [ ("sum", Bbc.Objective.Sum); ("max", Bbc.Objective.Max) ]
+    Arg.enum (List.map (fun o -> (Bbc.Objective.to_string o, o)) Bbc.Objective.[ Sum; Max ])
   in
   Arg.(value & opt objective_conv Bbc.Objective.Sum & info [ "objective" ] ~doc:"Cost objective: sum or max.")
 
@@ -214,7 +214,9 @@ let dynamics_cmd =
     in
     Arg.(value & opt scheduler_conv Bbc.Dynamics.Round_robin & info [ "scheduler" ] ~doc:"round-robin or max-cost.")
   in
-  let rounds_opt = Arg.(value & opt int 200 & info [ "rounds" ] ~doc:"Round budget.") in
+  let rounds_opt =
+    Arg.(value & opt int 200 & info [ "rounds" ] ~doc:"Round budget, at least 0.")
+  in
   let trace =
     Arg.(
       value & flag
@@ -224,23 +226,25 @@ let dynamics_cmd =
              rendered as text; --trace-out writes the same stream as JSONL).")
   in
   let run () obs name n k h l seed objective scheduler rounds trace =
-    match build_config name ~n ~k ~h ~l ~seed with
-    | Error e -> `Error (false, e)
-    | Ok (instance, config) ->
-        with_obs ~text_trace:trace obs @@ fun () ->
-        let outcome =
-          Bbc.Dynamics.run ~objective ~scheduler ~max_rounds:rounds instance config
-        in
-        (* Surface the buffered activation events (text and/or JSONL)
-           before the outcome summary, as the ad-hoc printer used to. *)
-        Bbc_obs.flush_events ();
-        Format.fprintf fmt "outcome: %a@." Bbc.Dynamics.pp_outcome outcome;
-        let final = Bbc.Dynamics.final_config outcome in
-        Format.fprintf fmt "final social cost: %d@."
-          (Bbc.Eval.social_cost ~objective instance final);
-        Format.fprintf fmt "strongly connected: %b@."
-          (Bbc_graph.Scc.is_strongly_connected (Bbc.Config.to_graph instance final));
-        `Ok ()
+    if rounds < 0 then `Error (false, "--rounds must be at least 0")
+    else
+      match build_config name ~n ~k ~h ~l ~seed with
+      | Error e -> `Error (false, e)
+      | Ok (instance, config) ->
+          with_obs ~text_trace:trace obs @@ fun () ->
+          let outcome =
+            Bbc.Dynamics.run ~objective ~scheduler ~max_rounds:rounds instance config
+          in
+          (* Surface the buffered activation events (text and/or JSONL)
+             before the outcome summary, as the ad-hoc printer used to. *)
+          Bbc_obs.flush_events ();
+          Format.fprintf fmt "outcome: %a@." Bbc.Dynamics.pp_outcome outcome;
+          let final = Bbc.Dynamics.final_config outcome in
+          Format.fprintf fmt "final social cost: %d@."
+            (Bbc.Eval.social_cost ~objective instance final);
+          Format.fprintf fmt "strongly connected: %b@."
+            (Bbc_graph.Scc.is_strongly_connected (Bbc.Config.to_graph instance final));
+          `Ok ()
   in
   Cmd.v
     (Cmd.info "dynamics" ~doc:"Run a best-response walk on a named construction.")
@@ -560,8 +564,8 @@ let bigbench_cmd =
       value & opt int 0
       & info [ "rounds" ] ~docv:"R"
           ~doc:
-            "Sampled best-response rounds to run after the estimate (0 = \
-             none).  This materializes the per-node strategy arrays, so keep \
+            "Sampled best-response rounds to run after the estimate, at least \
+             0 (0 = none).  This materializes the per-node strategy arrays, so keep \
              n moderate.")
   in
   let sample_opt =
@@ -580,6 +584,7 @@ let bigbench_cmd =
   in
   let run () obs family n k seed landmarks rounds sample objective timings =
     if landmarks < 2 then `Error (false, "--landmarks must be at least 2")
+    else if rounds < 0 then `Error (false, "--rounds must be at least 0")
     else if rounds > 0 && sample < 1 then `Error (false, "--sample must be at least 1")
     else
       let params = { Bbc.Catalog.default_params with n; k; seed } in

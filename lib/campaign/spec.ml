@@ -160,7 +160,7 @@ let to_json t =
       ("policies", Json.List (List.map Trial.policy_to_json t.policies));
       ( "objectives",
         Json.List
-          (List.map (fun o -> Json.Str (Trial.objective_name o)) t.objectives) );
+          (List.map (fun o -> Json.Str (Bbc.Objective.to_string o)) t.objectives) );
     ]
 
 let opt_int name ~default v =
@@ -263,7 +263,7 @@ let of_json v =
     let* objectives =
       axis "objectives"
         ~default:[ Bbc.Objective.Sum ]
-        ~elt:(named_elt "objective" Trial.objective_of_name)
+        ~elt:(named_elt "objective" Bbc.Objective.of_string)
         v
     in
     Ok

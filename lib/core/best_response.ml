@@ -15,69 +15,10 @@ let candidate_targets instance u =
   iter_candidates instance u (fun v -> acc := v :: !acc);
   List.rev !acc
 
-(* Distance rows in G_{-u} of the sources [srcs] of one enumeration —
-   its candidate targets in order, then any current target that is not
-   one: [~ban:u] CSR kernel sweeps of the full snapshot of the current
-   profile into pooled workspace rows, which go back to the per-domain
-   pool when the enumeration finishes.  [bufs.(i)] holds source [i]'s
-   row while it is fetched and not yet taken, [||] otherwise; a source
-   without one is swept when taken.
-
-   The snapshot is [?csr] when the caller shares one (trusted to equal
-   [Config.to_csr instance config]), which keeps parallel scans and
-   walks from building one per decision; otherwise this decision builds
-   its own.
-
-   With two or more sources every row is fetched up front by one
-   [Csr.sssp_batch ~ban] call, which picks the bit-parallel kernel for
-   the snapshot's lengths.  An enumeration that runs to completion
-   touches every candidate row at DFS depth 1 anyway, so the batch does
-   the same work for ~one sweep's worth of graph reads; early-aborting
-   callers pay at most one window of extra traversal. *)
-type rows = { snap : Csr.t; u : int; srcs : int array; bufs : int array array }
-
-let scratch_rows ?csr instance config u ~srcs =
-  let snap = match csr with Some full -> full | None -> Config.to_csr instance config in
-  let bufs =
-    if Array.length srcs > 1 then begin
-      let ws = Workspace.get () in
-      let bufs = Array.map (fun _ -> Workspace.acquire ws (Csr.n snap)) srcs in
-      Csr.sssp_batch ~ban:u snap (Workspace.scratch ws) ~srcs ~rows:bufs;
-      bufs
-    end
-    else Array.make (Array.length srcs) [||]
-  in
-  { snap; u; srcs; bufs }
-
-(* Source [i]'s G_{-u} row, handed to the caller: a prefetched row
-   leaves [bufs] here, and goes back to the pool once the caller is
-   done. *)
-let take rows i =
-  let d = rows.bufs.(i) in
-  if Array.length d > 0 then begin
-    rows.bufs.(i) <- [||];
-    d
-  end
-  else begin
-    let ws = Workspace.get () in
-    let row = Workspace.acquire ws (Csr.n rows.snap) in
-    Csr.sssp ~ban:rows.u rows.snap (Workspace.scratch ws) ~src:rows.srcs.(i) ~dist:row;
-    row
-  end
-
-let release_rows ws rows =
-  Array.iteri
-    (fun i r ->
-      if Array.length r > 0 then begin
-        rows.bufs.(i) <- [||];
-        Workspace.release ws r
-      end)
-    rows.bufs
-
-(* Compact weighted rows (DESIGN.md section 18).  Only the columns
-   C_u = {x <> u : w(u,x) > 0} enter u's cost, and for w > 0 the weight
-   commutes with the min: w * min(a, b) = min(w * a, w * b).  Candidate
-   v therefore becomes one row
+(* The row table of one decision (DESIGN.md section 18).  Only the
+   columns C_u = {x <> u : w(u,x) > 0} enter u's cost, and for w > 0 the
+   weight commutes with the min: w * min(a, b) = min(w * a, w * b).
+   Source v therefore becomes one row
 
      F_v.(i) = w(u,x_i) * (l(u,v) + d_{G-u}(v,x_i)),   or w(u,x_i) * M
 
@@ -88,15 +29,26 @@ let release_rows ws rows =
    n * (n - 1) * max_weight * M below 2^62, so every entry and every sum
    fits the branch-free min below.  All rows are pooled full-length rows of
    which only the prefix [0, k) is used. *)
-type frame = {
+type table = {
   k : int;  (** |C_u| *)
   cols : int array;  (** C_u, increasing *)
   wts : int array;  (** w(u, x_i) *)
   empty : int array;  (** w(u, x_i) * M: the empty strategy's row *)
-  frows : int array array;  (** F row per candidate index; [||] until first touched *)
+  fs : int array array;  (** F row per source, in source order *)
 }
 
-let open_frame ws instance u ncand =
+(* The table of [u] over the sources [srcs]: one [Csr.sssp_batch ~ban:u]
+   call fills a G_{-u} distance row per source, each turned into its F
+   row at once and handed straight back to the pool, so the decision
+   holds at most one row more than it has sources.  The sweeps run on [?csr]
+   when the caller shares one (trusted to equal
+   [Config.to_csr instance config]), which keeps parallel scans and
+   walks from building one per decision; otherwise this decision builds
+   its own.  An enumeration that runs to completion touches every
+   candidate's F row at DFS depth 1 anyway, and the batch costs about
+   one sweep's worth of graph reads. *)
+let open_table ?csr ws instance config u ~srcs =
+  let snap = match csr with Some full -> full | None -> Config.to_csr instance config in
   let n = Instance.n instance and m = Instance.penalty instance in
   let cols = Workspace.acquire ws n in
   let wts = Workspace.acquire ws n in
@@ -111,42 +63,41 @@ let open_frame ws instance u ncand =
       incr k
     end
   done;
-  { k = !k; cols; wts; empty; frows = Array.make ncand [||] }
+  let k = !k in
+  let dist = Array.map (fun _ -> Workspace.acquire ws n) srcs in
+  Csr.sssp_batch ~ban:u snap (Workspace.scratch ws) ~srcs ~rows:dist;
+  let fs =
+    Array.mapi
+      (fun s rv ->
+        let luv = Instance.length instance u srcs.(s) in
+        let f = Workspace.acquire ws n in
+        for i = 0 to k - 1 do
+          let r = rv.(cols.(i)) in
+          f.(i) <- (if r = Csr.unreachable then empty.(i) else wts.(i) * (luv + r))
+        done;
+        Workspace.release ws rv;
+        f)
+      dist
+  in
+  { k; cols; wts; empty; fs }
 
 (* Rows come back to the pool clean: only their prefix was written. *)
 let release_prefix ws row k =
   Array.fill row 0 k Csr.unreachable;
   Workspace.release_clean ws row
 
-let close_frame ws fr =
-  Array.iter (fun f -> if Array.length f > 0 then release_prefix ws f fr.k) fr.frows;
-  release_prefix ws fr.cols fr.k;
-  release_prefix ws fr.wts fr.k;
-  release_prefix ws fr.empty fr.k
-
-(* Source [i]'s F row, built from its G_{-u} row; the distance row goes
-   back to the pool straight away. *)
-let build_frow ws instance u rows fr i =
-  let rv = take rows i in
-  let luv = Instance.length instance u rows.srcs.(i) in
-  let f = Workspace.acquire ws (Instance.n instance) in
-  for i = 0 to fr.k - 1 do
-    let r = rv.(fr.cols.(i)) in
-    f.(i) <- (if r = Csr.unreachable then fr.empty.(i) else fr.wts.(i) * (luv + r))
-  done;
-  Workspace.release ws rv;
-  f
-
-(* F row of candidate [j] (source [j] of [rows]), built the first time
-   the enumeration touches it. *)
-let frow ws instance u rows fr j =
-  let f = fr.frows.(j) in
-  if Array.length f > 0 then f
-  else begin
-    let f = build_frow ws instance u rows fr j in
-    fr.frows.(j) <- f;
-    f
-  end
+(* Run [f ws t] on the table of [u] over [srcs]; every row of the table
+   goes back to the pool afterwards. *)
+let with_table ?csr instance config u ~srcs f =
+  let ws = Workspace.get () in
+  let t = open_table ?csr ws instance config u ~srcs in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> release_prefix ws f t.k) t.fs;
+      release_prefix ws t.cols t.k;
+      release_prefix ws t.wts t.k;
+      release_prefix ws t.empty t.k)
+    (fun () -> f ws t)
 
 (* Branch-free min and max of two values in [0, 2^62): their difference
    d cannot overflow, and [d asr 62] is all ones exactly when d < 0. *)
@@ -184,17 +135,6 @@ let min_into ~dst cur f k =
 let obs_subsets = Bbc_obs.counter "best_response.subsets"
 let obs_enumerations = Bbc_obs.counter "best_response.enumerations"
 
-(* Run [f ws fr] on a frame over [ncand] candidates; the frame and every
-   row still cached in [rows] go back to the pool afterwards. *)
-let with_frame instance u ~ncand ~rows f =
-  let ws = Workspace.get () in
-  let fr = open_frame ws instance u ncand in
-  Fun.protect
-    ~finally:(fun () ->
-      close_frame ws fr;
-      release_rows ws rows)
-    (fun () -> f ws fr)
-
 (* [min_cost_from costs] holds at [j] the cheapest of [costs.(j ..)]
    ([max_int] past the end): O(1) "is this subset a DFS leaf?" checks. *)
 let min_cost_from costs =
@@ -205,24 +145,26 @@ let min_cost_from costs =
   done;
   m
 
-(* DFS over affordable subsets of [candidates] on an open frame.
+(* DFS over affordable subsets of [candidates], the table's first
+   sources.
    [on_subset strategy_rev cost] is called for every feasible subset
    (including the empty one); it returns [true] to abort the search
    early. *)
-let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
+let dfs ~objective ws instance u t ~candidates ~on_subset =
   let ncand = Array.length candidates in
   let costs = Array.map (fun v -> Instance.cost instance u v) candidates in
   let min_cost_from = min_cost_from costs in
   let n = Instance.n instance in
   let stop = ref false in
   let subsets = ref 1 in
-  let k = fr.k in
+  let k = t.k in
   (* min(a, a) = a: the empty strategy folds its own row. *)
-  if on_subset [] (score ~objective fr.empty fr.empty k) then stop := true;
+  if on_subset [] (score ~objective t.empty t.empty k) then stop := true;
   (* Every subset is costed by one [score] pass; the merged row is
      materialized (into a pooled row borrowed for the subtree) only
      when the DFS actually descends — i.e. when some further
-     candidate is still affordable. *)
+     candidate is still affordable.  The row goes back to the pool
+     also when [on_subset] raises inside the subtree. *)
   let rec go i chosen budget cur =
     if not !stop then
       for j = i to ncand - 1 do
@@ -230,21 +172,24 @@ let dfs ~objective ws instance u ~rows fr ~candidates ~on_subset =
           let c = costs.(j) in
           if c <= budget then begin
             let v = candidates.(j) in
-            let f = frow ws instance u rows fr j in
+            let f = t.fs.(j) in
             let chosen' = v :: chosen in
             incr subsets;
             if on_subset chosen' (score ~objective cur f k) then stop := true
             else if min_cost_from.(j + 1) <= budget - c then begin
               let cur' = Workspace.acquire ws n in
               min_into ~dst:cur' cur f k;
-              go (j + 1) chosen' (budget - c) cur';
-              release_prefix ws cur' k
+              match go (j + 1) chosen' (budget - c) cur' with
+              | () -> release_prefix ws cur' k
+              | exception e ->
+                  release_prefix ws cur' k;
+                  raise e
             end
           end
         end
       done
   in
-  go 0 [] (Instance.budget instance u) fr.empty;
+  go 0 [] (Instance.budget instance u) t.empty;
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
 
@@ -269,11 +214,10 @@ let bounded_pays instance u candidates =
    first in [dfs]'s order, so the answer is [dfs]'s first minimum: a
    skipped subset costs more than the best one.  Returns that subset's
    targets and cost. *)
-let bounded ~objective ws instance u ~rows fr ~candidates =
+let bounded ~objective ws instance u t ~candidates =
   let ncand = Array.length candidates in
-  let k = fr.k and n = Instance.n instance in
-  let fs = Array.init ncand (frow ws instance u rows fr) in
-  let single = Array.map (fun f -> score ~objective fr.empty f k) fs in
+  let k = t.k and n = Instance.n instance and fs = t.fs in
+  let single = Array.init ncand (fun j -> score ~objective t.empty fs.(j) k) in
   let order = Array.init ncand Fun.id in
   Array.stable_sort (fun a b -> Int.compare single.(a) single.(b)) order;
   let costs = Array.map (fun j -> Instance.cost instance u candidates.(j)) order in
@@ -282,10 +226,10 @@ let bounded ~objective ws instance u ~rows fr ~candidates =
   for p = ncand - 1 downto 0 do
     let row = Workspace.acquire ws n in
     (* Every F row lies below the empty strategy's. *)
-    min_into ~dst:row (if p = ncand - 1 then fr.empty else lb.(p + 1)) fs.(order.(p)) k;
+    min_into ~dst:row (if p = ncand - 1 then t.empty else lb.(p + 1)) fs.(order.(p)) k;
     lb.(p) <- row
   done;
-  let best_cost = ref (score ~objective fr.empty fr.empty k) in
+  let best_cost = ref (score ~objective t.empty t.empty k) in
   let best = ref [] in
   let subsets = ref 1 in
   let rec go p chosen budget cur =
@@ -322,31 +266,23 @@ let bounded ~objective ws instance u ~rows fr ~candidates =
       end
     done
   in
-  go 0 [] (Instance.budget instance u) fr.empty;
+  go 0 [] (Instance.budget instance u) t.empty;
   Array.iter (fun row -> release_prefix ws row k) lb;
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets;
   (List.map (fun j -> candidates.(j)) !best, !best_cost)
 
-(* [u]'s cost under its current [targets], all of them sources of
-   [rows]: the min-fold of their F rows, scored like any subset.  A
-   target among the candidates shares the DFS's cached row; any other
-   one (outside the sample, or over budget in an infeasible profile)
-   gets a row of its own, dropped once folded, and never enters the
-   DFS. *)
-let price ~objective ws instance u ~rows fr targets =
-  let k = fr.k in
+(* [u]'s cost under its current [targets], all of them among [srcs]:
+   the min-fold of their F rows, scored like any subset.  A target that
+   is not a candidate (outside the sample, or over budget in an
+   infeasible profile) has its row after the candidates', where the DFS
+   never reads it. *)
+let price ~objective ws instance t ~srcs targets =
+  let k = t.k in
   let cur = Workspace.acquire ws (Instance.n instance) in
-  Array.blit fr.empty 0 cur 0 k;
+  Array.blit t.empty 0 cur 0 k;
   List.iter
-    (fun v ->
-      let i = Option.get (Array.find_index (( = ) v) rows.srcs) in
-      if i < Array.length fr.frows then min_into ~dst:cur cur (frow ws instance u rows fr i) k
-      else begin
-        let f = build_frow ws instance u rows fr i in
-        min_into ~dst:cur cur f k;
-        release_prefix ws f k
-      end)
+    (fun v -> min_into ~dst:cur cur t.fs.(Option.get (Array.find_index (( = ) v) srcs)) k)
     targets;
   let c = score ~objective cur cur k in
   release_prefix ws cur k;
@@ -389,9 +325,8 @@ let closed_enumerate ~objective instance (_, t) u ~on_subset =
 
 let scratch_enumerate ~objective ?csr instance config u ~on_subset =
   let candidates = Array.of_list (candidate_targets instance u) in
-  let rows = scratch_rows ?csr instance config u ~srcs:candidates in
-  with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
-      dfs ~objective ws instance u ~rows fr ~candidates ~on_subset)
+  with_table ?csr instance config u ~srcs:candidates (fun ws t ->
+      dfs ~objective ws instance u t ~candidates ~on_subset)
 
 let enumerate ?(objective = Objective.Sum) ?csr instance config u ~on_subset =
   match closed_form instance config u with
@@ -426,25 +361,24 @@ let pool ~search instance u =
   release_prefix ws all c;
   picked
 
-(* One row set prices both sides of the decision: the current targets
-   join the candidates' prefetch (one [sssp_batch] call), [price] folds
-   their F rows, and the DFS, or for [Exact] where it pays the bounded
-   search, scores the candidates' subsets against that cost. *)
+(* One table prices both sides of the decision: the current targets
+   that are not candidates join its sources after the candidates,
+   [price] folds the targets' F rows, and the DFS, or for [Exact] where
+   it pays the bounded search, scores the candidates' subsets against
+   that cost. *)
 let scratch_decide ~objective ?csr ~search instance config u ~on_subset =
   let candidates = pool ~search instance u in
   let targets = Config.targets config u in
   let others = List.filter (fun v -> not (Array.mem v candidates)) targets in
-  let rows =
-    scratch_rows ?csr instance config u ~srcs:(Array.append candidates (Array.of_list others))
-  in
-  with_frame instance u ~ncand:(Array.length candidates) ~rows (fun ws fr ->
-      let current = price ~objective ws instance u ~rows fr targets in
+  let srcs = Array.append candidates (Array.of_list others) in
+  with_table ?csr instance config u ~srcs (fun ws t ->
+      let current = price ~objective ws instance t ~srcs targets in
       let on_subset = on_subset current in
       (match search with
       | Exact when bounded_pays instance u candidates ->
-          let strategy, cost = bounded ~objective ws instance u ~rows fr ~candidates in
+          let strategy, cost = bounded ~objective ws instance u t ~candidates in
           ignore (on_subset strategy cost)
-      | Exact | First_improving | Sampled _ -> dfs ~objective ws instance u ~rows fr ~candidates ~on_subset);
+      | Exact | First_improving | Sampled _ -> dfs ~objective ws instance u t ~candidates ~on_subset);
       current)
 
 let decide ?(objective = Objective.Sum) ?csr ~search instance config u =

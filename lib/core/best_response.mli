@@ -7,9 +7,11 @@
 
     {v d_S(u, x) = min over (u,v) in S of  l(u,v) + d_{G_{-u}}(v, x) v}
 
-    Distances [d_{G_{-u}}(v, .)] do not depend on [u]'s strategy, so they
-    are computed once per candidate target ("rows").  Each row is then
-    compacted to the columns [C_u = {x <> u : w(u,x) > 0}] and weighted:
+    Distances [d_{G_{-u}}(v, .)] do not depend on [u]'s strategy, so one
+    batched sweep computes them once per candidate target.  Each
+    distance row is then compacted to the columns
+    [C_u = {x <> u : w(u,x) > 0}] and weighted into the decision's table
+    of F rows:
 
     {v F_v(i) = w(u,x_i) * (l(u,v) + d_{G_{-u}}(v, x_i))    (w(u,x_i) * M if unreachable) v}
 
@@ -87,16 +89,18 @@ val exact :
 (** {2 One decision}
 
     A best-response step compares [u]'s current cost with the best
-    strategy a search finds.  Both numbers come from the same [G_{-u}]
+    strategy a search finds.  Both numbers come from one table of F
     rows: a shortest path from [u] leaves [u] once, so [u]'s current
     cost is the score of its current target set, folded from those
-    targets' F rows exactly like any enumerated subset.  The current
-    targets join the candidates' prefetch (one {!Bbc_graph.Csr.sssp_batch}
-    call, bit-parallel on unit lengths and on lengths up to
-    {!Bbc_graph.Csr.ring_max_length}); a target that is not a candidate — outside the
-    sample, or over budget in an infeasible profile — has its row
-    fetched and folded but never enters the DFS.  On the closed-form
-    path the current cost is the walk-count formula at [u]'s target. *)
+    targets' F rows exactly like any enumerated subset.  The table's
+    sources are the candidates, then every current target that is not
+    one — outside the sample, or over budget in an infeasible profile —
+    and one {!Bbc_graph.Csr.sssp_batch} call sweeps them all
+    (bit-parallel on unit lengths and on lengths up to
+    {!Bbc_graph.Csr.ring_max_length}).  A non-candidate target's row is
+    folded into the current cost but never enters the DFS.  On the
+    closed-form path the current cost is the walk-count formula at
+    [u]'s target. *)
 
 type search =
   | Exact
@@ -134,7 +138,7 @@ val decide :
   int ->
   decision
 (** [decide ~search instance config u] runs one search and prices [u]'s
-    current strategy from the same row set.  [u] strictly improves iff
+    current strategy from the same table.  [u] strictly improves iff
     [best.cost < current], and the cost after the step is [best.cost]
     if it moves, [current] if it does not.  {!exact}, {!improving} and
     {!sampled} are views of it. *)

@@ -344,10 +344,8 @@ let costs_of_json v =
   let ( let* ) = Result.bind in
   let* () = check_type "bbc-costs" v in
   let* objective =
-    match Json.member "objective" v with
-    | Some (Json.Str "sum") -> Ok Objective.Sum
-    | Some (Json.Str "max") -> Ok Objective.Max
-    | _ -> Error "field \"objective\" must be \"sum\" or \"max\""
+    Option.to_result ~none:"field \"objective\" must be \"sum\" or \"max\""
+      (match Json.member "objective" v with Some (Json.Str s) -> Objective.of_string s | _ -> None)
   in
   let* costs = json_field "costs" v in
   let* costs =

@@ -8,5 +8,10 @@
 type t = Sum | Max
 
 val to_string : t -> string
+(** ["sum"] or ["max"]: the one spelling of the objective in JSON, the
+    CLI and the server protocol. *)
+
+val of_string : string -> t option
+(** The inverse of {!to_string}; [None] for any other string. *)
 
 val pp : Format.formatter -> t -> unit

@@ -47,8 +47,8 @@ let resolve_jobs ?jobs instance = function
    and delays [parallel_find_first]'s early abort to chunk granularity;
    one-node chunks cost a single fetch-add per node — noise next to the
    check itself — and give node-granular balance and abort.  (The distance sweeps inside each check are batched anyway:
-   [Best_response] prefetches a node's whole candidate row set through
-   one [Csr.sssp_batch ~ban] call, so coarser chunks would add nothing
+   [Best_response] sweeps a node's whole candidate row set in one
+   [Csr.sssp_batch ~ban] call, so coarser chunks would add nothing
    there.) *)
 let br_chunk = 1
 

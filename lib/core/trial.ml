@@ -70,13 +70,6 @@ let init_of_name = function
   | "random" -> Some Random_start
   | _ -> None
 
-let objective_name = Objective.to_string
-
-let objective_of_name = function
-  | "sum" -> Some Objective.Sum
-  | "max" -> Some Objective.Max
-  | _ -> None
-
 let policy_label = function
   | Exact -> "exact"
   | First_improvement -> "first-improvement"
@@ -100,7 +93,7 @@ let label t =
       init_name t.init;
       sched_name t.scheduler;
       policy_label t.policy;
-      objective_name t.objective;
+      Objective.to_string t.objective;
     ]
 
 (* ---------------------------------------------------------------- *)

@@ -113,5 +113,3 @@ val sched_name : sched -> string
 val sched_of_name : string -> sched option
 val init_name : init -> string
 val init_of_name : string -> init option
-val objective_name : Objective.t -> string
-val objective_of_name : string -> Objective.t option

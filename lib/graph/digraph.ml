@@ -69,13 +69,6 @@ let fold_edges g f init =
 let edges g =
   fold_edges g (fun acc u v len -> (u, v, len) :: acc) [] |> List.sort compare
 
-let copy g = { size = g.size; adj = Array.copy g.adj; edges = g.edges; non_unit = g.non_unit }
-
-let transpose g =
-  let t = create g.size in
-  iter_edges g (fun u v len -> add_edge t v u len);
-  t
-
 let of_edges n es =
   let g = create n in
   List.iter (fun (u, v, len) -> add_edge g u v len) es;

@@ -57,11 +57,6 @@ val fold_edges : t -> ('a -> int -> int -> int -> 'a) -> 'a -> 'a
 val edges : t -> (int * int * int) list
 (** All edges as [(u, v, length)] triples, sorted lexicographically. *)
 
-val copy : t -> t
-
-val transpose : t -> t
-(** Graph with every edge reversed (lengths preserved). *)
-
 val of_edges : int -> (int * int * int) list -> t
 (** [of_edges n edges] builds a graph from [(u, v, length)] triples. *)
 

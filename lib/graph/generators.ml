@@ -22,29 +22,6 @@ let complete n =
   done;
   g
 
-let k_ary_tree_size ~k ~height =
-  if k < 1 || height < 0 then invalid_arg "Generators.k_ary_tree_size";
-  if k = 1 then height + 1
-  else begin
-    let total = ref 0 and level = ref 1 in
-    for _ = 0 to height do
-      total := !total + !level;
-      level := !level * k
-    done;
-    !total
-  end
-
-let k_ary_tree ~k ~height =
-  let n = k_ary_tree_size ~k ~height in
-  let g = Digraph.create n in
-  for v = 0 to n - 1 do
-    for c = 1 to k do
-      let child = (k * v) + c in
-      if child < n then Digraph.add_edge g v child 1
-    done
-  done;
-  g
-
 let random_k_out rng ~n ~k =
   if k > n - 1 then invalid_arg "Generators.random_k_out: k > n - 1";
   let g = Digraph.create n in

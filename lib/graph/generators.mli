@@ -13,14 +13,6 @@ val directed_path : int -> Digraph.t
 val complete : int -> Digraph.t
 (** Every ordered pair is an edge. *)
 
-val k_ary_tree : k:int -> height:int -> Digraph.t
-(** Complete directed [k]-ary tree of the given height; node 0 is the root
-    and edges point away from the root.  Nodes are numbered in BFS order,
-    so the children of [v] are [k*v + 1 .. k*v + k]. *)
-
-val k_ary_tree_size : k:int -> height:int -> int
-(** Number of nodes of {!k_ary_tree}. *)
-
 val random_k_out : Bbc_prng.Splitmix.t -> n:int -> k:int -> Digraph.t
 (** Every node gets [k] out-edges to distinct uniformly random targets
     (never itself).  Requires [k <= n - 1]. *)

@@ -62,13 +62,6 @@ let compute g =
   done;
   { count = !next_component; component }
 
-let members scc id =
-  let acc = ref [] in
-  for v = Array.length scc.component - 1 downto 0 do
-    if scc.component.(v) = id then acc := v :: !acc
-  done;
-  !acc
-
 let sizes scc =
   let s = Array.make scc.count 0 in
   Array.iter (fun c -> s.(c) <- s.(c) + 1) scc.component;
@@ -82,11 +75,3 @@ let condensation g scc =
       let cu = scc.component.(u) and cv = scc.component.(v) in
       if cu <> cv && not (Digraph.mem_edge c cu cv) then Digraph.add_edge c cu cv 1);
   c
-
-let sink_components g scc =
-  let c = condensation g scc in
-  let acc = ref [] in
-  for id = scc.count - 1 downto 0 do
-    if Digraph.out_degree c id = 0 then acc := id :: !acc
-  done;
-  !acc

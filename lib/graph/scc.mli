@@ -13,9 +13,6 @@ type t = {
 
 val compute : Digraph.t -> t
 
-val members : t -> int -> int list
-(** Vertices of a given component, in increasing order. *)
-
 val sizes : t -> int array
 (** [sizes scc] maps each component id to its cardinality. *)
 
@@ -24,6 +21,3 @@ val is_strongly_connected : Digraph.t -> bool
 val condensation : Digraph.t -> t -> Digraph.t
 (** The condensation DAG: one vertex per component, a unit-length edge
     between distinct components whenever some original edge crosses them. *)
-
-val sink_components : Digraph.t -> t -> int list
-(** Components with no outgoing edge in the condensation. *)

@@ -19,25 +19,3 @@ let reachable_set g u =
 let reach g u =
   let seen = reachable_set g u in
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen
-
-(* All vertices of one SCC reach exactly the same set, and the reach of a
-   component is the sum of the sizes of the components reachable from it in
-   the condensation.  This computes the reach vector in O(n + m) plus the
-   condensation's transitive closure (cheap: the condensation is small in
-   the dynamics workloads). *)
-let reach_vector g =
-  let scc = Scc.compute g in
-  let cond = Scc.condensation g scc in
-  let sizes = Scc.sizes scc in
-  let comp_reach = Array.make scc.count 0 in
-  for c = 0 to scc.count - 1 do
-    let seen = reachable_set cond c in
-    let total = ref 0 in
-    Array.iteri (fun c' b -> if b then total := !total + sizes.(c')) seen;
-    comp_reach.(c) <- !total
-  done;
-  Array.map (fun c -> comp_reach.(c)) scc.component
-
-let min_reach g =
-  if Digraph.n g = 0 then 0
-  else Array.fold_left min max_int (reach_vector g)

@@ -11,10 +11,3 @@ val reachable_set : Digraph.t -> int -> bool array
 val reach : Digraph.t -> int -> int
 (** [reach g u] is the number of vertices reachable from [u], including
     [u] itself. *)
-
-val reach_vector : Digraph.t -> int array
-(** Reach of every vertex.  Computed component-wise: vertices in the same
-    SCC share their reach, so only one traversal per component is needed. *)
-
-val min_reach : Digraph.t -> int
-(** Minimum over vertices of {!reach}. *)

@@ -41,8 +41,4 @@ let neg g x = of_coords g (List.map (fun c -> -c) (to_coords g x))
 
 let sub g x y = add g x (neg g y)
 
-let element_order g x =
-  let rec go acc p = if acc = 0 then p else go (add g acc x) (p + 1) in
-  if x = 0 then 1 else go x 1
-
 let elements g = List.init g.order Fun.id

@@ -33,8 +33,5 @@ val add : t -> element -> element -> element
 val neg : t -> element -> element
 val sub : t -> element -> element -> element
 
-val element_order : t -> element -> int
-(** Smallest [p >= 1] with [p * x = 0]. *)
-
 val elements : t -> element list
 (** All elements, in encoding order (identity first). *)

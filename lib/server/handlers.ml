@@ -40,11 +40,11 @@ let req_str params name =
   | None -> fail Protocol.Bad_params (Printf.sprintf "missing param %S" name)
 
 let objective params =
+  let bad = fail Protocol.Bad_params "param \"objective\" must be \"sum\" or \"max\"" in
   match Json.member "objective" params with
   | None -> Ok Bbc.Objective.Sum
-  | Some (Json.Str "sum") -> Ok Bbc.Objective.Sum
-  | Some (Json.Str "max") -> Ok Bbc.Objective.Max
-  | Some _ -> fail Protocol.Bad_params "param \"objective\" must be \"sum\" or \"max\""
+  | Some (Json.Str s) -> Option.fold ~none:bad ~some:Result.ok (Bbc.Objective.of_string s)
+  | Some _ -> bad
 
 let session env params =
   let* id = req_str params "session" in

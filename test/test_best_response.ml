@@ -280,6 +280,80 @@ let test_bounded_exact_matches_dfs () =
   done;
   Alcotest.(check bool) "some decisions take the bounded search" true (!bounded > 50)
 
+(* Decisions with one source and with none.  Node 0 can afford only
+   node 3 (budget 1), or nothing (budget 0); with budget 0 its one
+   current target is over budget, a source that is no candidate.  Both
+   searches must give the exhaustive reference's answer, and the
+   current cost [Eval]'s. *)
+let test_one_and_zero_sources () =
+  let n = 5 in
+  let weight = Array.init n (fun u -> Array.init n (fun v -> if u = v || (u, v) = (0, 4) then 0 else 1)) in
+  let cost = Array.init n (fun u -> Array.init n (fun v -> if u = 0 && v <> 3 then 2 else 1)) in
+  let length = Array.init n (fun u -> Array.init n (fun v -> if (u + v) mod 3 = 0 then 2 else 1)) in
+  let rest = [ [ 2 ]; [ 3; 4 ]; [ 4 ]; [ 0; 1 ] ] in
+  List.iter
+    (fun (name, b0, targets, ncand) ->
+      let budget = Array.init n (fun u -> if u = 0 then b0 else 2) in
+      let inst = I.general ~weight ~cost ~length ~budget () in
+      let cfg = C.of_lists n (Array.of_list (targets :: rest)) in
+      Alcotest.(check int) (name ^ ": candidates") ncand (List.length (BR.candidate_targets inst 0));
+      List.iter
+        (fun objective ->
+          let want =
+            let s, c = naive_best ~objective inst cfg 0 in
+            (s, c, E.node_cost ~objective inst cfg 0)
+          in
+          List.iter
+            (fun (search, sname) ->
+              List.iter
+                (fun csr ->
+                  let d = BR.decide ~objective ?csr ~search inst cfg 0 in
+                  Alcotest.(check (triple (list int) int int))
+                    (Printf.sprintf "%s %s %s%s" name (Bbc.Objective.to_string objective) sname
+                       (if csr = None then "" else " ~csr"))
+                    want
+                    (d.best.strategy, d.best.cost, d.current))
+                [ None; Some (C.to_csr inst cfg) ])
+            [ (BR.Exact, "exact"); (BR.First_improving, "first-improving") ])
+        [ Bbc.Objective.Sum; Bbc.Objective.Max ])
+    [
+      ("one candidate, no target", 1, [], 1);
+      ("one candidate, its target", 1, [ 3 ], 1);
+      ("budget 0, no target", 0, [], 0);
+      ("budget 0, target over budget", 0, [ 1 ], 0);
+    ]
+
+(* Every row a decision takes from this domain's pool goes back clean,
+   also when [on_subset] raises mid-enumeration. *)
+let test_pool_discipline () =
+  let module W = Bbc_graph.Workspace in
+  let n = 9 in
+  let inst = I.uniform ~n ~k:3 in
+  let cfg = C.of_graph (Bbc_graph.Generators.random_k_out (Bbc_prng.Splitmix.create 77) ~n ~k:2) in
+  let ws = W.get () in
+  List.iter
+    (fun search ->
+      ignore (BR.decide ~search inst cfg 0);
+      let pooled = W.pooled ws in
+      ignore (BR.decide ~search inst cfg 0);
+      Alcotest.(check int) "repeat decision" pooled (W.pooled ws))
+    [ BR.Exact; BR.First_improving ];
+  let pooled = W.pooled ws in
+  let seen = ref 0 in
+  (match
+     BR.enumerate inst cfg 0 ~on_subset:(fun _ _ ->
+         incr seen;
+         if !seen = 5 then raise Exit;
+         false)
+   with
+  | () -> Alcotest.fail "on_subset did not raise"
+  | exception Exit -> ());
+  Alcotest.(check int) "raising enumeration" pooled (W.pooled ws);
+  let row = W.acquire ws n in
+  Alcotest.(check bool) "acquired row is clean" true
+    (Array.for_all (( = ) Bbc_graph.Csr.unreachable) row);
+  W.release_clean ws row
+
 (* A scan's shared snapshot is built only when some decision reads
    rows: never on uniform k = 1 functional profiles. *)
 let test_snapshot_shape () =
@@ -298,4 +372,6 @@ let suite =
       Alcotest.test_case "weighted mover: ban sweep = reference" `Quick test_weighted_mover_only;
       Alcotest.test_case "snapshot only off the closed form" `Quick test_snapshot_shape;
       Alcotest.test_case "bounded exact = plain DFS" `Quick test_bounded_exact_matches_dfs;
+      Alcotest.test_case "one-source and zero-source decisions" `Quick test_one_and_zero_sources;
+      Alcotest.test_case "decisions return their rows to the pool" `Quick test_pool_discipline;
     ]

@@ -41,20 +41,6 @@ let test_out_of_range () =
        false
      with Invalid_argument _ -> true)
 
-let test_copy_isolated () =
-  let g = D.create 3 in
-  D.add_edge g 0 1 1;
-  let h = D.copy g in
-  D.add_edge g 1 2 1;
-  Alcotest.(check int) "copy unaffected" 1 (D.edge_count h);
-  Alcotest.(check int) "original grew" 2 (D.edge_count g)
-
-let test_transpose () =
-  let g = D.of_edges 3 [ (0, 1, 4); (1, 2, 7) ] in
-  let t = D.transpose g in
-  Alcotest.(check (list (triple int int int)))
-    "reversed" [ (1, 0, 4); (2, 1, 7) ] (D.edges t)
-
 let test_of_unit_edges () =
   let g = D.of_unit_edges 3 [ (0, 1); (2, 0) ] in
   Alcotest.(check (option int)) "unit" (Some 1) (List.assoc_opt 0 (D.out_edges g 2))
@@ -88,8 +74,6 @@ let suite =
     Alcotest.test_case "self loop rejected" `Quick test_self_loop_rejected;
     Alcotest.test_case "negative length rejected" `Quick test_negative_length_rejected;
     Alcotest.test_case "out of range rejected" `Quick test_out_of_range;
-    Alcotest.test_case "copy is isolated" `Quick test_copy_isolated;
-    Alcotest.test_case "transpose" `Quick test_transpose;
     Alcotest.test_case "of_unit_edges" `Quick test_of_unit_edges;
     Alcotest.test_case "structural equality" `Quick test_equal;
     Alcotest.test_case "iter/fold edges" `Quick test_iter_edges;

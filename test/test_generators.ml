@@ -20,26 +20,6 @@ let test_complete () =
   let g = G.complete 4 in
   Alcotest.(check int) "edges" 12 (D.edge_count g)
 
-let test_tree_sizes () =
-  Alcotest.(check int) "binary height 3" 15 (G.k_ary_tree_size ~k:2 ~height:3);
-  Alcotest.(check int) "ternary height 2" 13 (G.k_ary_tree_size ~k:3 ~height:2);
-  Alcotest.(check int) "unary" 5 (G.k_ary_tree_size ~k:1 ~height:4);
-  Alcotest.(check int) "height zero" 1 (G.k_ary_tree_size ~k:7 ~height:0)
-
-let test_tree_structure () =
-  let g = G.k_ary_tree ~k:2 ~height:3 in
-  Alcotest.(check int) "n" 15 (D.n g);
-  Alcotest.(check int) "edges = n - 1" 14 (D.edge_count g);
-  (* Internal nodes have k children, leaves none. *)
-  for v = 0 to 6 do
-    Alcotest.(check int) "internal degree" 2 (D.out_degree g v)
-  done;
-  for v = 7 to 14 do
-    Alcotest.(check int) "leaf degree" 0 (D.out_degree g v)
-  done;
-  (* Every non-root is reachable from the root. *)
-  Alcotest.(check int) "root reaches all" 15 (Bbc_graph.Traversal.reach g 0)
-
 let test_random_k_out () =
   let rng = SM.create 5 in
   let g = G.random_k_out rng ~n:40 ~k:3 in
@@ -77,8 +57,6 @@ let suite =
     Alcotest.test_case "directed ring" `Quick test_ring;
     Alcotest.test_case "directed path" `Quick test_path;
     Alcotest.test_case "complete" `Quick test_complete;
-    Alcotest.test_case "k-ary tree sizes" `Quick test_tree_sizes;
-    Alcotest.test_case "k-ary tree structure" `Quick test_tree_structure;
     Alcotest.test_case "random k-out degrees" `Quick test_random_k_out;
     Alcotest.test_case "random k-out determinism" `Quick test_random_k_out_determinism;
     Alcotest.test_case "random k-out complete" `Quick test_random_k_out_full;

@@ -31,9 +31,7 @@ let test_members_and_sizes () =
   let scc = S.compute g in
   let sizes = S.sizes scc in
   Alcotest.(check int) "component count" 4 scc.count;
-  Alcotest.(check int) "total size" 5 (Array.fold_left ( + ) 0 sizes);
-  let c01 = scc.component.(0) in
-  Alcotest.(check (list int)) "members of {0,1}" [ 0; 1 ] (S.members scc c01)
+  Alcotest.(check int) "total size" 5 (Array.fold_left ( + ) 0 sizes)
 
 let test_condensation_is_dag () =
   let rng = Bbc_prng.Splitmix.create 4 in
@@ -45,16 +43,6 @@ let test_condensation_is_dag () =
     (* A DAG's SCCs are all singletons. *)
     Alcotest.(check int) "condensation is a DAG" (D.n cond) scc2.count
   done
-
-let test_sink_components () =
-  let g = D.of_unit_edges 6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3); (2, 3) ] in
-  let scc = S.compute g in
-  (match S.sink_components g scc with
-  | [ c ] -> Alcotest.(check (list int)) "sink members" [ 3; 4; 5 ] (S.members scc c)
-  | other -> Alcotest.fail (Printf.sprintf "expected one sink, got %d" (List.length other)));
-  let iso = D.create 3 in
-  Alcotest.(check int) "all isolated nodes are sinks" 3
-    (List.length (S.sink_components iso (S.compute iso)))
 
 let test_empty_graph () =
   let g = D.create 0 in
@@ -83,7 +71,6 @@ let suite =
     Alcotest.test_case "two rings bridged" `Quick test_two_rings_bridged;
     Alcotest.test_case "members and sizes" `Quick test_members_and_sizes;
     Alcotest.test_case "condensation is a DAG" `Quick test_condensation_is_dag;
-    Alcotest.test_case "sink components" `Quick test_sink_components;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "100k-node ring (iterative)" `Quick test_deep_graph;
     Alcotest.test_case "component id order" `Quick test_component_edges_respect_order;
