@@ -255,31 +255,34 @@ let dynamics_cmd =
 
 let search_cmd =
   let limit_opt =
-    Arg.(value & opt int 1 & info [ "limit" ] ~doc:"Stop after this many equilibria.")
+    Arg.(value & opt int 1 & info [ "limit" ] ~doc:"Stop after this many equilibria; at least 1.")
   in
   let max_profiles_opt =
     Arg.(
       value
       & opt int 100_000_000
-      & info [ "max-profiles" ] ~doc:"Abort after examining this many profiles.")
+      & info [ "max-profiles" ] ~doc:"Abort after examining this many profiles; at least 1.")
   in
   let run () obs name n k h l seed objective limit max_profiles =
-    match build_config name ~n ~k ~h ~l ~seed with
-    | Error e -> `Error (false, e)
-    | Ok (instance, _) ->
-        with_obs obs @@ fun () ->
-        let r = Bbc.Exhaustive.search ~objective ~limit ~max_profiles instance in
-        Format.fprintf fmt "construction: %s (n=%d)@." name (Bbc.Instance.n instance);
-        Format.fprintf fmt "objective:         %a@." Bbc.Objective.pp objective;
-        Format.fprintf fmt "profiles examined: %d@." r.examined;
-        Format.fprintf fmt "equilibria found:  %d@." (List.length r.equilibria);
-        Format.fprintf fmt "search complete:   %b@." r.complete;
-        (match r.equilibria with
-        | c :: _ ->
-            Format.fprintf fmt "first equilibrium social cost: %d@."
-              (Bbc.Eval.social_cost ~objective instance c)
-        | [] -> ());
-        `Ok ()
+    if limit < 1 then `Error (false, "--limit must be at least 1")
+    else if max_profiles < 1 then `Error (false, "--max-profiles must be at least 1")
+    else
+      match build_config name ~n ~k ~h ~l ~seed with
+      | Error e -> `Error (false, e)
+      | Ok (instance, _) ->
+          with_obs obs @@ fun () ->
+          let r = Bbc.Exhaustive.search ~objective ~limit ~max_profiles instance in
+          Format.fprintf fmt "construction: %s (n=%d)@." name (Bbc.Instance.n instance);
+          Format.fprintf fmt "objective:         %a@." Bbc.Objective.pp objective;
+          Format.fprintf fmt "profiles examined: %d@." r.examined;
+          Format.fprintf fmt "equilibria found:  %d@." (List.length r.equilibria);
+          Format.fprintf fmt "search complete:   %b@." r.complete;
+          (match r.equilibria with
+          | c :: _ ->
+              Format.fprintf fmt "first equilibrium social cost: %d@."
+                (Bbc.Eval.social_cost ~objective instance c)
+          | [] -> ());
+          `Ok ()
   in
   Cmd.v
     (Cmd.info "search"

@@ -27,8 +27,8 @@ let candidate_targets instance u =
    the sum (Sum) or max (Max) over i of min_{v in S} F_v.(i), and the
    empty strategy is the row w * M.  [Instance] keeps
    n * (n - 1) * max_weight * M below 2^62, so every entry and every sum
-   fits the branch-free min below.  All rows are pooled full-length rows of
-   which only the prefix [0, k) is used. *)
+   fits the tagged arithmetic of the row kernel below.  All rows are
+   pooled full-length rows of which only the prefix [0, k) is used. *)
 type table = {
   k : int;  (** |C_u| *)
   cols : int array;  (** C_u, increasing *)
@@ -99,36 +99,27 @@ let with_table ?csr instance config u ~srcs f =
       release_prefix ws t.empty t.k)
     (fun () -> f ws t)
 
-(* Branch-free min and max of two values in [0, 2^62): their difference
-   d cannot overflow, and [d asr 62] is all ones exactly when d < 0. *)
-let[@inline] min_bf a b =
-  let d = a - b in
-  b + (d land (d asr 62))
+(* The row arithmetic of every scored subset is one C pass over the
+   first [k] entries (row_kernel.c, DESIGN.md section 18.1). *)
+external score_sum : int array -> int array -> (int[@untagged]) -> (int[@untagged])
+  = "bbc_row_score_sum_byte" "bbc_row_score_sum"
+[@@noalloc]
 
-let[@inline] max_bf a b =
-  let d = a - b in
-  a - (d land (d asr 62))
+external score_max : int array -> int array -> (int[@untagged]) -> (int[@untagged])
+  = "bbc_row_score_max_byte" "bbc_row_score_max"
+[@@noalloc]
+
+(* [dst] := min(cur, f) over the first [k] entries ([dst == cur] is fine). *)
+external min_into : dst:int array -> int array -> int array -> (int[@untagged]) -> unit
+  = "bbc_row_min_into_byte" "bbc_row_min_into"
+[@@noalloc]
 
 (* Cost of the row min(cur, f) over its first [k] entries, never
    materialized: most subsets of an enumeration are DFS leaves. *)
 let score ~objective cur f k =
-  let acc = ref 0 in
-  (match objective with
-  | Objective.Sum ->
-      for i = 0 to k - 1 do
-        acc := !acc + min_bf (Array.unsafe_get cur i) (Array.unsafe_get f i)
-      done
-  | Objective.Max ->
-      for i = 0 to k - 1 do
-        acc := max_bf !acc (min_bf (Array.unsafe_get cur i) (Array.unsafe_get f i))
-      done);
-  !acc
-
-(* [dst] := min(cur, f) over the first [k] entries ([dst == cur] is fine). *)
-let min_into ~dst cur f k =
-  for i = 0 to k - 1 do
-    Array.unsafe_set dst i (min_bf (Array.unsafe_get cur i) (Array.unsafe_get f i))
-  done
+  match objective with
+  | Objective.Sum -> score_sum cur f k
+  | Objective.Max -> score_max cur f k
 
 (* Subsets explored across all enumerations; accumulated locally and
    published once per call so the DFS hot loop stays untouched. *)
@@ -282,7 +273,7 @@ let price ~objective ws instance t ~srcs targets =
   let cur = Workspace.acquire ws (Instance.n instance) in
   Array.blit t.empty 0 cur 0 k;
   List.iter
-    (fun v -> min_into ~dst:cur cur t.fs.(Option.get (Array.find_index (( = ) v) srcs)) k)
+    (fun v -> min_into ~dst:cur cur t.fs.(Option.get (Array.find_index (Int.equal v) srcs)) k)
     targets;
   let c = score ~objective cur cur k in
   release_prefix ws cur k;
@@ -369,7 +360,7 @@ let pool ~search instance u =
 let scratch_decide ~objective ?csr ~search instance config u ~on_subset =
   let candidates = pool ~search instance u in
   let targets = Config.targets config u in
-  let others = List.filter (fun v -> not (Array.mem v candidates)) targets in
+  let others = List.filter (fun v -> not (Array.exists (Int.equal v) candidates)) targets in
   let srcs = Array.append candidates (Array.of_list others) in
   with_table ?csr instance config u ~srcs (fun ws t ->
       let current = price ~objective ws instance t ~srcs targets in

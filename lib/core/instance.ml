@@ -23,8 +23,9 @@ let check_table name n table =
    (n - 1 weighted terms, each distance at most M), and a social cost
    sums n of them.  So n * (n - 1) * max_weight * M must not exceed
    OCaml's max_int (2^62 - 1): social costs cannot wrap, and node costs
-   stay in [0, 2^62) for Best_response's branch-free min/max.  The test
-   divides instead of multiplying, which would overflow. *)
+   stay below 2^62 / n, so Best_response's row kernel can sum their
+   tagged words without overflow.  The test divides instead of
+   multiplying, which would overflow. *)
 let check_cost_bound name n max_weight penalty =
   if
     max_weight > 0

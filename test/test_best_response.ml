@@ -364,6 +364,82 @@ let test_snapshot_shape () =
   Alcotest.(check bool) "non-functional profile: built" true
     (BR.snapshot (I.uniform ~n:5 ~k:1) two <> None)
 
+(* The row kernel (lib/core/row_kernel.c) behind [score] and
+   [min_into], bound here directly: the entry points the search calls
+   (the AVX2 build where the CPU has it) and the portable build, each
+   against a plain fold over the first [k] entries.  Bytecode has only
+   the dispatching entry points, so there both bindings reach them. *)
+external score_sum : int array -> int array -> (int[@untagged]) -> (int[@untagged])
+  = "bbc_row_score_sum_byte" "bbc_row_score_sum"
+[@@noalloc]
+
+external score_max : int array -> int array -> (int[@untagged]) -> (int[@untagged])
+  = "bbc_row_score_max_byte" "bbc_row_score_max"
+[@@noalloc]
+
+external min_into : int array -> int array -> int array -> (int[@untagged]) -> unit
+  = "bbc_row_min_into_byte" "bbc_row_min_into"
+[@@noalloc]
+
+external score_sum_portable : int array -> int array -> (int[@untagged]) -> (int[@untagged])
+  = "bbc_row_score_sum_byte" "bbc_row_score_sum_portable"
+[@@noalloc]
+
+external score_max_portable : int array -> int array -> (int[@untagged]) -> (int[@untagged])
+  = "bbc_row_score_max_byte" "bbc_row_score_max_portable"
+[@@noalloc]
+
+external min_into_portable : int array -> int array -> int array -> (int[@untagged]) -> unit
+  = "bbc_row_min_into_byte" "bbc_row_min_into_portable"
+[@@noalloc]
+
+(* Rows as the search holds them: pooled rows longer than [k], entries
+   in [0, top], where [top] is an entry at the instance bound of
+   DESIGN.md section 18.3 for n = k + 1 columns and sources, or a small
+   value.  Past [k] every row holds a sentinel no kernel may read or
+   write. *)
+let test_row_kernel () =
+  let rng = Bbc_prng.Splitmix.create 2008 in
+  let sentinel = -7 in
+  List.iter
+    (fun k ->
+      let n = max 2 (k + 1) in
+      (* The largest max_weight * M with n * (n - 1) * max_weight * M < 2^62. *)
+      let bound = ((1 lsl 62) - 1) / (n * (n - 1)) in
+      List.iter
+        (fun top ->
+          for _ = 1 to 20 do
+            let row () =
+              Array.init (k + 3) (fun i ->
+                  if i >= k then sentinel
+                  else
+                    match Bbc_prng.Splitmix.int rng 4 with
+                    | 0 -> top
+                    | 1 -> 0
+                    | _ -> Bbc_prng.Splitmix.int rng (top + 1))
+            in
+            let cur = row () and f = row () in
+            let mins = Array.init k (fun i -> Int.min cur.(i) f.(i)) in
+            let sum = Array.fold_left ( + ) 0 mins and max = Array.fold_left Int.max 0 mins in
+            let name what = Printf.sprintf "%s k=%d top=%d" what k top in
+            Alcotest.(check int) (name "sum") sum (score_sum cur f k);
+            Alcotest.(check int) (name "portable sum") sum (score_sum_portable cur f k);
+            Alcotest.(check int) (name "max") max (score_max cur f k);
+            Alcotest.(check int) (name "portable max") max (score_max_portable cur f k);
+            let want = Array.append mins [| sentinel; sentinel; sentinel |] in
+            List.iter
+              (fun (what, min_into) ->
+                let dst = Array.make (k + 3) sentinel in
+                min_into dst cur f k;
+                Alcotest.(check (array int)) (name what) want dst;
+                let alias = Array.copy cur in
+                min_into alias alias f k;
+                Alcotest.(check (array int)) (name (what ^ " dst == cur")) want alias)
+              [ ("min_into", min_into); ("portable min_into", min_into_portable) ]
+          done)
+        [ bound; 9 ])
+    [ 0; 1; 3; 4; 5; 23; 70 ]
+
 let suite =
   suite
   @ [
@@ -374,4 +450,5 @@ let suite =
       Alcotest.test_case "bounded exact = plain DFS" `Quick test_bounded_exact_matches_dfs;
       Alcotest.test_case "one-source and zero-source decisions" `Quick test_one_and_zero_sources;
       Alcotest.test_case "decisions return their rows to the pool" `Quick test_pool_discipline;
+      Alcotest.test_case "row kernel = plain fold" `Quick test_row_kernel;
     ]
